@@ -9,9 +9,10 @@
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
-// BenchmarkPhaseCollector, device Access), the schedulers at queue
-// depths 8/64/512 (BenchmarkSchedNext, every algorithm), the stats
-// backends (./internal/stats Dist/Sketch/Sample benches), and the
+// BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access), the
+// schedulers at queue depths 8/64/512 (BenchmarkSchedNext, every
+// algorithm), the stats backends (./internal/stats Dist/Sketch/Sample
+// benches), and the
 // million-request end-to-end runs (BenchmarkEngineMillion; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
@@ -83,7 +84,7 @@ func main() {
 		schedBT = "50x"
 	}
 	suites := []suite{
-		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkMEMSAccess|BenchmarkDiskAccess)$", benchtime: bt},
+		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"memsim/internal/core"
@@ -85,6 +86,29 @@ func BenchmarkPhaseCollector(b *testing.B) {
 				c.Observe(ev)
 			}
 		})
+	}
+}
+
+// BenchmarkJSONLObserve times one JSONLProbe.Observe over the event mix
+// a plain open run emits (arrive, dispatch, service, complete for each
+// request, under a runner-style run label), writing to io.Discard, so
+// it measures encoding and buffering alone.
+func BenchmarkJSONLObserve(b *testing.B) {
+	var mix []ProbeEvent
+	for _, ev := range jsonlEvents() {
+		switch ev.Kind {
+		case EventArrive, EventDispatch, EventService, EventComplete:
+			mix = append(mix, ev)
+		}
+	}
+	jp := NewJSONLProbe(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jp.Observe(mix[i%len(mix)])
+	}
+	if err := jp.Flush(); err != nil {
+		b.Fatal(err)
 	}
 }
 

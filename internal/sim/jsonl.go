@@ -4,50 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 )
-
-// jsonlPhases is the phase block of a JSONL trace record; field order is
-// the emission order (encoding/json preserves struct order, keeping the
-// output deterministic).
-type jsonlPhases struct {
-	SeekMs       float64 `json:"seek_ms"`
-	SettleMs     float64 `json:"settle_ms"`
-	TurnaroundMs float64 `json:"turnaround_ms"`
-	TransferMs   float64 `json:"transfer_ms"`
-	OverheadMs   float64 `json:"overhead_ms"`
-	RecoveryMs   float64 `json:"recovery_ms"`
-	ServiceMs    float64 `json:"service_ms"`
-}
-
-// jsonlRecord is one JSONL trace line. Optional blocks (phases, the
-// completion summary) appear only on the event kinds that carry them;
-// the schema is documented in README.md.
-type jsonlRecord struct {
-	Event     string       `json:"event"`
-	TimeMs    float64      `json:"t_ms"`
-	Run       string       `json:"run,omitempty"`
-	Dev       int          `json:"dev,omitempty"`
-	Op        string       `json:"op"`
-	LBN       int64        `json:"lbn"`
-	Blocks    int          `json:"blocks"`
-	ArrivalMs float64      `json:"arrival_ms"`
-	Queue     int          `json:"queue,omitempty"`
-	Pace      float64      `json:"pace,omitempty"`
-	Phases    *jsonlPhases `json:"phases,omitempty"`
-	Complete  *jsonlDone   `json:"summary,omitempty"`
-}
-
-// jsonlDone is the completion summary block.
-type jsonlDone struct {
-	ResponseMs float64 `json:"response_ms"`
-	ServiceMs  float64 `json:"service_ms"`
-	Measured   bool    `json:"measured"`
-	Retries    int     `json:"retries,omitempty"`
-	Requeues   int     `json:"requeues,omitempty"`
-	Failed     bool    `json:"failed,omitempty"`
-	Degraded   bool    `json:"degraded,omitempty"`
-}
 
 // JSONLProbe is a Probe that writes one JSON object per lifecycle event
 // to an io.Writer — the trace format cmd/memstrace replays into and
@@ -55,9 +15,18 @@ type jsonlDone struct {
 // parallel experiment runner shares one instance across jobs), buffers
 // internally, and latches the first write error rather than failing
 // mid-simulation; call Flush to drain the buffer and surface that error.
+//
+// Records are encoded by hand into a scratch buffer the probe reuses, so
+// Observe allocates nothing in steady state. The bytes are exactly what
+// encoding/json produced for the v1 record struct (kept as the test
+// oracle in jsonl_test.go): the same field order, omitempty rules, float
+// formatting and string escaping. A NaN or ±Inf in any emitted field is
+// latched as encoding/json's own error and nothing of that record is
+// written.
 type JSONLProbe struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
+	buf []byte // the record being encoded, reused under mu
 	err error
 }
 
@@ -68,62 +37,14 @@ func NewJSONLProbe(w io.Writer) *JSONLProbe {
 
 // Observe implements Probe.
 func (p *JSONLProbe) Observe(ev ProbeEvent) {
-	rec := jsonlRecord{
-		Event:  ev.Kind.String(),
-		TimeMs: ev.Time,
-		Run:    ev.Run,
-		Dev:    ev.Dev,
-		Queue:  ev.Queue,
-		Pace:   ev.Pace,
-	}
-	// Volume lifecycle events (device-fail, rebuild-start/done) carry no
-	// request.
-	if ev.Req != nil {
-		rec.Op = ev.Req.Op.String()
-		rec.LBN = ev.Req.LBN
-		rec.Blocks = ev.Req.Blocks
-		rec.ArrivalMs = ev.Req.Arrival
-	}
-	switch ev.Kind {
-	case EventService, EventRetry:
-		bd := ev.Breakdown
-		rec.Phases = &jsonlPhases{
-			SeekMs:       bd.Seek,
-			SettleMs:     bd.Settle,
-			TurnaroundMs: bd.Turnaround,
-			TransferMs:   bd.Transfer,
-			OverheadMs:   bd.Overhead,
-			RecoveryMs:   bd.Recovery,
-			ServiceMs:    bd.ServiceMs,
-		}
-	case EventComplete:
-		rec.Complete = &jsonlDone{
-			ResponseMs: ev.Req.ResponseTime(),
-			ServiceMs:  ev.Req.Phases.ServiceMs,
-			Measured:   ev.Measured,
-			Retries:    ev.Req.Retries,
-			Requeues:   ev.Req.Requeues,
-			Failed:     ev.Req.Failed,
-			Degraded:   ev.Req.Degraded,
-		}
-	}
-	line, err := json.Marshal(rec)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
 		return
 	}
-	if err != nil {
-		// Unreachable for the plain struct above, but latch it anyway.
-		p.err = err
-		return
-	}
-	if _, err := p.w.Write(line); err != nil {
-		p.err = err
-		return
-	}
-	if err := p.w.WriteByte('\n'); err != nil {
-		p.err = err
+	p.encode(&ev)
+	if p.err == nil {
+		_, p.err = p.w.Write(p.buf)
 	}
 }
 
@@ -139,3 +60,128 @@ func (p *JSONLProbe) Flush() error {
 }
 
 var _ Probe = (*JSONLProbe)(nil)
+
+// encode replaces p.buf with ev's trace line, newline included. Keys
+// appear in the order they are appended here, which is the schema's
+// field order (README.md):
+//
+//	event t_ms run? dev? op lbn blocks arrival_ms queue? pace? phases? summary?
+//
+// where "?" marks a field omitted when it is zero or empty. Volume
+// lifecycle events (device-fail, rebuild-start/done/pace) carry no
+// request, and emit its fields as zero values.
+func (p *JSONLProbe) encode(ev *ProbeEvent) {
+	p.buf = p.buf[:0]
+	var (
+		op      string
+		lbn     int64
+		blocks  int
+		arrival float64
+	)
+	if ev.Req != nil {
+		op, lbn, blocks, arrival = ev.Req.Op.String(), ev.Req.LBN, ev.Req.Blocks, ev.Req.Arrival
+	}
+	p.appendString(`{"event":`, ev.Kind.String())
+	p.appendFloat(`,"t_ms":`, ev.Time)
+	if ev.Run != "" {
+		p.appendString(`,"run":`, ev.Run)
+	}
+	if ev.Dev != 0 {
+		p.appendInt(`,"dev":`, int64(ev.Dev))
+	}
+	p.appendString(`,"op":`, op)
+	p.appendInt(`,"lbn":`, lbn)
+	p.appendInt(`,"blocks":`, int64(blocks))
+	p.appendFloat(`,"arrival_ms":`, arrival)
+	if ev.Queue != 0 {
+		p.appendInt(`,"queue":`, int64(ev.Queue))
+	}
+	if ev.Pace != 0 {
+		p.appendFloat(`,"pace":`, ev.Pace)
+	}
+	switch ev.Kind {
+	case EventService, EventRetry:
+		bd := &ev.Breakdown
+		p.appendFloat(`,"phases":{"seek_ms":`, bd.Seek)
+		p.appendFloat(`,"settle_ms":`, bd.Settle)
+		p.appendFloat(`,"turnaround_ms":`, bd.Turnaround)
+		p.appendFloat(`,"transfer_ms":`, bd.Transfer)
+		p.appendFloat(`,"overhead_ms":`, bd.Overhead)
+		p.appendFloat(`,"recovery_ms":`, bd.Recovery)
+		p.appendFloat(`,"service_ms":`, bd.ServiceMs)
+		p.buf = append(p.buf, '}')
+	case EventComplete:
+		r := ev.Req
+		p.appendFloat(`,"summary":{"response_ms":`, r.ResponseTime())
+		p.appendFloat(`,"service_ms":`, r.Phases.ServiceMs)
+		p.appendBool(`,"measured":`, ev.Measured)
+		if r.Retries != 0 {
+			p.appendInt(`,"retries":`, int64(r.Retries))
+		}
+		if r.Requeues != 0 {
+			p.appendInt(`,"requeues":`, int64(r.Requeues))
+		}
+		if r.Failed {
+			p.appendBool(`,"failed":`, true)
+		}
+		if r.Degraded {
+			p.appendBool(`,"degraded":`, true)
+		}
+		p.buf = append(p.buf, '}')
+	}
+	p.buf = append(p.buf, "}\n"...)
+}
+
+// appendString appends key then s as a JSON string. Printable ASCII
+// other than the characters encoding/json escapes (quote, backslash,
+// and <, >, & under its default HTML escaping) is copied as is;
+// anything else goes through json.Marshal, which keeps control
+// characters, U+2028/U+2029 and invalid UTF-8 byte-identical to the
+// struct encoding.
+func (p *JSONLProbe) appendString(key, s string) {
+	p.buf = append(p.buf, key...)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			p.buf = append(p.buf, q...)
+			return
+		}
+	}
+	p.buf = append(p.buf, '"')
+	p.buf = append(p.buf, s...)
+	p.buf = append(p.buf, '"')
+}
+
+func (p *JSONLProbe) appendInt(key string, v int64) {
+	p.buf = strconv.AppendInt(append(p.buf, key...), v, 10)
+}
+
+func (p *JSONLProbe) appendBool(key string, v bool) {
+	p.buf = strconv.AppendBool(append(p.buf, key...), v)
+}
+
+// appendFloat appends key then f exactly as encoding/json formats a
+// float64: the shortest 'f' form, switching to 'e' for 0 < |f| < 1e-6
+// and |f| ≥ 1e21, with a two-digit negative exponent trimmed
+// (e-07 → e-7). A NaN or ±Inf latches encoding/json's error for that
+// value in p.err, which stops Observe writing the record.
+func (p *JSONLProbe) appendFloat(key string, f float64) {
+	p.buf = append(p.buf, key...)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if p.err == nil {
+			_, p.err = json.Marshal(f)
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	p.buf = strconv.AppendFloat(p.buf, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(p.buf); p.buf[n-4] == 'e' && p.buf[n-3] == '-' && p.buf[n-2] == '0' {
+			p.buf[n-2] = p.buf[n-1]
+			p.buf = p.buf[:n-1]
+		}
+	}
+}
