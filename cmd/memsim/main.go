@@ -97,7 +97,6 @@ func main() {
 	var ctx *sim.Context
 	if *progress {
 		ctx = &sim.Context{
-			ProgressEvery: 1000,
 			OnProgress: func(completed int, simMs float64) {
 				fmt.Fprintf(os.Stderr, "memsim: %d/%d requests, %.0f ms simulated\n",
 					completed, *requests, simMs)

@@ -150,3 +150,64 @@ func TestFprintWideRows(t *testing.T) {
 		t.Errorf("wide row cells missing or misaligned:\n%s", out)
 	}
 }
+
+// eventTally counts observed events per run label and kind; safe for
+// single-worker batches only.
+type eventTally map[string]map[sim.EventKind]int
+
+func (t eventTally) Observe(ev sim.ProbeEvent) {
+	if t[ev.Run] == nil {
+		t[ev.Run] = map[sim.EventKind]int{}
+	}
+	t[ev.Run][ev.Kind]++
+}
+
+// TestCustomEngineBodiesAreTraced pins the batch probe's reach into the
+// hand-written Custom bodies: the multi-device, volume and power
+// regimes emit lifecycle events under their own job labels, and
+// observing them leaves every table byte-identical.
+func TestCustomEngineBodiesAreTraced(t *testing.T) {
+	p := Quick().WithRequests(300)
+	for _, id := range []string{"rebuild", "striping", "schedcost", "power"} {
+		t.Run(id, func(t *testing.T) {
+			plain, err := RunWith(runner.Sequential(), id, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := PlanFor(id, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally := eventTally{}
+			if _, err := (&runner.Context{Workers: 1, Probe: tally}).Run(pl.Jobs); err != nil {
+				t.Fatal(err)
+			}
+			labels := map[string]bool{}
+			for _, j := range pl.Jobs {
+				labels[j.Label] = true
+				if tally[j.Label][sim.EventComplete] == 0 {
+					t.Errorf("job %q emitted no complete events", j.Label)
+				}
+			}
+			for run := range tally {
+				if !labels[run] {
+					t.Errorf("event labelled %q, which is not a job of %s", run, id)
+				}
+			}
+			if id == "rebuild" {
+				for _, k := range []sim.EventKind{sim.EventDeviceFail, sim.EventRebuildStart} {
+					n := 0
+					for _, kinds := range tally {
+						n += kinds[k]
+					}
+					if n == 0 {
+						t.Errorf("rebuild emitted no %s events", k)
+					}
+				}
+			}
+			if a, b := renderAll([][]Table{plain}), renderAll([][]Table{pl.Assemble()}); !bytes.Equal(a, b) {
+				t.Errorf("probed output diverged from unprobed\n--- plain ---\n%s--- probed ---\n%s", a, b)
+			}
+		})
+	}
+}

@@ -67,7 +67,7 @@ func powerPlan(p Params) *Plan {
 				}
 				m := power.NewManaged(inner, v.model, v.policy)
 				res := sim.Run(job.SimContext(), m, sched.NewFCFS(), workload.NewFromSlice(reqs),
-					job.SimOptions(sim.Options{}))
+					sim.Options{})
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}

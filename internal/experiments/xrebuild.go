@@ -257,7 +257,7 @@ func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
 	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
 		Volume: v, Devices: devs, Scheds: scheds,
 		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac, RebuildPolicy: policy,
-	}, src, job.SimOptions(sim.Options{Warmup: p.Warmup, Injector: inj}))
+	}, src, sim.Options{Warmup: p.Warmup, Injector: inj})
 	if err != nil {
 		panic(err)
 	}

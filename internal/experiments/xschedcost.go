@@ -106,7 +106,7 @@ func schedCostRun(job *runner.Job, dev schedCostDevice, schedName string, p Para
 	rp := &respProbe{}
 	src := workload.DefaultRandom(dev.rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
 	res := sim.Run(job.SimContext(), d, s, src,
-		job.SimOptions(sim.Options{Warmup: p.Warmup, Probe: sim.MultiProbe{pc, rp}}))
+		sim.Options{Warmup: p.Warmup, Probe: sim.MultiProbe{pc, rp}})
 	job.SimMs = res.Elapsed
 	return schedCostOutcome{
 		mean:    rp.d.Mean(),
@@ -168,7 +168,7 @@ func schedDegradedRun(job *runner.Job, memberSched string, frac float64, p Param
 	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
 		Volume: v, Devices: devs, Scheds: scheds,
 		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac,
-	}, src, job.SimOptions(sim.Options{Warmup: p.Warmup, Injector: inj}))
+	}, src, sim.Options{Warmup: p.Warmup, Injector: inj})
 	if err != nil {
 		panic(err)
 	}

@@ -111,7 +111,7 @@ func stripedResponse(job *runner.Job, n int, rate float64, p Params) stripedOutc
 	}
 	src := workload.NewRandom(cfg)
 	res, err := sim.RunMulti(job.SimContext(), devs, scheds, sim.StripeRouter(unit, n), src,
-		job.SimOptions(sim.Options{Warmup: p.Warmup}))
+		sim.Options{Warmup: p.Warmup})
 	if err != nil {
 		// Recovered by the runner into a per-job error.
 		panic(err)

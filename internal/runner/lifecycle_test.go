@@ -49,7 +49,8 @@ func TestJobTimeoutDeadlineExceeded(t *testing.T) {
 
 func TestBatchCancelSkipsQueuedJobs(t *testing.T) {
 	// A batch whose Ctx is already cancelled skips every job: each fails
-	// with the context error and none executes its body.
+	// with the context error and none executes its body, yet each still
+	// carries the batch's run policy.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
@@ -63,7 +64,7 @@ func TestBatchCancelSkipsQueuedJobs(t *testing.T) {
 			},
 		})
 	}
-	sum, err := (&Context{Workers: 1, Ctx: cctx}).Run(jobs)
+	sum, err := (&Context{Workers: 1, Ctx: cctx, Check: true}).Run(jobs)
 	if err == nil {
 		t.Fatal("cancelled batch returned nil error")
 	}
@@ -76,6 +77,9 @@ func TestBatchCancelSkipsQueuedJobs(t *testing.T) {
 	for _, j := range jobs {
 		if !errors.Is(j.Err(), context.Canceled) {
 			t.Errorf("job err = %v, want Canceled", j.Err())
+		}
+		if !errors.Is(j.Ctx().Err(), context.Canceled) || !j.SimContext().Check {
+			t.Errorf("skipped job policy: ctx err %v, check %v", j.Ctx().Err(), j.SimContext().Check)
 		}
 	}
 }
@@ -150,25 +154,40 @@ func TestJobLifecycleAccessorsBeforeRun(t *testing.T) {
 	if j.Ctx() != context.Background() {
 		t.Error("Ctx before run is not context.Background")
 	}
-	if j.SimOptions(sim.Options{}).Check {
-		t.Error("Check set before run")
+	sc := j.SimContext()
+	if sc.Check || sc.Sketch || sc.Probe != nil {
+		t.Errorf("run policy set before run: %+v", sc)
 	}
-	if j.SimContext().Ctx != context.Background() {
+	if sc.Ctx != context.Background() {
 		t.Error("SimContext not wired to Background before run")
 	}
 }
 
 func TestContextCheckReachesCustomBodies(t *testing.T) {
-	// Context.Check flows into Custom bodies through SimOptions.
-	var sawCheck bool
+	// The batch policy — Check, Sketch and the labelled probe — reaches
+	// Custom bodies through SimContext, the same context Ctx reads.
+	var saw sim.Context
+	var sameCtx bool
 	j := &Job{Label: "checked", Custom: func(job *Job) any {
-		sawCheck = job.SimOptions(sim.Options{}).Check
+		saw = *job.SimContext()
+		sameCtx = saw.Ctx == job.Ctx()
 		return nil
 	}}
-	if _, err := (&Context{Workers: 1, Check: true}).Run([]*Job{j}); err != nil {
+	lp := &labelProbe{}
+	if _, err := (&Context{Workers: 1, Check: true, Sketch: true, Probe: lp}).Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
-	if !sawCheck {
-		t.Error("Check did not reach the Custom body")
+	if !saw.Check || !saw.Sketch {
+		t.Errorf("Check/Sketch did not reach the Custom body: %+v", saw)
+	}
+	if saw.Probe == nil {
+		t.Fatal("batch probe did not reach the Custom body")
+	}
+	saw.Probe.Observe(sim.ProbeEvent{Kind: sim.EventComplete})
+	if len(lp.labels) != 1 || lp.labels[0] != "checked" {
+		t.Errorf("Custom body's probe is not labelled with the job: %v", lp.labels)
+	}
+	if !sameCtx {
+		t.Error("SimContext().Ctx differs from Ctx()")
 	}
 }

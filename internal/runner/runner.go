@@ -64,8 +64,8 @@ type Job struct {
 	// setting SimMs. A Custom body that returns an error value fails the
 	// job with it (the body's only non-panic error channel) — the
 	// convention cancellable bodies use to surface Ctx's cancellation
-	// cause. Bodies observe the batch lifecycle through Ctx, SimContext
-	// and SimOptions.
+	// cause. Bodies observe the batch lifecycle through Ctx and
+	// SimContext.
 	Custom func(j *Job) any
 
 	// SimMs is the simulated time the job covered in milliseconds. The
@@ -78,43 +78,30 @@ type Job struct {
 	err  error
 	done bool
 
-	// ctx, check and sketch are the batch lifecycle policy the pool
-	// installs before executing the job: the job's cancellation context
-	// (batch signal plus per-job deadline), whether invariant checking
-	// was requested, and whether bounded quantile sketches were.
-	ctx    context.Context
-	check  bool
-	sketch bool
+	// sctx is the run policy the pool installs before executing the job:
+	// its cancellation context (batch signal plus per-job deadline), the
+	// batch probe labelled with the job, and the check and sketch
+	// switches.
+	sctx *sim.Context
 }
 
 // Ctx returns the job's lifecycle context: the batch Context.Ctx bounded
 // by the per-job deadline, installed by the pool before the job runs.
 // Custom bodies poll it (or thread it via SimContext) to stop early;
 // before the job runs it is context.Background.
-func (j *Job) Ctx() context.Context {
-	if j.ctx == nil {
-		return context.Background()
-	}
-	return j.ctx
-}
+func (j *Job) Ctx() context.Context { return j.SimContext().Ctx }
 
-// SimContext returns a sim.Context wired to the job's lifecycle context,
-// for Custom bodies to pass as the first argument of the sim entry
-// points so their inner runs stop at batch cancellation or the job's
-// deadline.
-func (j *Job) SimContext() *sim.Context { return &sim.Context{Ctx: j.Ctx()} }
-
-// SimOptions folds the batch's execution policy into opts —
-// Context.Check and Context.Sketch — so Custom bodies honor `-check`
-// and `-sketch` the same way declarative jobs do.
-func (j *Job) SimOptions(opts sim.Options) sim.Options {
-	if j.check {
-		opts.Check = true
+// SimContext returns the job's run policy, for Custom bodies to pass as
+// the first argument of the sim entry points: their inner runs then
+// stop at batch cancellation or the job's deadline, feed the batch
+// probe under the job's label, and honor `-check` and `-sketch` exactly
+// as declarative jobs do. Before the job runs it is an inert context
+// wired to context.Background.
+func (j *Job) SimContext() *sim.Context {
+	if j.sctx == nil {
+		return &sim.Context{Ctx: context.Background()}
 	}
-	if j.sketch {
-		opts.Sketch = true
-	}
-	return opts
+	return j.sctx
 }
 
 // Err returns the job's execution error (nil if it succeeded or has not
@@ -141,38 +128,18 @@ func (j *Job) Value() any {
 	return j.val
 }
 
-// run executes the job, converting panics into errors so one bad job
-// cannot take down the whole pool. A non-nil probe is attached to the
-// declarative regimes (labelled with the job), composed after any probe
-// the job declared itself; Custom bodies drive their own loops and are
-// not probed. jctx (the batch context bounded by the per-job deadline)
-// and check are installed on the job first, so Custom bodies see them
-// through Ctx/SimContext/SimOptions; declarative runs thread them
-// directly, and a run stopped by cancellation fails the job with the
-// context's error instead of publishing a partial Result.
-func (j *Job) run(probe sim.Probe, jctx context.Context, check, sketch bool) (err error) {
+// run executes the job under its installed run policy, converting
+// panics into errors so one bad job cannot take down the whole pool.
+// Declarative runs pass the policy and the job's Options straight to
+// the engine; Custom bodies reach it through SimContext. A run stopped
+// by cancellation fails the job with the context's error instead of
+// publishing a partial Result.
+func (j *Job) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job %q: panic: %v", j.Label, r)
 		}
 	}()
-	j.ctx, j.check, j.sketch = jctx, check, sketch
-	opts := j.Options
-	if check {
-		opts.Check = true
-	}
-	if sketch {
-		opts.Sketch = true
-	}
-	if probe != nil {
-		labelled := sim.WithRun(probe, j.Label)
-		if opts.Probe == nil {
-			opts.Probe = labelled
-		} else {
-			opts.Probe = sim.MultiProbe{opts.Probe, labelled}
-		}
-	}
-	sctx := &sim.Context{Ctx: jctx}
 	switch {
 	case j.Custom != nil:
 		j.val = j.Custom(j)
@@ -183,15 +150,15 @@ func (j *Job) run(probe sim.Probe, jctx context.Context, check, sketch bool) (er
 		return fmt.Errorf("job %q: no Custom body and no device/source factories", j.Label)
 	case j.Scheduler != nil:
 		d := j.Device()
-		j.res = sim.Run(sctx, d, j.Scheduler(), j.Source(d), opts)
+		j.res = sim.Run(j.sctx, d, j.Scheduler(), j.Source(d), j.Options)
 		j.SimMs = j.res.Elapsed
 	default:
 		d := j.Device()
-		j.res = sim.RunClosed(sctx, d, j.Source(d), opts)
+		j.res = sim.RunClosed(j.sctx, d, j.Source(d), j.Options)
 		j.SimMs = j.res.Elapsed
 	}
 	if j.res.Cancelled {
-		cause := jctx.Err()
+		cause := j.sctx.Ctx.Err()
 		if cause == nil {
 			cause = context.Canceled
 		}
@@ -243,13 +210,13 @@ type Context struct {
 	// completes. Events arrive serialized (never concurrently) but in
 	// completion order, which under parallelism is not declaration order.
 	Progress func(Event)
-	// Probe, when non-nil, observes every declarative job's request
-	// lifecycle (sim.Options.Probe), with each event's Run field set to
-	// the job label. The probe is shared across workers, so it must be
-	// safe for concurrent use under parallelism (sim.JSONLProbe is);
-	// with Workers: 1 events arrive in declaration order. It composes
-	// after any probe a job declared itself; Custom jobs are left
-	// untouched.
+	// Probe, when non-nil, observes the request lifecycle of every
+	// engine run in the batch, declarative or Custom (sim.Context.Probe),
+	// with each event's Run field set to the job label. The probe is
+	// shared across workers, so it must be safe for concurrent use under
+	// parallelism (sim.JSONLProbe is); with Workers: 1 events arrive in
+	// declaration order. It composes after any probe a job declared
+	// itself and is never reset between jobs.
 	Probe sim.Probe
 	// Ctx, when non-nil, cancels the whole batch: in-flight jobs stop at
 	// their engine's next cancellation poll and fail with the context's
@@ -262,15 +229,28 @@ type Context struct {
 	// context.DeadlineExceeded through Job.Err without affecting its
 	// siblings — the pool keeps executing the rest of the batch.
 	Timeout time.Duration
-	// Check enables simulator invariant checking (sim.Options.Check) on
-	// every declarative job; Custom bodies opt in by building their
-	// options through Job.SimOptions.
+	// Check enables simulator invariant checking (sim.Context.Check) on
+	// every engine run in the batch.
 	Check bool
-	// Sketch switches every declarative job's percentile aggregates to
-	// the bounded quantile sketch (sim.Options.Sketch), keeping stats
-	// memory O(1) at any request count; Custom bodies opt in by building
-	// their options through Job.SimOptions.
+	// Sketch switches every engine run's percentile aggregates to the
+	// bounded quantile sketch (sim.Context.Sketch), keeping stats memory
+	// O(1) at any request count.
 	Sketch bool
+}
+
+// jobContext builds j's run policy from the batch policy: the batch
+// Ctx bounded by the per-job Timeout, the batch probe labelled with the
+// job, and the check and sketch switches. The returned cancel releases
+// the deadline's timer.
+func (c *Context) jobContext(j *Job) (*sim.Context, context.CancelFunc) {
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if c.Ctx != nil {
+		ctx = c.Ctx
+	}
+	if c.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
+	}
+	return &sim.Context{Ctx: ctx, Probe: sim.WithRun(c.Probe, j.Label), Check: c.Check, Sketch: c.Sketch}, cancel
 }
 
 // Run executes every job and returns aggregate metrics. Jobs run on a
@@ -280,8 +260,11 @@ type Context struct {
 // order — deterministic regardless of completion order. Per-job errors
 // also stay readable through Job.Err.
 func (c *Context) Run(jobs []*Job) (Summary, error) {
+	if c == nil {
+		c = &Context{}
+	}
 	workers := runtime.GOMAXPROCS(0)
-	if c != nil && c.Workers > 0 {
+	if c.Workers > 0 {
 		workers = c.Workers
 	}
 	if workers > len(jobs) {
@@ -306,40 +289,24 @@ func (c *Context) Run(jobs []*Job) (Summary, error) {
 			for i := range idx {
 				j := jobs[i]
 				jobStart := time.Now()
-				var (
-					probe   sim.Probe
-					base    = context.Background()
-					timeout time.Duration
-					check   bool
-					sketch  bool
-				)
-				if c != nil {
-					probe, timeout, check, sketch = c.Probe, c.Timeout, c.Check, c.Sketch
-					if c.Ctx != nil {
-						base = c.Ctx
-					}
-				}
+				var cancel context.CancelFunc
+				j.sctx, cancel = c.jobContext(j)
 				var err error
-				if base.Err() != nil {
+				if c.Ctx != nil && c.Ctx.Err() != nil {
 					// The batch is cancelled: skip jobs that have not
 					// started rather than burning their setup cost.
-					j.ctx, j.check, j.sketch = base, check, sketch
-					err = fmt.Errorf("job %q: %w", j.Label, base.Err())
+					err = fmt.Errorf("job %q: %w", j.Label, c.Ctx.Err())
 				} else {
-					jctx, cancel := base, func() {}
-					if timeout > 0 {
-						jctx, cancel = context.WithTimeout(base, timeout)
-					}
-					err = j.run(probe, jctx, check, sketch)
-					cancel()
+					err = j.run()
 				}
+				cancel()
 				j.err = err
 				wallMs := float64(time.Since(jobStart)) / float64(time.Millisecond)
 				wall.Add(wallMs)
 				simt.Add(j.SimMs)
 				mu.Lock()
 				done++
-				if c != nil && c.Progress != nil {
+				if c.Progress != nil {
 					c.Progress(Event{
 						Label: j.Label, Done: done, Total: len(jobs),
 						WallMs: wallMs, SimMs: j.SimMs, Err: err,

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -278,6 +279,8 @@ func TestContextProbeComposesWithJobProbe(t *testing.T) {
 }
 
 func TestCustomJobsAreNotProbed(t *testing.T) {
+	// The runner emits no events of its own: a Custom body that drives
+	// no engine run leaves the batch probe silent.
 	lp := &labelProbe{}
 	ran := false
 	j := &Job{Label: "custom", Custom: func(*Job) any { ran = true; return 7 }}
@@ -290,6 +293,28 @@ func TestCustomJobsAreNotProbed(t *testing.T) {
 	}
 	if len(lp.labels) != 0 {
 		t.Errorf("custom job leaked %v to the context probe", lp.labels)
+	}
+}
+
+func TestCustomEngineRunsAreProbed(t *testing.T) {
+	// A Custom body that drives the engine through SimContext feeds the
+	// batch probe under its job label, after any probe it declared.
+	lp := &labelProbe{}
+	pc := sim.NewPhaseCollector()
+	j := &Job{Label: "custom-run", Custom: func(job *Job) any {
+		d := &tickDevice{svc: 1}
+		src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 3, 1)
+		return sim.Run(job.SimContext(), d, sched.NewFCFS(), src, sim.Options{Probe: pc})
+	}}
+	if _, err := (&Context{Workers: 1, Probe: lp}).Run([]*Job{j}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"custom-run", "custom-run", "custom-run"}
+	if !reflect.DeepEqual(lp.labels, want) {
+		t.Errorf("labels = %v, want %v", lp.labels, want)
+	}
+	if res := j.Value().(sim.Result); res.Phases != pc.Stats() || pc.Stats().Requests != 3 {
+		t.Errorf("job's own collector lost: phases %p, requests %d", res.Phases, pc.Stats().Requests)
 	}
 }
 

@@ -127,8 +127,8 @@ func BenchmarkEngineMillion(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
-			Run(nil, d, sched.NewSPTF(), src,
-				Options{Warmup: n / 100, Probe: NewPhaseCollector(), Sketch: true})
+			Run(&Context{Sketch: true}, d, sched.NewSPTF(), src,
+				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
 		}
 	})
 	b.Run(fmtScale("closed", n), func(b *testing.B) {
@@ -136,8 +136,8 @@ func BenchmarkEngineMillion(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
-			RunClosed(nil, d, src,
-				Options{Warmup: n / 100, Probe: NewPhaseCollector(), Sketch: true})
+			RunClosed(&Context{Sketch: true}, d, src,
+				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
 		}
 	})
 	b.Run(fmtScale("multi", n), func(b *testing.B) {
@@ -152,8 +152,8 @@ func BenchmarkEngineMillion(b *testing.B) {
 			}
 			perDev := devs[0].Capacity()
 			src := workload.DefaultRandom(1100, 512, perDev*members, n, 1)
-			if _, err := RunMulti(nil, devs, scheds, ConcatRouter(perDev), src,
-				Options{Warmup: n / 100, Probe: NewPhaseCollector(), Sketch: true}); err != nil {
+			if _, err := RunMulti(&Context{Sketch: true}, devs, scheds, ConcatRouter(perDev), src,
+				Options{Warmup: n / 100, Probe: NewPhaseCollector()}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,30 +3,19 @@ package sim
 import (
 	"testing"
 
-	"memsim/internal/core"
 	"memsim/internal/sched"
 	"memsim/internal/workload"
 )
 
 func TestContextProgressNilReceiver(t *testing.T) {
-	// The progress hook is documented safe on a nil receiver; every entry
-	// point calls it unconditionally.
-	var c *Context
-	c.progress(1, 0) // must not panic
-	c = &Context{}   // nil OnProgress is equally inert
-	c.progress(1, 0)
-}
-
-func TestContextProgressNegativeInterval(t *testing.T) {
-	// Zero or negative ProgressEvery falls back to every 1000 completions.
+	// A nil *Context is valid at every entry point and, like a Context
+	// with no OnProgress, fires nothing.
 	d := &fixedDevice{svc: 0.001}
-	fired := 0
-	ctx := &Context{ProgressEvery: -5, OnProgress: func(int, float64) { fired++ }}
 	src := workload.NewFromSlice(mkReqs(make([]float64, 1500)))
-	RunClosed(ctx, d, src, Options{})
-	if fired != 1 {
-		t.Errorf("negative interval fired %d times, want 1 (at 1000)", fired)
+	if res := RunClosed(nil, d, src, Options{}); res.Requests != 1500 {
+		t.Errorf("nil-context run measured %d requests, want 1500", res.Requests)
 	}
+	(&Context{}).progress(progressEvery, 0) // nil OnProgress is inert
 }
 
 func TestContextProgressExactBoundary(t *testing.T) {
@@ -34,11 +23,11 @@ func TestContextProgressExactBoundary(t *testing.T) {
 	// fires on the final completion too.
 	d := &fixedDevice{svc: 1}
 	var at []int
-	ctx := &Context{ProgressEvery: 5, OnProgress: func(n int, _ float64) { at = append(at, n) }}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 10)))
+	ctx := &Context{OnProgress: func(n int, _ float64) { at = append(at, n) }}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2000)))
 	Run(ctx, d, sched.NewFCFS(), src, Options{})
-	if len(at) != 2 || at[0] != 5 || at[1] != 10 {
-		t.Errorf("progress fired at %v, want [5 10]", at)
+	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
+		t.Errorf("progress fired at %v, want [1000 2000]", at)
 	}
 }
 
@@ -46,10 +35,10 @@ func TestContextProgressReportsSimTime(t *testing.T) {
 	// The second callback argument is simulated time, not wall time.
 	d := &fixedDevice{svc: 2}
 	var times []float64
-	ctx := &Context{ProgressEvery: 1, OnProgress: func(_ int, ms float64) { times = append(times, ms) }}
-	src := workload.NewFromSlice(mkReqs([]float64{0, 0, 0}))
+	ctx := &Context{OnProgress: func(_ int, ms float64) { times = append(times, ms) }}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 3000)))
 	Run(ctx, d, sched.NewFCFS(), src, Options{})
-	want := []float64{2, 4, 6}
+	want := []float64{2000, 4000, 6000}
 	if len(times) != len(want) {
 		t.Fatalf("times = %v", times)
 	}
@@ -65,13 +54,13 @@ func TestRunMultiProgress(t *testing.T) {
 	// single-device loops.
 	devs, scheds := multiFixtures(2, 1)
 	var at []int
-	ctx := &Context{ProgressEvery: 4, OnProgress: func(n int, _ float64) { at = append(at, n) }}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 10)))
+	ctx := &Context{OnProgress: func(n int, _ float64) { at = append(at, n) }}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
 	if _, err := RunMulti(ctx, devs, scheds, ConcatRouter(1<<29), src, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(at) != 2 || at[0] != 4 || at[1] != 8 {
-		t.Errorf("progress fired at %v, want [4 8]", at)
+	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
+		t.Errorf("progress fired at %v, want [1000 2000]", at)
 	}
 }
 
@@ -95,16 +84,22 @@ func TestRunMultiIdlePeriods(t *testing.T) {
 	}
 }
 
-func TestRunMultiOnComplete(t *testing.T) {
-	// The OnComplete observer fires for every completion, warmup included.
+func TestRunMultiCompleteEvents(t *testing.T) {
+	// A probe observing EventComplete hears every completion, warmup
+	// included.
 	devs, scheds := multiFixtures(2, 1)
 	src := workload.NewFromSlice(mkReqs(make([]float64, 12)))
 	seen := 0
+	complete := probeFunc(func(ev ProbeEvent) {
+		if ev.Kind == EventComplete {
+			seen++
+		}
+	})
 	if _, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src,
-		Options{Warmup: 5, OnComplete: func(*core.Request) { seen++ }}); err != nil {
+		Options{Warmup: 5, Probe: complete}); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 12 {
-		t.Errorf("OnComplete fired %d times, want 12", seen)
+		t.Errorf("complete events fired %d times, want 12", seen)
 	}
 }

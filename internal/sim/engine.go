@@ -36,7 +36,7 @@ import (
 // engine holds one run's shared state: the event queue, the accumulated
 // Result, and the observability plumbing every regime threads through.
 type engine struct {
-	ctx  *Context
+	ctx  Context
 	opts Options
 	inj  *fault.Injector
 	p    Probe
@@ -47,35 +47,86 @@ type engine struct {
 	completed int
 	stopped   bool
 	runErr    error
-	check     *InvariantProbe
+
+	// phases is the first PhaseCollector in Options.Probe: it feeds
+	// Result.Phases and gates per-member phase attribution. invariants
+	// holds every InvariantProbe there, then check, the engine-owned
+	// probe attached under Context.Check.
+	phases     *PhaseCollector
+	invariants []*InvariantProbe
+	check      *InvariantProbe
 }
 
 // newEngine builds an engine for one run, resetting the injector and
-// any run-scoped probe state. Devices and schedulers are reset by the
-// regime adapters, which own them.
+// resolving the probe tree. Devices and schedulers are reset by the
+// regime adapters, which own them. The composed probe is Options.Probe,
+// then the shared Context.Probe, then the engine's invariant probe
+// under Context.Check; a nil ctx is the zero Context.
 func newEngine(ctx *Context, opts Options) *engine {
-	e := &engine{ctx: ctx, opts: opts, inj: opts.Injector, p: opts.Probe}
+	e := &engine{opts: opts, inj: opts.Injector}
+	if ctx != nil {
+		e.ctx = *ctx
+	}
 	if e.inj != nil {
 		e.inj.Reset()
 	}
-	resetProbe(e.p)
-	if opts.Sketch {
-		applySketch(e.p)
-	}
-	if opts.Check {
+	e.resolve(opts.Probe)
+	e.p = composeProbes(opts.Probe, e.ctx.Probe)
+	if e.ctx.Check {
 		e.check = NewInvariantProbe()
-		if e.p == nil {
-			e.p = e.check
-		} else {
-			e.p = MultiProbe{e.p, e.check}
-		}
+		e.invariants = append(e.invariants, e.check)
+		e.p = composeProbes(e.p, e.check)
 	}
 	return e
 }
 
+// resolve walks the run-scoped probe tree once, descending MultiProbe
+// and WithRun wrappers: it resets every ProbeResetter, flips every
+// PhaseCollector to the sketch backend under Context.Sketch, and
+// records the first PhaseCollector and every InvariantProbe for
+// finalize and newMemberSet.
+func (e *engine) resolve(p Probe) {
+	switch pr := p.(type) {
+	case nil:
+	case MultiProbe:
+		for _, sub := range pr {
+			e.resolve(sub)
+		}
+	case runLabelProbe:
+		e.resolve(pr.p)
+	default:
+		if r, ok := p.(ProbeResetter); ok {
+			r.ResetProbe()
+		}
+		switch leaf := p.(type) {
+		case *PhaseCollector:
+			if e.ctx.Sketch {
+				leaf.UseSketch()
+			}
+			if e.phases == nil {
+				e.phases = leaf
+			}
+		case *InvariantProbe:
+			e.invariants = append(e.invariants, leaf)
+		}
+	}
+}
+
+// composeProbes chains two probes, keeping a lone probe (or nil) bare so
+// the common single-probe and unprobed runs pay no fan-out.
+func composeProbes(a, b Probe) Probe {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	return MultiProbe{a, b}
+}
+
 // loop dispatches events until the queue drains or a regime stops the
 // run (MaxRequests, router error). With a cancellable Context the loop
-// additionally polls the cancellation channel every CancelEvery events;
+// additionally polls the cancellation channel every cancelEvery events;
 // the common uncancellable case keeps the bare dispatch loop.
 func (e *engine) loop() {
 	done := e.ctx.done()
@@ -102,12 +153,8 @@ func (e *engine) loop() {
 		cancel()
 		return
 	}
-	every := e.ctx.CancelEvery
-	if every <= 0 {
-		every = DefaultCancelEvery
-	}
 	for n := 0; !e.stopped && e.q.Step(); {
-		if n++; n%every == 0 && cancelled() {
+		if n++; n%cancelEvery == 0 && cancelled() {
 			cancel()
 		}
 	}
@@ -122,14 +169,16 @@ func (e *engine) loop() {
 // bug, not an operational error).
 func (e *engine) finalize() {
 	e.res.Elapsed = e.q.Now()
-	e.res.Phases = phaseStats(e.p)
+	if e.phases != nil {
+		e.res.Phases = e.phases.Stats()
+	}
 	if e.inj != nil && e.inj.Array() != nil && e.inj.Array().DataLoss() {
 		e.res.DataLoss = true
 	}
-	for _, iv := range findInvariantProbes(e.p) {
+	for _, iv := range e.invariants {
 		iv.finishRun(&e.res)
 	}
-	if e.opts.Check {
+	if e.check != nil {
 		if !e.stopped && e.arrived != e.completed {
 			panic(fmt.Sprintf("sim: invariant violated: %d arrivals but %d completions in a drained run", e.arrived, e.completed))
 		}
@@ -236,9 +285,9 @@ func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now f
 
 // complete is the shared completion path: every top-level request in
 // every regime finishes here. It advances the completion count, fires
-// progress and the EventComplete probe, invokes OnComplete, optionally
-// tallies the fault outcome (tally — single and multi regimes with an
-// injector; RunVolume keeps its own richer tallies), and folds the
+// progress and the EventComplete probe, optionally tallies the fault
+// outcome (tally — single and multi regimes with an injector;
+// RunVolume keeps its own richer tallies), and folds the
 // request into the measured statistics when it is past warmup and not
 // failed. qlen < 0 skips the queue-length statistics (closed regime).
 // onDone, when non-nil, runs last with the measured flag for
@@ -249,9 +298,6 @@ func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc
 	measured := e.completed > e.opts.Warmup && !r.Failed
 	if e.p != nil {
 		e.p.Observe(ProbeEvent{Kind: EventComplete, Time: now, Dev: dev, Req: r, Measured: measured})
-	}
-	if e.opts.OnComplete != nil {
-		e.opts.OnComplete(r)
 	}
 	if tally && e.inj != nil {
 		classify(r, &e.res)
@@ -500,13 +546,13 @@ type memberSet struct {
 	busy   []bool
 
 	members []MemberResult
-	// phases holds per-member phase aggregates when the probe carries a
-	// PhaseCollector; nil otherwise.
+	// phases holds per-member phase aggregates when Options.Probe
+	// carries a PhaseCollector; nil otherwise.
 	phases []PhaseStats
 }
 
 // newMemberSet resets the member devices and schedulers and sizes the
-// attribution slices. With Options.Sketch the per-member phase
+// attribution slices. With Context.Sketch the per-member phase
 // aggregates use the bounded backend like the run-level collector.
 func newMemberSet(devs []core.Device, scheds []core.Scheduler, e *engine) *memberSet {
 	for i := range devs {
@@ -519,9 +565,9 @@ func newMemberSet(devs []core.Device, scheds []core.Scheduler, e *engine) *membe
 		busy:    make([]bool, len(devs)),
 		members: make([]MemberResult, len(devs)),
 	}
-	if findPhaseCollector(e.p) != nil {
+	if e.phases != nil {
 		ms.phases = make([]PhaseStats, len(devs))
-		if e.opts.Sketch {
+		if e.ctx.Sketch {
 			for i := range ms.phases {
 				ms.phases[i].useSketch()
 			}

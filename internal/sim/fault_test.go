@@ -101,11 +101,11 @@ func TestRequeuedRequestsKeepOriginalStart(t *testing.T) {
 	var maxResp float64
 	res := Run(nil, d, sched.NewFCFS(), src, Options{
 		Injector: mustInjector(t, cfg),
-		OnComplete: func(r *core.Request) {
-			if !r.Failed && r.ResponseTime() > maxResp {
+		Probe: probeFunc(func(ev ProbeEvent) {
+			if r := ev.Req; ev.Kind == EventComplete && !r.Failed && r.ResponseTime() > maxResp {
 				maxResp = r.ResponseTime()
 			}
-		},
+		}),
 	})
 	if res.Requeues == 0 {
 		t.Fatal("no requeues at 60% error rate with zero inline retries")

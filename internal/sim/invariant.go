@@ -2,7 +2,7 @@
 // watches the same lifecycle event stream every other probe sees and
 // validates the simulator's structural invariants on each event —
 // conservation, clock sanity, non-negative phase times, breakdown
-// reconciliation, class validity. Options.Check attaches one
+// reconciliation, class validity. Context.Check attaches one
 // engine-owned instance and panics at finalize on any recorded
 // violation; the probe is also exported so tests and bespoke harnesses
 // can attach their own and inspect Err directly.
@@ -47,7 +47,7 @@ const maxViolations = 8
 //
 // The probe is run-scoped (it implements ProbeResetter); sharing one
 // instance across concurrently-running jobs is invalid — attach a fresh
-// one per run, or use Options.Check and let the engine own it.
+// one per run, or use Context.Check and let the engine own it.
 type InvariantProbe struct {
 	violations []string
 
@@ -230,23 +230,4 @@ func (ip *InvariantProbe) finishRun(res *Result) {
 	if ip.failed != res.FailedRequests {
 		ip.violate("probe saw %d failed completions but Result.FailedRequests is %d", ip.failed, res.FailedRequests)
 	}
-}
-
-// findInvariantProbes collects every InvariantProbe reachable through
-// the probe tree (descending MultiProbe and run-label wrappers), so
-// finalize can run their end-of-run checks.
-func findInvariantProbes(p Probe) []*InvariantProbe {
-	switch pr := p.(type) {
-	case *InvariantProbe:
-		return []*InvariantProbe{pr}
-	case runLabelProbe:
-		return findInvariantProbes(pr.p)
-	case MultiProbe:
-		var out []*InvariantProbe
-		for _, sub := range pr {
-			out = append(out, findInvariantProbes(sub)...)
-		}
-		return out
-	}
-	return nil
 }

@@ -200,15 +200,3 @@ func TestInvariantProbeReset(t *testing.T) {
 		t.Fatalf("reset probe still reports: %v", err)
 	}
 }
-
-func TestFindInvariantProbes(t *testing.T) {
-	a, b := NewInvariantProbe(), NewInvariantProbe()
-	tree := MultiProbe{a, probeFunc(func(ProbeEvent) {}), MultiProbe{b}}
-	got := findInvariantProbes(tree)
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("found %d probes, want [a b]", len(got))
-	}
-	if findInvariantProbes(probeFunc(func(ProbeEvent) {})) != nil {
-		t.Error("non-invariant probe yielded a result")
-	}
-}

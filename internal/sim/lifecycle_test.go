@@ -46,29 +46,31 @@ func TestRunClosedPreCancelledContext(t *testing.T) {
 }
 
 func TestRunCancelMidRun(t *testing.T) {
-	// Cancelling from a probe mid-run (the tightest possible poll
-	// interval) yields a well-formed partial result: some but not all
-	// requests measured, the clock where it stopped, Cancelled set.
+	// Cancelling from a probe mid-run yields a well-formed partial
+	// result: some but not all requests measured, the clock where it
+	// stopped, Cancelled set. The run spans several 1024-event poll
+	// intervals and the cancel lands between two polls, so the engine
+	// stops at the next poll, well short of the source running dry.
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	d := &fixedDevice{svc: 1}
-	const total = 100
+	const total, cancelAt = 5000, 1500
 	completes := 0
 	probe := probeFunc(func(ev ProbeEvent) {
 		if ev.Kind == EventComplete {
-			if completes++; completes == 5 {
+			if completes++; completes == cancelAt {
 				cancel()
 			}
 		}
 	})
 	src := workload.NewFromSlice(mkReqs(make([]float64, total)))
-	res := Run(&Context{Ctx: cctx, CancelEvery: 1}, d, sched.NewFCFS(), src,
+	res := Run(&Context{Ctx: cctx}, d, sched.NewFCFS(), src,
 		Options{Probe: probe})
 	if !res.Cancelled {
 		t.Fatal("cancelled run not marked Cancelled")
 	}
-	if res.Requests < 5 || res.Requests >= total {
-		t.Errorf("partial result measured %d requests, want in [5,%d)", res.Requests, total)
+	if res.Requests < cancelAt || res.Requests >= total {
+		t.Errorf("partial result measured %d requests, want in [%d,%d)", res.Requests, cancelAt, total)
 	}
 	if res.Elapsed <= 0 {
 		t.Errorf("partial result elapsed = %g", res.Elapsed)
@@ -98,13 +100,13 @@ func TestRunBackgroundContextByteIdentical(t *testing.T) {
 }
 
 func TestCheckedRunMatchesUnchecked(t *testing.T) {
-	// Options.Check must be observation-only: a checked run's Result is
+	// Context.Check must be observation-only: a checked run's Result is
 	// identical to the unchecked run's, failed requests included.
 	mk := func(check bool) Result {
 		devs, scheds := multiFixtures(2, 1)
 		src := workload.NewFromSlice(mkReqs([]float64{0, 1, 2, 3, 4, 5}))
-		return mustMulti(t, nil, devs, scheds, ConcatRouter(1<<29), src,
-			Options{Injector: alwaysFail(t), Check: check})
+		return mustMulti(t, &Context{Check: check}, devs, scheds, ConcatRouter(1<<29), src,
+			Options{Injector: alwaysFail(t)})
 	}
 	plain := mk(false)
 	checked := mk(true)
@@ -136,7 +138,7 @@ func TestCheckPanicsOnBreakdownLeak(t *testing.T) {
 	}()
 	d := &badBreakdownDevice{fixedDevice{svc: 2}}
 	src := workload.NewFromSlice(mkReqs([]float64{0, 10}))
-	Run(nil, d, sched.NewFCFS(), src, Options{Check: true})
+	Run(&Context{Check: true}, d, sched.NewFCFS(), src, Options{})
 }
 
 func TestCheckCleanOverRealRegimes(t *testing.T) {
@@ -147,7 +149,7 @@ func TestCheckCleanOverRealRegimes(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		d := &fixedDevice{svc: 1}
 		src := workload.NewFromSlice(mkReqs(make([]float64, 50)))
-		res := Run(nil, d, sched.NewFCFS(), src, Options{Check: true, Warmup: 5})
+		res := Run(&Context{Check: true}, d, sched.NewFCFS(), src, Options{Warmup: 5})
 		if res.Requests != 45 {
 			t.Errorf("requests = %d, want 45", res.Requests)
 		}
@@ -156,8 +158,8 @@ func TestCheckCleanOverRealRegimes(t *testing.T) {
 		devs, scheds := multiFixtures(2, 1)
 		cfg := fault.InjectorConfig{TransientRate: 0.3, MaxRetries: 2, MaxRequeues: 1, Seed: 7}
 		src := workload.NewFromSlice(mkReqs(make([]float64, 40)))
-		mustMulti(t, nil, devs, scheds, StripeRouter(8, 2), src,
-			Options{Check: true, Injector: mustInjector(t, cfg)})
+		mustMulti(t, &Context{Check: true}, devs, scheds, StripeRouter(8, 2), src,
+			Options{Injector: mustInjector(t, cfg)})
 	})
 	t.Run("volume-rebuild", func(t *testing.T) {
 		spec := volFixtures(t, mirrorVolCfg(), 1)
@@ -169,8 +171,7 @@ func TestCheckCleanOverRealRegimes(t *testing.T) {
 			lbns[i] = int64(i) % 64
 		}
 		src := workload.NewFromSlice(volReqs(arr, core.Read, lbns))
-		res, err := RunVolume(nil, spec, src, Options{
-			Check:    true,
+		res, err := RunVolume(&Context{Check: true}, spec, src, Options{
 			Injector: devEvents(t, fault.DeviceEvent{AtMs: 10, Dev: 0}),
 		})
 		if err != nil {
@@ -186,25 +187,30 @@ func TestRunVolumeCancelMidRebuild(t *testing.T) {
 	// Cancelling a volume run while the rebuild is in flight must return
 	// a well-formed partial Result: no hung dead-queue drain, the
 	// rebuild left incomplete rather than phantom-finished, and every
-	// statistic non-negative.
+	// statistic non-negative. The member fails several 1024-event poll
+	// intervals into the run, and its rebuild (4096 chunks) outlasts the
+	// next poll by far.
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	spec := volFixtures(t, mirrorVolCfg(), 1)
+	cfg := mirrorVolCfg()
+	cfg.PerMember = 1 << 16
+	spec := volFixtures(t, cfg, 1)
 	spec.RebuildChunk = 16
 	probe := probeFunc(func(ev ProbeEvent) {
 		if ev.Kind == EventRebuildStart {
 			cancel()
 		}
 	})
-	arr := make([]float64, 60)
-	lbns := make([]int64, 60)
+	const total, failAt = 3000, 2000
+	arr := make([]float64, total)
+	lbns := make([]int64, total)
 	for i := range arr {
 		arr[i] = float64(i)
 		lbns[i] = int64(i) % 64
 	}
 	src := workload.NewFromSlice(volReqs(arr, core.Read, lbns))
-	res, err := RunVolume(&Context{Ctx: cctx, CancelEvery: 1}, spec, src,
-		Options{Probe: probe, Injector: devEvents(t, fault.DeviceEvent{AtMs: 10, Dev: 0})})
+	res, err := RunVolume(&Context{Ctx: cctx}, spec, src,
+		Options{Probe: probe, Injector: devEvents(t, fault.DeviceEvent{AtMs: failAt, Dev: 0})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +228,7 @@ func TestRunVolumeCancelMidRebuild(t *testing.T) {
 	if vs.RebuildsDone != 0 {
 		t.Errorf("cancelled rebuild reported done (%d)", vs.RebuildsDone)
 	}
-	if res.Requests+res.FailedRequests >= 60 {
+	if res.Requests+res.FailedRequests >= total {
 		t.Errorf("cancelled run completed all %d arrivals", res.Requests+res.FailedRequests)
 	}
 	for name, v := range map[string]float64{
@@ -235,8 +241,8 @@ func TestRunVolumeCancelMidRebuild(t *testing.T) {
 			t.Errorf("%s = %g, negative after cancellation", name, v)
 		}
 	}
-	if res.Elapsed < 10 {
-		t.Errorf("elapsed %g ms precedes the 10 ms failure that triggered the rebuild", res.Elapsed)
+	if res.Elapsed < failAt {
+		t.Errorf("elapsed %g ms precedes the %d ms failure that triggered the rebuild", res.Elapsed, failAt)
 	}
 }
 

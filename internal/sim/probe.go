@@ -111,17 +111,19 @@ type ProbeEvent struct {
 // and produces byte-identical results to an unprobed run (enforced by
 // test, the same discipline as the zero-rate fault injector).
 //
-// Probes attached via Options.Probe are called synchronously from the
-// single-threaded simulation loop; implementations shared across
-// parallel runner jobs must be safe for concurrent use (JSONLProbe is).
+// Probes attached via Options.Probe or Context.Probe are called
+// synchronously from the single-threaded simulation loop;
+// implementations shared across parallel runner jobs must be safe for
+// concurrent use (JSONLProbe is).
 type Probe interface {
 	Observe(ProbeEvent)
 }
 
 // ProbeResetter is implemented by probes with run-scoped state
-// (PhaseCollector). The simulation entry points reset such probes
-// alongside the device and scheduler, so reusing one Options value
-// across runs starts each run's statistics fresh.
+// (PhaseCollector, InvariantProbe). The simulation entry points reset
+// such probes in Options.Probe alongside the device and scheduler, so
+// reusing one Options value across runs starts each run's statistics
+// fresh. Context.Probe is never reset.
 type ProbeResetter interface {
 	ResetProbe()
 }
@@ -140,8 +142,9 @@ func (m MultiProbe) Observe(ev ProbeEvent) {
 }
 
 // runLabelProbe stamps a run label onto every event before forwarding.
-// It deliberately does not forward ResetProbe: the runner shares one
-// underlying probe across jobs, and per-job resets would clobber it.
+// The engine's probe walk sees through it, so a labelled probe in
+// Options.Probe is reset and resolved like a bare one; the runner's
+// shared batch probe stays unreset because it rides in Context.Probe.
 type runLabelProbe struct {
 	run string
 	p   Probe
@@ -160,21 +163,6 @@ func WithRun(p Probe, run string) Probe {
 		return nil
 	}
 	return runLabelProbe{run: run, p: p}
-}
-
-// resetProbe resets run-scoped probe state, descending into MultiProbe.
-func resetProbe(p Probe) {
-	switch pr := p.(type) {
-	case nil:
-	case MultiProbe:
-		for _, sub := range pr {
-			resetProbe(sub)
-		}
-	default:
-		if r, ok := p.(ProbeResetter); ok {
-			r.ResetProbe()
-		}
-	}
 }
 
 // breakdownOf returns d's decomposition of the access that just returned
@@ -256,7 +244,8 @@ func (s *PhaseStats) add(bd core.Breakdown, class core.Class) {
 
 // PhaseCollector is a Probe that aggregates PhaseStats over a run's
 // measured completions. Attach it via Options.Probe (alone or inside a
-// MultiProbe) and the run's Result.Phases points at its statistics.
+// MultiProbe) and the run's Result.Phases points at its statistics
+// (the first collector's, if there are several).
 type PhaseCollector struct {
 	ps     PhaseStats
 	sketch bool
@@ -267,7 +256,7 @@ func NewPhaseCollector() *PhaseCollector { return &PhaseCollector{} }
 
 // UseSketch switches the collector's aggregates to the bounded quantile
 // sketch, now and after every ResetProbe. The engine calls it on every
-// attached collector when Options.Sketch is set; callers building
+// collector in Options.Probe when Context.Sketch is set; callers building
 // long-lived collectors outside a run may call it directly.
 func (c *PhaseCollector) UseSketch() {
 	c.sketch = true
@@ -292,47 +281,3 @@ func (c *PhaseCollector) ResetProbe() {
 
 // Stats returns the collected aggregates.
 func (c *PhaseCollector) Stats() *PhaseStats { return &c.ps }
-
-// findPhaseCollector locates a PhaseCollector in the probe (descending
-// into MultiProbe and run-label wrappers) so Run can surface its stats
-// on the Result.
-func findPhaseCollector(p Probe) *PhaseCollector {
-	switch pr := p.(type) {
-	case *PhaseCollector:
-		return pr
-	case runLabelProbe:
-		return findPhaseCollector(pr.p)
-	case MultiProbe:
-		for _, sub := range pr {
-			if pc := findPhaseCollector(sub); pc != nil {
-				return pc
-			}
-		}
-	}
-	return nil
-}
-
-// applySketch flips every PhaseCollector reachable through p to the
-// bounded sketch backend (Options.Sketch), descending into MultiProbe
-// and run-label wrappers like the other probe walks.
-func applySketch(p Probe) {
-	switch pr := p.(type) {
-	case *PhaseCollector:
-		pr.UseSketch()
-	case runLabelProbe:
-		applySketch(pr.p)
-	case MultiProbe:
-		for _, sub := range pr {
-			applySketch(sub)
-		}
-	}
-}
-
-// phaseStats surfaces an attached collector's stats, for the tail of the
-// simulation entry points.
-func phaseStats(p Probe) *PhaseStats {
-	if pc := findPhaseCollector(p); pc != nil {
-		return pc.Stats()
-	}
-	return nil
-}

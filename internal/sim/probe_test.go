@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"memsim/internal/core"
@@ -294,18 +295,6 @@ func TestWithRunLabelsEvents(t *testing.T) {
 	if WithRun(nil, "x") != nil {
 		t.Error("WithRun(nil) should be nil")
 	}
-	// The label wrapper deliberately shields the shared probe from
-	// per-run resets (the runner shares one probe across jobs)...
-	resetProbe(p)
-	if rp.resets != 0 {
-		t.Errorf("reset leaked through the run-label wrapper %d times", rp.resets)
-	}
-	// ...but a collector inside the wrapper is still discoverable for
-	// Result.Phases.
-	pc := NewPhaseCollector()
-	if findPhaseCollector(WithRun(pc, "j")) != pc {
-		t.Error("collector not found through the run-label wrapper")
-	}
 }
 
 func TestMultiProbeFanOut(t *testing.T) {
@@ -315,16 +304,133 @@ func TestMultiProbeFanOut(t *testing.T) {
 	if len(a.events) != 1 || len(b.events) != 1 {
 		t.Errorf("fan-out reached a=%d b=%d", len(a.events), len(b.events))
 	}
-	resetProbe(m)
-	if a.resets != 1 || b.resets != 1 {
-		t.Errorf("resets a=%d b=%d, want 1/1", a.resets, b.resets)
+}
+
+// TestResolveProbeTree covers the engine's one walk over Options.Probe:
+// what it resets, which collector surfaces as Result.Phases, what
+// Context.Sketch flips, which InvariantProbes get the end-of-run checks,
+// and that the shared Context.Probe stays outside the walk. Each row is
+// resolved by newEngine and then driven through a two-member RunMulti
+// (six requests, all measured).
+func TestResolveProbeTree(t *testing.T) {
+	// seeded returns a collector holding one stale observation, so a
+	// reset shows as Requests dropping to zero.
+	seeded := func() *PhaseCollector {
+		pc := NewPhaseCollector()
+		pc.Observe(ProbeEvent{Kind: EventComplete, Measured: true, Req: &core.Request{}})
+		return pc
 	}
-	pc := NewPhaseCollector()
-	if findPhaseCollector(MultiProbe{a, pc}) != pc {
-		t.Error("collector not found inside MultiProbe")
+	nested, nestedPC := &recordingProbe{}, seeded()
+	wrapped := seeded()
+	first, second := seeded(), seeded()
+	iv := NewInvariantProbe()
+	shared := seeded()
+	cases := []struct {
+		name       string
+		ctx        *Context
+		probe      Probe             // Options.Probe
+		phases     *PhaseCollector   // must surface as Result.Phases
+		invariants []*InvariantProbe // must get finishRun
+		fresh      []*PhaseCollector // must be reset by the walk
+		sketched   []*PhaseCollector // must be on the sketch backend
+		then       func(t *testing.T, e *engine, res Result)
+	}{
+		{
+			name:   "nested MultiProbe with nil entries",
+			probe:  MultiProbe{nil, MultiProbe{nested, nil, MultiProbe{nestedPC}}, nil},
+			phases: nestedPC,
+			fresh:  []*PhaseCollector{nestedPC},
+			then: func(t *testing.T, _ *engine, _ Result) {
+				if nested.resets != 2 { // once by the walk, once by the run
+					t.Errorf("nested resetter reset %d times, want 2", nested.resets)
+				}
+			},
+		},
+		{
+			name:   "WithRun-wrapped collector",
+			probe:  WithRun(wrapped, "j"),
+			phases: wrapped,
+			fresh:  []*PhaseCollector{wrapped},
+		},
+		{
+			name:     "two collectors under Sketch",
+			ctx:      &Context{Sketch: true},
+			probe:    MultiProbe{first, WithRun(second, "j")},
+			phases:   first,
+			fresh:    []*PhaseCollector{first, second},
+			sketched: []*PhaseCollector{first, second},
+			then: func(t *testing.T, _ *engine, _ Result) {
+				if second.Stats().Requests != 6 {
+					t.Errorf("second collector saw %d requests, want 6", second.Stats().Requests)
+				}
+			},
+		},
+		{
+			name:       "caller-attached InvariantProbe",
+			probe:      MultiProbe{WithRun(iv, "j")},
+			invariants: []*InvariantProbe{iv},
+			then: func(t *testing.T, e *engine, _ Result) {
+				if err := iv.Err(); err != nil {
+					t.Fatalf("clean run reported %v", err)
+				}
+				// finalize must hand the Result to the caller's probe: a
+				// Result claiming completions nobody observed is caught.
+				e.res.Requests = 1
+				e.finalize()
+				if err := iv.Err(); err == nil || !strings.Contains(err.Error(), "Result.Requests is 1") {
+					t.Errorf("finishRun not applied to the caller's probe: %v", err)
+				}
+			},
+		},
+		{
+			name: "collector as the shared Context.Probe",
+			ctx:  &Context{Probe: shared, Sketch: true},
+			then: func(t *testing.T, _ *engine, _ Result) {
+				if n := shared.Stats().Requests; n != 1+6 {
+					t.Errorf("shared collector holds %d requests, want 7 (never reset)", n)
+				}
+				if shared.Stats().Service.Sketched() {
+					t.Error("shared collector was flipped to the sketch backend")
+				}
+			},
+		},
 	}
-	if findPhaseCollector(MultiProbe{a, b}) != nil {
-		t.Error("found a collector where none exists")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := Options{Probe: c.probe}
+			e := newEngine(c.ctx, opts)
+			if e.phases != c.phases {
+				t.Errorf("resolved collector %p, want %p", e.phases, c.phases)
+			}
+			if !reflect.DeepEqual(e.invariants, c.invariants) {
+				t.Errorf("resolved %d invariant probes, want %d", len(e.invariants), len(c.invariants))
+			}
+			for _, pc := range c.fresh {
+				if n := pc.Stats().Requests; n != 0 {
+					t.Errorf("collector kept %d stale requests through the walk", n)
+				}
+			}
+			for _, pc := range c.sketched {
+				if !pc.Stats().Service.Sketched() {
+					t.Error("collector not flipped to the sketch backend")
+				}
+			}
+			devs, scheds := multiFixtures(2, 1)
+			res := mustMulti(t, c.ctx, devs, scheds, ConcatRouter(1<<29),
+				workload.NewFromSlice(mkReqs(make([]float64, 6))), opts)
+			if c.phases == nil && res.Phases != nil {
+				t.Error("Result.Phases set without a collector in Options.Probe")
+			}
+			if c.phases != nil && res.Phases != c.phases.Stats() {
+				t.Error("Result.Phases is not the first collector's stats")
+			}
+			if got := res.Members[0].Phases != nil; got != (c.phases != nil) {
+				t.Errorf("per-member phases allocated = %v, want %v", got, c.phases != nil)
+			}
+			if c.then != nil {
+				c.then(t, e, res)
+			}
+		})
 	}
 }
 

@@ -18,92 +18,46 @@ import (
 	"memsim/internal/workload"
 )
 
-// Context carries run-scoped observability through the simulation entry
-// points (Run, RunClosed, RunMulti). It separates *how a run is watched*
-// from Options, which describe *what is simulated*: the parallel
-// experiment runner and the interactive CLIs thread a Context through
-// without touching the experiment declarations. A nil *Context is valid
-// and observes nothing.
+// Context carries run policy through the simulation entry points (Run,
+// RunClosed, RunMulti, RunVolume): how a run is stopped, watched,
+// checked and summarised. It separates *how a run is observed* from
+// Options, which describe *what is simulated*: the parallel experiment
+// runner hands every job one ready-made Context, and the interactive
+// CLIs build their own, without touching the experiment declarations.
+// A nil *Context is valid and observes nothing.
 type Context struct {
-	// OnProgress, when non-nil, is invoked after every ProgressEvery
-	// completions (warmup included) with the completion count and the
-	// current simulated time in milliseconds.
-	OnProgress func(completed int, simMs float64)
-	// ProgressEvery is the completion interval between OnProgress calls;
-	// zero or negative means 1000.
-	ProgressEvery int
 	// Ctx, when non-nil, makes the run cancellable: the event loop polls
-	// Ctx.Done() every CancelEvery events and, once cancelled, stops
+	// Ctx.Done() every 1024 events and, once cancelled, stops
 	// dispatching, finalizes normally, and marks the Result Cancelled.
 	// A nil Ctx (or context.Background, whose Done channel is nil) keeps
 	// the poll-free fast path, so uncancellable runs stay byte-identical
 	// to runs predating cancellation support.
 	Ctx context.Context
-	// CancelEvery is the event interval between cancellation polls; zero
-	// or negative selects DefaultCancelEvery. Smaller values tighten
-	// cancellation latency at a (tiny) per-event cost.
-	CancelEvery int
-}
-
-// DefaultCancelEvery is the event interval between cancellation polls
-// when Context.CancelEvery is unset: frequent enough that cancellation
-// lands within microseconds of wall-clock, sparse enough that the hot
-// loop's cost is dominated by event dispatch, not polling.
-const DefaultCancelEvery = 1024
-
-// done returns the cancellation channel the event loop polls: nil for a
-// nil Context, a nil Ctx, or a Ctx that can never be cancelled
-// (context.Background reports a nil Done channel), all of which keep
-// the poll-free fast path.
-func (c *Context) done() <-chan struct{} {
-	if c == nil || c.Ctx == nil {
-		return nil
-	}
-	return c.Ctx.Done()
-}
-
-// progress reports one completion, firing OnProgress on interval
-// boundaries. Safe on a nil receiver.
-func (c *Context) progress(completed int, simMs float64) {
-	if c == nil || c.OnProgress == nil {
-		return
-	}
-	every := c.ProgressEvery
-	if every <= 0 {
-		every = 1000
-	}
-	if completed%every == 0 {
-		c.OnProgress(completed, simMs)
-	}
-}
-
-// Options tunes a simulation run.
-type Options struct {
-	// Warmup excludes the first N completed requests from the reported
-	// statistics, hiding cold-start transients.
-	Warmup int
-	// MaxRequests stops the run after this many completions (0 = run the
-	// source dry).
-	MaxRequests int
-	// OnComplete, when non-nil, observes every completed request
-	// (including warmup ones).
-	OnComplete func(*core.Request)
-	// Injector, when non-nil, drives deterministic fault injection through
-	// the run (Run and RunClosed): transient positioning errors recovered
-	// by bounded device-level retry at the §6.1.3 penalty, scheduled tip
-	// failures evolving the redundancy array mid-run, and
-	// ECC-reconstruction surcharges on degraded-stripe reads. The injector
-	// is Reset alongside the device and scheduler. A zero-rate, event-free
-	// injector reproduces the no-injector run byte for byte.
-	Injector *fault.Injector
-	// Probe, when non-nil, observes typed request-lifecycle events
-	// (arrive, dispatch, per-phase service, retry/requeue, complete)
-	// through Run, RunClosed and RunMulti. A nil Probe is zero-cost and
-	// byte-identical to an unprobed run. Probes with run-scoped state
-	// (PhaseCollector) are reset alongside the device and scheduler.
+	// OnProgress, when non-nil, is invoked after every 1000 completions
+	// (warmup included) with the completion count and the current
+	// simulated time in milliseconds.
+	OnProgress func(completed int, simMs float64)
+	// Probe, when non-nil, is a shared observer: it sees every lifecycle
+	// event after Options.Probe does, but the engine never resets it,
+	// never flips it to the sketch backend and never surfaces a
+	// PhaseCollector inside it as Result.Phases. The experiment runner
+	// puts its job-labelled trace probe here (WithRun), so one probe
+	// can watch a whole batch. Under parallel jobs it must be safe for
+	// concurrent use (JSONLProbe is).
 	Probe Probe
+	// Check enables run-time self-verification: the engine attaches an
+	// engine-owned InvariantProbe (composed after every other probe) and
+	// panics at finalize on any violation — request conservation, event
+	// clock monotonicity, negative phase times, breakdown reconciliation
+	// drift beyond 1e-9, invalid request classes. Violations indicate a
+	// simulation bug, so they follow the EventQueue convention of
+	// panicking rather than returning an error; the runner converts the
+	// panic into the job's Err. Probe attachment is behavior-neutral
+	// (golden-equivalence discipline), so a clean checked run produces
+	// byte-identical results to an unchecked one.
+	Check bool
 	// Sketch switches every percentile-bearing aggregate the run owns —
-	// the PhaseCollector's PhaseStats (per-run and per-member) and
+	// the PhaseCollectors in Options.Probe (per-run and per-member) and
 	// RunVolume's VolumeStats distributions — from the exact
 	// sample-retaining backend to the bounded quantile sketch
 	// (stats.Sketch): p95/p99 become estimates within the sketch's
@@ -114,17 +68,64 @@ type Options struct {
 	// suite pins it. Moments (mean, CV², min/max) are Welford-computed
 	// either way and never change.
 	Sketch bool
-	// Check enables run-time self-verification: the engine attaches an
-	// engine-owned InvariantProbe (composed after any declared Probe) and
-	// panics at finalize on any violation — request conservation, event
-	// clock monotonicity, negative phase times, breakdown reconciliation
-	// drift beyond 1e-9, invalid request classes. Violations indicate a
-	// simulation bug, so they follow the EventQueue convention of
-	// panicking rather than returning an error; the runner converts the
-	// panic into the job's Err. Probe attachment is behavior-neutral
-	// (golden-equivalence discipline), so a clean checked run produces
-	// byte-identical results to an unchecked one.
-	Check bool
+}
+
+// progressEvery is the completion interval between OnProgress calls.
+const progressEvery = 1000
+
+// cancelEvery is the event interval between cancellation polls:
+// frequent enough that cancellation lands within microseconds of
+// wall-clock, sparse enough that the hot loop's cost is dominated by
+// event dispatch, not polling.
+const cancelEvery = 1024
+
+// done returns the cancellation channel the event loop polls: nil for a
+// nil Ctx or a Ctx that can never be cancelled (context.Background
+// reports a nil Done channel), both of which keep the poll-free fast
+// path.
+func (c *Context) done() <-chan struct{} {
+	if c.Ctx == nil {
+		return nil
+	}
+	return c.Ctx.Done()
+}
+
+// progress reports one completion, firing OnProgress on interval
+// boundaries.
+func (c *Context) progress(completed int, simMs float64) {
+	if c.OnProgress != nil && completed%progressEvery == 0 {
+		c.OnProgress(completed, simMs)
+	}
+}
+
+// Options describes what a run simulates: its measurement window, its
+// fault injection, and the run-scoped probes whose state belongs to the
+// run.
+type Options struct {
+	// Warmup excludes the first N completed requests from the reported
+	// statistics, hiding cold-start transients.
+	Warmup int
+	// MaxRequests stops the run after this many completions (0 = run the
+	// source dry).
+	MaxRequests int
+	// Injector, when non-nil, drives deterministic fault injection through
+	// the run (Run and RunClosed): transient positioning errors recovered
+	// by bounded device-level retry at the §6.1.3 penalty, scheduled tip
+	// failures evolving the redundancy array mid-run, and
+	// ECC-reconstruction surcharges on degraded-stripe reads. The injector
+	// is Reset alongside the device and scheduler. A zero-rate, event-free
+	// injector reproduces the no-injector run byte for byte.
+	Injector *fault.Injector
+	// Probe, when non-nil, observes typed request-lifecycle events
+	// (arrive, dispatch, per-phase service, retry/requeue, complete)
+	// through every entry point. A nil Probe is zero-cost and
+	// byte-identical to an unprobed run. These probes are run-scoped:
+	// the engine resets every ProbeResetter among them alongside the
+	// device and scheduler, the first PhaseCollector among them feeds
+	// Result.Phases, and every InvariantProbe among them gets the
+	// end-of-run conservation checks. Shared observers that must
+	// outlive the run belong in Context.Probe instead.
+	Probe Probe
 }
 
 // Result summarizes a run. Response time (queue + service) and its
@@ -192,7 +193,7 @@ type Result struct {
 	// runs (the volume planner splits rather than clamps).
 	ClampedRequests int
 
-	// Phases holds the per-phase service aggregates when the run's Probe
+	// Phases holds the per-phase service aggregates when Options.Probe
 	// contained a PhaseCollector; nil otherwise.
 	Phases *PhaseStats
 
@@ -214,8 +215,8 @@ type MemberResult struct {
 	Requests int
 	// Busy is the device's total busy time in ms.
 	Busy float64
-	// Phases holds the member's per-phase service aggregates when the
-	// run's Probe contained a PhaseCollector; nil otherwise. RunMulti
+	// Phases holds the member's per-phase service aggregates when
+	// Options.Probe contained a PhaseCollector; nil otherwise. RunMulti
 	// folds one observation per measured completed request; RunVolume
 	// folds one per service visit (rebuild visits included).
 	Phases *PhaseStats

@@ -59,7 +59,11 @@ func TestRunQueueing(t *testing.T) {
 	src := workload.NewFromSlice(mkReqs([]float64{0, 0, 0}))
 	var responses []float64
 	res := Run(nil, d, sched.NewFCFS(), src, Options{
-		OnComplete: func(r *core.Request) { responses = append(responses, r.ResponseTime()) },
+		Probe: probeFunc(func(ev ProbeEvent) {
+			if ev.Kind == EventComplete {
+				responses = append(responses, ev.Req.ResponseTime())
+			}
+		}),
 	})
 	sort.Float64s(responses)
 	want := []float64{2, 4, 6}
@@ -302,15 +306,14 @@ func TestRunMatchesMD1Theory(t *testing.T) {
 
 func TestContextProgress(t *testing.T) {
 	d := &fixedDevice{svc: 1}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 25)))
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
 	var at []int
 	ctx := &Context{
-		ProgressEvery: 10,
-		OnProgress:    func(completed int, _ float64) { at = append(at, completed) },
+		OnProgress: func(completed int, _ float64) { at = append(at, completed) },
 	}
 	Run(ctx, d, sched.NewFCFS(), src, Options{})
-	if len(at) != 2 || at[0] != 10 || at[1] != 20 {
-		t.Errorf("progress fired at %v, want [10 20]", at)
+	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
+		t.Errorf("progress fired at %v, want [1000 2000]", at)
 	}
 	// A nil context is valid everywhere.
 	src = workload.NewFromSlice(mkReqs(make([]float64, 3)))

@@ -1,4 +1,4 @@
-// sketch_test.go covers Options.Sketch: the bounded-quantile-sketch
+// sketch_test.go covers Context.Sketch: the bounded-quantile-sketch
 // backend for every percentile-bearing aggregate a run owns. Two
 // properties matter: sketched runs retain no per-observation memory
 // (the O(1) model million-request runs depend on), and their p95/p99
@@ -55,8 +55,8 @@ func TestSketchOpenRun(t *testing.T) {
 	run := func(sk bool) Result {
 		d := mems.MustDevice(mems.DefaultConfig())
 		src := workload.DefaultRandom(1100, 512, d.Capacity(), 4000, 1)
-		return Run(nil, d, sched.NewSPTF(), src,
-			Options{Warmup: 200, Probe: NewPhaseCollector(), Sketch: sk})
+		return Run(&Context{Sketch: sk}, d, sched.NewSPTF(), src,
+			Options{Warmup: 200, Probe: NewPhaseCollector()})
 	}
 	exact, sketched := run(false), run(true)
 
@@ -105,7 +105,7 @@ func TestSketchCollectorReset(t *testing.T) {
 	d := mems.MustDevice(mems.DefaultConfig())
 	run := func(sk bool) {
 		src := workload.DefaultRandom(1100, 512, d.Capacity(), 500, 1)
-		Run(nil, d, sched.NewSPTF(), src, Options{Probe: pc, Sketch: sk})
+		Run(&Context{Sketch: sk}, d, sched.NewSPTF(), src, Options{Probe: pc})
 	}
 	run(true)
 	run(true)
@@ -119,7 +119,7 @@ func TestSketchCollectorReset(t *testing.T) {
 
 // TestSketchVolumeRun repeats the memory assertion in the volume
 // regime: VolumeStats and per-member phase aggregates must both be
-// bounded under Options.Sketch, including through a failure + rebuild.
+// bounded under Context.Sketch, including through a failure + rebuild.
 func TestSketchVolumeRun(t *testing.T) {
 	run := func(sk bool) Result {
 		spec := volFixtures(t, parityVolCfg(), 1)
@@ -129,8 +129,8 @@ func TestSketchVolumeRun(t *testing.T) {
 			arr[i] = float64(i) * 3
 			lbns[i] = int64(i % 128)
 		}
-		res, err := RunVolume(nil, spec, workload.NewFromSlice(volReqs(arr, 0, lbns)),
-			Options{Probe: NewPhaseCollector(), Sketch: sk,
+		res, err := RunVolume(&Context{Sketch: sk}, spec, workload.NewFromSlice(volReqs(arr, 0, lbns)),
+			Options{Probe: NewPhaseCollector(),
 				Injector: devEvents(t, fault.DeviceEvent{AtMs: 150, Dev: 1})})
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSketchVolumeRun(t *testing.T) {
 }
 
 // TestSketchMillionO1Memory is the acceptance check in miniature run
-// large: a high-volume open run under Options.Sketch retains zero
+// large: a high-volume open run under Context.Sketch retains zero
 // observations while its exact twin would have retained every one, and
 // the sketch's bucket footprint stays under the hard cap regardless of
 // request count.
@@ -170,8 +170,8 @@ func TestSketchMillionO1Memory(t *testing.T) {
 	}
 	d := mems.MustDevice(mems.DefaultConfig())
 	src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
-	res := Run(nil, d, sched.NewSPTF(), src,
-		Options{Warmup: n / 10, Probe: NewPhaseCollector(), Sketch: true})
+	res := Run(&Context{Sketch: true}, d, sched.NewSPTF(), src,
+		Options{Warmup: n / 10, Probe: NewPhaseCollector()})
 	if res.Phases == nil || res.Phases.Requests < n/2 {
 		t.Fatalf("run too small to prove anything: %+v", res.Phases)
 	}

@@ -101,7 +101,7 @@ type VolumeStats struct {
 }
 
 // useSketch flips the volume's response distributions to the bounded
-// sketch backend (Options.Sketch).
+// sketch backend (Context.Sketch).
 func (v *VolumeStats) useSketch() {
 	v.Healthy.UseSketch()
 	v.Degraded.UseSketch()
@@ -235,7 +235,7 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 // publishing the volume aggregates.
 func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, policy RebuildPolicy) func() {
 	var vstats VolumeStats
-	if e.opts.Sketch {
+	if e.ctx.Sketch {
 		vstats.useSketch()
 	}
 	// opmap resolves a queued member request back to its volume intent;

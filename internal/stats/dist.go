@@ -13,7 +13,7 @@ package stats
 //     historical behavior and the one the golden byte-identity suite
 //     pins.
 //   - sketch: a bounded log-bucketed Sketch, selected by UseSketch
-//     (sim.Options.Sketch / memsbench -sketch), holding percentile
+//     (sim.Context.Sketch / memsbench -sketch), holding percentile
 //     estimates within sketchAlpha relative error at O(1) memory —
 //     the backend for million-request runs.
 //

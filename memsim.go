@@ -161,15 +161,18 @@ func TraceSource(t *Trace) WorkloadSource {
 
 // ─── Simulation ─────────────────────────────────────────────────────────
 
-// SimOptions tunes a simulation run.
+// SimOptions describes what a run simulates: warmup, request cap, fault
+// injection and the run-scoped probes.
 type SimOptions = sim.Options
 
 // SimResult summarizes a run (mean response time and the paper's σ²/µ²
 // starvation metric).
 type SimResult = sim.Result
 
-// SimContext observes a run in flight (periodic progress callbacks); a
-// nil *SimContext is valid and observes nothing.
+// SimContext carries a run's policy: cancellation, progress callbacks
+// every 1000 completions, a shared observer probe that is never reset,
+// invariant checking and bounded quantile sketches. A nil *SimContext
+// is valid and observes nothing.
 type SimContext = sim.Context
 
 // Simulate executes an open-arrival simulation: requests arrive at their
