@@ -44,26 +44,45 @@ func ExampleNewMEMSDevice() {
 	// streaming: 79.6 MB/s
 }
 
-// ExampleNewDeviceArray builds the §6.2 RAID-5 array and issues one
-// small write — a read-modify-write that costs the MEMS array only a
-// turnaround between phases.
-func ExampleNewDeviceArray() {
-	members := make([]memsim.Device, 4)
-	for i := range members {
+// ExampleSimulateVolume runs §6.2's small-write workload over a
+// four-sled rotated-parity volume: every 4 KB write is a two-phase
+// read-modify-write, which costs a MEMS sled only a turnaround between
+// phases, so the volume answers in well under a disk rotation.
+func ExampleSimulateVolume() {
+	devs := make([]memsim.Device, 4)
+	scheds := make([]memsim.Scheduler, 4)
+	for i := range devs {
 		d, err := memsim.NewMEMSDevice(memsim.DefaultMEMSConfig())
 		if err != nil {
 			panic(err)
 		}
-		members[i] = d
+		devs[i] = d
+		if scheds[i], err = memsim.NewScheduler("SPTF"); err != nil {
+			panic(err)
+		}
 	}
-	arr, err := memsim.NewDeviceArray(memsim.ArrayConfig{Level: memsim.RAID5, StripeUnit: 8}, members)
+	v, err := memsim.NewVolume(memsim.VolumeConfig{
+		Level: memsim.VolumeParity, Members: 4,
+		StripeUnit: 8, PerMember: devs[0].Capacity() / 8 * 8,
+	})
 	if err != nil {
 		panic(err)
 	}
-	svc := arr.Access(&memsim.Request{Op: memsim.Write, LBN: 0, Blocks: 8}, 0)
-	fmt.Printf("RAID-5 small write under 2 ms: %v\n", svc < 2)
+	// 100 random 4 KB writes per second.
+	rng := newRand()
+	reqs := make([]*memsim.Request, 1000)
+	for i := range reqs {
+		reqs[i] = &memsim.Request{Arrival: float64(i) * 10, Op: memsim.Write,
+			LBN: rng.Int63n(v.Capacity()/8) * 8, Blocks: 8}
+	}
+	res, err := memsim.SimulateVolume(memsim.VolumeSpec{Volume: v, Devices: devs, Scheds: scheds},
+		memsim.RequestsSource(reqs), memsim.SimOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("MEMS parity volume, 4 KB writes: mean response under 2 ms: %v\n", res.Response.Mean() < 2)
 	// Output:
-	// RAID-5 small write under 2 ms: true
+	// MEMS parity volume, 4 KB writes: mean response under 2 ms: true
 }
 
 // ExampleLossProbability reproduces §6.1's contrast: one head failure

@@ -1,8 +1,9 @@
-// Array demo (§6.2): a four-sled RAID-5 array next to a four-disk one.
-// The MEMS devices' near-zero read-modify-write repositioning (Table 2)
-// erases the RAID-5 small-write penalty that spawned a decade of disk-
-// array optimizations — and when the sleds share one Ultra160 bus, the
-// interconnect, not the media, limits sequential bandwidth.
+// Array demo (§6.2): a four-sled rotated-parity (RAID-5) volume next to
+// a four-disk one. The MEMS devices' near-zero read-modify-write
+// repositioning (Table 2) erases the RAID-5 small-write penalty that
+// spawned a decade of disk-array optimizations — and when the sleds
+// share one Ultra160 bus, the interconnect, not the media, limits
+// sequential bandwidth.
 package main
 
 import (
@@ -14,29 +15,34 @@ import (
 )
 
 func main() {
-	memsArr := buildArray(func() memsim.Device {
+	mems := func() memsim.Device {
 		d, err := memsim.NewMEMSDevice(memsim.DefaultMEMSConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
 		return d
-	})
-	diskArr := buildArray(func() memsim.Device {
+	}
+	disk := func() memsim.Device {
 		d, err := memsim.NewDiskDevice(memsim.Atlas10KConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
 		return d
-	})
+	}
 
 	fmt.Println("RAID-5 ×4, 4 KB random writes (read-modify-write):")
-	fmt.Printf("  MEMS array  %.3f ms\n", smallWrites(memsArr))
-	fmt.Printf("  disk array  %.3f ms\n", smallWrites(diskArr))
+	fmt.Printf("  MEMS volume  %.3f ms\n", meanResponse(mems, memsim.Write, nil))
+	fmt.Printf("  disk volume  %.3f ms\n", meanResponse(disk, memsim.Write, nil))
 
-	// Degraded mode: lose a member, reads reconstruct from survivors.
-	memsArr.FailMember(2)
-	fmt.Printf("\ndegraded MEMS array, 4 KB random reads: %.3f ms\n", smallReads(memsArr))
-	memsArr.Repair()
+	// Degraded mode: lose a member at the start; reads of its data
+	// reconstruct from the three survivors.
+	loseOne, err := memsim.NewFaultInjector(memsim.FaultInjectorConfig{
+		DeviceEvents: []memsim.DeviceFailureEvent{{AtMs: 0, Dev: 2}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\ndegraded MEMS volume, 4 KB random reads: %.3f ms\n", meanResponse(mems, memsim.Read, loseOne))
 
 	// Sequential bandwidth over a shared bus.
 	b := memsim.NewBus(memsim.Ultra160BusConfig())
@@ -68,40 +74,37 @@ func main() {
 	fmt.Println("(each sled alone streams 79.6 MB/s — the bus is the bottleneck)")
 }
 
-func buildArray(mk func() memsim.Device) *memsim.DeviceArray {
-	members := make([]memsim.Device, 4)
-	for i := range members {
-		members[i] = mk()
+// meanResponse drives 300 random 4 KB requests in direction op, 20 per
+// second, over a four-member rotated-parity volume of mk's devices and
+// returns their mean response time in ms.
+func meanResponse(mk func() memsim.Device, op memsim.Op, inj *memsim.FaultInjector) float64 {
+	devs := make([]memsim.Device, 4)
+	scheds := make([]memsim.Scheduler, 4)
+	for i := range devs {
+		devs[i] = mk()
+		s, err := memsim.NewScheduler("FCFS")
+		if err != nil {
+			log.Fatal(err)
+		}
+		scheds[i] = s
 	}
-	a, err := memsim.NewDeviceArray(memsim.ArrayConfig{Level: memsim.RAID5, StripeUnit: 8}, members)
+	v, err := memsim.NewVolume(memsim.VolumeConfig{
+		Level: memsim.VolumeParity, Members: 4,
+		StripeUnit: 8, PerMember: devs[0].Capacity() / 8 * 8,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return a
-}
-
-func smallWrites(a *memsim.DeviceArray) float64 {
 	rng := rand.New(rand.NewSource(1))
-	now, sum := 0.0, 0.0
-	const n = 300
-	for i := 0; i < n; i++ {
-		lbn := rng.Int63n(a.Capacity()-8) / 8 * 8
-		svc := a.Access(&memsim.Request{Op: memsim.Write, LBN: lbn, Blocks: 8}, now)
-		now += svc
-		sum += svc
+	reqs := make([]*memsim.Request, 300)
+	for i := range reqs {
+		reqs[i] = &memsim.Request{Arrival: float64(i) * 50, Op: op,
+			LBN: rng.Int63n(v.Capacity()/8) * 8, Blocks: 8}
 	}
-	return sum / n
-}
-
-func smallReads(a *memsim.DeviceArray) float64 {
-	rng := rand.New(rand.NewSource(2))
-	now, sum := 0.0, 0.0
-	const n = 300
-	for i := 0; i < n; i++ {
-		lbn := rng.Int63n(a.Capacity()-8) / 8 * 8
-		svc := a.Access(&memsim.Request{Op: memsim.Read, LBN: lbn, Blocks: 8}, now)
-		now += svc
-		sum += svc
+	res, err := memsim.SimulateVolume(memsim.VolumeSpec{Volume: v, Devices: devs, Scheds: scheds},
+		memsim.RequestsSource(reqs), memsim.SimOptions{Injector: inj})
+	if err != nil {
+		log.Fatal(err)
 	}
-	return sum / n
+	return res.Response.Mean()
 }

@@ -131,31 +131,6 @@ type SlipRemapDevice = fault.SlipRemap
 // NewSlipRemapDevice wraps dev with an empty remap table.
 func NewSlipRemapDevice(dev Device) *SlipRemapDevice { return fault.NewSlipRemap(dev) }
 
-// ─── Arrays (§6.2) ──────────────────────────────────────────────────────
-
-// RAIDLevel selects the inter-device redundancy scheme.
-type RAIDLevel = array.Level
-
-// The supported array levels.
-const (
-	RAID0 = array.RAID0
-	RAID1 = array.RAID1
-	RAID5 = array.RAID5
-)
-
-// ArrayConfig parameterizes a device array.
-type ArrayConfig = array.Config
-
-// DeviceArray combines member devices into one logical device; RAID-5
-// small writes pay the read-modify-write sequence whose cost Table 2
-// compares across device types.
-type DeviceArray = array.Array
-
-// NewDeviceArray builds an array over equal-geometry members.
-func NewDeviceArray(cfg ArrayConfig, members []Device) (*DeviceArray, error) {
-	return array.New(cfg, members)
-}
-
 // ─── Device cache (§2.4.11) ─────────────────────────────────────────────
 
 // CacheConfig parameterizes the on-device speed-matching buffer.

@@ -1,12 +1,16 @@
-// volume.go implements device-level redundancy for the multi-queue
-// simulator (sim.RunVolume): mirrored and rotated-parity volume
-// geometries whose member translation is Router-compatible, plus the
-// failure / hot-spare / online-rebuild state machine the event loop
-// drives. Where Array (array.go) folds members into one core.Device
-// with max-over-members service times, a Volume keeps every member as
-// an independent queue: the simulator owns the clock and the queues,
-// and the Volume only answers "which member operations realize this
-// volume request under the current redundancy state?".
+// Package array implements inter-device redundancy (§6.2 of the
+// paper): striped, mirrored and rotated-parity volume geometries whose
+// member translation is Router-compatible, plus the failure / hot-spare
+// / online-rebuild state machine the simulator (sim.RunVolume) drives.
+// The paper's observation is that MEMS-based storage's near-zero
+// repositioning for read-modify-write sequences (Table 2) removes the
+// classic RAID-5 small-write penalty that motivated a decade of
+// disk-array optimizations.
+//
+// A Volume keeps every member as an independent queue: the caller owns
+// the clock and the queues, and the Volume only answers "which member
+// operations realize this volume request under the current redundancy
+// state?".
 //
 // The model is single-fault: one failed member at a time is served in
 // degraded mode (mirror reads fall to the surviving replica; parity

@@ -2,6 +2,7 @@ package array
 
 import (
 	"testing"
+	"testing/quick"
 
 	"memsim/internal/core"
 )
@@ -63,6 +64,69 @@ func TestVolumeCapacity(t *testing.T) {
 	}
 	if d := parityCfg().Devices(); d != 5 {
 		t.Errorf("devices = %d, want 5 (4 members + 1 spare)", d)
+	}
+}
+
+func TestVolumeLevelString(t *testing.T) {
+	if VolStripe.String() != "stripe" || VolMirror.String() != "mirror" || VolParity.String() != "parity" {
+		t.Error("level strings")
+	}
+	if VolumeLevel(7).String() != "VolumeLevel(7)" {
+		t.Error("unknown level string")
+	}
+}
+
+func TestPlanReadCoversExtent(t *testing.T) {
+	// Any extent splits into strip-bounded member reads that stay inside
+	// a member and add up to the request.
+	for _, cfg := range []VolumeConfig{
+		{Level: VolStripe, Members: 4, StripeUnit: 8, PerMember: 1 << 16},
+		{Level: VolParity, Members: 4, StripeUnit: 8, PerMember: 1 << 16},
+	} {
+		v := mustVolume(t, cfg)
+		f := func(rawLBN uint32, rawN uint8) bool {
+			n := int(rawN) + 1
+			lbn := int64(rawLBN) % (v.Capacity() - int64(n))
+			pl, ok := v.PlanRead(lbn, n)
+			if !ok || len(pl.Phases) != 1 {
+				return false
+			}
+			total := 0
+			for _, op := range pl.Phases[0] {
+				if op.Blocks <= 0 || op.Blocks > 8 || op.LBN < 0 || op.LBN+int64(op.Blocks) > cfg.PerMember {
+					return false
+				}
+				total += op.Blocks
+			}
+			return total == n
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("%v: %v", cfg.Level, err)
+		}
+	}
+}
+
+func TestPlanRejectsOutOfRange(t *testing.T) {
+	v := mustVolume(t, parityCfg())
+	for _, r := range []struct {
+		lbn    int64
+		blocks int
+	}{{-1, 1}, {0, 0}, {v.Capacity() - 1, 2}, {v.Capacity(), 1}} {
+		for _, plan := range []func(int64, int) (Plan, bool){v.PlanRead, v.PlanWrite} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("no panic planning [%d,+%d) on capacity %d", r.lbn, r.blocks, v.Capacity())
+					}
+				}()
+				plan(r.lbn, r.blocks)
+			}()
+		}
+	}
+	for _, slot := range []int{-1, 4} {
+		if err := v.Fail(slot); err == nil {
+			t.Errorf("Fail(%d) accepted an out-of-range slot", slot)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"memsim/internal/disk"
 	"memsim/internal/mems"
 	"memsim/internal/runner"
+	"memsim/internal/sim"
+	"memsim/internal/workload"
 )
 
 func init() { register("raid", raidPlan) }
@@ -16,9 +18,9 @@ func init() { register("raid", raidPlan) }
 // RAID quantifies the §6.2 claim at array level (extension; no paper
 // figure): MEMS-based storage's near-zero read-modify-write
 // repositioning "obviates the need for the many optimizations" built to
-// hide RAID-5's small-write penalty on disks. Four-member RAID-5 arrays
-// of each device type service 4 KB writes, degraded reads, and a full
-// member rebuild.
+// hide RAID-5's small-write penalty on disks. Four-member rotated-parity
+// volumes of each device type service 4 KB writes, healthy and degraded
+// reads, and a full member rebuild scan.
 func RAID(p Params) []Table { return mustRun(raidPlan(p)) }
 
 func raidPlan(p Params) *Plan {
@@ -26,35 +28,37 @@ func raidPlan(p Params) *Plan {
 	if trials < 50 {
 		trials = 50
 	}
-	memsArr := func() *array.Array { return mustArray(memsMembers(4)) }
-	diskArr := func() *array.Array { return mustArray(diskMembers(4)) }
+	random := func(op core.Op, failed int) func(*runner.Job, []core.Device) any {
+		return func(_ *runner.Job, devs []core.Device) any {
+			return raidRandom(raidVolume(devs, failed), devs, op, trials, rand.New(rand.NewSource(p.Seed)))
+		}
+	}
 
 	// One job per (metric, device) measurement — every job builds its own
-	// array, so all eight run independently.
+	// members and volume, so all eight run independently.
 	type metric struct {
 		name    string
-		measure func(mk func() *array.Array) float64
+		measure func(j *runner.Job, devs []core.Device) any
 	}
 	metrics := []metric{
-		{"4 KB RAID-5 write (read-modify-write)", func(mk func() *array.Array) float64 {
-			return raidSmallWrite(mk(), trials, p.Seed)
-		}},
-		{"4 KB read, healthy", func(mk func() *array.Array) float64 {
-			return raidRandomRead(mk(), trials, p.Seed, false)
-		}},
-		{"4 KB read, degraded (reconstruct)", func(mk func() *array.Array) float64 {
-			return raidRandomRead(mk(), trials, p.Seed, true)
-		}},
-		{"member rebuild (full scan)", func(mk func() *array.Array) float64 {
-			a := mk()
-			a.FailMember(1)
-			return a.RebuildTime(2700) / 1000 // seconds
+		{"4 KB RAID-5 write (read-modify-write)", random(core.Write, -1)},
+		{"4 KB read, healthy", random(core.Read, -1)},
+		{"4 KB read, degraded (reconstruct)", random(core.Read, 0)},
+		{"member rebuild (full scan)", func(j *runner.Job, devs []core.Device) any {
+			scanMs := raidRebuildScan(j.SimContext(), raidVolume(devs, 1), devs)
+			if err := j.Ctx().Err(); err != nil {
+				return err
+			}
+			return scanMs / 1000 // seconds
 		}},
 	}
 	devices := []struct {
 		name string
-		mk   func() *array.Array
-	}{{"MEMS", memsArr}, {"disk", diskArr}}
+		mk   func() core.Device
+	}{
+		{"MEMS", func() core.Device { return mems.MustDevice(mems.DefaultConfig()) }},
+		{"disk", func() core.Device { return disk.MustDevice(disk.Atlas10K()) }},
+	}
 
 	grid := make([][]*runner.Job, len(metrics))
 	var jobs []*runner.Job
@@ -64,8 +68,12 @@ func raidPlan(p Params) *Plan {
 			j := &runner.Job{
 				Label: fmt.Sprintf("raid %s %s", dev.name, m.name),
 				Seed:  p.Seed,
-				Custom: func(*runner.Job) any {
-					return m.measure(dev.mk)
+				Custom: func(j *runner.Job) any {
+					devs := make([]core.Device, 4)
+					for i := range devs {
+						devs[i] = dev.mk()
+					}
+					return m.measure(j, devs)
 				},
 			}
 			grid[mi][di] = j
@@ -95,53 +103,93 @@ func raidPlan(p Params) *Plan {
 	}
 }
 
-func memsMembers(n int) ([]core.Device, array.Config) {
-	m := make([]core.Device, n)
-	for i := range m {
-		m[i] = mems.MustDevice(mems.DefaultConfig())
+// raidVolume builds the rotated-parity volume over devs with an
+// 8-sector (4 KB) stripe unit, each member's capacity rounded down to a
+// whole stripe unit, and member slot failed failed (none when negative).
+func raidVolume(devs []core.Device, failed int) *array.Volume {
+	v, err := array.NewVolume(array.VolumeConfig{
+		Level:      array.VolParity,
+		Members:    len(devs),
+		StripeUnit: 8,
+		PerMember:  devs[0].Capacity() / 8 * 8,
+	})
+	if err == nil && failed >= 0 {
+		err = v.Fail(failed)
 	}
-	return m, array.Config{Level: array.RAID5, StripeUnit: 8}
-}
-
-func diskMembers(n int) ([]core.Device, array.Config) {
-	m := make([]core.Device, n)
-	for i := range m {
-		m[i] = disk.MustDevice(disk.Atlas10K())
-	}
-	return m, array.Config{Level: array.RAID5, StripeUnit: 8}
-}
-
-func mustArray(members []core.Device, cfg array.Config) *array.Array {
-	a, err := array.New(cfg, members)
 	if err != nil {
 		panic(err) // construction parameters are fixed above
 	}
-	return a
+	return v
 }
 
-func raidSmallWrite(a *array.Array, trials int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
+// raidRandom returns the mean time of trials back-to-back 4 KB requests
+// at stripe-aligned random LBNs.
+func raidRandom(v *array.Volume, devs []core.Device, op core.Op, trials int, rng *rand.Rand) float64 {
 	now, sum := 0.0, 0.0
 	for i := 0; i < trials; i++ {
-		lbn := rng.Int63n(a.Capacity()-8) / 8 * 8
-		svc := a.Access(&core.Request{Op: core.Write, LBN: lbn, Blocks: 8}, now)
+		lbn := raidDraw(rng, devs[0].Capacity(), v.Capacity())
+		// ok is always true here: one failed member loses no data.
+		var pl array.Plan
+		if op == core.Write {
+			pl, _ = v.PlanWrite(lbn, 8)
+		} else {
+			pl, _ = v.PlanRead(lbn, 8)
+		}
+		svc := raidTime(v, devs, pl, now)
 		sum += svc
 		now += svc
 	}
 	return sum / float64(trials)
 }
 
-func raidRandomRead(a *array.Array, trials int, seed int64, degraded bool) float64 {
-	if degraded {
-		a.FailMember(0)
+// raidDraw draws a stripe-aligned 4 KB LBN from the range three whole
+// members would span, redrawing any request that would run past the
+// volume's capacity (the stripe-unit rounding trims each member's tail).
+func raidDraw(rng *rand.Rand, memberCap, capacity int64) int64 {
+	for {
+		if lbn := rng.Int63n(3*memberCap-8) / 8 * 8; lbn+8 <= capacity {
+			return lbn
+		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	now, sum := 0.0, 0.0
-	for i := 0; i < trials; i++ {
-		lbn := rng.Int63n(a.Capacity()-8) / 8 * 8
-		svc := a.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: 8}, now)
-		sum += svc
-		now += svc
+}
+
+// raidTime services one volume request on idle members starting at now:
+// every operation of a phase issues at the phase start, and the next
+// phase begins when the slowest finishes. It returns the elapsed time.
+func raidTime(v *array.Volume, devs []core.Device, pl array.Plan, now float64) float64 {
+	t := now
+	for _, phase := range pl.Phases {
+		slowest := 0.0
+		for _, op := range phase {
+			r := core.Request{Op: op.Op, LBN: op.LBN, Blocks: op.Blocks}
+			if svc := devs[v.DeviceOf(op.Slot)].Access(&r, t); svc > slowest {
+				slowest = svc
+			}
+		}
+		t += slowest
 	}
-	return sum / float64(trials)
+	return t - now
+}
+
+// raidRebuildScan returns the time to rebuild the failed member: every
+// survivor is read in full, back to back in sim.DefaultRebuildChunk
+// reads, while the spare is written, so the slowest survivor's scan
+// bounds it.
+func raidRebuildScan(ctx *sim.Context, v *array.Volume, devs []core.Device) float64 {
+	per := v.Config().PerMember
+	worst := 0.0
+	for s := 0; s < v.Config().Members; s++ {
+		if s == v.Failed() {
+			continue
+		}
+		var scan []*core.Request
+		for lbn := int64(0); lbn < per; lbn += sim.DefaultRebuildChunk {
+			n := min(sim.DefaultRebuildChunk, per-lbn)
+			scan = append(scan, &core.Request{Op: core.Read, LBN: lbn, Blocks: int(n)})
+		}
+		if res := sim.RunClosed(ctx, devs[v.DeviceOf(s)], workload.NewFromSlice(scan), sim.Options{}); res.Elapsed > worst {
+			worst = res.Elapsed
+		}
+	}
+	return worst
 }

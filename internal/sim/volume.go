@@ -19,8 +19,8 @@ import (
 )
 
 // DefaultRebuildChunk is the rebuild scan unit in sectors when
-// VolumeSpec.RebuildChunk is zero — one MEMS cylinder, matching the
-// offline estimate in array.RebuildTime.
+// VolumeSpec.RebuildChunk is zero — one MEMS cylinder, the unit the
+// raid artifact's member rebuild scan reads in too.
 const DefaultRebuildChunk = 2700
 
 // VolumeSpec describes a redundant volume run: the geometry/state

@@ -126,23 +126,41 @@ func TestFacadeManagedDeviceAndClosedSim(t *testing.T) {
 }
 
 func TestFacadeArrayAndCache(t *testing.T) {
-	members := make([]Device, 4)
-	for i := range members {
+	devs := make([]Device, 4)
+	scheds := make([]Scheduler, 4)
+	for i := range devs {
 		d, err := NewMEMSDevice(DefaultMEMSConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		members[i] = d
+		devs[i] = d
+		if scheds[i], err = NewScheduler("FCFS"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	arr, err := NewDeviceArray(ArrayConfig{Level: RAID5, StripeUnit: 8}, members)
+	per := devs[0].Capacity() / 8 * 8
+	v, err := NewVolume(VolumeConfig{Level: VolumeParity, Members: 4, StripeUnit: 8, PerMember: per})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr.Capacity() != 3*members[0].Capacity() {
-		t.Errorf("RAID-5 capacity = %d", arr.Capacity())
+	if v.Capacity() != 3*per {
+		t.Errorf("parity volume capacity = %d, want %d", v.Capacity(), 3*per)
 	}
-	if svc := arr.Access(&Request{Op: Write, LBN: 0, Blocks: 8}, 0); svc <= 0 {
-		t.Errorf("array write service = %g", svc)
+	// One small write: read-modify-write on the data and parity members.
+	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds},
+		RequestsSource([]*Request{{Op: Write, LBN: 0, Blocks: 8}}), SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 1 || res.Response.Mean() <= 0 {
+		t.Errorf("volume write: %d completions, mean response %g", res.Requests, res.Response.Mean())
+	}
+	ops := 0
+	for _, m := range res.Members {
+		ops += m.Requests
+	}
+	if ops != 4 {
+		t.Errorf("small write issued %d member ops, want 4 (read+write on data and parity)", ops)
 	}
 
 	inner, _ := NewMEMSDevice(DefaultMEMSConfig())
