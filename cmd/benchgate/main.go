@@ -1,14 +1,15 @@
 // Command benchgate compares a current benchrun profile against the
-// committed baseline (BENCH_10.json) and fails when a gated benchmark
+// committed baseline (BENCH_15.json) and fails when a gated benchmark
 // regressed beyond the threshold — the CI side of the
 // benchmark-regression harness.
 //
 // Usage:
 //
-//	go run ./cmd/benchgate -baseline BENCH_10.json -current /tmp/cur.json
+//	go run ./cmd/benchgate -baseline BENCH_15.json -current /tmp/cur.json
 //
 // Only benchmarks matching -gate (default: the engine hot path,
-// BenchmarkRun*/BenchmarkEngineMillion in internal/sim) are enforced;
+// BenchmarkRun*/BenchmarkEngineMillion in internal/sim, and the MEMS
+// device's BenchmarkMEMSAccess/BenchmarkMEMSEstimate) are enforced;
 // everything present in both files is printed for the log. A gated
 // benchmark missing from either side is reported but not fatal, so a
 // quick (CI-sized) run — whose EngineMillion subbenches carry a
@@ -59,10 +60,10 @@ func load(path string) (map[string]Result, *File, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_10.json", "committed baseline JSON")
+	baseline := flag.String("baseline", "BENCH_15.json", "committed baseline JSON")
 	current := flag.String("current", "", "freshly measured JSON (required)")
 	threshold := flag.Float64("threshold", 0.20, "fatal ns/op regression fraction on gated benches")
-	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion)`, "package:name regexp selecting enforced benches")
+	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion|MEMS(Access|Estimate))`, "package:name regexp selecting enforced benches")
 	flag.Parse()
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")

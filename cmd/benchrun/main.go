@@ -1,18 +1,18 @@
 // Command benchrun runs the repository's benchmark suites and writes
-// their results as machine-readable JSON (the BENCH_10.json format),
+// their results as machine-readable JSON (the BENCH_15.json format),
 // the input side of the benchmark-regression harness (cmd/benchgate
 // compares two such files).
 //
 // Usage:
 //
-//	go run ./cmd/benchrun -out BENCH_10.json          # full profile
+//	go run ./cmd/benchrun -out BENCH_15.json          # full profile
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
-// BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access), the
-// schedulers at queue depths 8/64/512 (BenchmarkSchedNext, every
-// algorithm), the stats backends (./internal/stats Dist/Sketch/Sample
-// benches), and the
+// BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access and
+// SPTF-style EstimateAccess pricing), the schedulers at queue depths
+// 8/64/512 (BenchmarkSchedNext, every algorithm), the stats backends
+// (./internal/stats Dist/Sketch/Sample benches), and the
 // million-request end-to-end runs (BenchmarkEngineMillion; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
@@ -48,7 +48,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// File is the BENCH_10.json document.
+// File is the BENCH_15.json document.
 type File struct {
 	// GoVersion records the toolchain that produced the numbers.
 	GoVersion string `json:"go_version"`
@@ -73,7 +73,7 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "output JSON path")
+	out := flag.String("out", "BENCH_15.json", "output JSON path")
 	quick := flag.Bool("quick", false, "CI-sized run: shorter benchtime, 100k-request EngineMillion")
 	flag.Parse()
 
@@ -84,7 +84,7 @@ func main() {
 		schedBT = "50x"
 	}
 	suites := []suite{
-		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess)$", benchtime: bt},
+		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkDiskEstimate)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},

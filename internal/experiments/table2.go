@@ -68,9 +68,9 @@ func memsRMW(blocks int) (read, reposition, write float64) {
 	g := d.Geometry()
 	lbn := g.LBN(g.Cylinders/2, 2, 0, 0)
 	r := &core.Request{Op: core.Read, LBN: lbn, Blocks: blocks}
-	read = d.Detail(r).Transfer
+	read = d.EstimateBreakdown(r, 0).Transfer
 	d.Access(r, 0)
 	wr := &core.Request{Op: core.Write, LBN: lbn, Blocks: blocks}
-	det := d.Detail(wr)
+	det := d.EstimateBreakdown(wr, 0)
 	return read, det.Positioning(), det.Transfer
 }

@@ -2,6 +2,7 @@ package mems
 
 import (
 	"fmt"
+	"sync"
 
 	"memsim/internal/core"
 	"memsim/internal/fault"
@@ -13,6 +14,10 @@ type state struct {
 	cyl  int     // cylinder currently under the tips
 	yB   float64 // Y bit-boundary coordinate in [0, BitsY]
 	vdir int     // Y velocity direction: −1, 0, +1 (times AccessSpeed)
+	// yRow is the row boundary yB sits on after a segment ended there at
+	// ±AccessSpeed, so the next Y seeks come from the device's
+	// ySeekTable; −1 (park, SetState) means solve them.
+	yRow int
 }
 
 // Device is the MEMS-based storage device model. It implements
@@ -21,6 +26,7 @@ type state struct {
 type Device struct {
 	geo  *Geometry
 	sled *physics.Sled
+	ytab *ySeekTable
 	st   state
 
 	last    core.Breakdown
@@ -38,7 +44,8 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Device{geo: g, sled: g.Sled()}
+	sled := g.Sled()
+	d := &Device{geo: g, sled: sled, ytab: sharedYSeekTable(g, sled)}
 	d.Reset()
 	return d, nil
 }
@@ -68,7 +75,7 @@ func (d *Device) SectorSize() int { return d.geo.SectorSize }
 
 // Reset implements core.Device: the sled parks at the center, at rest.
 func (d *Device) Reset() {
-	d.st = state{cyl: d.geo.Cylinders / 2, yB: float64(d.geo.BitsY) / 2, vdir: 0}
+	d.st = state{cyl: d.geo.Cylinders / 2, yB: float64(d.geo.BitsY) / 2, vdir: 0, yRow: -1}
 	d.last, d.hasLast = core.Breakdown{}, false
 }
 
@@ -91,13 +98,6 @@ func (d *Device) EstimateAccess(req *core.Request, _ float64) float64 {
 // LastBreakdown implements core.BreakdownReporter: the phase
 // decomposition of the most recent Access.
 func (d *Device) LastBreakdown() (core.Breakdown, bool) { return d.last, d.hasLast }
-
-// Detail returns the mechanical breakdown Access would produce for req
-// from the current state, without changing state.
-func (d *Device) Detail(req *core.Request) core.Breakdown {
-	bd, _ := d.access(d.st, req)
-	return bd
-}
 
 // EstimateBreakdown implements core.BreakdownEstimator. Like Access, it
 // ignores absolute time: the sled has no free-running rotation.
@@ -152,17 +152,19 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 			xs = d.sled.SeekTime(g.XPos(st.cyl), 0, g.XPos(cyl), 0) * 1e3
 			tx = xs + g.SettleMs
 		}
-		vy := float64(st.vdir) * g.AccessSpeed
 		// Forward sweep: start at the top boundary of the first row
 		// moving +Y; reverse sweep: start at the bottom boundary of the
 		// last row moving −Y.
-		fwdStart := float64(row) * tb
-		revStart := float64(rowHi+1) * tb
-		tyF := d.sled.SeekTime(g.YPos(st.yB), vy, g.YPos(fwdStart), g.AccessSpeed) * 1e3
-		tyR := d.sled.SeekTime(g.YPos(st.yB), vy, g.YPos(revStart), -g.AccessSpeed) * 1e3
-		ty, dir, end := tyF, 1, float64(rowHi+1)*tb
+		var tyF, tyR float64
+		if st.yRow >= 0 {
+			tyF, tyR = d.ytab.seeks(st.yRow, st.vdir, row, rowHi+1)
+		} else {
+			tyF = seekY(d.sled, g, st.yB, st.vdir, float64(row)*tb, 1)
+			tyR = seekY(d.sled, g, st.yB, st.vdir, float64(rowHi+1)*tb, -1)
+		}
+		ty, dir, endRow := tyF, 1, rowHi+1
 		if tyR < tyF {
-			ty, dir, end = tyR, -1, float64(row)*tb
+			ty, dir, endRow = tyR, -1, row
 		}
 		pos := tx
 		if ty > pos {
@@ -184,7 +186,7 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 		bd.Transfer += float64(rowHi-row+1) * g.RowTimeMs
 		bd.Segments++
 
-		st = state{cyl: cyl, yB: end, vdir: dir}
+		st = state{cyl: cyl, yB: float64(endRow) * tb, vdir: dir, yRow: endRow}
 		lbn += int64(n)
 		remaining -= n
 	}
@@ -245,5 +247,81 @@ func (d *Device) SetState(cyl int, yB float64, vdir int) {
 	if cyl < 0 || cyl >= d.geo.Cylinders || yB < 0 || yB > float64(d.geo.BitsY) {
 		panic(fmt.Sprintf("mems: SetState out of range: cyl=%d yB=%g", cyl, yB))
 	}
-	d.st = state{cyl: cyl, yB: yB, vdir: vdir}
+	d.st = state{cyl: cyl, yB: yB, vdir: vdir, yRow: -1}
+}
+
+// seekY is the Y seek time in ms from bit boundary b0 moving at
+// vdir0·AccessSpeed to boundary b1 arriving at vdir1·AccessSpeed. It is
+// the one expression behind every Y seek, solved or tabulated.
+func seekY(s *physics.Sled, g *Geometry, b0 float64, vdir0 int, b1 float64, vdir1 int) float64 {
+	return s.SeekTime(g.YPos(b0), float64(vdir0)*g.AccessSpeed,
+		g.YPos(b1), float64(vdir1)*g.AccessSpeed) * 1e3
+}
+
+// ySeekTable holds seekY exactly, not interpolated, for every pair of
+// row boundaries 0..RowsPerTrack, leaving at ±AccessSpeed and arriving
+// at ±AccessSpeed. Every segment ends on such a boundary moving at
+// access speed (§2.4), so after the first access of a run the Y seeks
+// of Access and EstimateAccess are two loads instead of two solves.
+type ySeekTable struct {
+	n int // row boundaries per tip track: RowsPerTrack+1
+	// ms[((i*2+from)*n+j)*2+to] is the seek from boundary i to boundary
+	// j, where from and to are 0 for −Y and 1 for +Y.
+	ms []float64
+}
+
+// seeks returns the forward seek (to boundary fwd arriving +Y) and the
+// reverse seek (to boundary rev arriving −Y) from boundary i moving in
+// direction vdir.
+func (t *ySeekTable) seeks(i, vdir, fwd, rev int) (tyF, tyR float64) {
+	base := (i*2 + (vdir+1)/2) * t.n * 2
+	return t.ms[base+fwd*2+1], t.ms[base+rev*2]
+}
+
+// yMech is everything a ySeekTable's entries depend on: the sled and
+// the Y geometry. Configurations that differ only in settle, tips or
+// overhead share one table.
+type yMech struct {
+	sled                       physics.Sled
+	bitsY, tipSectorBits, rows int
+	bitWidth, accessSpeed      float64
+}
+
+// ySeekTables holds one immutable table per yMech for the life of the
+// process, so building a device costs a map lookup, not a table.
+var ySeekTables = struct {
+	sync.Mutex
+	m map[yMech]*ySeekTable
+}{m: make(map[yMech]*ySeekTable)}
+
+// sharedYSeekTable returns the table for g's Y mechanics, building it on
+// first use.
+func sharedYSeekTable(g *Geometry, s *physics.Sled) *ySeekTable {
+	key := yMech{sled: *s, bitsY: g.BitsY, tipSectorBits: g.TipSectorBits,
+		rows: g.RowsPerTrack, bitWidth: g.BitWidth, accessSpeed: g.AccessSpeed}
+	ySeekTables.Lock()
+	defer ySeekTables.Unlock()
+	if t, ok := ySeekTables.m[key]; ok {
+		return t
+	}
+	t := buildYSeekTable(g, s)
+	ySeekTables.m[key] = t
+	return t
+}
+
+// buildYSeekTable evaluates seekY over every boundary pair and direction.
+func buildYSeekTable(g *Geometry, s *physics.Sled) *ySeekTable {
+	n := g.RowsPerTrack + 1
+	tb := float64(g.TipSectorBits)
+	t := &ySeekTable{n: n, ms: make([]float64, n*2*n*2)}
+	for i := 0; i < n; i++ {
+		for from := 0; from < 2; from++ {
+			for j := 0; j < n; j++ {
+				for to := 0; to < 2; to++ {
+					t.ms[((i*2+from)*n+j)*2+to] = seekY(s, g, float64(i)*tb, from*2-1, float64(j)*tb, to*2-1)
+				}
+			}
+		}
+	}
+	return t
 }

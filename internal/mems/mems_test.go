@@ -189,11 +189,11 @@ func TestTransferTimeAnchorsTable2(t *testing.T) {
 	// 334-sector transfer takes 2.19 ms — exactly ⌈n/20⌉ row passes.
 	d := testDevice(t)
 	g := d.Geometry()
-	bd := d.Detail(reqAt(0, 8))
+	bd := d.EstimateBreakdown(reqAt(0, 8), 0)
 	if want := 1 * g.RowTimeMs; math.Abs(bd.Transfer-want) > 1e-9 {
 		t.Errorf("8-sector transfer = %g ms, want %g", bd.Transfer, want)
 	}
-	bd = d.Detail(reqAt(0, 334))
+	bd = d.EstimateBreakdown(reqAt(0, 334), 0)
 	if want := 17 * g.RowTimeMs; math.Abs(bd.Transfer-want) > 1e-9 {
 		t.Errorf("334-sector transfer = %g ms, want %g (2.19 ms)", bd.Transfer, want)
 	}
@@ -209,7 +209,7 @@ func TestReadModifyWriteCostsOneTurnaround(t *testing.T) {
 	g := d.Geometry()
 	mid := g.LBN(g.Cylinders/2, 2, g.RowsPerTrack/2, 0)
 	d.Access(reqAt(mid, 8), 0)
-	bd := d.Detail(reqAt(mid, 8))
+	bd := d.EstimateBreakdown(reqAt(mid, 8), 0)
 	if bd.SeekX != 0 {
 		t.Errorf("re-access moved in X: %g ms", bd.SeekX)
 	}
@@ -227,11 +227,11 @@ func TestSequentialAccessHasNoReposition(t *testing.T) {
 	// Park the sled at the top of the track moving forward (as it would
 	// be mid-stream) so the first row is read in the forward direction.
 	d.SetState(g.Cylinders/2, 0, 1)
-	if bd := d.Detail(reqAt(start, 20)); bd.Positioning() > 1e-9 {
+	if bd := d.EstimateBreakdown(reqAt(start, 20), 0); bd.Positioning() > 1e-9 {
 		t.Fatalf("aligned first row repositioned for %g ms", bd.Positioning())
 	}
 	d.Access(reqAt(start, 20), 0) // exactly one row
-	bd := d.Detail(reqAt(start+20, 20))
+	bd := d.EstimateBreakdown(reqAt(start+20, 20), 0)
 	if bd.Positioning() > 1e-9 {
 		t.Errorf("sequential continuation repositioned for %g ms", bd.Positioning())
 	}
@@ -243,7 +243,7 @@ func TestTrackSwitchCostsTurnaround(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geometry()
 	start := g.LBN(g.Cylinders/2, 0, g.RowsPerTrack-1, 0)
-	bd := d.Detail(reqAt(start, g.SectorsPerRow*2)) // last row of track 0 + first row of track 1
+	bd := d.EstimateBreakdown(reqAt(start, g.SectorsPerRow*2), 0) // last row of track 0 + first row of track 1
 	if bd.Segments != 2 {
 		t.Fatalf("segments = %d, want 2", bd.Segments)
 	}
@@ -262,12 +262,12 @@ func TestCylinderSwitchPaysSettle(t *testing.T) {
 	// next.
 	start := g.LBN(100, g.TracksPerCylinder-1, g.RowsPerTrack-1, 0)
 	d.SetState(100, float64(g.BitsY)/2, 0)
-	bd := d.Detail(reqAt(start, g.SectorsPerRow*2))
+	bd := d.EstimateBreakdown(reqAt(start, g.SectorsPerRow*2), 0)
 	if bd.Segments != 2 {
 		t.Fatalf("segments = %d, want 2", bd.Segments)
 	}
 	// The second segment's positioning must include settle time.
-	single := d.Detail(reqAt(start, g.SectorsPerRow))
+	single := d.EstimateBreakdown(reqAt(start, g.SectorsPerRow), 0)
 	if bd.Positioning()-single.Positioning() < g.SettleMs*0.9 {
 		t.Errorf("cylinder switch positioning %g barely exceeds %g; settle=%g",
 			bd.Positioning(), single.Positioning(), g.SettleMs)

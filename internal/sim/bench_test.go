@@ -43,6 +43,48 @@ func BenchmarkDiskAccess(b *testing.B) {
 	}
 }
 
+// estimateSink keeps the estimate benches' results live.
+var estimateSink float64
+
+// benchEstimate times the cost-model side of one SPTF dispatch: each op
+// prices 8 queued candidates with EstimateAccess from one device state.
+// The states come from 64 devices, each moved by one Access before the
+// timer starts, so the timed loop holds neither Access nor timer
+// toggles; each device is priced at the completion time of its Access.
+func benchEstimate(b *testing.B, newDev func() core.Device) {
+	const states, depth = 64, 8
+	devs := make([]core.Device, states)
+	nows := make([]float64, states)
+	var reqs []*core.Request
+	for i := range devs {
+		devs[i] = newDev()
+		if reqs == nil {
+			reqs = benchRequests(devs[i], 4096)
+		}
+		nows[i] = devs[i].Access(reqs[len(reqs)-1-i], 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, now := devs[i%states], nows[i%states]
+		for _, r := range reqs[(i*depth)%len(reqs):][:depth] {
+			estimateSink += d.EstimateAccess(r, now)
+		}
+	}
+}
+
+// BenchmarkMEMSEstimate is SPTF's per-dispatch pricing on the MEMS
+// device; an op is 8 EstimateAccess calls.
+func BenchmarkMEMSEstimate(b *testing.B) {
+	benchEstimate(b, func() core.Device { return mems.MustDevice(mems.DefaultConfig()) })
+}
+
+// BenchmarkDiskEstimate is SPTF's per-dispatch pricing on the disk
+// model; an op is 8 EstimateAccess calls.
+func BenchmarkDiskEstimate(b *testing.B) {
+	benchEstimate(b, func() core.Device { return disk.MustDevice(disk.Atlas10K()) })
+}
+
 // discardProbe is the cheapest possible observer; it isolates the
 // event-emission overhead from any probe-side work.
 type discardProbe struct{}
