@@ -81,13 +81,13 @@ func main() {
 		if err := tr.Validate(dev.Capacity()); err != nil {
 			fatal(err)
 		}
-		src = traceSource(tr.Scale(*scale).Clip(*requests))
+		src = workload.NewFromSlice(tr.Scale(*scale).Clip(*requests).Requests())
 	case *traceKind == "cello":
 		tr := trace.GenerateCello(trace.DefaultCello(dev.Capacity(), *requests))
-		src = traceSource(tr.Scale(*scale))
+		src = workload.NewFromSlice(tr.Scale(*scale).Requests())
 	case *traceKind == "tpcc":
 		tr := trace.GenerateTPCC(trace.DefaultTPCC(dev.Capacity(), *requests))
-		src = traceSource(tr.Scale(*scale))
+		src = workload.NewFromSlice(tr.Scale(*scale).Requests())
 	case *traceKind != "":
 		fatal(fmt.Errorf("unknown trace %q (want cello or tpcc)", *traceKind))
 	default:
@@ -115,14 +115,6 @@ func main() {
 	fmt.Printf("max response     %.3f ms\n", res.Response.Max())
 	fmt.Printf("mean service     %.3f ms\n", res.Service.Mean())
 	fmt.Printf("mean queue len   %.2f (max %d)\n", res.QueueLen.Mean(), res.MaxQueue)
-}
-
-func traceSource(t *trace.Trace) workload.Source {
-	reqs := make([]*core.Request, t.Len())
-	for i, rec := range t.Records {
-		reqs[i] = rec.Request()
-	}
-	return workload.NewFromSlice(reqs)
 }
 
 func fatal(err error) {

@@ -122,10 +122,6 @@ func replay(path, device, schedName string, scale float64, warmup int, outPath s
 	if err := tr.Validate(dev.Capacity()); err != nil {
 		return fmt.Errorf("trace does not fit %s (%d sectors): %w", device, dev.Capacity(), err)
 	}
-	reqs := make([]*core.Request, tr.Len())
-	for i, rec := range tr.Records {
-		reqs[i] = rec.Request()
-	}
 
 	w, closeOut, err := openOut(outPath)
 	if err != nil {
@@ -133,7 +129,7 @@ func replay(path, device, schedName string, scale float64, warmup int, outPath s
 	}
 	jp := sim.NewJSONLProbe(w)
 	pc := sim.NewPhaseCollector()
-	res := sim.Run(nil, dev, s, workload.NewFromSlice(reqs),
+	res := sim.Run(nil, dev, s, workload.NewFromSlice(tr.Requests()),
 		sim.Options{Warmup: warmup, Probe: sim.MultiProbe{pc, jp}})
 	if err := jp.Flush(); err != nil {
 		return fmt.Errorf("writing lifecycle trace: %w", err)

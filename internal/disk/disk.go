@@ -282,13 +282,6 @@ func (d *Device) EstimateAccess(req *core.Request, now float64) float64 {
 // decomposition of the most recent Access.
 func (d *Device) LastBreakdown() (core.Breakdown, bool) { return d.last, d.hasLast }
 
-// Detail returns the breakdown Access would produce for req at time now,
-// without changing state.
-func (d *Device) Detail(req *core.Request, now float64) core.Breakdown {
-	bd, _, _ := d.access(req, now)
-	return bd
-}
-
 // EstimateBreakdown implements core.BreakdownEstimator.
 func (d *Device) EstimateBreakdown(req *core.Request, now float64) core.Breakdown {
 	bd, _, _ := d.access(req, now)

@@ -20,6 +20,24 @@ func renderAll(results [][]Table) []byte {
 	return buf.Bytes()
 }
 
+// batch runs ids as one RunEach batch on ctx and returns each
+// experiment's tables in request order, failing the test on any error.
+func batch(t *testing.T, ctx *runner.Context, ids []string, p Params) [][]Table {
+	t.Helper()
+	outs, _, err := RunEach(ctx, ids, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([][]Table, len(outs))
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		res[i] = o.Tables
+	}
+	return res
+}
+
 // TestParallelMatchesSequentialOutput is the job layer's core guarantee:
 // for every artifact, an 8-worker run emits bytes identical to a
 // 1-worker run. Any job that leaked state across siblings — a shared
@@ -35,14 +53,8 @@ func TestParallelMatchesSequentialOutput(t *testing.T) {
 	p := Params{Requests: 800, Warmup: 80, ClosedRequests: 400, Trials: 80, Seed: 3, FaultRate: 0.02}
 	ids := IDs()
 
-	seq, _, err := RunMany(runner.Sequential(), ids, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := RunMany(&runner.Context{Workers: 8}, ids, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := batch(t, runner.Sequential(), ids, p)
+	par := batch(t, &runner.Context{Workers: 8}, ids, p)
 
 	for i, id := range ids {
 		a, b := renderAll([][]Table{seq[i]}), renderAll([][]Table{par[i]})
@@ -54,20 +66,20 @@ func TestParallelMatchesSequentialOutput(t *testing.T) {
 }
 
 // TestRunManyBatchesInDeclarationOrder checks the multi-experiment path
-// used by memsbench: one pool over all requested IDs, results returned
-// per ID in request order.
+// used by memsbench: one RunEach pool over all requested IDs, outcomes
+// returned per ID in request order.
 func TestRunManyBatchesInDeclarationOrder(t *testing.T) {
 	p := Params{Requests: 400, Warmup: 40, ClosedRequests: 200, Trials: 60, Seed: 1}
 	ids := []string{"table2", "table1", "seekprofile"}
-	results, sum, err := RunMany(&runner.Context{Workers: 4}, ids, p)
+	outs, sum, err := RunEach(&runner.Context{Workers: 4}, ids, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(ids) {
-		t.Fatalf("results = %d, want %d", len(results), len(ids))
+	if len(outs) != len(ids) {
+		t.Fatalf("outcomes = %d, want %d", len(outs), len(ids))
 	}
-	if results[0][0].ID != "table2" || results[1][0].ID != "table1" {
-		t.Errorf("results not in request order: %s, %s", results[0][0].ID, results[1][0].ID)
+	if outs[0].Tables[0].ID != "table2" || outs[1].Tables[0].ID != "table1" {
+		t.Errorf("outcomes not in request order: %s, %s", outs[0].Tables[0].ID, outs[1].Tables[0].ID)
 	}
 	if sum.Jobs != 3 {
 		t.Errorf("summary jobs = %d, want 3 (one per single-job plan)", sum.Jobs)
@@ -75,7 +87,7 @@ func TestRunManyBatchesInDeclarationOrder(t *testing.T) {
 }
 
 func TestRunManyUnknownID(t *testing.T) {
-	_, _, err := RunMany(runner.Sequential(), []string{"fig99"}, tiny())
+	_, _, err := RunEach(runner.Sequential(), []string{"fig99"}, tiny())
 	if err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
@@ -92,16 +104,10 @@ func TestProbedOutputMatchesUnprobed(t *testing.T) {
 	p := Params{Requests: 600, Warmup: 60, ClosedRequests: 300, Trials: 60, Seed: 5, FaultRate: 0.02}
 	ids := []string{"fig6", "phases", "faultinject", "rebuild", "striping"}
 
-	plain, _, err := RunMany(runner.Sequential(), ids, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := batch(t, runner.Sequential(), ids, p)
 	var trace bytes.Buffer
 	jp := sim.NewJSONLProbe(&trace)
-	probed, _, err := RunMany(&runner.Context{Workers: 1, Probe: jp}, ids, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probed := batch(t, &runner.Context{Workers: 1, Probe: jp}, ids, p)
 	if err := jp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +176,7 @@ func TestCustomEngineBodiesAreTraced(t *testing.T) {
 	p := Quick().WithRequests(300)
 	for _, id := range []string{"rebuild", "striping", "schedcost", "power"} {
 		t.Run(id, func(t *testing.T) {
-			plain, err := RunWith(runner.Sequential(), id, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := run(t, id, p)
 			pl, err := PlanFor(id, p)
 			if err != nil {
 				t.Fatal(err)

@@ -248,21 +248,14 @@ func PlanFor(id string, p Params) (*Plan, error) {
 	return b(p), nil
 }
 
-// Run executes the experiment with the given ID sequentially.
+// Run executes one experiment sequentially: a one-ID RunEach, so an
+// execution failure reads "experiments: <id>: ...".
 func Run(id string, p Params) ([]Table, error) {
-	return RunWith(runner.Sequential(), id, p)
-}
-
-// RunWith executes one experiment's jobs on the given runner context.
-func RunWith(ctx *runner.Context, id string, p Params) ([]Table, error) {
-	pl, err := PlanFor(id, p)
+	outs, _, err := RunEach(runner.Sequential(), []string{id}, p)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ctx.Run(pl.Jobs); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", id, err)
-	}
-	return pl.Assemble(), nil
+	return outs[0].Tables, outs[0].Err
 }
 
 // Outcome is one experiment's result within a batch: its tables when
@@ -281,10 +274,11 @@ type Outcome struct {
 	Err error
 }
 
-// RunEach executes several experiments as one job batch like RunMany but
-// reports per-experiment Outcomes instead of failing the whole batch on
-// the first error: each experiment assembles if and only if all of its
-// own jobs succeeded. The error return covers batch construction only
+// RunEach executes several experiments as one job batch — the pool sees
+// every job at once, so wide and narrow experiments interleave instead
+// of serializing per artifact — and reports per-experiment Outcomes in
+// the requested order: each experiment assembles if and only if all of
+// its own jobs succeeded. The error return covers batch construction only
 // (an unknown ID); execution failures live in the Outcomes.
 func RunEach(ctx *runner.Context, ids []string, p Params) ([]Outcome, runner.Summary, error) {
 	plans := make([]*Plan, len(ids))
@@ -314,56 +308,6 @@ func RunEach(ctx *runner.Context, ids []string, p Params) ([]Outcome, runner.Sum
 		outs[i].Tables = pl.Assemble()
 	}
 	return outs, sum, nil
-}
-
-// RunMany executes several experiments as one job batch — the pool sees
-// every job at once, so wide and narrow experiments interleave instead of
-// serializing per artifact. Results come back per requested ID, in order;
-// any experiment's failure fails the whole call.
-func RunMany(ctx *runner.Context, ids []string, p Params) ([][]Table, runner.Summary, error) {
-	outs, sum, err := RunEach(ctx, ids, p)
-	if err != nil {
-		return nil, sum, err
-	}
-	out := make([][]Table, len(outs))
-	var errs []error
-	for i, o := range outs {
-		if o.Err != nil {
-			errs = append(errs, o.Err)
-			continue
-		}
-		out[i] = o.Tables
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, sum, err
-	}
-	return out, sum, nil
-}
-
-// RunAll executes every experiment in ID order. The IDs come from the
-// registry itself, so a failure here means a registered builder produced
-// a plan that cannot run — an inconsistency in this package, not a user
-// error — and RunAll makes it loud instead of silently dropping tables.
-func RunAll(p Params) []Table {
-	tss, _, err := RunMany(runner.Sequential(), IDs(), p)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: registry inconsistency: %v", err))
-	}
-	var out []Table
-	for _, ts := range tss {
-		out = append(out, ts...)
-	}
-	return out
-}
-
-// mustRun executes a plan sequentially and assembles it — the spine of
-// the exported per-artifact functions (Fig5, Table1, ...), whose plans
-// are built from known-good registered builders.
-func mustRun(pl *Plan) []Table {
-	if _, err := runner.Sequential().Run(pl.Jobs); err != nil {
-		panic(err)
-	}
-	return pl.Assemble()
 }
 
 // mergePlans concatenates several plans into one: jobs in order, tables

@@ -6,12 +6,25 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"memsim/internal/runner"
 )
 
 // tiny returns parameters small enough for unit tests; the shape
 // assertions below hold even at this scale.
 func tiny() Params {
 	return Params{Requests: 1200, Warmup: 150, ClosedRequests: 600, Trials: 100, Seed: 1}
+}
+
+// run executes one registered artifact through Run, failing the test on
+// any error.
+func run(t *testing.T, id string, p Params) []Table {
+	t.Helper()
+	ts, err := Run(id, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
 }
 
 // cell parses a numeric table cell (stripping %, /, etc. is the caller's
@@ -58,7 +71,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTable1Anchors(t *testing.T) {
-	ts := Table1(tiny())
+	ts := run(t, "table1", tiny())
 	if len(ts) != 2 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -76,7 +89,7 @@ func TestTable1Anchors(t *testing.T) {
 
 func TestFig5Shape(t *testing.T) {
 	p := tiny()
-	ts := Fig5(p)
+	ts := run(t, "fig5", p)
 	if len(ts) != 2 || ts[0].ID != "fig5a" || ts[1].ID != "fig5b" {
 		t.Fatalf("unexpected tables %v", ts)
 	}
@@ -98,7 +111,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	ts := Fig6(tiny())
+	ts := run(t, "fig6", tiny())
 	a, b := ts[0], ts[1]
 	// At light load all schedulers are sub-millisecond — an order of
 	// magnitude below the disk.
@@ -121,7 +134,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	ts := Fig7(tiny())
+	ts := run(t, "fig7", tiny())
 	if len(ts) != 4 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -151,7 +164,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	ts := Fig8(tiny())
+	ts := run(t, "fig8", tiny())
 	if len(ts) != 4 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -171,7 +184,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	ts := Fig9(tiny())
+	ts := run(t, "fig9", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 5 || len(tb.Rows[0]) != 6 {
 		t.Fatalf("grid is %dx%d", len(tb.Rows), len(tb.Rows[0]))
@@ -203,7 +216,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	ts := Fig10(tiny())
+	ts := run(t, "fig10", tiny())
 	tb := ts[0]
 	base := cell(t, tb.Rows[0][1])
 	last := cell(t, tb.Rows[len(tb.Rows)-1][1])
@@ -224,7 +237,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	ts := Fig11(tiny())
+	ts := run(t, "fig11", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 10 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -262,7 +275,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	ts := Table2(tiny())
+	ts := run(t, "table2", tiny())
 	tb := ts[0]
 	// Rows: read, reposition, write, total; columns 1..4 as labeled.
 	find := func(name string) []string {
@@ -300,7 +313,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFaultShape(t *testing.T) {
-	ts := FaultTolerance(tiny())
+	ts := run(t, "fault", tiny())
 	if len(ts) != 4 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -338,7 +351,7 @@ func TestFaultShape(t *testing.T) {
 }
 
 func TestPowerShape(t *testing.T) {
-	ts := Power(tiny())
+	ts := run(t, "power", tiny())
 	tb := ts[0]
 	get := func(device, policy string) []string {
 		for _, row := range tb.Rows {
@@ -371,12 +384,13 @@ func TestRunAllProducesEveryArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	tables := RunAll(tiny())
 	seen := map[string]bool{}
-	for _, tb := range tables {
-		seen[tb.ID] = true
-		if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
-			t.Errorf("table %s is empty", tb.ID)
+	for _, ts := range batch(t, runner.Sequential(), IDs(), tiny()) {
+		for _, tb := range ts {
+			seen[tb.ID] = true
+			if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
+				t.Errorf("table %s is empty", tb.ID)
+			}
 		}
 	}
 	for _, id := range []string{"table1", "fig5a", "fig5b", "fig6a", "fig6b",
@@ -391,7 +405,7 @@ func TestRunAllProducesEveryArtifact(t *testing.T) {
 }
 
 func TestPhasesShape(t *testing.T) {
-	ts := Phases(tiny())
+	ts := run(t, "phases", tiny())
 	if len(ts) != 2 || ts[0].ID != "phasesa" || ts[1].ID != "phasesb" {
 		t.Fatalf("unexpected tables %v", ts)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRAIDShape(t *testing.T) {
-	ts := RAID(tiny())
+	ts := run(t, "raid", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -29,7 +29,7 @@ func TestRAIDShape(t *testing.T) {
 }
 
 func TestCacheStudyShape(t *testing.T) {
-	ts := CacheStudy(tiny())
+	ts := run(t, "cache", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -70,7 +70,7 @@ func TestCacheStudyShape(t *testing.T) {
 }
 
 func TestAgingShape(t *testing.T) {
-	ts := Aging(tiny())
+	ts := run(t, "aging", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -94,7 +94,7 @@ func TestAgingShape(t *testing.T) {
 }
 
 func TestRemapStudyShape(t *testing.T) {
-	ts := RemapStudy(tiny())
+	ts := run(t, "remap", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -122,7 +122,7 @@ func TestRemapStudyShape(t *testing.T) {
 }
 
 func TestGenerationsShape(t *testing.T) {
-	ts := Generations(tiny())
+	ts := run(t, "generations", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -142,7 +142,7 @@ func TestGenerationsShape(t *testing.T) {
 }
 
 func TestStartupShape(t *testing.T) {
-	ts := Startup(tiny())
+	ts := run(t, "startup", tiny())
 	if len(ts) != 2 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -163,7 +163,7 @@ func TestStartupShape(t *testing.T) {
 }
 
 func TestPowerCompressionTable(t *testing.T) {
-	ts := Power(tiny())
+	ts := run(t, "power", tiny())
 	if len(ts) != 2 || ts[1].ID != "power-compress" {
 		t.Fatalf("expected power-compress table, got %d tables", len(ts))
 	}
@@ -178,7 +178,7 @@ func TestPowerCompressionTable(t *testing.T) {
 }
 
 func TestShuffleStudyShape(t *testing.T) {
-	ts := ShuffleStudy(tiny())
+	ts := run(t, "shuffle", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -204,7 +204,7 @@ func TestShuffleStudyShape(t *testing.T) {
 }
 
 func TestBusStudyShape(t *testing.T) {
-	ts := BusStudy(tiny())
+	ts := run(t, "bus", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -226,7 +226,7 @@ func TestBusStudyShape(t *testing.T) {
 }
 
 func TestStripingStudyShape(t *testing.T) {
-	ts := StripingStudy(tiny())
+	ts := run(t, "striping", tiny())
 	tb := ts[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -252,7 +252,7 @@ func TestStripingStudyShape(t *testing.T) {
 }
 
 func TestSeekProfileShape(t *testing.T) {
-	ts := SeekProfile(tiny())
+	ts := run(t, "seekprofile", tiny())
 	if len(ts) != 2 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -280,7 +280,7 @@ func TestSeekProfileShape(t *testing.T) {
 }
 
 func TestFaultInjectShape(t *testing.T) {
-	ts := FaultInject(tiny())
+	ts := run(t, "faultinject", tiny())
 	if len(ts) != 2 {
 		t.Fatalf("tables = %d", len(ts))
 	}
@@ -321,7 +321,7 @@ func TestFaultInjectShape(t *testing.T) {
 }
 
 func TestRebuildShape(t *testing.T) {
-	ts := Rebuild(tiny())
+	ts := run(t, "rebuild", tiny())
 	if len(ts) != 3 {
 		t.Fatalf("tables = %d, want 3", len(ts))
 	}
@@ -417,7 +417,7 @@ func TestRebuildPolicyModes(t *testing.T) {
 }
 
 func TestMTTDLShape(t *testing.T) {
-	ts := MTTDL(tiny())
+	ts := run(t, "mttdl", tiny())
 	if len(ts) != 1 {
 		t.Fatalf("tables = %d, want 1", len(ts))
 	}
@@ -450,10 +450,10 @@ func TestMTTDLShape(t *testing.T) {
 
 	// Same seed, same bytes: the artifact is deterministic.
 	var a, b bytes.Buffer
-	for _, tb := range MTTDL(tiny()) {
+	for _, tb := range run(t, "mttdl", tiny()) {
 		tb.CSV(&a)
 	}
-	for _, tb := range MTTDL(tiny()) {
+	for _, tb := range run(t, "mttdl", tiny()) {
 		tb.CSV(&b)
 	}
 	if a.String() != b.String() {
@@ -462,7 +462,7 @@ func TestMTTDLShape(t *testing.T) {
 }
 
 func TestSchedCostShape(t *testing.T) {
-	ts := SchedCost(tiny())
+	ts := run(t, "schedcost", tiny())
 	if len(ts) != 2 {
 		t.Fatalf("tables = %d, want 2", len(ts))
 	}
@@ -507,10 +507,10 @@ func TestSchedCostShape(t *testing.T) {
 
 	// Same seed, same bytes: the artifact is deterministic.
 	var x, y bytes.Buffer
-	for _, tb := range SchedCost(tiny()) {
+	for _, tb := range run(t, "schedcost", tiny()) {
 		tb.CSV(&x)
 	}
-	for _, tb := range SchedCost(tiny()) {
+	for _, tb := range run(t, "schedcost", tiny()) {
 		tb.CSV(&y)
 	}
 	if x.String() != y.String() {
@@ -521,14 +521,14 @@ func TestSchedCostShape(t *testing.T) {
 func TestSchedCostExtraSched(t *testing.T) {
 	p := tiny()
 	p.Sched = "Priority"
-	ts := SchedCost(p)
+	ts := run(t, "schedcost", p)
 	// Two devices × (standard pair + the -sched extra).
 	if len(ts[0].Rows) != 6 {
 		t.Fatalf("rows with extra policy = %d, want 6", len(ts[0].Rows))
 	}
 	// Naming an already-present policy must not duplicate it.
 	p.Sched = "SettleAware"
-	if ts := SchedCost(p); len(ts[0].Rows) != 4 {
+	if ts := run(t, "schedcost", p); len(ts[0].Rows) != 4 {
 		t.Fatalf("rows with duplicate policy = %d, want 4", len(ts[0].Rows))
 	}
 }
@@ -540,7 +540,7 @@ func TestRebuildMemberSched(t *testing.T) {
 	p := tiny()
 	p.MemberSched = "Priority"
 	p.RebuildPolicy = "adaptive"
-	ts := Rebuild(p)
+	ts := run(t, "rebuild", p)
 	sweep := ts[0]
 	if len(sweep.Rows) != 1 {
 		t.Fatalf("adaptive-only rows = %d, want 1", len(sweep.Rows))

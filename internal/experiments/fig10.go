@@ -8,12 +8,11 @@ import (
 
 func init() { register("fig10", fig10Plan) }
 
-// Fig10 reproduces Fig. 10: service time of a 256 KB read as a function
-// of the X (cylinder) distance between the sled's starting position and
-// the request. Because transfer dominates, even a 1000-cylinder seek
-// should add only ≈10–12% (§5.2).
-func Fig10(p Params) []Table { return mustRun(fig10Plan(p)) }
-
+// fig10Plan reproduces Fig. 10: service time of a 256 KB read as a
+// function of the X (cylinder) distance between the sled's starting
+// position and the request. Because transfer dominates, even a
+// 1000-cylinder seek should add only ≈10–12% (§5.2).
+//
 // One rng spans every distance row, so the whole figure is a single job.
 func fig10Plan(p Params) *Plan {
 	return tablesJob("fig10", p.Seed, func() []Table {

@@ -17,15 +17,13 @@ func init() { register("fig11", fig11Plan) }
 // columnar layout's center column so the X-locality comparison is fair.
 const organPipeSmallFrac = 0.04
 
-// Fig11 reproduces Fig. 11: the bipartite workload (89% 4 KB, 11%
+// fig11Plan reproduces Fig. 11: the bipartite workload (89% 4 KB, 11%
 // 400 KB reads) under four layouts on the default MEMS device, the
 // zero-settle MEMS device, and the Atlas 10K (simple vs. organ pipe).
 // Expected shape (§5.3): all placement schemes beat simple by 13–20%;
 // on MEMS-no-settle the subregioned layout — the only one that optimizes
 // Y as well as X — wins by a further margin, showing that the optimal
 // disk layout is not optimal for MEMS-based storage.
-func Fig11(p Params) []Table { return mustRun(fig11Plan(p)) }
-
 func fig11Plan(p Params) *Plan {
 	// Placers are static LBN→position maps built against the shared
 	// derived geometry; each one is captured by exactly one job, which

@@ -7,10 +7,8 @@ func init() { register("fig6", fig6Plan) }
 // schedulers carry into the 1500–2500 req/s region the paper plots.
 var memsRates = []float64{250, 500, 750, 1000, 1250, 1500, 1750, 2000, 2250, 2500}
 
-// Fig6 reproduces Fig. 6: the scheduling algorithms on the MEMS-based
+// fig6Plan reproduces Fig. 6: the scheduling algorithms on the MEMS-based
 // storage device under the random workload.
-func Fig6(p Params) []Table { return mustRun(fig6Plan(p)) }
-
 func fig6Plan(p Params) *Plan {
 	return sweepPlan("fig6", "MEMS device", memsFactory(1), memsRates, p)
 }

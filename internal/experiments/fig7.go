@@ -13,13 +13,11 @@ import (
 
 func init() { register("fig7", fig7Plan) }
 
-// Fig7 reproduces Fig. 7: scheduler comparison on the MEMS device under
-// the two realistic workloads, swept by the trace scale factor (traced
-// interarrival times divided by the factor, §4.3 footnote 2). The traces
-// are the synthetic Cello-like and TPC-C-like stand-ins documented in
-// DESIGN.md §5.
-func Fig7(p Params) []Table { return mustRun(fig7Plan(p)) }
-
+// fig7Plan reproduces Fig. 7: scheduler comparison on the MEMS device
+// under the two realistic workloads, swept by the trace scale factor
+// (traced interarrival times divided by the factor, §4.3 footnote 2). The
+// traces are the synthetic Cello-like and TPC-C-like stand-ins documented
+// in DESIGN.md §5.
 func fig7Plan(p Params) *Plan {
 	// Base rates: Cello ≈ 40 req/s, TPC-C ≈ 120 req/s; the MEMS device
 	// saturates near 1300 random req/s, so the interesting scale regions
@@ -54,12 +52,7 @@ func traceSweepPlan(id, title string, gen func(capacity int64, n int) *trace.Tra
 				Device:    memsFactory(1),
 				Scheduler: schedFactory(name),
 				Source: func(d core.Device) workload.Source {
-					scaled := gen(d.Capacity(), p.Requests).Scale(scale)
-					reqs := make([]*core.Request, scaled.Len())
-					for i, rec := range scaled.Records {
-						reqs[i] = rec.Request()
-					}
-					return workload.NewFromSlice(reqs)
+					return workload.NewFromSlice(gen(d.Capacity(), p.Requests).Scale(scale).Requests())
 				},
 				Options: sim.Options{Warmup: p.Warmup},
 			}

@@ -4,13 +4,11 @@ import "fmt"
 
 func init() { register("fig8", fig8Plan) }
 
-// Fig8 reproduces Fig. 8: the settling-time sensitivity study. The random
-// workload is re-run on the MEMS device with zero and with two settling
-// time constants (the default elsewhere is one). With two constants, X
-// seeks dominate and SSTF_LBN closely approximates SPTF; with zero, the Y
-// dimension matters and SPTF pulls away (§4.4).
-func Fig8(p Params) []Table { return mustRun(fig8Plan(p)) }
-
+// fig8Plan reproduces Fig. 8: the settling-time sensitivity study. The
+// random workload is re-run on the MEMS device with zero and with two
+// settling time constants (the default elsewhere is one). With two
+// constants, X seeks dominate and SSTF_LBN closely approximates SPTF;
+// with zero, the Y dimension matters and SPTF pulls away (§4.4).
 func fig8Plan(p Params) *Plan {
 	var plans []*Plan
 	for _, k := range []float64{0, 2} {

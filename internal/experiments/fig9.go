@@ -32,14 +32,12 @@ func subregionRequests(g *mems.Geometry, n, xBand, yBand, count int, seed int64)
 	return reqs
 }
 
-// Fig9 reproduces Fig. 9: the sled is divided into a 5×5 grid of
+// fig9Plan reproduces Fig. 9: the sled is divided into a 5×5 grid of
 // subregions and the average 4 KB service time is measured for requests
 // confined to each subregion — once with the default X settle time and
 // once with zero settle (the two numbers per box in the paper's figure).
 // The spring restoring forces make the outer subregions 10–20% slower
 // than the center (§5.1).
-func Fig9(p Params) []Table { return mustRun(fig9Plan(p)) }
-
 func fig9Plan(p Params) *Plan {
 	const n = 5
 	settles := []float64{1, 0}

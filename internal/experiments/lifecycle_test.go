@@ -17,7 +17,7 @@ import (
 func mttdlCSV(t *testing.T, p Params) string {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, tb := range mustRun(mttdlPlan(p)) {
+	for _, tb := range run(t, "mttdl", p) {
 		tb.CSV(&buf)
 	}
 	return buf.String()

@@ -8,12 +8,11 @@ import (
 
 func init() { register("table1", table1Plan) }
 
-// Table1 reproduces Table 1 of the paper (the device parameters) and
+// table1Plan reproduces Table 1 of the paper (the device parameters) and
 // appends the derived geometry and the model's validation anchors — the
 // quantities the paper quotes elsewhere that pin the derivation
 // (DESIGN.md §3).
-func Table1(p Params) []Table { return mustRun(table1Plan(p)) }
-
+//
 // Pure derivation — a single cheap job.
 func table1Plan(p Params) *Plan {
 	return tablesJob("table1", p.Seed, table1Body)

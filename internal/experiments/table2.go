@@ -8,14 +8,14 @@ import (
 
 func init() { register("table2", table2Plan) }
 
-// Table2 reproduces Table 2: read-modify-write times for 4 KB (8-sector)
-// and track-length (334-sector) transfers on the Atlas 10K and the MEMS
-// device. The disk must wait out nearly a full rotation between the read
-// and the write of the same sectors; the MEMS device only turns the sled
-// around (§6.2). As in the paper, command overheads and the initial
-// positioning are excluded — the table isolates the re-access cost.
-func Table2(p Params) []Table { return mustRun(table2Plan(p)) }
-
+// table2Plan reproduces Table 2: read-modify-write times for 4 KB
+// (8-sector) and track-length (334-sector) transfers on the Atlas 10K and
+// the MEMS device. The disk must wait out nearly a full rotation between
+// the read and the write of the same sectors; the MEMS device only turns
+// the sled around (§6.2). As in the paper, command overheads and the
+// initial positioning are excluded — the table isolates the re-access
+// cost.
+//
 // Four direct-access measurements on private devices — one cheap job.
 func table2Plan(p Params) *Plan {
 	return tablesJob("table2", p.Seed, table2Body)

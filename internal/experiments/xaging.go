@@ -10,14 +10,12 @@ import (
 
 func init() { register("aging", agingPlan) }
 
-// Aging is the ablation suggested by our Fig. 6 reproduction (extension):
-// pure SPTF's greediness makes its σ²/µ² explode near the saturation
-// knee — plausibly the paper's unexplained "odd behavior of SPTF between
-// 1500 and 2000 requests/sec". Aged SPTF discounts each request's
-// positioning estimate by Weight · wait-time; a small weight restores
-// bounded tails at modest mean-response cost.
-func Aging(p Params) []Table { return mustRun(agingPlan(p)) }
-
+// agingPlan declares the ablation suggested by our Fig. 6 reproduction
+// (extension): pure SPTF's greediness makes its σ²/µ² explode near the
+// saturation knee — plausibly the paper's unexplained "odd behavior of
+// SPTF between 1500 and 2000 requests/sec". Aged SPTF discounts each
+// request's positioning estimate by Weight · wait-time; a small weight
+// restores bounded tails at modest mean-response cost.
 func agingPlan(p Params) *Plan {
 	mks := []core.SchedulerFactory{
 		func() core.Scheduler { return sched.NewSPTF() },

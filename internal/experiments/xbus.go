@@ -11,20 +11,18 @@ import (
 
 func init() { register("bus", busPlan) }
 
-// BusStudy quantifies the interconnect consequence of §2.4.11
-// (extension): a MEMS-based storage device streams at 79.6 MB/s — near
-// half of an entire Ultra160 SCSI bus — so packaging several sleds in a
-// disk form factor (§2.1) makes the *bus*, not the media, the sequential
-// bottleneck after two devices. Aggregate streaming bandwidth is
-// measured for shelves of 1–8 sleds, with and without a shared bus.
-func BusStudy(p Params) []Table { return mustRun(busPlan(p)) }
-
 // busCell is one shelf size's measurement (raw and bus-shared aggregate
 // bandwidth in MB/s, plus bus utilization).
 type busCell struct {
 	raw, shared, util float64
 }
 
+// busPlan quantifies the interconnect consequence of §2.4.11
+// (extension): a MEMS-based storage device streams at 79.6 MB/s — near
+// half of an entire Ultra160 SCSI bus — so packaging several sleds in a
+// disk form factor (§2.1) makes the *bus*, not the media, the sequential
+// bottleneck after two devices. Aggregate streaming bandwidth is
+// measured for shelves of 1–8 sleds, with and without a shared bus.
 func busPlan(p Params) *Plan {
 	rounds := p.ClosedRequests / 40
 	if rounds < 10 {

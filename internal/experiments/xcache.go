@@ -10,14 +10,12 @@ import (
 
 func init() { register("cache", cachePlan) }
 
-// CacheStudy quantifies §2.4.11 (extension; no paper figure): the
+// cachePlan quantifies §2.4.11 (extension; no paper figure): the
 // on-device speed-matching buffer matters for sequential streams
 // (read-ahead turns per-request positioning into streaming) and is
 // nearly worthless for random traffic, whose reuse belongs in host
 // memory. Sequential 64 KB scans and random 4 KB reads run with the
 // buffer enabled and disabled.
-func CacheStudy(p Params) []Table { return mustRun(cachePlan(p)) }
-
 func cachePlan(p Params) *Plan {
 	n := p.ClosedRequests
 	if n > 2000 {

@@ -25,7 +25,7 @@ var faultConfigs = []struct {
 	{"stripe+2 ECC, 394 spares", fault.Config{Tips: 6400, DataTips: 64, ECCTips: 2, SpareTips: 394}},
 }
 
-// FaultTolerance quantifies §6.1 (an extension: the paper argues this
+// faultPlan quantifies §6.1 (an extension: the paper argues this
 // qualitatively, without a figure). Three tables:
 //
 //  1. Data-loss probability vs. number of failed tips, for a disk-like
@@ -37,8 +37,6 @@ var faultConfigs = []struct {
 //  3. Spare-tip remap timing neutrality: because a remapped sector lives
 //     at the *same tip sector* on a spare tip, only the active-tip set
 //     changes — sled motion, and therefore service time, is identical.
-func FaultTolerance(p Params) []Table { return mustRun(faultPlan(p)) }
-
 func faultPlan(p Params) *Plan {
 	// The Monte-Carlo loss table threads one rng through every cell, so
 	// it is a single job; remap neutrality is an independent measurement.

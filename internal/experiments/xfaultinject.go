@@ -26,12 +26,10 @@ var transientRates = []float64{0.001, 0.01, 0.05, 0.15}
 // degraded-mode (ECC-reconstruction) service.
 var tipFailureCounts = []int{8, 64, 256}
 
-// FaultInject runs the in-simulation fault-injection experiment: the
+// faultInjectPlan runs the in-simulation fault-injection experiment: the
 // transient-error-rate sweep comparing MEMS and disk recovery cost, and
 // the MEMS tip-failure sweep showing spare consumption and degraded-mode
 // reads evolving mid-run.
-func FaultInject(p Params) []Table { return mustRun(faultInjectPlan(p)) }
-
 func faultInjectPlan(p Params) *Plan {
 	rates := transientRates
 	if p.FaultRate > 0 {

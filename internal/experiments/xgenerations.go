@@ -11,13 +11,11 @@ import (
 
 func init() { register("generations", generationsPlan) }
 
-// Generations is a sensitivity study of the device model across
+// generationsPlan declares a sensitivity study of the device model across
 // successive MEMS generations (extension; the configurations are
 // extrapolations documented in internal/mems/generations.go, not
 // published parameter sets). It reports how density, per-tip rate and
 // actuator improvements move the headline figures of merit.
-func Generations(p Params) []Table { return mustRun(generationsPlan(p)) }
-
 func generationsPlan(p Params) *Plan {
 	trials := p.Trials
 	if trials > 2000 {

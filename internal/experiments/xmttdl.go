@@ -60,20 +60,19 @@ func (o mttdlOutcome) mttdlHours() float64 {
 	return o.sumMs / float64(o.trials) / 3.6e6
 }
 
-// MTTDL (extension) closes the §6 availability argument quantitatively:
-// how long does a redundant volume survive when whole-device failures
-// arrive from an exponential lifetime model? Each (device, level) job
-// first measures the volume's real rebuild window — an actual RunVolume
-// member kill and online rebuild at throttle 0.3, foreground traffic
-// competing in the queues — then Monte-Carlo samples the two-state
-// renewal process: draw the first member death, and the volume dies if
-// the next death among the survivors lands inside the measured window,
-// else the spare covers and the cycle repeats. Trials share per-trial
-// seeds across device types (common random numbers), so the MEMS/disk
-// MTTDL ratio concentrates tightly around the rebuild-window ratio
-// (~3.7–4×) instead of drowning in lifetime variance.
-func MTTDL(p Params) []Table { return mustRun(mttdlPlan(p)) }
-
+// mttdlPlan (extension) closes the §6 availability argument
+// quantitatively: how long does a redundant volume survive when
+// whole-device failures arrive from an exponential lifetime model? Each
+// (device, level) job first measures the volume's real rebuild window —
+// an actual RunVolume member kill and online rebuild at throttle 0.3,
+// foreground traffic competing in the queues — then Monte-Carlo samples
+// the two-state renewal process: draw the first member death, and the
+// volume dies if the next death among the survivors lands inside the
+// measured window, else the spare covers and the cycle repeats. Trials
+// share per-trial seeds across device types (common random numbers), so
+// the MEMS/disk MTTDL ratio concentrates tightly around the
+// rebuild-window ratio (~3.7–4×) instead of drowning in lifetime
+// variance.
 func mttdlPlan(p Params) *Plan {
 	mttfHours := p.MTTFHours
 	if mttfHours <= 0 {
@@ -118,7 +117,6 @@ func mttdlPlan(p Params) *Plan {
 	for li, lv := range levels {
 		grid[li] = make([]*runner.Job, len(devices))
 		for di, dev := range devices {
-			lv, dev := lv, dev
 			j := &runner.Job{
 				Label: fmt.Sprintf("mttdl %s %s", dev.name, lv.name),
 				Seed:  p.Seed,
@@ -140,7 +138,7 @@ func mttdlPlan(p Params) *Plan {
 					// assumed — one real failover run under foreground load at
 					// throttle 0.3 (the rebuild artifact's middle operating
 					// point). An interruption here has nothing worth saving.
-					w := rebuildRun(job, lv.cfg, dev.mk, dev.rate, 0.3, nil, p)
+					w := rebuildRun(job, lv.cfg, dev.mk, dev.rate, 0.3, nil, p.MemberSched, p.FaultRate, p)
 					if cerr := job.Ctx().Err(); cerr != nil {
 						return cerr
 					}

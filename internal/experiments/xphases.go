@@ -12,7 +12,7 @@ import (
 
 func init() { register("phases", phasesPlan) }
 
-// Phases reproduces the §4.1-style decomposition argument with the
+// phasesPlan reproduces the §4.1-style decomposition argument with the
 // request-lifecycle probe: the per-phase service breakdown — seek,
 // settle/rotate, turnaround, transfer, overhead — for the MEMS device
 // and the Atlas 10K under all four schedulers, random workload, at a
@@ -21,8 +21,6 @@ func init() { register("phases", phasesPlan) }
 // where disk positioning is large and rotation-dominated — which is why
 // SPTF's advantage shrinks on MEMS (Fig. 6) and why organ-pipe layouts
 // pay off (§5).
-func Phases(p Params) []Table { return mustRun(phasesPlan(p)) }
-
 func phasesPlan(p Params) *Plan {
 	// Rates sit near half of FCFS saturation for each device (mean
 	// random 4 KB service ≈ 0.8 ms MEMS, ≈ 8.4 ms disk), so queues form
@@ -45,7 +43,6 @@ func phasesPlan(p Params) *Plan {
 	var jobs []*runner.Job
 	for _, dv := range devices {
 		for _, name := range names {
-			dv, name := dv, name
 			pc := sim.NewPhaseCollector()
 			j := &runner.Job{
 				Label:     fmt.Sprintf("phases %s %s rate=%g", dv.name, name, dv.rate),

@@ -15,7 +15,7 @@ import (
 
 func init() { register("power", powerPlan) }
 
-// Power quantifies §7 (an extension: the paper argues it without a
+// powerPlan quantifies §7 (an extension: the paper argues it without a
 // figure). A bursty Cello-like workload runs over power-managed devices:
 //
 //   - the MEMS device with the paper's single idle mode entered the
@@ -27,8 +27,6 @@ func init() { register("power", powerPlan) }
 //     timeouts expensive in response time;
 //   - a server-class disk (25 s spin-up, §6.3) for which standby is
 //     effectively unusable.
-func Power(p Params) []Table { return mustRun(powerPlan(p)) }
-
 func powerPlan(p Params) *Plan {
 	type variant struct {
 		device  string
@@ -61,12 +59,8 @@ func powerPlan(p Params) *Plan {
 					inner = newDisk()
 				}
 				tr := trace.GenerateCello(trace.DefaultCello(inner.Capacity(), p.Requests))
-				reqs := make([]*core.Request, tr.Len())
-				for i, rec := range tr.Records {
-					reqs[i] = rec.Request()
-				}
 				m := power.NewManaged(inner, v.model, v.policy)
-				res := sim.Run(job.SimContext(), m, sched.NewFCFS(), workload.NewFromSlice(reqs),
+				res := sim.Run(job.SimContext(), m, sched.NewFCFS(), workload.NewFromSlice(tr.Requests()),
 					sim.Options{})
 				if err := job.Ctx().Err(); err != nil {
 					return err

@@ -15,14 +15,12 @@ import (
 
 func init() { register("raid", raidPlan) }
 
-// RAID quantifies the §6.2 claim at array level (extension; no paper
+// raidPlan quantifies the §6.2 claim at array level (extension; no paper
 // figure): MEMS-based storage's near-zero read-modify-write
 // repositioning "obviates the need for the many optimizations" built to
 // hide RAID-5's small-write penalty on disks. Four-member rotated-parity
 // volumes of each device type service 4 KB writes, healthy and degraded
 // reads, and a full member rebuild scan.
-func RAID(p Params) []Table { return mustRun(raidPlan(p)) }
-
 func raidPlan(p Params) *Plan {
 	trials := p.Trials / 4
 	if trials < 50 {

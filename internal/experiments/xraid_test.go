@@ -180,7 +180,7 @@ member rebuild (full scan),44.4 s,476.4 s,10.72×
 
 func TestRAIDTableUnchanged(t *testing.T) {
 	var b bytes.Buffer
-	RAID(Quick())[0].CSV(&b)
+	run(t, "raid", Quick())[0].CSV(&b)
 	if b.String() != raidQuickCSV {
 		t.Errorf("raid table drifted:\n%s\nwant:\n%s", b.String(), raidQuickCSV)
 	}

@@ -8,30 +8,22 @@ import (
 	"memsim/internal/fault"
 	"memsim/internal/mems"
 	"memsim/internal/runner"
+	"memsim/internal/sched"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
 
 func init() { register("rebuild", rebuildPlan) }
 
-// Rebuild (extension) closes the §6.2 redundancy story dynamically: a
-// member of a live redundant volume is killed mid-run and the volume
-// keeps serving — degraded reads reconstruct from the peers, a hot
-// spare takes over, and an online rebuild streams the dead member's
-// contents back while competing with foreground traffic in the member
-// queues. MEMS volumes close the vulnerability window several times
-// faster than the Atlas 10K array at equal per-member capacity, at
-// every rebuild-throttle setting, while degraded-mode foreground
-// service stays in single milliseconds instead of tens.
-func Rebuild(p Params) []Table { return mustRun(rebuildPlan(p)) }
-
 // rebuildOutcome is one run's summary, returned by the job's Custom body.
 type rebuildOutcome struct {
-	mttrS       float64 // failure to rebuild completion, seconds
-	healthyP95  float64 // foreground p95 before failure / after failover, ms
-	degradedP95 float64 // foreground p95 while degraded, ms
-	chunks      int
-	lost        int
+	mttrS         float64 // failure to rebuild completion, seconds
+	healthyP95    float64 // foreground p95 before failure / after failover, ms
+	degradedP95   float64 // foreground p95 while degraded, ms
+	degradedP99   float64 // degraded-read (reconstruction) response p99, ms
+	degradedReads int
+	chunks        int
+	lost          int
 }
 
 // Shared volume geometry for the rebuild and mttdl artifacts: equal
@@ -75,6 +67,15 @@ func rebuildDevices() []rebuildDevice {
 	}
 }
 
+// rebuildPlan (extension) closes the §6.2 redundancy story dynamically: a
+// member of a live redundant volume is killed mid-run and the volume
+// keeps serving — degraded reads reconstruct from the peers, a hot
+// spare takes over, and an online rebuild streams the dead member's
+// contents back while competing with foreground traffic in the member
+// queues. MEMS volumes close the vulnerability window several times
+// faster than the Atlas 10K array at equal per-member capacity, at
+// every rebuild-throttle setting, while degraded-mode foreground
+// service stays in single milliseconds instead of tens.
 func rebuildPlan(p Params) *Plan {
 	// Policy selection (cmd/memsbench -rebuild-policy): the default ""
 	// runs the fixed-throttle sweep plus the adaptive row, so the fixed
@@ -107,13 +108,12 @@ func rebuildPlan(p Params) *Plan {
 	for fi, frac := range fracs {
 		grid[fi] = make([]*runner.Job, len(devices))
 		for di, dev := range devices {
-			dev, frac := dev, frac
 			j := &runner.Job{
 				Label: fmt.Sprintf("rebuild %s f=%g", dev.name, frac),
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, nil, p)
+				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, nil, p.MemberSched, p.FaultRate, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -127,13 +127,12 @@ func rebuildPlan(p Params) *Plan {
 	if adaptive {
 		adaptiveJobs = make([]*runner.Job, len(devices))
 		for di, dev := range devices {
-			dev := dev
 			j := &runner.Job{
 				Label: fmt.Sprintf("rebuild %s adaptive", dev.name),
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, sim.AdaptiveRebuild{}, p)
+				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, sim.AdaptiveRebuild{}, p.MemberSched, p.FaultRate, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -147,13 +146,12 @@ func rebuildPlan(p Params) *Plan {
 	if p.RebuildPolicy != "adaptive" {
 		mirror = make([]*runner.Job, len(devices))
 		for di, dev := range devices {
-			dev := dev
 			j := &runner.Job{
 				Label: fmt.Sprintf("rebuild mirror %s f=0.3", dev.name),
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, nil, p)
+				out := rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, nil, p.MemberSched, p.FaultRate, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -211,12 +209,30 @@ func rebuildPlan(p Params) *Plan {
 	}
 }
 
+// memberSched constructs one volume member scheduler by name; empty
+// selects the historical SPTF default (the Params.MemberSched
+// contract). An unknown name panics — cmd/memsbench validates the flag
+// at parse time, so reaching the panic means a caller bypassed
+// validation.
+func memberSched(name string) core.Scheduler {
+	if name == "" {
+		name = "SPTF"
+	}
+	s, err := sched.New(name)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // rebuildRun drives one volume through a mid-run member failure and
-// online rebuild, and distills the failover metrics. A non-nil policy
-// paces the rebuild dynamically; nil selects the fixed-fraction
-// throttle frac.
+// online rebuild, and distills the failover metrics. Every member queue
+// runs the named scheduler (see memberSched). A non-nil policy paces the
+// rebuild dynamically; nil selects the fixed-fraction throttle frac.
+// faultRate layers transient per-attempt errors on the device kill.
 func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
-	rate, frac float64, policy sim.RebuildPolicy, p Params) rebuildOutcome {
+	rate, frac float64, policy sim.RebuildPolicy, schedName string, faultRate float64,
+	p Params) rebuildOutcome {
 	v, err := array.NewVolume(cfg)
 	if err != nil {
 		panic(err)
@@ -226,19 +242,19 @@ func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
 	scheds := make([]core.Scheduler, n)
 	for i := range devs {
 		devs[i] = mk()
-		scheds[i] = memberSched(p)
+		scheds[i] = memberSched(schedName)
 	}
 	// Kill the chosen member a quarter of the way through the arrival
 	// stream, so the run measures healthy service on both sides of a
 	// mid-run failure.
 	failMs := 0.25 * float64(p.Requests) / rate * 1000
-	// The full retry envelope rides along so -fault-rate layers transient
-	// per-attempt errors on top of the scheduled device kill; at the
-	// default rate 0 the budgets are never consulted and the run is
-	// identical to a pure device-failure schedule.
+	// The full retry envelope rides along so faultRate layers transient
+	// per-attempt errors on top of the scheduled device kill; at rate 0
+	// the budgets are never consulted and the run is identical to a pure
+	// device-failure schedule.
 	icfg := fault.DefaultInjectorConfig()
 	icfg.Seed = p.faultSeed()
-	icfg.TransientRate = p.FaultRate
+	icfg.TransientRate = faultRate
 	icfg.DeviceEvents = []fault.DeviceEvent{{AtMs: failMs, Dev: p.FailDev % cfg.Members}}
 	inj, err := fault.NewInjector(icfg)
 	if err != nil {
@@ -264,10 +280,12 @@ func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
 	job.SimMs = res.Elapsed
 	vs := res.Volume
 	return rebuildOutcome{
-		mttrS:       vs.RebuildMs / 1000,
-		healthyP95:  vs.Healthy.P95(),
-		degradedP95: vs.Degraded.P95(),
-		chunks:      vs.RebuildChunks,
-		lost:        vs.LostRequests,
+		mttrS:         vs.RebuildMs / 1000,
+		healthyP95:    vs.Healthy.P95(),
+		degradedP95:   vs.Degraded.P95(),
+		degradedP99:   vs.ClassResponse[core.ClassDegradedRead].P99(),
+		degradedReads: vs.DegradedReads,
+		chunks:        vs.RebuildChunks,
+		lost:          vs.LostRequests,
 	}
 }

@@ -11,15 +11,13 @@ import (
 
 func init() { register("remap", remapPlan) }
 
-// RemapStudy quantifies §6.1.1's placement claim (extension): remapping
+// remapPlan quantifies §6.1.1's placement claim (extension): remapping
 // a defective MEMS sector to the *same tip sector on a spare tip*
 // preserves sequential access timing exactly, whereas disk-style
 // slipping to spare locations breaks physical sequentiality and taxes
 // every scan that crosses a remapped sector. A sequential scan runs over
 // a region with a growing fraction of defective sectors under both
 // policies on both devices.
-func RemapStudy(p Params) []Table { return mustRun(remapPlan(p)) }
-
 func remapPlan(p Params) *Plan {
 	const blocks = 512 // 256 KB pieces
 	scanLen := int64(p.ClosedRequests) * blocks

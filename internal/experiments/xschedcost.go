@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"memsim/internal/array"
 	"memsim/internal/core"
-	"memsim/internal/fault"
 	"memsim/internal/runner"
 	"memsim/internal/sched"
 	"memsim/internal/sim"
@@ -14,35 +12,6 @@ import (
 )
 
 func init() { register("schedcost", schedCostPlan) }
-
-// SchedCost (extension) exercises the cost-model scheduling framework
-// along both of its axes. Part one compares plain SPTF against the
-// settle-aware variant on each device type under the random workload:
-// SettleAware discounts the settling floor every candidate must pay, so
-// on the MEMS device (where settling dominates positioning, §4.1) it
-// ranks candidates by the portion of service the scheduler can actually
-// influence. Part two runs the rebuild regime with class-aware Priority
-// member queues: degraded-mode reconstruction reads jump ahead of
-// foreground and rebuild traffic, bounding the degraded-read tail that
-// plain SPTF lets rebuild chunks inflate.
-func SchedCost(p Params) []Table { return mustRun(schedCostPlan(p)) }
-
-// memberSched constructs one volume member scheduler per the
-// Params.MemberSched contract (empty selects the historical SPTF
-// default). An unknown name panics — cmd/memsbench validates the flag
-// at parse time, so reaching the panic means a caller bypassed
-// validation.
-func memberSched(p Params) core.Scheduler {
-	name := p.MemberSched
-	if name == "" {
-		name = "SPTF"
-	}
-	s, err := sched.New(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 // schedCostSchedulers is the single-device comparison set; a -sched
 // override appends one more policy to the sweep.
@@ -117,71 +86,6 @@ func schedCostRun(job *runner.Job, dev schedCostDevice, schedName string, p Para
 	}
 }
 
-// schedDegradedOutcome is one rebuild-regime run's summary under a
-// given member-queue policy.
-type schedDegradedOutcome struct {
-	degradedP99   float64 // degraded-read response p99, ms
-	degradedReads int
-	foregroundP95 float64 // healthy-window foreground p95, ms
-	mttrS         float64
-}
-
-// schedDegradedRun is the rebuild regime of xrebuild.go with the member
-// scheduling policy under test: a MEMS parity member dies a quarter of
-// the way through the arrival stream and the run measures the
-// degraded-read tail while the rebuild competes for the member queues.
-func schedDegradedRun(job *runner.Job, memberSched string, frac float64, p Params) schedDegradedOutcome {
-	cfg := rebuildParityCfg()
-	v, err := array.NewVolume(cfg)
-	if err != nil {
-		panic(err)
-	}
-	n := cfg.Devices()
-	devs := make([]core.Device, n)
-	scheds := make([]core.Scheduler, n)
-	for i := range devs {
-		devs[i] = newMEMS(1)
-		s, err := sched.New(memberSched)
-		if err != nil {
-			panic(err)
-		}
-		scheds[i] = s
-	}
-	rate := 1000.0
-	failMs := 0.25 * float64(p.Requests) / rate * 1000
-	inj, err := fault.NewInjector(fault.InjectorConfig{
-		DeviceEvents: []fault.DeviceEvent{{AtMs: failMs, Dev: p.FailDev % cfg.Members}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	src := workload.NewRandom(workload.RandomConfig{
-		Rate:         rate,
-		ReadFraction: 0.67,
-		MeanBytes:    4096,
-		MaxBytes:     32 * 1024,
-		SectorSize:   devs[0].SectorSize(),
-		Capacity:     cfg.Capacity(),
-		Count:        p.Requests,
-		Seed:         p.Seed,
-	})
-	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
-		Volume: v, Devices: devs, Scheds: scheds,
-		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac,
-	}, src, sim.Options{Warmup: p.Warmup, Injector: inj})
-	if err != nil {
-		panic(err)
-	}
-	job.SimMs = res.Elapsed
-	vs := res.Volume
-	return schedDegradedOutcome{
-		degradedP99:   vs.ClassResponse[core.ClassDegradedRead].P99(),
-		degradedReads: vs.DegradedReads,
-		foregroundP95: vs.Healthy.P95(),
-		mttrS:         vs.RebuildMs / 1000,
-	}
-}
-
 // schedDegradedFracs are the rebuild-throttle operating points of the
 // degraded-latency comparison.
 var schedDegradedFracs = []float64{0.3, 1.0}
@@ -190,6 +94,16 @@ var schedDegradedFracs = []float64{0.3, 1.0}
 // the historical cost-only default versus the class-aware policy.
 var schedDegradedScheds = []string{"SPTF", "Priority"}
 
+// schedCostPlan (extension) exercises the cost-model scheduling framework
+// along both of its axes. Part one compares plain SPTF against the
+// settle-aware variant on each device type under the random workload:
+// SettleAware discounts the settling floor every candidate must pay, so
+// on the MEMS device (where settling dominates positioning, §4.1) it
+// ranks candidates by the portion of service the scheduler can actually
+// influence. Part two runs the rebuild regime with class-aware Priority
+// member queues: degraded-mode reconstruction reads jump ahead of
+// foreground and rebuild traffic, bounding the degraded-read tail that
+// plain SPTF lets rebuild chunks inflate.
 func schedCostPlan(p Params) *Plan {
 	devices := schedCostDevices()
 	names := schedCostSchedulers(p)
@@ -199,7 +113,6 @@ func schedCostPlan(p Params) *Plan {
 	for di, dev := range devices {
 		grid[di] = make([]*runner.Job, len(names))
 		for si, name := range names {
-			dev, name := dev, name
 			j := &runner.Job{
 				Label: fmt.Sprintf("schedcost %s %s", dev.name, name),
 				Seed:  p.Seed,
@@ -220,13 +133,14 @@ func schedCostPlan(p Params) *Plan {
 	for fi, frac := range schedDegradedFracs {
 		degraded[fi] = make([]*runner.Job, len(schedDegradedScheds))
 		for si, name := range schedDegradedScheds {
-			frac, name := frac, name
 			j := &runner.Job{
 				Label: fmt.Sprintf("schedcost degraded %s f=%g", name, frac),
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := schedDegradedRun(job, name, frac, p)
+				// Fault rate 0 keeps -fault-rate off these rows, so they
+				// isolate the member-queue policy.
+				out := rebuildRun(job, rebuildParityCfg(), memsFactory(1), 1000, frac, nil, name, 0, p)
 				if err := job.Ctx().Err(); err != nil {
 					return err
 				}
@@ -260,10 +174,10 @@ func schedCostPlan(p Params) *Plan {
 					"SPTF fg-p95(ms)", "Priority fg-p95(ms)", "degr reads", "MTTR(s)"},
 			}
 			for fi, frac := range schedDegradedFracs {
-				s := degraded[fi][0].Value().(schedDegradedOutcome)
-				pr := degraded[fi][1].Value().(schedDegradedOutcome)
+				s := degraded[fi][0].Value().(rebuildOutcome)
+				pr := degraded[fi][1].Value().(rebuildOutcome)
 				b.AddRow(f2(frac), ms(s.degradedP99), ms(pr.degradedP99),
-					ms(s.foregroundP95), ms(pr.foregroundP95),
+					ms(s.healthyP95), ms(pr.healthyP95),
 					fmt.Sprintf("%d", s.degradedReads+pr.degradedReads), f2(pr.mttrS))
 			}
 			return []Table{a, b}

@@ -2,17 +2,16 @@ package experiments
 
 func init() { register("seekprofile", seekProfilePlan) }
 
-// SeekProfile (extension) tabulates the device's seek-time curves — the
-// mechanical facts from which Figs. 9 and 10 and the §4.4 settling
+// seekProfilePlan (extension) tabulates the device's seek-time curves —
+// the mechanical facts from which Figs. 9 and 10 and the §4.4 settling
 // analysis follow. For the MEMS device it reports X seek time vs.
 // distance for an interval at the sled center and the same interval at
 // the edge (§2.4.4: position-dependent because of the springs;
 // rest-to-rest seeks are direction- and mirror-symmetric, so interval
-// position is the whole story), the Y seek for the same physical
-// distance (which must end at access velocity), and the disk's seek
-// curve for contrast.
-func SeekProfile(p Params) []Table { return mustRun(seekProfilePlan(p)) }
-
+// position is the whole story), the Y seek for the same physical distance
+// (which must end at access velocity), and the disk's seek curve for
+// contrast.
+//
 // Pure seek-curve evaluation on private devices — one cheap job.
 func seekProfilePlan(p Params) *Plan {
 	return tablesJob("seekprofile", p.Seed, seekProfileBody)

@@ -11,7 +11,12 @@ import (
 
 func init() { register("shuffle", shufflePlan) }
 
-// ShuffleStudy quantifies the organ-pipe maintenance cost that §5.3
+// adaptiveCell carries the adaptive layout's two cost components.
+type adaptiveCell struct {
+	svc, mig float64
+}
+
+// shufflePlan quantifies the organ-pipe maintenance cost that §5.3
 // charges against it (extension): the layout "requires some state to be
 // kept indicating each block's popularity" and "blocks must be
 // periodically shuffled". The workload splits its traffic between two
@@ -22,13 +27,6 @@ func init() { register("shuffle", shufflePlan) }
 // streaming bandwidth — and the drift rate at which bookkeeping erases
 // the benefit, which is why the paper prefers the static bipartite
 // layouts.
-func ShuffleStudy(p Params) []Table { return mustRun(shufflePlan(p)) }
-
-// adaptiveCell carries the adaptive layout's two cost components.
-type adaptiveCell struct {
-	svc, mig float64
-}
-
 func shufflePlan(p Params) *Plan {
 	n := p.ClosedRequests
 	fracs := []int{1, 4, 16} // drift 1×, 4×, 16× per run

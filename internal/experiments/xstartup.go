@@ -11,15 +11,13 @@ import (
 
 func init() { register("startup", startupPlan) }
 
-// Startup quantifies §6.3 (extension): MEMS-based storage initializes in
-// ≈0.5 ms with no inrush surge, so a shelf of devices can start
-// concurrently; disks take seconds to spin up and are serialized to
-// avoid power spikes. The second table measures the synchronous-write
-// penalty the same section discusses: file systems and databases that
-// must write metadata synchronously pay the device's small-write latency
-// on the critical path.
-func Startup(p Params) []Table { return mustRun(startupPlan(p)) }
-
+// startupPlan quantifies §6.3 (extension): MEMS-based storage initializes
+// in ≈0.5 ms with no inrush surge, so a shelf of devices can start
+// concurrently; disks take seconds to spin up and are serialized to avoid
+// power spikes. The second table measures the synchronous-write penalty
+// the same section discusses: file systems and databases that must write
+// metadata synchronously pay the device's small-write latency on the
+// critical path.
 func startupPlan(p Params) *Plan {
 	trials := p.Trials
 	if trials > 1000 {

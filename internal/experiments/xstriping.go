@@ -13,14 +13,12 @@ import (
 
 func init() { register("striping", stripingPlan) }
 
-// StripingStudy (extension): the paper's TPC-C testbed striped its
-// database across two drives — the standard way to scale a volume's
-// throughput. The event-driven multi-queue simulator drives the random
-// workload over striped MEMS volumes of 1, 2 and 4 sleds under SPTF;
-// each member runs its own queue, so the volume's saturation rate scales
-// with member count.
-func StripingStudy(p Params) []Table { return mustRun(stripingPlan(p)) }
-
+// stripingPlan declares the striping study (extension): the paper's TPC-C
+// testbed striped its database across two drives — the standard way to
+// scale a volume's throughput. The event-driven multi-queue simulator
+// drives the random workload over striped MEMS volumes of 1, 2 and 4
+// sleds under SPTF; each member runs its own queue, so the volume's
+// saturation rate scales with member count.
 func stripingPlan(p Params) *Plan {
 	rates := []float64{1000, 2000, 4000, 6000, 8000}
 	counts := []int{1, 2, 4}

@@ -6,68 +6,27 @@ import (
 	"memsim/internal/core"
 )
 
-// ASPTF is aged shortest-positioning-time-first: each pending request's
-// positioning estimate is discounted by how long it has waited,
+// NewASPTF returns aged shortest-positioning-time-first: an SPTF queue
+// whose cost model discounts each pending request's positioning
+// estimate by how long it has waited,
 //
-//	effective(r) = EstimateAccess(r) − Weight · (now − r.Arrival)
+//	effective(r) = EstimateAccess(r) − weight · (now − r.Arrival)
 //
-// (Jacobson & Wilkes' aged variants). Pure SPTF's greediness starves
-// distant requests — our Fig. 6 reproduction shows its σ²/µ² exploding
-// right at the saturation knee, the regime where the paper observed
-// SPTF's "odd behavior" — and a small aging weight trades a little mean
-// response for bounded tails. ASPTF is an extension; the paper's figures
-// use the four classic algorithms.
-type ASPTF struct {
-	// Weight is the aging coefficient: ms of positioning time forgiven
-	// per ms of queue wait. 0 is pure SPTF; large values approach FCFS.
-	weight float64
-	// cost scores the positioning term before aging; core.AccessCost
-	// unless overridden, so aging composes with any base cost model.
-	cost core.CostModel
-	q    []*core.Request
-}
-
-var _ core.Scheduler = (*ASPTF)(nil)
-
-// NewASPTF returns an aged-SPTF queue with the given weight; it panics
-// on negative weights.
-func NewASPTF(weight float64) *ASPTF {
+// (Jacobson & Wilkes' aged variants). The weight is the aging
+// coefficient: ms of positioning time forgiven per ms of queue wait. 0
+// is pure SPTF; large values approach FCFS. Pure SPTF's greediness
+// starves distant requests — our Fig. 6 reproduction shows its σ²/µ²
+// exploding right at the saturation knee, the regime where the paper
+// observed SPTF's "odd behavior" — and a small aging weight trades a
+// little mean response for bounded tails. ASPTF is an extension; the
+// paper's figures use the four classic algorithms. It panics on
+// negative weights.
+func NewASPTF(weight float64) *SPTF {
 	if weight < 0 {
 		panic(fmt.Sprintf("sched: negative ASPTF weight %g", weight))
 	}
-	return &ASPTF{weight: weight, cost: core.AccessCost}
-}
-
-// Name implements core.Scheduler.
-func (s *ASPTF) Name() string { return fmt.Sprintf("ASPTF(%g)", s.weight) }
-
-// Add implements core.Scheduler.
-func (s *ASPTF) Add(r *core.Request) { s.q = append(s.q, r) }
-
-// Len implements core.Scheduler.
-func (s *ASPTF) Len() int { return len(s.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (s *ASPTF) Reset() {
-	clear(s.q)
-	s.q = s.q[:0]
-}
-
-// Next implements core.Scheduler.
-func (s *ASPTF) Next(d core.Device, now float64) *core.Request {
-	if len(s.q) == 0 {
-		return nil
+	aged := func(d core.Device, r *core.Request, now float64) float64 {
+		return core.AccessCost(d, r, now) - weight*(now-r.Arrival)
 	}
-	best, bestT := 0, 0.0
-	for i, r := range s.q {
-		t := s.cost(d, r, now) - s.weight*(now-r.Arrival)
-		if i == 0 || t < bestT {
-			best, bestT = i, t
-		}
-	}
-	r := s.q[best]
-	s.q[best] = s.q[len(s.q)-1]
-	s.q[len(s.q)-1] = nil
-	s.q = s.q[:len(s.q)-1]
-	return r
+	return NewCostSPTF(fmt.Sprintf("ASPTF(%g)", weight), aged)
 }

@@ -232,7 +232,7 @@ func (c *CLOOK) Next(core.Device, float64) *core.Request {
 // for disks this accounts for rotational position; for MEMS-based
 // storage it accounts for the parallel X/Y seeks, spring forces, and
 // settling time. Variants plug in a different scoring function rather
-// than a new queue type (see NewSettleAware).
+// than a new queue type (see NewSettleAware, NewASPTF).
 //
 // Ties break on queue position: among equal-cost candidates the
 // earliest-scanned wins (strict-less comparison), and the internal scan

@@ -183,7 +183,6 @@ func equivalenceScenarios(t *testing.T) []scenario {
 	// ── Open arrivals, single device ────────────────────────────────
 	for _, dev := range []string{"mems", "disk"} {
 		for _, sc := range []string{"FCFS", "SPTF"} {
-			dev, sc := dev, sc
 			mk := func(t *testing.T) core.Device {
 				if dev == "mems" {
 					return newMEMS(t)
@@ -216,7 +215,6 @@ func equivalenceScenarios(t *testing.T) []scenario {
 
 	// ── Closed, back-to-back ────────────────────────────────────────
 	for _, dev := range []string{"mems", "disk"} {
-		dev := dev
 		run := func(opts sim.Options) (sim.Result, error) {
 			var d core.Device
 			if dev == "mems" {
@@ -361,7 +359,6 @@ func equivalenceScenarios(t *testing.T) []scenario {
 func TestEquivalence(t *testing.T) {
 	const warmup = 40
 	for _, scn := range equivalenceScenarios(t) {
-		scn := scn
 		t.Run(scn.name, func(t *testing.T) {
 			execute := func(probed bool) string {
 				opts := sim.Options{Warmup: warmup}

@@ -294,10 +294,9 @@ func RunClosed(ctx *Context, d core.Device, src workload.Source, opts Options) R
 
 // ─── Generic event queue ───────────────────────────────────────────────
 //
-// EventQueue is the substrate under engine.go's discrete-event core (and
-// other simulations in this repository, such as the power-management
-// policies): a minimal deterministic time-ordered event list with stable
-// FIFO ordering for simultaneous events.
+// EventQueue is the substrate under engine.go's discrete-event core: a
+// minimal deterministic time-ordered event list with stable FIFO
+// ordering for simultaneous events.
 
 // Event is a timestamped callback.
 type Event struct {
@@ -385,15 +384,4 @@ func (q *EventQueue) Step() bool {
 	q.now = top.Time
 	top.Fn()
 	return true
-}
-
-// RunUntil dispatches events until the queue is empty or the next event
-// is after t.
-func (q *EventQueue) RunUntil(t float64) {
-	for len(q.h) > 0 && q.h[0].Time <= t {
-		q.Step()
-	}
-	if q.now < t {
-		q.now = t
-	}
 }

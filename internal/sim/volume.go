@@ -496,7 +496,6 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	}
 
 	for i := range doneFns {
-		i := i
 		doneFns[i] = func() {
 			fl := &inflight[i]
 			mr, vr := fl.mr, fl.vr
@@ -611,7 +610,6 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// coinciding with an arrival fires first (stable FIFO ties).
 	if e.inj != nil {
 		for _, ev := range e.inj.DeviceEvents() {
-			ev := ev
 			e.q.Schedule(ev.AtMs, func() { failSlot(ev.Dev, e.q.Now()) })
 		}
 	}

@@ -1,15 +1,13 @@
 // Package stats provides the streaming statistics used throughout the
 // simulator: online mean/variance accumulation (Welford's algorithm), the
 // squared coefficient of variation that the paper uses as its starvation
-// metric, fixed-bucket histograms, and percentile estimation over retained
-// samples.
+// metric, and percentile estimation over retained samples.
 //
 // All accumulators are plain values whose zero value is ready to use, in
 // keeping with the rest of the standard library.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -189,58 +187,3 @@ func (s *Sample) Percentile(p float64) float64 {
 
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Histogram counts observations into equal-width buckets over [Lo, Hi).
-// Observations outside the range are tallied in Under/Over.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	Under   int64
-	Over    int64
-	total   int64
-}
-
-// NewHistogram returns a histogram with n equal-width buckets spanning
-// [lo, hi). It panics if n <= 0 or hi <= lo, which indicate programmer
-// error rather than runtime conditions.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram bucket count must be positive")
-	}
-	if hi <= lo {
-		panic("stats: histogram range must be non-empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Add tallies one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) { // guard against floating-point edge
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total reports the number of observations tallied, including out-of-range.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketBounds returns the [lo, hi) bounds of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// String renders a compact textual summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("histogram[%g,%g) buckets=%d total=%d under=%d over=%d",
-		h.Lo, h.Hi, len(h.Buckets), h.total, h.Under, h.Over)
-}

@@ -212,79 +212,6 @@ func TestSamplePercentileMonotonic(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // under
-	h.Add(10) // over (range is half-open)
-	h.Add(99) // over
-	for i, c := range h.Buckets {
-		if c != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, c)
-		}
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Total() != 13 {
-		t.Errorf("total=%d, want 13", h.Total())
-	}
-	lo, hi := h.BucketBounds(3)
-	if lo != 3 || hi != 4 {
-		t.Errorf("bounds(3) = [%g,%g), want [3,4)", lo, hi)
-	}
-}
-
-func TestHistogramEdgeJustBelowHi(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	h.Add(math.Nextafter(1, 0)) // must land in the last bucket, not panic
-	if h.Buckets[2] != 1 {
-		t.Fatalf("value just below hi landed in %v", h.Buckets)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-		func() { NewHistogram(2, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for invalid histogram construction")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramConservation(t *testing.T) {
-	// Property: every added observation is counted exactly once.
-	f := func(xs []float64) bool {
-		h := NewHistogram(-100, 100, 17)
-		n := 0
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-			n++
-		}
-		sum := h.Under + h.Over
-		for _, c := range h.Buckets {
-			sum += c
-		}
-		return sum == int64(n) && h.Total() == int64(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMeterConcurrentAdds(t *testing.T) {
 	// A Meter must accumulate exactly like a Welford fed the same
 	// observations, regardless of how many goroutines feed it.

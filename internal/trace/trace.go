@@ -45,6 +45,15 @@ type Trace struct {
 	Records []Record
 }
 
+// Requests converts every record into a fresh request, in trace order.
+func (t *Trace) Requests() []*core.Request {
+	reqs := make([]*core.Request, len(t.Records))
+	for i, rec := range t.Records {
+		reqs[i] = rec.Request()
+	}
+	return reqs
+}
+
 // Len reports the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 

@@ -301,4 +301,9 @@ func TestRequestConversion(t *testing.T) {
 	if req.Arrival != 3 || req.Op != core.Write || req.LBN != 42 || req.Blocks != 7 {
 		t.Errorf("converted %+v", req)
 	}
+	tr := &Trace{Records: []Record{{TimeMs: 1, LBN: 5, Blocks: 1}, r}}
+	reqs := tr.Requests()
+	if len(reqs) != 2 || reqs[0].LBN != 5 || *reqs[1] != *req {
+		t.Errorf("Trace.Requests = %+v", reqs)
+	}
 }

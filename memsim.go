@@ -27,6 +27,7 @@
 package memsim
 
 import (
+	"errors"
 	"io"
 
 	"memsim/internal/core"
@@ -152,11 +153,7 @@ func GenerateTPCCTrace(capacity int64, count int) *Trace {
 
 // TraceSource converts a trace into a WorkloadSource.
 func TraceSource(t *Trace) WorkloadSource {
-	reqs := make([]*Request, t.Len())
-	for i, rec := range t.Records {
-		reqs[i] = rec.Request()
-	}
-	return workload.NewFromSlice(reqs)
+	return workload.NewFromSlice(t.Requests())
 }
 
 // ─── Simulation ─────────────────────────────────────────────────────────
@@ -343,6 +340,14 @@ func RunExperiment(id string, p ExperimentParams) ([]ExperimentTable, error) {
 // Results come back per requested ID, in order, and are byte-identical
 // to a sequential run regardless of worker count.
 func RunExperiments(ids []string, p ExperimentParams, workers int) ([][]ExperimentTable, error) {
-	out, _, err := experiments.RunMany(&runner.Context{Workers: workers}, ids, p)
-	return out, err
+	outs, _, err := experiments.RunEach(&runner.Context{Workers: workers}, ids, p)
+	out := make([][]ExperimentTable, len(outs))
+	errs := []error{err}
+	for i, o := range outs {
+		out[i], errs = o.Tables, append(errs, o.Err)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
