@@ -24,35 +24,20 @@ import (
 	"os"
 	"regexp"
 	"sort"
+
+	"memsim/internal/benchrec"
 )
 
-// Result mirrors cmd/benchrun's record.
-type Result struct {
-	Package     string  `json:"package"`
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// File mirrors cmd/benchrun's document.
-type File struct {
-	GoVersion  string   `json:"go_version"`
-	Quick      bool     `json:"quick"`
-	Benchmarks []Result `json:"benchmarks"`
-}
-
-func load(path string) (map[string]Result, *File, error) {
+func load(path string) (map[string]benchrec.Result, *benchrec.File, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var f File
+	var f benchrec.File
 	if err := json.Unmarshal(buf, &f); err != nil {
 		return nil, nil, fmt.Errorf("%s: %v", path, err)
 	}
-	m := make(map[string]Result, len(f.Benchmarks))
+	m := make(map[string]benchrec.Result, len(f.Benchmarks))
 	for _, r := range f.Benchmarks {
 		m[r.Package+":"+r.Name] = r
 	}

@@ -30,34 +30,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"memsim/internal/benchrec"
 )
-
-// Result is one benchmark measurement.
-type Result struct {
-	// Package is the Go package the benchmark lives in.
-	Package string `json:"package"`
-	// Name is the benchmark name including subbenchmarks, with the
-	// GOMAXPROCS suffix stripped (BenchmarkSchedNext/SPTF/depth=8).
-	Name string `json:"name"`
-	// Iterations is the b.N the reported averages cover.
-	Iterations int64 `json:"iterations"`
-	// NsPerOp, BytesPerOp and AllocsPerOp are the standard -benchmem
-	// triplet.
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// File is the BENCH_15.json document.
-type File struct {
-	// GoVersion records the toolchain that produced the numbers.
-	GoVersion string `json:"go_version"`
-	// Quick marks a CI-sized run (shorter benchtime, -short million
-	// benches); quick and full numbers are not comparable.
-	Quick bool `json:"quick"`
-	// Benchmarks holds every measurement, sorted by package then name.
-	Benchmarks []Result `json:"benchmarks"`
-}
 
 // suite is one `go test -bench` invocation.
 type suite struct {
@@ -90,7 +65,7 @@ func main() {
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},
 	}
 
-	doc := File{GoVersion: runtime.Version(), Quick: *quick}
+	doc := benchrec.File{GoVersion: runtime.Version(), Quick: *quick}
 	for _, s := range suites {
 		rs, err := runSuite(s)
 		if err != nil {
@@ -122,7 +97,7 @@ func main() {
 
 // runSuite executes one go test -bench invocation and parses its
 // benchmark lines.
-func runSuite(s suite) ([]Result, error) {
+func runSuite(s suite) ([]benchrec.Result, error) {
 	args := []string{"test", "-run", "^$", "-bench", s.pattern, "-benchmem",
 		"-benchtime", s.benchtime}
 	if s.short {
@@ -137,13 +112,13 @@ func runSuite(s suite) ([]Result, error) {
 		return nil, fmt.Errorf("%v\n%s", err, outBuf)
 	}
 	pkg := packageName(string(outBuf), s.pkg)
-	var rs []Result
+	var rs []benchrec.Result
 	for _, line := range strings.Split(string(outBuf), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
 		}
-		r := Result{Package: pkg, Name: m[1]}
+		r := benchrec.Result{Package: pkg, Name: m[1]}
 		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
 		if m[4] != "" {

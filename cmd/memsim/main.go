@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"memsim/internal/core"
 	"memsim/internal/disk"
@@ -28,7 +29,7 @@ import (
 func main() {
 	var (
 		device    = flag.String("device", "mems", "device model: mems | disk")
-		schedName = flag.String("sched", "SPTF", "scheduler: FCFS | SSTF_LBN | C-LOOK | SPTF | SettleAware | Priority")
+		schedName = flag.String("sched", "SPTF", "scheduler: "+strings.Join(sched.AllNames(), " | "))
 		rate      = flag.Float64("rate", 1000, "arrival rate for the random workload (req/s)")
 		requests  = flag.Int("requests", 20000, "number of requests")
 		warmup    = flag.Int("warmup", 1000, "completions excluded from statistics")
@@ -63,7 +64,7 @@ func main() {
 
 	s, err := sched.New(*schedName)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%w (want one of %s)", err, strings.Join(sched.AllNames(), ", ")))
 	}
 
 	var src workload.Source

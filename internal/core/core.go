@@ -149,8 +149,10 @@ type RecoveryModel interface {
 	// positioning error for req at simulated time now. u ∈ [0,1) is the
 	// injector's uniform draw selecting where in the recovery envelope the
 	// retry lands (for disks, the rotational fraction; for MEMS, the
-	// turnaround count).
-	ErrorPenalty(req *Request, now, u float64) float64
+	// turnaround count). ok is false when the device cannot price the
+	// error — a transparent wrapper over a device without a model — and
+	// the caller then charges its own fallback.
+	ErrorPenalty(req *Request, now, u float64) (ms float64, ok bool)
 }
 
 // Requeuer is optionally implemented by schedulers that distinguish

@@ -16,7 +16,10 @@ type ManagedDevice struct {
 	layout Layout
 }
 
-var _ Device = (*ManagedDevice)(nil)
+var (
+	_ Device        = (*ManagedDevice)(nil)
+	_ RecoveryModel = (*ManagedDevice)(nil)
+)
 
 // NewManagedDevice wraps inner with the given layout; a nil layout means
 // identity.
@@ -72,6 +75,15 @@ func (m *ManagedDevice) EstimateAccess(req *Request, now float64) float64 {
 // package-level EstimateBreakdown applies.
 func (m *ManagedDevice) EstimateBreakdown(req *Request, now float64) Breakdown {
 	return EstimateBreakdown(m.inner, m.remap(req), now)
+}
+
+// ErrorPenalty implements RecoveryModel by remapping the request and
+// delegating, mirroring EstimateAccess.
+func (m *ManagedDevice) ErrorPenalty(req *Request, now, u float64) (float64, bool) {
+	if rm, ok := m.inner.(RecoveryModel); ok {
+		return rm.ErrorPenalty(m.remap(req), now, u)
+	}
+	return 0, false
 }
 
 // LastBreakdown implements BreakdownReporter by delegation: remapping

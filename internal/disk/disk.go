@@ -363,7 +363,7 @@ func (d *Device) access(req *core.Request, now float64) (bd core.Breakdown, cyl,
 // the retry lands, so the expected penalty includes half a revolution.
 // This rotational re-miss is exactly the term the MEMS device does not
 // pay.
-func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
+func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) (float64, bool) {
 	if u < 0 {
 		u = 0
 	} else if u >= 1 {
@@ -374,7 +374,7 @@ func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
 		// Unreachable: u was clamped into [0,1).
 		panic(err)
 	}
-	return pen
+	return pen, true
 }
 
 // State returns the current cylinder and head (rotation is a function of

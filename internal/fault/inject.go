@@ -68,7 +68,7 @@ type InjectorConfig struct {
 	// request completes as failed.
 	MaxRequeues int
 	// FallbackPenaltyMs is the per-retry recovery cost charged for devices
-	// that do not implement core.RecoveryModel.
+	// whose core.RecoveryModel cannot price the error, or that have none.
 	FallbackPenaltyMs float64
 	// ECCSurchargeMs is the service-time surcharge per degraded sector a
 	// read must reconstruct through ECC.

@@ -201,7 +201,7 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 // fully controlled: there is no free-running rotation to re-miss
 // (§2.4.8). The turnaround is priced at the sled's current position and
 // velocity, the short seek as a single-cylinder X move.
-func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
+func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) (float64, bool) {
 	turnarounds := 1
 	if u >= 0.5 {
 		turnarounds = 2
@@ -216,7 +216,7 @@ func (d *Device) ErrorPenalty(_ *core.Request, _ float64, u float64) float64 {
 		// Unreachable: turnarounds ∈ {1,2} by construction.
 		panic(err)
 	}
-	return pen
+	return pen, true
 }
 
 // SeekX returns the X-dimension seek time in ms between two cylinders

@@ -151,7 +151,10 @@ type Managed struct {
 	rep           Report
 }
 
-var _ core.Device = (*Managed)(nil)
+var (
+	_ core.Device        = (*Managed)(nil)
+	_ core.RecoveryModel = (*Managed)(nil)
+)
 
 // NewManaged wraps inner with the given model and policy. It panics on an
 // invalid model (programmer-supplied configuration).
@@ -263,6 +266,16 @@ func (m *Managed) LastBreakdown() (core.Breakdown, bool) {
 	bd.Overhead += m.lastPenaltyMs
 	bd.ServiceMs += m.lastPenaltyMs
 	return bd, true
+}
+
+// ErrorPenalty implements core.RecoveryModel by delegation. The call is
+// not time-shifted: the penalty is charged after service, when any
+// restart has already been paid.
+func (m *Managed) ErrorPenalty(req *core.Request, now, u float64) (float64, bool) {
+	if rm, ok := m.inner.(core.RecoveryModel); ok {
+		return rm.ErrorPenalty(req, now, u)
+	}
+	return 0, false
 }
 
 // FinishAt extends the idle accounting to time end (ms) without an

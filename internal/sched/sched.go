@@ -9,6 +9,11 @@
 // al.). SPTF asks the device model for an exact positioning estimate,
 // which for disks captures rotational latency and for MEMS-based storage
 // captures the overlapped X/Y seeks and settling time (§4.2).
+//
+// Every policy embeds one pending-request core (Add, Len, Reset and a
+// swap-remove) and supplies only its own Next. The extensions are SPTF
+// with a different cost model (SettleAware, ASPTF) or with class bands
+// (Priority), never a new queue type.
 package sched
 
 import (
@@ -19,10 +24,8 @@ import (
 )
 
 // New constructs a scheduler by algorithm name: one of the paper's four
-// ("FCFS", "SSTF_LBN", "C-LOOK", "SPTF"), a cost-model extension
-// ("SettleAware", "Priority"), or an indexed large-queue variant
-// ("SPTF_IDX", "SettleAware_IDX"). It returns an error for unknown
-// names.
+// ("FCFS", "SSTF_LBN", "C-LOOK", "SPTF") or a cost-model extension
+// ("SettleAware", "Priority"). It returns an error for unknown names.
 func New(name string) (core.Scheduler, error) {
 	switch name {
 	case "FCFS":
@@ -37,10 +40,6 @@ func New(name string) (core.Scheduler, error) {
 		return NewSettleAware(), nil
 	case "Priority":
 		return NewPriority(), nil
-	case "SPTF_IDX":
-		return NewIndexedSPTF(), nil
-	case "SettleAware_IDX":
-		return NewIndexedSettleAware(), nil
 	default:
 		return nil, fmt.Errorf("sched: unknown algorithm %q", name)
 	}
@@ -51,37 +50,54 @@ func New(name string) (core.Scheduler, error) {
 // extensions; see AllNames.
 func Names() []string { return []string{"FCFS", "SSTF_LBN", "C-LOOK", "SPTF"} }
 
-// AllNames lists every name New accepts: the paper's four, the
-// cost-model extensions, and the indexed large-queue variants.
-func AllNames() []string {
-	return append(Names(), "SettleAware", "Priority", "SPTF_IDX", "SettleAware_IDX")
+// AllNames lists every name New accepts: the paper's four and the
+// cost-model extensions.
+func AllNames() []string { return append(Names(), "SettleAware", "Priority") }
+
+// queue is the pending-request core every policy shares: the pending
+// requests in scan order, and pos, the block following the most
+// recently dispatched request — the reference point for the
+// LBN-distance policies. Reset keeps the backing array (elements
+// cleared so serviced requests are not pinned) so a reused scheduler
+// does not regrow its queue from scratch every run.
+type queue struct {
+	q   []*core.Request
+	pos int64
+}
+
+// Add implements core.Scheduler.
+func (q *queue) Add(r *core.Request) { q.q = append(q.q, r) }
+
+// Len implements core.Scheduler.
+func (q *queue) Len() int { return len(q.q) }
+
+// Reset implements core.Scheduler.
+func (q *queue) Reset() {
+	clear(q.q)
+	q.q, q.pos = q.q[:0], 0
+}
+
+// take swap-removes and returns the i'th pending request, moving the
+// head position past it. Swap-removal permutes the scan order; the
+// policies' tie-breaks are defined on that permuted order.
+func (q *queue) take(i int) *core.Request {
+	r, last := q.q[i], len(q.q)-1
+	q.q[i] = q.q[last]
+	q.q[last] = nil
+	q.q = q.q[:last]
+	q.pos = r.LBN + int64(r.Blocks)
+	return r
 }
 
 // FCFS services requests strictly in arrival order. It is the reference
 // point that saturates first in Figs. 5 and 6.
-type FCFS struct {
-	q []*core.Request
-}
+type FCFS struct{ queue }
 
 // NewFCFS returns an empty FCFS queue.
 func NewFCFS() *FCFS { return &FCFS{} }
 
 // Name implements core.Scheduler.
 func (f *FCFS) Name() string { return "FCFS" }
-
-// Add implements core.Scheduler.
-func (f *FCFS) Add(r *core.Request) { f.q = append(f.q, r) }
-
-// Len implements core.Scheduler.
-func (f *FCFS) Len() int { return len(f.q) }
-
-// Reset implements core.Scheduler. The backing array is kept (elements
-// cleared so serviced requests are not pinned) so a reused scheduler
-// does not regrow its queue from scratch every run.
-func (f *FCFS) Reset() {
-	clear(f.q)
-	f.q = f.q[:0]
-}
 
 // Next implements core.Scheduler.
 func (f *FCFS) Next(core.Device, float64) *core.Request {
@@ -109,39 +125,16 @@ func (f *FCFS) Requeue(r *core.Request) {
 	f.q[0] = r
 }
 
-// lastLBN tracks the block following the most recently dispatched request,
-// the reference point for LBN-distance algorithms.
-type lastLBN struct {
-	pos int64
-}
-
-func (l *lastLBN) dispatched(r *core.Request) { l.pos = r.LBN + int64(r.Blocks) }
-
 // SSTF schedules the pending request whose starting LBN is closest to the
 // last accessed LBN ("SSTF_LBN" in the paper): a greedy policy with good
 // average performance but poor starvation resistance.
-type SSTF struct {
-	q []*core.Request
-	lastLBN
-}
+type SSTF struct{ queue }
 
 // NewSSTF returns an empty SSTF_LBN queue.
 func NewSSTF() *SSTF { return &SSTF{} }
 
 // Name implements core.Scheduler.
 func (s *SSTF) Name() string { return "SSTF_LBN" }
-
-// Add implements core.Scheduler.
-func (s *SSTF) Add(r *core.Request) { s.q = append(s.q, r) }
-
-// Len implements core.Scheduler.
-func (s *SSTF) Len() int { return len(s.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (s *SSTF) Reset() {
-	clear(s.q)
-	s.q, s.pos = s.q[:0], 0
-}
 
 // Next implements core.Scheduler.
 func (s *SSTF) Next(core.Device, float64) *core.Request {
@@ -161,41 +154,17 @@ func (s *SSTF) Next(core.Device, float64) *core.Request {
 	return s.take(best)
 }
 
-func (s *SSTF) take(i int) *core.Request {
-	r := s.q[i]
-	s.q[i] = s.q[len(s.q)-1]
-	s.q[len(s.q)-1] = nil
-	s.q = s.q[:len(s.q)-1]
-	s.dispatched(r)
-	return r
-}
-
 // CLOOK services requests in ascending LBN order, starting over with the
 // lowest pending LBN once no request lies ahead of the most recent one
 // (Seaman et al., 1966). It trades a little average performance for the
 // best starvation resistance of the four policies.
-type CLOOK struct {
-	q []*core.Request
-	lastLBN
-}
+type CLOOK struct{ queue }
 
 // NewCLOOK returns an empty C-LOOK queue.
 func NewCLOOK() *CLOOK { return &CLOOK{} }
 
 // Name implements core.Scheduler.
 func (c *CLOOK) Name() string { return "C-LOOK" }
-
-// Add implements core.Scheduler.
-func (c *CLOOK) Add(r *core.Request) { c.q = append(c.q, r) }
-
-// Len implements core.Scheduler.
-func (c *CLOOK) Len() int { return len(c.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (c *CLOOK) Reset() {
-	clear(c.q)
-	c.q, c.pos = c.q[:0], 0
-}
 
 // Next implements core.Scheduler.
 func (c *CLOOK) Next(core.Device, float64) *core.Request {
@@ -213,16 +182,10 @@ func (c *CLOOK) Next(core.Device, float64) *core.Request {
 			ahead = i
 		}
 	}
-	pick := ahead
-	if pick < 0 {
-		pick = lowest
+	if ahead < 0 {
+		ahead = lowest
 	}
-	r := c.q[pick]
-	c.q[pick] = c.q[len(c.q)-1]
-	c.q[len(c.q)-1] = nil
-	c.q = c.q[:len(c.q)-1]
-	c.dispatched(r)
-	return r
+	return c.take(ahead)
 }
 
 // SPTF services the pending request with the smallest predicted cost
@@ -231,22 +194,27 @@ func (c *CLOOK) Next(core.Device, float64) *core.Request {
 // shortest-positioning-time-first (Seltzer et al.; Jacobson & Wilkes):
 // for disks this accounts for rotational position; for MEMS-based
 // storage it accounts for the parallel X/Y seeks, spring forces, and
-// settling time. Variants plug in a different scoring function rather
-// than a new queue type (see NewSettleAware, NewASPTF).
+// settling time. Variants plug in a different scoring function or a
+// service band rather than a new queue type (see NewSettleAware,
+// NewASPTF, NewPriority).
 //
-// Ties break on queue position: among equal-cost candidates the
-// earliest-scanned wins (strict-less comparison), and the internal scan
-// order is arrival order permuted by swap-removal. Determinism tests
-// pin this.
+// Ties break on queue position: among equal-cost candidates in the same
+// band the earliest-scanned wins (strict-less comparison), and the
+// internal scan order is arrival order permuted by swap-removal.
+// Determinism tests pin this.
 type SPTF struct {
-	q    []*core.Request
+	queue
 	cost core.CostModel
 	name string
+	// band ranks a request's urgency at time now, lower first; the cost
+	// model only orders requests within the most urgent pending band.
+	// Nil means a single band.
+	band func(r *core.Request, now float64) int
 }
 
 // NewSPTF returns an empty SPTF queue scoring by full estimated service
 // time (core.AccessCost).
-func NewSPTF() *SPTF { return &SPTF{cost: core.AccessCost, name: "SPTF"} }
+func NewSPTF() *SPTF { return NewCostSPTF("SPTF", core.AccessCost) }
 
 // NewSettleAware returns an SPTF queue scoring by core.SettleAwareCost:
 // the estimate minus its settle phase. Settle is the unschedulable
@@ -254,9 +222,7 @@ func NewSPTF() *SPTF { return &SPTF{cost: core.AccessCost, name: "SPTF"} }
 // starts — so discounting it ranks candidates by the seek work the
 // scheduler can actually avoid. On devices that cannot estimate a
 // breakdown it behaves exactly like SPTF.
-func NewSettleAware() *SPTF {
-	return &SPTF{cost: core.SettleAwareCost, name: "SettleAware"}
-}
+func NewSettleAware() *SPTF { return NewCostSPTF("SettleAware", core.SettleAwareCost) }
 
 // NewCostSPTF returns an SPTF queue over an arbitrary cost model,
 // reported under the given name. It panics on a nil model.
@@ -270,35 +236,27 @@ func NewCostSPTF(name string, cost core.CostModel) *SPTF {
 // Name implements core.Scheduler.
 func (s *SPTF) Name() string { return s.name }
 
-// Add implements core.Scheduler.
-func (s *SPTF) Add(r *core.Request) { s.q = append(s.q, r) }
-
-// Len implements core.Scheduler.
-func (s *SPTF) Len() int { return len(s.q) }
-
-// Reset implements core.Scheduler, keeping queue capacity like FCFS.
-func (s *SPTF) Reset() {
-	clear(s.q)
-	s.q = s.q[:0]
-}
-
-// Next implements core.Scheduler.
+// Next implements core.Scheduler: the cheapest candidate in the most
+// urgent pending band. A candidate in a worse band than the best found
+// so far is skipped without consulting the cost model.
 func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 	if len(s.q) == 0 {
 		return nil
 	}
-	best, bestT := 0, 0.0
+	best, bestBand, bestT := -1, 0, 0.0
 	for i, r := range s.q {
-		t := s.cost(d, r, now)
-		if i == 0 || t < bestT {
-			best, bestT = i, t
+		band := 0
+		if s.band != nil {
+			band = s.band(r, now)
+		}
+		if best >= 0 && band > bestBand {
+			continue
+		}
+		if t := s.cost(d, r, now); best < 0 || band < bestBand || t < bestT {
+			best, bestBand, bestT = i, band, t
 		}
 	}
-	r := s.q[best]
-	s.q[best] = s.q[len(s.q)-1]
-	s.q[len(s.q)-1] = nil
-	s.q = s.q[:len(s.q)-1]
-	return r
+	return s.take(best)
 }
 
 // Drain removes and returns all pending requests in dispatch order —

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -324,5 +326,65 @@ func TestSSTFReducesSeekVsFCFS(t *testing.T) {
 	}
 	if sptf >= fcfs {
 		t.Errorf("SPTF total %g should beat FCFS %g", sptf, fcfs)
+	}
+}
+
+// TestDispatchOrderPinned pins every policy's dispatch order on the
+// MEMS G1 device: a seeded interleaving of Add and Next, with Access
+// advancing the clock, mixed request classes, arrivals older than
+// DefaultPromoteMs (Priority's promotion) and a mid-run Reset followed
+// by refills (the head-position reset of SSTF_LBN and C-LOOK). The
+// constants are FNV-1a hashes of the dispatched LBN sequences; any
+// change to a policy's choices, its tie-breaks or its scan order moves
+// them.
+func TestDispatchOrderPinned(t *testing.T) {
+	want := map[string]uint64{
+		"FCFS":        0x4b244e29c5b72877,
+		"SSTF_LBN":    0xd50344844f752e8d,
+		"C-LOOK":      0x83bd66ca6995da02,
+		"SPTF":        0x2893628710acdc8b,
+		"SettleAware": 0x11f17e59cc914ada,
+		"Priority":    0x315ebba72f08c364,
+	}
+	classes := []core.Class{core.ClassForeground, core.ClassDegradedRead, core.ClassRebuild}
+	for _, name := range []string{"FCFS", "SSTF_LBN", "C-LOOK", "SPTF", "SettleAware", "Priority"} {
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := mems.MustDevice(mems.DefaultConfig())
+		rng := rand.New(rand.NewSource(17))
+		h := fnv.New64a()
+		var buf [8]byte
+		now, n := 0.0, 0
+		dispatch := func() {
+			r := s.Next(d, now)
+			now += d.Access(r, now)
+			binary.LittleEndian.PutUint64(buf[:], uint64(r.LBN))
+			h.Write(buf[:])
+			n++
+		}
+		for step := 0; step < 3000; step++ {
+			if step == 1500 {
+				s.Reset()
+			}
+			if s.Len() == 0 || rng.Intn(100) < 52 {
+				s.Add(&core.Request{
+					Arrival: now - 2*DefaultPromoteMs*rng.Float64(),
+					Op:      core.Read,
+					LBN:     rng.Int63n(d.Capacity() - 64),
+					Blocks:  1 + rng.Intn(64),
+					Class:   classes[rng.Intn(len(classes))],
+				})
+				continue
+			}
+			dispatch()
+		}
+		for s.Len() > 0 {
+			dispatch()
+		}
+		if got := h.Sum64(); got != want[name] {
+			t.Errorf("%s: %d dispatches hash to %#x, want %#x", name, n, got, want[name])
+		}
 	}
 }

@@ -249,9 +249,12 @@ func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now f
 			serviced()
 			return svc, bd, false
 		}
-		pen := inj.FallbackPenaltyMs()
+		pen, priced := 0.0, false
 		if rm, ok := d.(core.RecoveryModel); ok {
-			pen = rm.ErrorPenalty(r, now+svc, inj.Draw())
+			pen, priced = rm.ErrorPenalty(r, now+svc, inj.Draw())
+		}
+		if !priced {
+			pen = inj.FallbackPenaltyMs()
 		}
 		retries++
 		r.Retries++

@@ -8,6 +8,7 @@ import (
 	"memsim/internal/disk"
 	"memsim/internal/fault"
 	"memsim/internal/mems"
+	"memsim/internal/power"
 	"memsim/internal/sched"
 	"memsim/internal/workload"
 )
@@ -48,26 +49,58 @@ func TestZeroRateInjectorMatchesNoInjector(t *testing.T) {
 func TestTransientErrorsChargeRecoveryTime(t *testing.T) {
 	// A fixed device has no §6.1.3 recovery model, so every retry costs
 	// exactly the fallback penalty — the accounting is checkable to the
-	// last millisecond.
-	d := &fixedDevice{svc: 2}
-	cfg := fault.DefaultInjectorConfig()
-	cfg.TransientRate = 0.2
-	cfg.FallbackPenaltyMs = 3
-	cfg.Seed = 5
-	src := workload.NewFromSlice(mkReqs(make([]float64, 500)))
-	res := Run(nil, d, sched.NewFCFS(), src, Options{Injector: mustInjector(t, cfg)})
-	if res.Retries == 0 {
-		t.Fatal("20% transient rate produced no retries")
+	// last millisecond. A transparent wrapper over it has a model that
+	// declines to price, and must fall back the same way.
+	for _, d := range []core.Device{
+		&fixedDevice{svc: 2},
+		core.NewManagedDevice(&fixedDevice{svc: 2}, nil),
+	} {
+		cfg := fault.DefaultInjectorConfig()
+		cfg.TransientRate = 0.2
+		cfg.FallbackPenaltyMs = 3
+		cfg.Seed = 5
+		src := workload.NewFromSlice(mkReqs(make([]float64, 500)))
+		res := Run(nil, d, sched.NewFCFS(), src, Options{Injector: mustInjector(t, cfg)})
+		if res.Retries == 0 {
+			t.Fatalf("%s: 20%% transient rate produced no retries", d.Name())
+		}
+		if want := float64(res.Retries) * 3; res.RecoveryMs != want {
+			t.Errorf("%s: recovery = %g ms, want retries×penalty = %g", d.Name(), res.RecoveryMs, want)
+		}
+		if res.Recovered == 0 {
+			t.Errorf("%s: no requests recovered from transient errors", d.Name())
+		}
+		// Busy time covers service plus recovery.
+		if want := float64(500)*2 + res.RecoveryMs; res.Busy != want {
+			t.Errorf("%s: busy = %g, want %g", d.Name(), res.Busy, want)
+		}
 	}
-	if want := float64(res.Retries) * 3; res.RecoveryMs != want {
-		t.Errorf("recovery = %g ms, want retries×penalty = %g", res.RecoveryMs, want)
+}
+
+func TestWrappersForwardRecoveryModel(t *testing.T) {
+	// core.ManagedDevice and power.Managed are transparent here (identity
+	// layout, never powered down), so an injected run must price every
+	// retry with the wrapped MEMS device's §6.1.3 penalty and consume the
+	// same injector draws: the Result is the bare device's, bit for bit.
+	run := func(d core.Device) Result {
+		cfg := fault.DefaultInjectorConfig()
+		cfg.TransientRate = 0.05
+		cfg.Seed = 5
+		src := workload.DefaultRandom(500, d.SectorSize(), d.Capacity(), 2000, 5)
+		return Run(nil, d, sched.NewFCFS(), src, Options{Injector: mustInjector(t, cfg)})
 	}
-	if res.Recovered == 0 {
-		t.Error("no requests recovered from transient errors")
+	bare := run(mems.MustDevice(mems.DefaultConfig()))
+	if bare.Retries == 0 {
+		t.Fatal("5% transient rate produced no retries")
 	}
-	// Busy time covers service plus recovery.
-	if want := float64(500)*2 + res.RecoveryMs; res.Busy != want {
-		t.Errorf("busy = %g, want %g", res.Busy, want)
+	for _, d := range []core.Device{
+		core.NewManagedDevice(mems.MustDevice(mems.DefaultConfig()), nil),
+		power.NewManaged(mems.MustDevice(mems.DefaultConfig()), power.MEMSModel(), power.AlwaysOn()),
+	} {
+		if got := run(d); !reflect.DeepEqual(got, bare) {
+			t.Errorf("%s: retries %d recovery %g ms, bare device %d / %g ms",
+				d.Name(), got.Retries, got.RecoveryMs, bare.Retries, bare.RecoveryMs)
+		}
 	}
 }
 
