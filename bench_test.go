@@ -148,47 +148,102 @@ func BenchmarkSPTFDispatchQueue64(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedNext measures one scheduling decision at queue depths
-// 8, 64 and 512 for every algorithm, on the MEMS device. The spread
-// between FCFS (O(1), no estimates) and the cost-model schedulers
-// (O(n) device estimates per dispatch) is the price of position-aware
-// scheduling; comparing SPTF against SettleAware/Priority isolates the
-// cost-model indirection's overhead.
-func BenchmarkSchedNext(b *testing.B) {
+// estimateCounter counts the full estimates a scheduler asks for.
+// Embedding the MEMS device keeps every optional interface it
+// implements, the lower bound that lets SPTF skip estimates included.
+type estimateCounter struct {
+	*MEMSDevice
+	estimates int
+}
+
+func (c *estimateCounter) EstimateAccess(r *Request, now float64) float64 {
+	c.estimates++
+	return c.MEMSDevice.EstimateAccess(r, now)
+}
+
+func (c *estimateCounter) EstimateBreakdown(r *Request, now float64) Breakdown {
+	c.estimates++
+	return c.MEMSDevice.EstimateBreakdown(r, now)
+}
+
+// schedNextLoop is BenchmarkSchedNext's workload: uniform random
+// requests (seed 9) on the MEMS device, the named scheduler's queue
+// refilled to depth after every dispatch, and the pick serviced. Under
+// a benchmark the timer covers only the dispatches. It returns the full
+// estimates the dispatches asked for.
+func schedNextLoop(tb testing.TB, name string, depth, dispatches int) int {
 	d, err := NewMEMSDevice(DefaultMEMSConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	c := &estimateCounter{MEMSDevice: d}
 	src := NewRandomWorkload(1000, d.SectorSize(), d.Capacity(), 65536, 9)
 	var reqs []*Request
 	for r := src.Next(); r != nil; r = src.Next() {
 		reqs = append(reqs, r)
 	}
+	s, err := NewScheduler(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	i := 0
+	refill := func() {
+		for s.Len() < depth {
+			reqs[i%len(reqs)].Arrival = 0
+			s.Add(reqs[i%len(reqs)])
+			i++
+		}
+	}
+	refill()
+	b, timed := tb.(*testing.B)
+	if timed {
+		b.ResetTimer()
+	}
+	for n := 0; n < dispatches; n++ {
+		c.Access(s.Next(c, 0), 0)
+		if timed {
+			b.StopTimer()
+		}
+		refill()
+		if timed {
+			b.StartTimer()
+		}
+	}
+	return c.estimates
+}
+
+// BenchmarkSchedNext measures one scheduling decision at queue depths
+// 8, 64 and 512 for every algorithm, on the MEMS device. The spread
+// between FCFS (O(1), no estimates) and the cost-model schedulers
+// (device estimates per dispatch) is the price of position-aware
+// scheduling; comparing SPTF against SettleAware/Priority isolates the
+// cost-model indirection's overhead. estimates/op is the full
+// estimates each dispatch asked for: a depth-long scan for SettleAware,
+// a handful for the bound-pruned SPTF and Priority.
+func BenchmarkSchedNext(b *testing.B) {
 	for _, name := range AllSchedulerNames() {
 		for _, depth := range []int{8, 64, 512} {
 			b.Run(fmt.Sprintf("%s/depth=%d", name, depth), func(b *testing.B) {
-				s, err := NewScheduler(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				i := 0
-				refill := func() {
-					for s.Len() < depth {
-						reqs[i%len(reqs)].Arrival = 0
-						s.Add(reqs[i%len(reqs)])
-						i++
-					}
-				}
-				refill()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					r := s.Next(d, 0)
-					d.Access(r, 0)
-					b.StopTimer()
-					refill()
-					b.StartTimer()
-				}
+				est := schedNextLoop(b, name, depth, b.N)
+				b.ReportMetric(float64(est)/float64(b.N), "estimates/op")
 			})
+		}
+	}
+}
+
+// TestSPTFPrunesEstimates fails when SPTF's bound pruning regresses, on
+// a count that does not depend on the machine: over BenchmarkSchedNext's
+// workload the mean full estimates per dispatch must stay at most 5 at
+// depths 64 and 512, where pricing every candidate would take 64 and
+// 512.
+func TestSPTFPrunesEstimates(t *testing.T) {
+	for _, depth := range []int{64, 512} {
+		const dispatches = 500
+		est := schedNextLoop(t, "SPTF", depth, dispatches)
+		if mean := float64(est) / dispatches; mean > 5 {
+			t.Errorf("depth %d: %.2f full estimates per dispatch, want ≤ 5", depth, mean)
+		} else {
+			t.Logf("depth %d: %.2f full estimates per dispatch", depth, mean)
 		}
 	}
 }

@@ -1,22 +1,24 @@
 // Command benchrun runs the repository's benchmark suites and writes
-// their results as machine-readable JSON (the BENCH_15.json format),
+// their results as machine-readable JSON (the BENCH_18.json format),
 // the input side of the benchmark-regression harness (cmd/benchgate
 // compares two such files).
 //
 // Usage:
 //
-//	go run ./cmd/benchrun -out BENCH_15.json          # full profile
+//	go run ./cmd/benchrun -out BENCH_18.json          # full profile
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
-// BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access and
-// SPTF-style EstimateAccess pricing), the schedulers at queue depths
-// 8/64/512 (BenchmarkSchedNext, every algorithm), the stats backends
+// BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access,
+// SPTF-style EstimateAccess pricing and the MEMS lower bound), the
+// schedulers at queue depths 8/64/512 (BenchmarkSchedNext, every
+// algorithm, with the full estimates per dispatch), the stats backends
 // (./internal/stats Dist/Sketch/Sample benches), and the
 // million-request end-to-end runs (BenchmarkEngineMillion; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
-// -benchmem, so every record carries ns/op, B/op and allocs/op.
+// -benchmem, so every record carries ns/op, B/op and allocs/op, plus
+// any custom unit the benchmark reports (estimates/op).
 package main
 
 import (
@@ -43,12 +45,48 @@ type suite struct {
 	short     bool
 }
 
-// benchLine matches one line of `go test -bench -benchmem` output.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// procSuffix is the GOMAXPROCS suffix go test appends to a benchmark
+// name.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// parseLine parses one result line of `go test -bench -benchmem`: the
+// name, the iteration count, then value-unit pairs — ns/op, any custom
+// units from b.ReportMetric, B/op and allocs/op. ok is false for any
+// other line.
+func parseLine(line string) (r benchrec.Result, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return r, false
+	}
+	iters, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return r, false
+	}
+	r = benchrec.Result{Name: procSuffix.ReplaceAllString(f[0], ""), Iterations: iters}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return r, false
+		}
+		switch unit := f[i+1]; unit {
+		case "ns/op":
+			r.NsPerOp, ok = v, true
+		case "B/op":
+			r.BytesPerOp = int64(v)
+		case "allocs/op":
+			r.AllocsPerOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[unit] = v
+		}
+	}
+	return r, ok
+}
 
 func main() {
-	out := flag.String("out", "BENCH_15.json", "output JSON path")
+	out := flag.String("out", "BENCH_18.json", "output JSON path")
 	quick := flag.Bool("quick", false, "CI-sized run: shorter benchtime, 100k-request EngineMillion")
 	flag.Parse()
 
@@ -59,7 +97,7 @@ func main() {
 		schedBT = "50x"
 	}
 	suites := []suite{
-		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkDiskEstimate)$", benchtime: bt},
+		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},
@@ -114,20 +152,10 @@ func runSuite(s suite) ([]benchrec.Result, error) {
 	pkg := packageName(string(outBuf), s.pkg)
 	var rs []benchrec.Result
 	for _, line := range strings.Split(string(outBuf), "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
+		if r, ok := parseLine(line); ok {
+			r.Package = pkg
+			rs = append(rs, r)
 		}
-		r := benchrec.Result{Package: pkg, Name: m[1]}
-		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			r.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		rs = append(rs, r)
 	}
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("no benchmark lines in output:\n%s", outBuf)

@@ -1,5 +1,5 @@
 // Package benchrec defines the machine-readable benchmark record that
-// cmd/benchrun writes and cmd/benchgate compares (the BENCH_15.json
+// cmd/benchrun writes and cmd/benchgate compares (the BENCH_18.json
 // format). A committed profile is the MarshalIndent of a File with
 // two-space indentation and a trailing newline.
 package benchrec
@@ -18,6 +18,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Metrics holds the custom units the benchmark reported with
+	// b.ReportMetric, keyed by unit (estimates/op).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // File is one benchmark profile document.

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class tags a request with the role it plays in the system, so
 // class-aware schedulers can order a volume member's queue by urgency
@@ -63,6 +66,29 @@ func SettleAwareCost(d Device, r *Request, now float64) float64 {
 		return d.EstimateAccess(r, now)
 	}
 	return bd.ServiceMs - bd.Settle
+}
+
+// LowerBounder is implemented by device models that can bound an
+// estimate from below far more cheaply than computing it. The bound
+// must never exceed EstimateAccess for the same request and time — bit
+// for bit, with no tolerance — and must not change device or request
+// state. Cost-model schedulers use it to skip candidates that cannot
+// beat the best estimate found so far, so a bound that is ever too high
+// changes which request they pick.
+type LowerBounder interface {
+	AccessLowerBound(req *Request, now float64) float64
+}
+
+// AccessCostBound is the lower bound that pairs with AccessCost: d's
+// AccessLowerBound, or −Inf when d cannot bound its estimate, so a
+// scheduler prices every candidate of such a device in full. −Inf
+// rather than 0 keeps the bound valid for derived cost models that can
+// go negative.
+func AccessCostBound(d Device, r *Request, now float64) float64 {
+	if lb, ok := d.(LowerBounder); ok {
+		return lb.AccessLowerBound(r, now)
+	}
+	return math.Inf(-1)
 }
 
 // BreakdownEstimator is implemented by device models that can estimate

@@ -14,11 +14,16 @@ import "fmt"
 type ManagedDevice struct {
 	inner  Device
 	layout Layout
+	// remapped is the request remap hands to the inner device, reused so
+	// remapping does not allocate. Devices are single-threaded, and no
+	// device keeps a request pointer past the call it was passed to.
+	remapped Request
 }
 
 var (
 	_ Device        = (*ManagedDevice)(nil)
 	_ RecoveryModel = (*ManagedDevice)(nil)
+	_ LowerBounder  = (*ManagedDevice)(nil)
 )
 
 // NewManagedDevice wraps inner with the given layout; a nil layout means
@@ -45,6 +50,7 @@ func (m *ManagedDevice) SectorSize() int { return m.inner.SectorSize() }
 func (m *ManagedDevice) Reset() { m.inner.Reset() }
 
 // remap translates req through the layout, checking extent contiguity.
+// The result is valid until the next remap.
 func (m *ManagedDevice) remap(req *Request) *Request {
 	start := m.layout.Map(req.LBN)
 	if req.Blocks > 1 {
@@ -54,9 +60,9 @@ func (m *ManagedDevice) remap(req *Request) *Request {
 				m.layout.Name(), req.LBN, req.LBN+int64(req.Blocks), start, end))
 		}
 	}
-	r := *req
-	r.LBN = start
-	return &r
+	m.remapped = *req
+	m.remapped.LBN = start
+	return &m.remapped
 }
 
 // Access implements Device.
@@ -75,6 +81,17 @@ func (m *ManagedDevice) EstimateAccess(req *Request, now float64) float64 {
 // package-level EstimateBreakdown applies.
 func (m *ManagedDevice) EstimateBreakdown(req *Request, now float64) Breakdown {
 	return EstimateBreakdown(m.inner, m.remap(req), now)
+}
+
+// AccessLowerBound implements LowerBounder by remapping the request and
+// delegating, mirroring EstimateAccess. Over an inner device with no
+// bound it returns 0, which bounds every estimate: service times are
+// never negative.
+func (m *ManagedDevice) AccessLowerBound(req *Request, now float64) float64 {
+	if lb, ok := m.inner.(LowerBounder); ok {
+		return lb.AccessLowerBound(m.remap(req), now)
+	}
+	return 0
 }
 
 // ErrorPenalty implements RecoveryModel by remapping the request and

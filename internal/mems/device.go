@@ -2,6 +2,7 @@ package mems
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"memsim/internal/core"
@@ -36,6 +37,7 @@ type Device struct {
 var (
 	_ core.Device            = (*Device)(nil)
 	_ core.BreakdownReporter = (*Device)(nil)
+	_ core.LowerBounder      = (*Device)(nil)
 )
 
 // NewDevice builds a device from cfg, validating the geometry.
@@ -122,29 +124,13 @@ func (d *Device) EstimateBreakdown(req *core.Request, _ float64) core.Breakdown 
 // pre-decomposition model.
 func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 	g := d.geo
-	if req.Blocks <= 0 {
-		panic(fmt.Sprintf("mems: request with %d blocks", req.Blocks))
-	}
-	if req.LBN < 0 || req.LBN+int64(req.Blocks) > g.TotalSectors {
-		panic(fmt.Sprintf("mems: request [%d,%d) outside device capacity %d",
-			req.LBN, req.LBN+int64(req.Blocks), g.TotalSectors))
-	}
+	g.checkRequest(req)
 	bd := core.Breakdown{Overhead: g.Overhead}
 	positioning := 0.0
 	lbn := req.LBN
 	remaining := req.Blocks
 	for remaining > 0 {
-		cyl, track, row, slot := g.Decompose(lbn)
-		// Sectors left in this track from (row, slot).
-		inTrack := g.SectorsPerTrack - (row*g.SectorsPerRow + slot)
-		n := remaining
-		if n > inTrack {
-			n = inTrack
-		}
-		last := row*g.SectorsPerRow + slot + n - 1
-		rowHi := last / g.SectorsPerRow
-		_ = track // track selection changes active tips, not sled position
-
+		cyl, row, rowHi, n := g.segment(lbn, remaining)
 		tb := float64(g.TipSectorBits)
 		// X positioning (with settle) happens once per cylinder change.
 		tx, xs := 0.0, 0.0
@@ -192,6 +178,73 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 	}
 	bd.ServiceMs = positioning + bd.Transfer + bd.Overhead
 	return bd, st
+}
+
+// checkRequest panics on a request that is empty or reaches outside the
+// device.
+func (g *Geometry) checkRequest(req *core.Request) {
+	if req.Blocks <= 0 {
+		panic(fmt.Sprintf("mems: request with %d blocks", req.Blocks))
+	}
+	if req.LBN < 0 || req.LBN+int64(req.Blocks) > g.TotalSectors {
+		panic(fmt.Sprintf("mems: request [%d,%d) outside device capacity %d",
+			req.LBN, req.LBN+int64(req.Blocks), g.TotalSectors))
+	}
+}
+
+// segment returns the track span a request's remaining sectors start
+// with at lbn: its cylinder, its first and last rows, and the n sectors
+// it covers. access and AccessLowerBound both split requests here, so
+// their segments cannot drift apart. The track within the cylinder
+// selects the active tips, not the sled position, so it is dropped.
+func (g *Geometry) segment(lbn int64, remaining int) (cyl, row, rowHi, n int) {
+	cyl, _, row, slot := g.Decompose(lbn)
+	first := row*g.SectorsPerRow + slot
+	// Sectors left in this track from (row, slot).
+	n = min(remaining, g.SectorsPerTrack-first)
+	return cyl, row, (first + n - 1) / g.SectorsPerRow, n
+}
+
+// AccessLowerBound implements core.LowerBounder. It walks the segments
+// of access and keeps their transfer terms exactly, in the same order,
+// but prices positioning by a bound: nothing for the later segments,
+// and max(X bound, Y bound) for the first.
+//
+// The X bound is the rest-to-rest seek of a sled whose acceleration
+// never exceeds Accel·(1+SpringFactor) — the actuator plus the spring
+// at full displacement, the most either can pull — scaled down by
+// 1e-9 so float rounding cannot lift it above the solved seek (at
+// spring 0 the two are the same expression), plus the settle. The Y
+// bound is the exact Y seek from the row-boundary table, or 0 when the
+// sled is off the grid. Each term is ≤ its counterpart in access and
+// float addition is monotone, so the sum is ≤ EstimateAccess bit for
+// bit.
+func (d *Device) AccessLowerBound(req *core.Request, _ float64) float64 {
+	g := d.geo
+	g.checkRequest(req)
+	positioning, transfer := 0.0, 0.0
+	lbn := req.LBN
+	remaining := req.Blocks
+	for first := true; remaining > 0; first = false {
+		cyl, row, rowHi, n := g.segment(lbn, remaining)
+		if first {
+			tx := 0.0
+			if cyl != d.st.cyl {
+				dx := math.Abs(g.XPos(cyl) - g.XPos(d.st.cyl))
+				tx = 2*math.Sqrt(dx/((1+g.SpringFactor)*g.SledAccel))*1e3*(1-1e-9) + g.SettleMs
+			}
+			ty := 0.0
+			if d.st.yRow >= 0 {
+				tyF, tyR := d.ytab.seeks(d.st.yRow, d.st.vdir, row, rowHi+1)
+				ty = min(tyF, tyR)
+			}
+			positioning = max(tx, ty)
+		}
+		transfer += float64(rowHi-row+1) * g.RowTimeMs
+		lbn += int64(n)
+		remaining -= n
+	}
+	return positioning + transfer + g.Overhead
 }
 
 // ErrorPenalty implements core.RecoveryModel with the §6.1.3 MEMS

@@ -154,6 +154,7 @@ type Managed struct {
 var (
 	_ core.Device        = (*Managed)(nil)
 	_ core.RecoveryModel = (*Managed)(nil)
+	_ core.LowerBounder  = (*Managed)(nil)
 )
 
 // NewManaged wraps inner with the given model and policy. It panics on an
@@ -222,14 +223,32 @@ func (m *Managed) Access(req *core.Request, now float64) float64 {
 	return total
 }
 
+// restartPenalty is the restart a request arriving at now would pay,
+// without committing any state.
+func (m *Managed) restartPenalty(now float64) float64 {
+	if gap := now - m.lastBusyEnd; gap > m.policy.TimeoutMs {
+		return m.model.RestartMs
+	}
+	return 0
+}
+
 // EstimateAccess implements core.Device: the estimate includes the
 // restart penalty the request would pay, without committing any state.
 func (m *Managed) EstimateAccess(req *core.Request, now float64) float64 {
-	penalty := 0.0
-	if gap := now - m.lastBusyEnd; gap > m.policy.TimeoutMs {
-		penalty = m.model.RestartMs
-	}
+	penalty := m.restartPenalty(now)
 	return penalty + m.inner.EstimateAccess(req, now+penalty)
+}
+
+// AccessLowerBound implements core.LowerBounder: the restart penalty
+// plus the wrapped device's bound at the restart-shifted start time,
+// mirroring EstimateAccess term for term. Over a device with no bound
+// the penalty alone bounds the estimate.
+func (m *Managed) AccessLowerBound(req *core.Request, now float64) float64 {
+	penalty := m.restartPenalty(now)
+	if lb, ok := m.inner.(core.LowerBounder); ok {
+		return penalty + lb.AccessLowerBound(req, now+penalty)
+	}
+	return penalty
 }
 
 // EstimateBreakdown implements core.BreakdownEstimator: the wrapped
@@ -237,10 +256,7 @@ func (m *Managed) EstimateAccess(req *core.Request, now float64) float64 {
 // with any restart penalty charged to Overhead — the same convention as
 // LastBreakdown — so ServiceMs equals what EstimateAccess returns.
 func (m *Managed) EstimateBreakdown(req *core.Request, now float64) core.Breakdown {
-	penalty := 0.0
-	if gap := now - m.lastBusyEnd; gap > m.policy.TimeoutMs {
-		penalty = m.model.RestartMs
-	}
+	penalty := m.restartPenalty(now)
 	bd := core.EstimateBreakdown(m.inner, req, now+penalty)
 	bd.Overhead += penalty
 	bd.ServiceMs += penalty

@@ -28,5 +28,11 @@ func NewASPTF(weight float64) *SPTF {
 	aged := func(d core.Device, r *core.Request, now float64) float64 {
 		return core.AccessCost(d, r, now) - weight*(now-r.Arrival)
 	}
-	return NewCostSPTF(fmt.Sprintf("ASPTF(%g)", weight), aged)
+	s := NewCostSPTF(fmt.Sprintf("ASPTF(%g)", weight), aged)
+	// The same discount applied to core.AccessCostBound bounds aged:
+	// float subtraction of the same amount is monotone.
+	s.bound = func(d core.Device, r *core.Request, now float64) float64 {
+		return core.AccessCostBound(d, r, now) - weight*(now-r.Arrival)
+	}
+	return s
 }

@@ -11,9 +11,12 @@ import "memsim/internal/core"
 const DefaultPromoteMs = 50
 
 // NewPriority returns a Priority queue over core.AccessCost with the
-// DefaultPromoteMs starvation bound.
+// DefaultPromoteMs starvation bound. Like NewSPTF it prices in full
+// only the candidates whose core.AccessCostBound could still win.
 func NewPriority() *SPTF {
-	return NewPriorityWith(core.AccessCost, DefaultPromoteMs)
+	s := NewPriorityWith(core.AccessCost, DefaultPromoteMs)
+	s.bound = core.AccessCostBound
+	return s
 }
 
 // NewPriorityWith returns "Priority": an SPTF with a class band. It
@@ -29,7 +32,8 @@ func NewPriority() *SPTF {
 // worst-case queue delay of a rebuild chunk under sustained foreground
 // load is promoteMs plus one band-drain, not unbounded. promoteMs ≤ 0
 // disables promotion (strict bands, unbounded rebuild starvation). It
-// panics on a nil model.
+// prices every candidate of the most urgent band in full, and panics on
+// a nil model.
 func NewPriorityWith(cost core.CostModel, promoteMs float64) *SPTF {
 	s := NewCostSPTF("Priority", cost)
 	s.band = func(r *core.Request, now float64) int {

@@ -18,6 +18,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"memsim/internal/core"
@@ -199,33 +200,53 @@ func (c *CLOOK) Next(core.Device, float64) *core.Request {
 // NewASPTF, NewPriority).
 //
 // Ties break on queue position: among equal-cost candidates in the same
-// band the earliest-scanned wins (strict-less comparison), and the
-// internal scan order is arrival order permuted by swap-removal.
-// Determinism tests pin this.
+// band the earliest-scanned wins, and the internal scan order is
+// arrival order permuted by swap-removal. Determinism tests pin this.
 type SPTF struct {
 	queue
 	cost core.CostModel
-	name string
+	// bound, when set, is a lower bound on cost that is cheaper to
+	// evaluate: never above cost for the same arguments, bit for bit.
+	// Next prices in full only the candidates whose bound could still
+	// win. Nil means no bound.
+	bound core.CostModel
+	name  string
 	// band ranks a request's urgency at time now, lower first; the cost
 	// model only orders requests within the most urgent pending band.
 	// Nil means a single band.
 	band func(r *core.Request, now float64) int
+	// cands holds each pending request's band and bound during Next,
+	// reused across calls.
+	cands []candidate
+}
+
+// candidate is one pending request's band and cost lower bound.
+type candidate struct {
+	band  int
+	bound float64
 }
 
 // NewSPTF returns an empty SPTF queue scoring by full estimated service
 // time (core.AccessCost).
-func NewSPTF() *SPTF { return NewCostSPTF("SPTF", core.AccessCost) }
+func NewSPTF() *SPTF {
+	s := NewCostSPTF("SPTF", core.AccessCost)
+	s.bound = core.AccessCostBound
+	return s
+}
 
 // NewSettleAware returns an SPTF queue scoring by core.SettleAwareCost:
 // the estimate minus its settle phase. Settle is the unschedulable
 // floor of MEMS positioning — every access pays it wherever the sled
 // starts — so discounting it ranks candidates by the seek work the
 // scheduler can actually avoid. On devices that cannot estimate a
-// breakdown it behaves exactly like SPTF.
+// breakdown it behaves exactly like SPTF. It prices every candidate in
+// full: a request that crosses cylinders can pay more than one settle,
+// so the estimate minus one settle has no proven cheap bound.
 func NewSettleAware() *SPTF { return NewCostSPTF("SettleAware", core.SettleAwareCost) }
 
 // NewCostSPTF returns an SPTF queue over an arbitrary cost model,
-// reported under the given name. It panics on a nil model.
+// reported under the given name; it prices every candidate in full. It
+// panics on a nil model.
 func NewCostSPTF(name string, cost core.CostModel) *SPTF {
 	if cost == nil {
 		panic("sched: nil cost model")
@@ -236,24 +257,41 @@ func NewCostSPTF(name string, cost core.CostModel) *SPTF {
 // Name implements core.Scheduler.
 func (s *SPTF) Name() string { return s.name }
 
-// Next implements core.Scheduler: the cheapest candidate in the most
-// urgent pending band. A candidate in a worse band than the best found
-// so far is skipped without consulting the cost model.
+// Next implements core.Scheduler: the pending request with the
+// lexicographically least (band, cost, queue index). A first pass
+// records every candidate's band and cost bound and fully prices the
+// seed, the least (band, bound, index). A second pass in queue order
+// prices only the candidates that could still beat the best so far: a
+// worse band, a bound above the best cost, or a bound equal to it at a
+// later index cannot win, because cost ≥ bound. With no bound every
+// candidate in the most urgent band is priced. The pick is the same
+// either way; no sort is needed, so a dispatch stays O(n).
 func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 	if len(s.q) == 0 {
 		return nil
 	}
-	best, bestBand, bestT := -1, 0, 0.0
+	s.cands = s.cands[:0]
+	seed := 0
 	for i, r := range s.q {
-		band := 0
+		c := candidate{bound: math.Inf(-1)}
 		if s.band != nil {
-			band = s.band(r, now)
+			c.band = s.band(r, now)
 		}
-		if best >= 0 && band > bestBand {
+		if s.bound != nil {
+			c.bound = s.bound(d, r, now)
+		}
+		s.cands = append(s.cands, c)
+		if sc := s.cands[seed]; c.band < sc.band || c.band == sc.band && c.bound < sc.bound {
+			seed = i
+		}
+	}
+	best, bestBand, bestT := seed, s.cands[seed].band, s.cost(d, s.q[seed], now)
+	for i, c := range s.cands {
+		if i == seed || c.band > bestBand || c.bound > bestT || c.bound == bestT && i > best {
 			continue
 		}
-		if t := s.cost(d, r, now); best < 0 || band < bestBand || t < bestT {
-			best, bestBand, bestT = i, band, t
+		if t := s.cost(d, s.q[i], now); t < bestT || t == bestT && i < best {
+			best, bestT = i, t
 		}
 	}
 	return s.take(best)

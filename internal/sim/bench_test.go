@@ -47,11 +47,11 @@ func BenchmarkDiskAccess(b *testing.B) {
 var estimateSink float64
 
 // benchEstimate times the cost-model side of one SPTF dispatch: each op
-// prices 8 queued candidates with EstimateAccess from one device state.
+// prices 8 queued candidates with price from one device state.
 // The states come from 64 devices, each moved by one Access before the
 // timer starts, so the timed loop holds neither Access nor timer
 // toggles; each device is priced at the completion time of its Access.
-func benchEstimate(b *testing.B, newDev func() core.Device) {
+func benchEstimate(b *testing.B, newDev func() core.Device, price core.CostModel) {
 	const states, depth = 64, 8
 	devs := make([]core.Device, states)
 	nows := make([]float64, states)
@@ -68,7 +68,7 @@ func benchEstimate(b *testing.B, newDev func() core.Device) {
 	for i := 0; i < b.N; i++ {
 		d, now := devs[i%states], nows[i%states]
 		for _, r := range reqs[(i*depth)%len(reqs):][:depth] {
-			estimateSink += d.EstimateAccess(r, now)
+			estimateSink += price(d, r, now)
 		}
 	}
 }
@@ -76,13 +76,20 @@ func benchEstimate(b *testing.B, newDev func() core.Device) {
 // BenchmarkMEMSEstimate is SPTF's per-dispatch pricing on the MEMS
 // device; an op is 8 EstimateAccess calls.
 func BenchmarkMEMSEstimate(b *testing.B) {
-	benchEstimate(b, func() core.Device { return mems.MustDevice(mems.DefaultConfig()) })
+	benchEstimate(b, func() core.Device { return mems.MustDevice(mems.DefaultConfig()) }, core.AccessCost)
+}
+
+// BenchmarkMEMSLowerBound is the MEMS device's cheap side of a pruned
+// SPTF dispatch; an op is 8 AccessLowerBound calls on the same
+// candidates BenchmarkMEMSEstimate prices in full.
+func BenchmarkMEMSLowerBound(b *testing.B) {
+	benchEstimate(b, func() core.Device { return mems.MustDevice(mems.DefaultConfig()) }, core.AccessCostBound)
 }
 
 // BenchmarkDiskEstimate is SPTF's per-dispatch pricing on the disk
 // model; an op is 8 EstimateAccess calls.
 func BenchmarkDiskEstimate(b *testing.B) {
-	benchEstimate(b, func() core.Device { return disk.MustDevice(disk.Atlas10K()) })
+	benchEstimate(b, func() core.Device { return disk.MustDevice(disk.Atlas10K()) }, core.AccessCost)
 }
 
 // discardProbe is the cheapest possible observer; it isolates the
