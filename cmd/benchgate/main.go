@@ -1,16 +1,18 @@
 // Command benchgate compares a current benchrun profile against the
-// committed baseline (BENCH_18.json) and fails when a gated benchmark
+// committed baseline (BENCH_19.json) and fails when a gated benchmark
 // regressed beyond the threshold — the CI side of the
 // benchmark-regression harness.
 //
 // Usage:
 //
-//	go run ./cmd/benchgate -baseline BENCH_18.json -current /tmp/cur.json
+//	go run ./cmd/benchgate -baseline BENCH_19.json -current /tmp/cur.json
 //
 // Only benchmarks matching -gate (default: the engine hot path,
-// BenchmarkRun*/BenchmarkEngineMillion in internal/sim, and the MEMS
+// BenchmarkRun*/BenchmarkEngineMillion in internal/sim, the MEMS
 // device's BenchmarkMEMSAccess/BenchmarkMEMSEstimate/
-// BenchmarkMEMSLowerBound) are enforced;
+// BenchmarkMEMSLowerBound, and the sled solver's
+// BenchmarkSeekSolverClosedForm/BenchmarkSeekSolverMovingY in
+// internal/physics) are enforced;
 // everything present in both files is printed for the log. A gated
 // benchmark missing from either side is reported but not fatal, so a
 // quick (CI-sized) run — whose EngineMillion subbenches carry a
@@ -46,10 +48,10 @@ func load(path string) (map[string]benchrec.Result, *benchrec.File, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_18.json", "committed baseline JSON")
+	baseline := flag.String("baseline", "BENCH_19.json", "committed baseline JSON")
 	current := flag.String("current", "", "freshly measured JSON (required)")
 	threshold := flag.Float64("threshold", 0.20, "fatal ns/op regression fraction on gated benches")
-	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion|MEMS(Access|Estimate|LowerBound))`, "package:name regexp selecting enforced benches")
+	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion|MEMS(Access|Estimate|LowerBound))|internal/physics:BenchmarkSeekSolver(ClosedForm|MovingY)`, "package:name regexp selecting enforced benches")
 	flag.Parse()
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")

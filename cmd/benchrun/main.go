@@ -1,16 +1,18 @@
 // Command benchrun runs the repository's benchmark suites and writes
-// their results as machine-readable JSON (the BENCH_18.json format),
+// their results as machine-readable JSON (the BENCH_19.json format),
 // the input side of the benchmark-regression harness (cmd/benchgate
 // compares two such files).
 //
 // Usage:
 //
-//	go run ./cmd/benchrun -out BENCH_18.json          # full profile
+//	go run ./cmd/benchrun -out BENCH_19.json          # full profile
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
 // BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access,
-// SPTF-style EstimateAccess pricing and the MEMS lower bound), the
+// SPTF-style EstimateAccess pricing and the MEMS lower bound), the sled
+// seek solver (./internal/physics: a rest-to-rest X seek and a moving Y
+// seek between row boundaries), the
 // schedulers at queue depths 8/64/512 (BenchmarkSchedNext, every
 // algorithm, with the full estimates per dispatch), the stats backends
 // (./internal/stats Dist/Sketch/Sample benches), and the
@@ -86,7 +88,7 @@ func parseLine(line string) (r benchrec.Result, ok bool) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_18.json", "output JSON path")
+	out := flag.String("out", "BENCH_19.json", "output JSON path")
 	quick := flag.Bool("quick", false, "CI-sized run: shorter benchtime, 100k-request EngineMillion")
 	flag.Parse()
 
@@ -99,6 +101,7 @@ func main() {
 	suites := []suite{
 		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
+		{pkg: "./internal/physics", pattern: "^(BenchmarkSeekSolverClosedForm|BenchmarkSeekSolverMovingY)$", benchtime: bt},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},
 	}

@@ -93,7 +93,9 @@ func (r *Request) Bytes(sectorSize int) int64 {
 // Device is a mechanically-detailed storage device model. Implementations
 // are stateful: Access advances the device's mechanical position (and, for
 // disks, consumes rotational time), so the service time of a request
-// depends on the requests that preceded it.
+// depends on the requests that preceded it. Like schedulers, devices are
+// not safe for concurrent use, estimates included: one simulation
+// goroutine owns each device.
 type Device interface {
 	// Name identifies the model in reports (e.g. "MEMS G1", "Atlas10K").
 	Name() string
@@ -109,8 +111,11 @@ type Device interface {
 	Access(req *Request, now float64) float64
 
 	// EstimateAccess returns exactly what Access would return for req at
-	// time now, without changing device state. Shortest-positioning-time
-	// -first scheduling is built on this.
+	// time now, without changing observable device state: a device may
+	// cache what it computed (the MEMS device keeps its last estimates
+	// for the Access that follows), but no later call may return a
+	// different result for it. Shortest-positioning-time-first
+	// scheduling is built on this.
 	EstimateAccess(req *Request, now float64) float64
 
 	// Reset restores the initial mechanical state.

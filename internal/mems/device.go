@@ -32,6 +32,27 @@ type Device struct {
 
 	last    core.Breakdown
 	hasLast bool
+
+	// memo holds the full estimates made from st since it last changed,
+	// in a ring: memo[i%memoSize] for i < memoN. A scheduler prices the
+	// request it dispatches just before Access services it, so Access
+	// looks here before it solves.
+	memo  [memoSize]memoEntry
+	memoN int
+}
+
+// memoSize is how many estimates the memo keeps. SPTF prices about two
+// or three candidates in full per dispatch, the winner among them.
+const memoSize = 4
+
+// memoEntry is one full estimate: access's result for the request
+// (lbn, blocks) from the device's current state. It holds values only,
+// never the request, whose owner may reuse it.
+type memoEntry struct {
+	lbn    int64
+	blocks int
+	bd     core.Breakdown
+	next   state
 }
 
 var (
@@ -79,22 +100,25 @@ func (d *Device) SectorSize() int { return d.geo.SectorSize }
 func (d *Device) Reset() {
 	d.st = state{cyl: d.geo.Cylinders / 2, yB: float64(d.geo.BitsY) / 2, vdir: 0, yRow: -1}
 	d.last, d.hasLast = core.Breakdown{}, false
+	d.memoN = 0
 }
 
 // Access implements core.Device. The now parameter is unused: unlike a
 // disk, the device has no free-running rotation, so service time does not
 // depend on absolute time (§2.4.8).
 func (d *Device) Access(req *core.Request, _ float64) float64 {
-	bd, ns := d.access(d.st, req)
-	d.st = ns
+	bd, ns, ok := d.memoized(req)
+	if !ok {
+		bd, ns = d.access(d.st, req)
+	}
+	d.st, d.memoN = ns, 0
 	d.last, d.hasLast = bd, true
 	return bd.ServiceMs
 }
 
 // EstimateAccess implements core.Device.
 func (d *Device) EstimateAccess(req *core.Request, _ float64) float64 {
-	bd, _ := d.access(d.st, req)
-	return bd.ServiceMs
+	return d.estimate(req).ServiceMs
 }
 
 // LastBreakdown implements core.BreakdownReporter: the phase
@@ -104,7 +128,31 @@ func (d *Device) LastBreakdown() (core.Breakdown, bool) { return d.last, d.hasLa
 // EstimateBreakdown implements core.BreakdownEstimator. Like Access, it
 // ignores absolute time: the sled has no free-running rotation.
 func (d *Device) EstimateBreakdown(req *core.Request, _ float64) core.Breakdown {
-	bd, _ := d.access(d.st, req)
+	return d.estimate(req)
+}
+
+// memoized returns the memo's estimate for req, if it holds one. access
+// is a pure function of the state, req.LBN, req.Blocks and the device's
+// immutable geometry, sled and Y table, so a hit is exactly what access
+// would return now.
+func (d *Device) memoized(req *core.Request) (core.Breakdown, state, bool) {
+	for i := range min(d.memoN, memoSize) {
+		if e := &d.memo[i]; e.lbn == req.LBN && e.blocks == req.Blocks {
+			return e.bd, e.next, true
+		}
+	}
+	return core.Breakdown{}, state{}, false
+}
+
+// estimate prices req from the current state, through the memo, and
+// leaves the result there for the Access that may follow.
+func (d *Device) estimate(req *core.Request) core.Breakdown {
+	if bd, _, ok := d.memoized(req); ok {
+		return bd
+	}
+	bd, ns := d.access(d.st, req)
+	d.memo[d.memoN%memoSize] = memoEntry{lbn: req.LBN, blocks: req.Blocks, bd: bd, next: ns}
+	d.memoN++
 	return bd
 }
 
@@ -300,7 +348,7 @@ func (d *Device) SetState(cyl int, yB float64, vdir int) {
 	if cyl < 0 || cyl >= d.geo.Cylinders || yB < 0 || yB > float64(d.geo.BitsY) {
 		panic(fmt.Sprintf("mems: SetState out of range: cyl=%d yB=%g", cyl, yB))
 	}
-	d.st = state{cyl: cyl, yB: yB, vdir: vdir, yRow: -1}
+	d.st, d.memoN = state{cyl: cyl, yB: yB, vdir: vdir, yRow: -1}, 0
 }
 
 // seekY is the Y seek time in ms from bit boundary b0 moving at

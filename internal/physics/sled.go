@@ -67,13 +67,39 @@ func (p Plan) Total() float64 { return p.T1 + p.T2 }
 const twoPi = 2 * math.Pi
 
 // angleCW returns the clockwise angular distance from angle `from` to
-// angle `to`, in [0, 2π).
+// angle `to`, in [0, 2π). math.Mod returns its argument unchanged when
+// |from−to| < 2π, so it runs only at or beyond that; two atan2 angles
+// get there only as ±π.
 func angleCW(from, to float64) float64 {
-	d := math.Mod(from-to, twoPi)
+	d := from - to
+	if d >= twoPi || d <= -twoPi {
+		d = math.Mod(d, twoPi)
+	}
 	if d < 0 {
 		d += twoPi
 	}
 	return d
+}
+
+// hypot is math.Hypot(p, q), skipping the library call at rest (q = 0),
+// where math.Hypot returns |p| exactly: max·sqrt(1+0²) = |p|.
+func hypot(p, q float64) float64 {
+	if q == 0 {
+		return math.Abs(p)
+	}
+	return math.Hypot(p, q)
+}
+
+// negAtan2 returns math.Atan2(−y, x) given th = math.Atan2(y, x). Go's
+// atan2 is odd in y — atan is odd and its ±π quadrant fix is
+// sign-symmetric — so the result is −th bit for bit, except when y/x
+// rounds to ±0 with x < 0: atan2 then returns π for both signs of y. The
+// angles 0 and ±π are therefore solved again.
+func negAtan2(th, y, x float64) float64 {
+	if th == 0 || th == math.Pi || th == -math.Pi {
+		return math.Atan2(-y, x)
+	}
+	return -th
 }
 
 // SeekPlan computes the time-optimal two-phase bang-bang plan moving the
@@ -86,10 +112,11 @@ func (s *Sled) SeekPlan(x0, v0, x1, v1 float64) (Plan, bool) {
 	if x0 == x1 && v0 == v1 {
 		return Plan{U1: 1, U2: -1}, true
 	}
-	if s.Omega() == 0 {
+	w := s.Omega()
+	if w == 0 {
 		return s.seekPlanNoSpring(x0, v0, x1, v1)
 	}
-	return s.seekPlanSpring(x0, v0, x1, v1)
+	return s.seekPlanSpring(w, x0, v0, x1, v1)
 }
 
 // seekPlanNoSpring solves the classical double-integrator minimum-time
@@ -125,21 +152,30 @@ func (s *Sled) seekPlanNoSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 }
 
 // seekPlanSpring solves the minimum-time problem for the constant-force
-// harmonic oscillator by intersecting the phase-space circles of the two
-// control phases.
-func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
-	w := s.Omega()
-	a := s.Accel
+// harmonic oscillator of angular frequency w by intersecting the
+// phase-space circles of the two control phases.
+//
+// Each distinct term is evaluated once, by identities that are exact in
+// IEEE arithmetic, so the plan is bit-identical to evaluating every term
+// per branch: the equilibrium offsets ±a/ω² differ only in sign (IEEE
+// division is sign-symmetric); the two intersections (xs, ±ws) share
+// their angles up to sign (negAtan2); hypot and angleCW skip library
+// calls whose result is known. For a rest-to-rest move the strategy
+// that first accelerates away from the target never reaches it — its
+// circles do not meet, and it exits at the ws2 test — so such a solve
+// evaluates two atan2 of a nonzero ordinate.
+func (s *Sled) seekPlanSpring(w, x0, v0, x1, v1 float64) (Plan, bool) {
+	k := s.Accel / (w * w)
+	q0, q1 := v0/w, v1/w
 	best := Plan{}
 	found := false
-	for _, u1 := range []int{1, -1} {
-		u2 := -u1
-		c1 := float64(u1) * a / (w * w)
-		c2 := float64(u2) * a / (w * w)
+	for _, u1 := range [2]int{1, -1} {
 		// Circle 1 carries the start state, circle 2 the target state,
 		// both in (x, v/ω) coordinates where motion is clockwise at ω.
-		r1 := math.Hypot(x0-c1, v0/w)
-		r2 := math.Hypot(x1-c2, v1/w)
+		c1 := float64(u1) * k
+		c2 := -c1
+		r1 := hypot(x0-c1, q0)
+		r2 := hypot(x1-c2, q1)
 		// Intersection abscissa from subtracting the circle equations.
 		denom := 2 * (c2 - c1)
 		xs := (r1*r1 - r2*r2 - c1*c1 + c2*c2) / denom
@@ -151,12 +187,19 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 				continue // this strategy cannot reach the target
 			}
 		}
-		wsAbs := math.Sqrt(ws2)
-		th0 := math.Atan2(v0/w, x0-c1)
-		tht := math.Atan2(v1/w, x1-c2)
-		for _, wsv := range []float64{wsAbs, -wsAbs} {
-			thS1 := math.Atan2(wsv, xs-c1)
-			thS2 := math.Atan2(wsv, xs-c2)
+		ws := math.Sqrt(ws2)
+		th0 := math.Atan2(q0, x0-c1)
+		tht := math.Atan2(q1, x1-c2)
+		thS1 := math.Atan2(ws, xs-c1)
+		thS2 := math.Atan2(ws, xs-c2)
+		for i := 0; i < 2; i++ {
+			if i == 1 {
+				if ws == 0 {
+					break // ±0 are the same intersection
+				}
+				thS1 = negAtan2(thS1, ws, xs-c1)
+				thS2 = negAtan2(thS2, ws, xs-c2)
+			}
 			t1 := angleCW(th0, thS1) / w
 			t2 := angleCW(thS2, tht) / w
 			// Snap near-full-circle phases caused by floating-point
@@ -168,13 +211,10 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 			if twoPi-t2*w < 1e-9 {
 				t2 = 0
 			}
-			p := Plan{U1: u1, T1: t1, U2: u2, T2: t2}
+			p := Plan{U1: u1, T1: t1, U2: -u1, T2: t2}
 			if !found || p.Total() < best.Total() {
 				best = p
 				found = true
-			}
-			if wsAbs == 0 {
-				break // ±0 are the same intersection
 			}
 		}
 	}
