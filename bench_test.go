@@ -231,19 +231,21 @@ func BenchmarkSchedNext(b *testing.B) {
 	}
 }
 
-// TestSPTFPrunesEstimates fails when SPTF's bound pruning regresses, on
-// a count that does not depend on the machine: over BenchmarkSchedNext's
-// workload the mean full estimates per dispatch must stay at most 5 at
-// depths 64 and 512, where pricing every candidate would take 64 and
-// 512.
+// TestSPTFPrunesEstimates fails when the bound pruning of SPTF or
+// Priority regresses, on a count that does not depend on the machine:
+// over BenchmarkSchedNext's workload the mean full estimates per
+// dispatch must stay at most 5 at depths 64 and 512, where pricing
+// every candidate would take 64 and 512.
 func TestSPTFPrunesEstimates(t *testing.T) {
-	for _, depth := range []int{64, 512} {
-		const dispatches = 500
-		est := schedNextLoop(t, "SPTF", depth, dispatches)
-		if mean := float64(est) / dispatches; mean > 5 {
-			t.Errorf("depth %d: %.2f full estimates per dispatch, want ≤ 5", depth, mean)
-		} else {
-			t.Logf("depth %d: %.2f full estimates per dispatch", depth, mean)
+	for _, name := range []string{"SPTF", "Priority"} {
+		for _, depth := range []int{64, 512} {
+			const dispatches = 500
+			est := schedNextLoop(t, name, depth, dispatches)
+			if mean := float64(est) / dispatches; mean > 5 {
+				t.Errorf("%s depth %d: %.2f full estimates per dispatch, want ≤ 5", name, depth, mean)
+			} else {
+				t.Logf("%s depth %d: %.2f full estimates per dispatch", name, depth, mean)
+			}
 		}
 	}
 }

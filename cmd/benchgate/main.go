@@ -1,11 +1,11 @@
 // Command benchgate compares a current benchrun profile against the
-// committed baseline (BENCH_19.json) and fails when a gated benchmark
+// committed baseline (BENCH_20.json) and fails when a gated benchmark
 // regressed beyond the threshold — the CI side of the
 // benchmark-regression harness.
 //
 // Usage:
 //
-//	go run ./cmd/benchgate -baseline BENCH_19.json -current /tmp/cur.json
+//	go run ./cmd/benchgate -baseline BENCH_20.json -current /tmp/cur.json
 //
 // Only benchmarks matching -gate (default: the engine hot path,
 // BenchmarkRun*/BenchmarkEngineMillion in internal/sim, the MEMS
@@ -48,7 +48,7 @@ func load(path string) (map[string]benchrec.Result, *benchrec.File, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_19.json", "committed baseline JSON")
+	baseline := flag.String("baseline", "BENCH_20.json", "committed baseline JSON")
 	current := flag.String("current", "", "freshly measured JSON (required)")
 	threshold := flag.Float64("threshold", 0.20, "fatal ns/op regression fraction on gated benches")
 	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion|MEMS(Access|Estimate|LowerBound))|internal/physics:BenchmarkSeekSolver(ClosedForm|MovingY)`, "package:name regexp selecting enforced benches")

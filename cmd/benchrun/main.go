@@ -1,11 +1,11 @@
 // Command benchrun runs the repository's benchmark suites and writes
-// their results as machine-readable JSON (the BENCH_19.json format),
+// their results as machine-readable JSON (the BENCH_20.json format),
 // the input side of the benchmark-regression harness (cmd/benchgate
 // compares two such files).
 //
 // Usage:
 //
-//	go run ./cmd/benchrun -out BENCH_19.json          # full profile
+//	go run ./cmd/benchrun -out BENCH_20.json          # full profile
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
@@ -88,7 +88,7 @@ func parseLine(line string) (r benchrec.Result, ok bool) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_19.json", "output JSON path")
+	out := flag.String("out", "BENCH_20.json", "output JSON path")
 	quick := flag.Bool("quick", false, "CI-sized run: shorter benchtime, 100k-request EngineMillion")
 	flag.Parse()
 

@@ -123,7 +123,10 @@ type Device interface {
 }
 
 // Scheduler orders pending requests. Implementations are not safe for
-// concurrent use; the discrete-event simulator is single-threaded.
+// concurrent use; the discrete-event simulator is single-threaded. One
+// scheduler serves one device between Resets: a cost-model scheduler
+// keeps what the device computed for each queued request (its
+// LowerBounder key), which another device would not have computed.
 type Scheduler interface {
 	// Name identifies the algorithm in reports (e.g. "SPTF").
 	Name() string
@@ -182,7 +185,9 @@ type SchedulerFactory func() Scheduler
 // Layout remaps logical blocks before they reach the device, implementing
 // the data-placement schemes of §5 of the paper. Map must be a total
 // function on [0, capacity); layouts that are bijections preserve
-// capacity, and tests enforce this for all shipped layouts.
+// capacity, and tests enforce this for all shipped layouts. Map must
+// not change while requests sit in a cost-model scheduler's queue: a
+// ManagedDevice keys each queued request by where Map sent it.
 type Layout interface {
 	// Name identifies the layout in reports (e.g. "organ-pipe").
 	Name() string

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Class tags a request with the role it plays in the system, so
 // class-aware schedulers can order a volume member's queue by urgency
@@ -68,27 +65,45 @@ func SettleAwareCost(d Device, r *Request, now float64) float64 {
 	return bd.ServiceMs - bd.Settle
 }
 
-// LowerBounder is implemented by device models that can bound an
-// estimate from below far more cheaply than computing it. The bound
-// must never exceed EstimateAccess for the same request and time — bit
-// for bit, with no tolerance — and must not change device or request
-// state. Cost-model schedulers use it to skip candidates that cannot
-// beat the best estimate found so far, so a bound that is ever too high
-// changes which request they pick.
-type LowerBounder interface {
-	AccessLowerBound(req *Request, now float64) float64
+// BoundKey is the state-independent half of a request's lower bound: a
+// LowerBounder computes it once per queued request, so pricing the
+// bound at each dispatch is left with only the part that depends on the
+// device's mechanical state. Cyl, Row and EndRow are a position the
+// device defines (for MEMS: the first segment's cylinder, first row and
+// end row boundary); Fixed is the time the request costs wherever the
+// device starts (for MEMS: its summed transfer).
+type BoundKey struct {
+	Cyl, Row, EndRow int32
+	Fixed            float64
 }
 
-// AccessCostBound is the lower bound that pairs with AccessCost: d's
-// AccessLowerBound, or −Inf when d cannot bound its estimate, so a
-// scheduler prices every candidate of such a device in full. −Inf
-// rather than 0 keeps the bound valid for derived cost models that can
-// go negative.
-func AccessCostBound(d Device, r *Request, now float64) float64 {
-	if lb, ok := d.(LowerBounder); ok {
-		return lb.AccessLowerBound(r, now)
-	}
-	return math.Inf(-1)
+// LowerBounder is implemented by device models that can bound an
+// estimate from below far more cheaply than computing it, in two steps:
+// BoundKey once per request, LowerBound once per dispatch. A key may
+// depend only on the request's LBN and Blocks and on the device's
+// immutable configuration, never on its mechanical state or the time,
+// so a key computed while the request waits stays valid until it is
+// dispatched. LowerBound(BoundKey(req), now) must never exceed
+// EstimateAccess(req, now) — bit for bit, with no tolerance — and
+// neither step may change device or request state. Cost-model
+// schedulers use the bound to skip candidates that cannot beat the best
+// estimate found so far, so a bound that is ever too high changes which
+// request they pick.
+type LowerBounder interface {
+	BoundKey(req *Request) BoundKey
+	LowerBound(k *BoundKey, now float64) float64
+}
+
+// BoundModel is a lower bound on a CostModel, evaluated from the key lb
+// made for r: never above the cost model for the same device, request
+// and time, bit for bit. Schedulers call it only for devices that
+// implement LowerBounder; every other device's bound is −Inf.
+type BoundModel func(lb LowerBounder, k *BoundKey, r *Request, now float64) float64
+
+// AccessCostBound is the BoundModel that pairs with AccessCost: the
+// device's own LowerBound.
+func AccessCostBound(lb LowerBounder, k *BoundKey, _ *Request, now float64) float64 {
+	return lb.LowerBound(k, now)
 }
 
 // BreakdownEstimator is implemented by device models that can estimate

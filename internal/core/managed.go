@@ -83,13 +83,25 @@ func (m *ManagedDevice) EstimateBreakdown(req *Request, now float64) Breakdown {
 	return EstimateBreakdown(m.inner, m.remap(req), now)
 }
 
-// AccessLowerBound implements LowerBounder by remapping the request and
-// delegating, mirroring EstimateAccess. Over an inner device with no
-// bound it returns 0, which bounds every estimate: service times are
-// never negative.
-func (m *ManagedDevice) AccessLowerBound(req *Request, now float64) float64 {
+// BoundKey implements LowerBounder by remapping the request and
+// delegating, mirroring EstimateAccess: the key describes where the
+// request lands, which is why the layout must not change while the
+// request waits. Over an inner device with no bound it returns the zero
+// key.
+func (m *ManagedDevice) BoundKey(req *Request) BoundKey {
 	if lb, ok := m.inner.(LowerBounder); ok {
-		return lb.AccessLowerBound(m.remap(req), now)
+		return lb.BoundKey(m.remap(req))
+	}
+	return BoundKey{}
+}
+
+// LowerBound implements LowerBounder by delegation; the key already
+// holds the remapped position. Over an inner device with no bound it
+// returns 0, which bounds every estimate: service times are never
+// negative.
+func (m *ManagedDevice) LowerBound(k *BoundKey, now float64) float64 {
+	if lb, ok := m.inner.(LowerBounder); ok {
+		return lb.LowerBound(k, now)
 	}
 	return 0
 }

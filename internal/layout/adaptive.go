@@ -115,7 +115,9 @@ func (a *AdaptiveOrganPipe) Record(lbn int64, blocks int) {
 // returns the number of blocks whose physical location changed — the
 // migration volume a shuffler would move (both reads and writes; callers
 // charge 2× this volume against device bandwidth). Historical counts are
-// decayed by Decay afterwards.
+// decayed by Decay afterwards. Reshuffling changes Map, so it must not
+// run while requests sit in a cost-model scheduler's queue (see
+// core.Layout); the shuffle artifact reshuffles with no scheduler.
 func (a *AdaptiveOrganPipe) Reshuffle() (blocksMoved int64) {
 	rank := a.ranked()
 	for i, e := range rank {
@@ -133,7 +135,8 @@ func (a *AdaptiveOrganPipe) Reshuffle() (blocksMoved int64) {
 // time: it corrects at most maxMoves misplaced extents, highest
 // popularity rank first, swapping each into its desired slot (the
 // displaced extent moves too, so up to 2·maxMoves extents relocate). It
-// returns the blocks moved. Counts decay as in Reshuffle.
+// returns the blocks moved. Counts decay, and the queue rule applies,
+// as in Reshuffle.
 func (a *AdaptiveOrganPipe) ReshuffleN(maxMoves int) (blocksMoved int64) {
 	if maxMoves < 0 {
 		panic(fmt.Sprintf("layout: negative maxMoves %d", maxMoves))

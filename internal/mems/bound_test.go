@@ -45,11 +45,19 @@ func (h halfSwap) Map(lbn int64) int64 {
 	return lbn - h.half
 }
 
+// keyedBound is d's two-step lower bound for req at now: the key, then
+// the bound from it.
+func keyedBound(d core.Device, req *core.Request, now float64) float64 {
+	lb := d.(core.LowerBounder)
+	k := lb.BoundKey(req)
+	return lb.LowerBound(&k, now)
+}
+
 // checkBound fails t unless d's lower bound for req at now is at most
 // its estimate, bit for bit, with no tolerance.
 func checkBound(t *testing.T, label string, d core.Device, req *core.Request, now float64) (lb, est float64) {
 	t.Helper()
-	lb = d.(core.LowerBounder).AccessLowerBound(req, now)
+	lb = keyedBound(d, req, now)
 	est = d.EstimateAccess(req, now)
 	if !(lb <= est) {
 		t.Fatalf("%s: bound %v > estimate %v for [%d,+%d) at %v (excess %.3g)",
@@ -67,10 +75,11 @@ func checkBound(t *testing.T, label string, d core.Device, req *core.Request, no
 // checked both with a restart pending and without. A single-segment
 // request on the current cylinder from a row boundary pays exactly the
 // Y seek the bound reads from the table, so there the bound must equal
-// the estimate.
+// the estimate. A key may not depend on the sled, so every key must
+// equal the one a parked device of the same configuration makes.
 func TestAccessLowerBound(t *testing.T) {
 	for name, cfg := range boundConfigs() {
-		d := MustDevice(cfg)
+		d, parked := MustDevice(cfg), MustDevice(cfg)
 		g := d.geo
 		md := core.NewManagedDevice(MustDevice(cfg), halfSwap{g.TotalSectors / 2})
 		pm := power.NewManaged(MustDevice(cfg), power.MEMSModel(), power.Policy{TimeoutMs: 5})
@@ -87,6 +96,9 @@ func TestAccessLowerBound(t *testing.T) {
 				d.SetState(cyl, yB, 0)
 			}
 			label := fmt.Sprintf("%s req %d", name, k)
+			if got, want := d.BoundKey(req), parked.BoundKey(req); got != want {
+				t.Fatalf("%s: key %+v from cylinder %d, %+v from the park position", label, got, d.st.cyl, want)
+			}
 			lb, est := checkBound(t, label+" device", d, req, now)
 			if cyl, _, _, n := g.segment(req.LBN, req.Blocks); d.st.yRow >= 0 && cyl == d.st.cyl && n == req.Blocks {
 				if math.Float64bits(lb) != math.Float64bits(est) {
@@ -111,9 +123,11 @@ func TestAccessLowerBound(t *testing.T) {
 	}
 }
 
-// FuzzAccessLowerBound checks the bound against the estimate from a
-// fuzzed state — on the grid, reached through a warm-up access, or
-// forced off it with SetState — for a fuzzed request.
+// FuzzAccessLowerBound checks the keyed bound against the estimate from
+// a fuzzed state — on the grid, reached through a warm-up access, or
+// forced off it with SetState — for a fuzzed request, keyed while the
+// device was still parked, as a queued request is keyed before the sled
+// moves.
 func FuzzAccessLowerBound(f *testing.F) {
 	cfgs := boundConfigs()
 	names := make([]string, 0, len(cfgs))
@@ -138,6 +152,9 @@ func FuzzAccessLowerBound(f *testing.F) {
 			}
 			return l % (g.TotalSectors - int64(n) + 1)
 		}
+		n := 1 + int(blocks)%1200
+		req := &core.Request{LBN: clampLBN(lbn, n), Blocks: n}
+		k := d.BoundKey(req)
 		if warm {
 			d.Access(&core.Request{LBN: clampLBN(warmLBN, 8), Blocks: 8}, 0)
 		} else {
@@ -146,9 +163,7 @@ func FuzzAccessLowerBound(f *testing.F) {
 			}
 			d.SetState(int(cyl%uint32(g.Cylinders)), math.Mod(math.Abs(yB), float64(g.BitsY)), int(vdir%2))
 		}
-		n := 1 + int(blocks)%1200
-		req := &core.Request{LBN: clampLBN(lbn, n), Blocks: n}
-		if lb, est := d.AccessLowerBound(req, 0), d.EstimateAccess(req, 0); !(lb <= est) {
+		if lb, est := d.LowerBound(&k, 0), d.EstimateAccess(req, 0); !(lb <= est) {
 			t.Fatalf("%s: bound %v > estimate %v (excess %.3g)", names[int(cfg)%len(names)], lb, est, lb-est)
 		}
 	})

@@ -107,18 +107,18 @@ func (d *Device) Reset() {
 // disk, the device has no free-running rotation, so service time does not
 // depend on absolute time (§2.4.8).
 func (d *Device) Access(req *core.Request, _ float64) float64 {
-	bd, ns, ok := d.memoized(req)
-	if !ok {
-		bd, ns = d.access(d.st, req)
+	if e := d.memoized(req); e != nil {
+		d.last, d.st = e.bd, e.next
+	} else {
+		d.st = d.access(d.st, req, &d.last)
 	}
-	d.st, d.memoN = ns, 0
-	d.last, d.hasLast = bd, true
-	return bd.ServiceMs
+	d.memoN, d.hasLast = 0, true
+	return d.last.ServiceMs
 }
 
 // EstimateAccess implements core.Device.
 func (d *Device) EstimateAccess(req *core.Request, _ float64) float64 {
-	return d.estimate(req).ServiceMs
+	return d.estimate(req).bd.ServiceMs
 }
 
 // LastBreakdown implements core.BreakdownReporter: the phase
@@ -128,32 +128,36 @@ func (d *Device) LastBreakdown() (core.Breakdown, bool) { return d.last, d.hasLa
 // EstimateBreakdown implements core.BreakdownEstimator. Like Access, it
 // ignores absolute time: the sled has no free-running rotation.
 func (d *Device) EstimateBreakdown(req *core.Request, _ float64) core.Breakdown {
-	return d.estimate(req)
+	return d.estimate(req).bd
 }
 
-// memoized returns the memo's estimate for req, if it holds one. access
-// is a pure function of the state, req.LBN, req.Blocks and the device's
-// immutable geometry, sled and Y table, so a hit is exactly what access
-// would return now.
-func (d *Device) memoized(req *core.Request) (core.Breakdown, state, bool) {
+// memoized returns the memo's entry for req, or nil if it holds none.
+// access is a pure function of the state, req.LBN, req.Blocks and the
+// device's immutable geometry, sled and Y table, so a hit is exactly
+// what access would return now.
+func (d *Device) memoized(req *core.Request) *memoEntry {
 	for i := range min(d.memoN, memoSize) {
 		if e := &d.memo[i]; e.lbn == req.LBN && e.blocks == req.Blocks {
-			return e.bd, e.next, true
+			return e
 		}
 	}
-	return core.Breakdown{}, state{}, false
+	return nil
 }
 
 // estimate prices req from the current state, through the memo, and
-// leaves the result there for the Access that may follow.
-func (d *Device) estimate(req *core.Request) core.Breakdown {
-	if bd, _, ok := d.memoized(req); ok {
-		return bd
+// leaves the result there for the Access that may follow. The entry is
+// valid until the memo next changes; callers copy what they keep.
+func (d *Device) estimate(req *core.Request) *memoEntry {
+	if e := d.memoized(req); e != nil {
+		return e
 	}
-	bd, ns := d.access(d.st, req)
-	d.memo[d.memoN%memoSize] = memoEntry{lbn: req.LBN, blocks: req.Blocks, bd: bd, next: ns}
+	// Key the entry only after access, which panics on a bad request
+	// before it writes anything.
+	e := &d.memo[d.memoN%memoSize]
+	e.next = d.access(d.st, req, &e.bd)
+	e.lbn, e.blocks = req.LBN, req.Blocks
 	d.memoN++
-	return bd
+	return e
 }
 
 // access computes the service of req from state st. Requests are split
@@ -169,11 +173,13 @@ func (d *Device) estimate(req *core.Request) core.Breakdown {
 // dominates it charges only Seek (Y seeks have no settle and fold any
 // turnaround into the spring-limited trajectory). ServiceMs accumulates
 // in the historical operation order, so totals are bit-identical to the
-// pre-decomposition model.
-func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
+// pre-decomposition model. The breakdown is written through bd, so the
+// caller's copy (the memo entry or the device's last breakdown) is the
+// only one.
+func (d *Device) access(st state, req *core.Request, bd *core.Breakdown) state {
 	g := d.geo
 	g.checkRequest(req)
-	bd := core.Breakdown{Overhead: g.Overhead}
+	*bd = core.Breakdown{Overhead: g.Overhead}
 	positioning := 0.0
 	lbn := req.LBN
 	remaining := req.Blocks
@@ -225,7 +231,7 @@ func (d *Device) access(st state, req *core.Request) (core.Breakdown, state) {
 		remaining -= n
 	}
 	bd.ServiceMs = positioning + bd.Transfer + bd.Overhead
-	return bd, st
+	return st
 }
 
 // checkRequest panics on a request that is empty or reaches outside the
@@ -242,7 +248,7 @@ func (g *Geometry) checkRequest(req *core.Request) {
 
 // segment returns the track span a request's remaining sectors start
 // with at lbn: its cylinder, its first and last rows, and the n sectors
-// it covers. access and AccessLowerBound both split requests here, so
+// it covers. access and BoundKey both split requests here, so
 // their segments cannot drift apart. The track within the cylinder
 // selects the active tips, not the sled position, so it is dropped.
 func (g *Geometry) segment(lbn int64, remaining int) (cyl, row, rowHi, n int) {
@@ -253,10 +259,34 @@ func (g *Geometry) segment(lbn int64, remaining int) (cyl, row, rowHi, n int) {
 	return cyl, row, (first + n - 1) / g.SectorsPerRow, n
 }
 
-// AccessLowerBound implements core.LowerBounder. It walks the segments
-// of access and keeps their transfer terms exactly, in the same order,
-// but prices positioning by a bound: nothing for the later segments,
-// and max(X bound, Y bound) for the first.
+// BoundKey implements core.LowerBounder. It walks the segments of
+// access once and keeps what does not depend on the sled: the first
+// segment's cylinder, first row and end row boundary (rowHi+1), and the
+// per-segment transfer terms summed exactly as access sums them, in
+// the same order. The overhead stays out of Fixed: LowerBound adds it
+// last, as access does, since folding it in first would re-associate
+// the sum and could lift the bound above the estimate by an ulp.
+func (d *Device) BoundKey(req *core.Request) core.BoundKey {
+	g := d.geo
+	g.checkRequest(req)
+	var k core.BoundKey
+	lbn := req.LBN
+	remaining := req.Blocks
+	for first := true; remaining > 0; first = false {
+		cyl, row, rowHi, n := g.segment(lbn, remaining)
+		if first {
+			k.Cyl, k.Row, k.EndRow = int32(cyl), int32(row), int32(rowHi+1)
+		}
+		k.Fixed += float64(rowHi-row+1) * g.RowTimeMs
+		lbn += int64(n)
+		remaining -= n
+	}
+	return k
+}
+
+// LowerBound implements core.LowerBounder: the key's transfer and the
+// overhead, plus a bound on positioning — nothing for the later
+// segments, and max(X bound, Y bound) for the first.
 //
 // The X bound is the rest-to-rest seek of a sled whose acceleration
 // never exceeds Accel·(1+SpringFactor) — the actuator plus the spring
@@ -264,35 +294,23 @@ func (g *Geometry) segment(lbn int64, remaining int) (cyl, row, rowHi, n int) {
 // 1e-9 so float rounding cannot lift it above the solved seek (at
 // spring 0 the two are the same expression), plus the settle. The Y
 // bound is the exact Y seek from the row-boundary table, or 0 when the
-// sled is off the grid. Each term is ≤ its counterpart in access and
-// float addition is monotone, so the sum is ≤ EstimateAccess bit for
-// bit.
-func (d *Device) AccessLowerBound(req *core.Request, _ float64) float64 {
+// sled is off the grid. Each term is ≤ its counterpart in access, the
+// sum (positioning + transfer) + overhead is taken in access's order,
+// and float addition is monotone, so the bound is ≤ EstimateAccess bit
+// for bit.
+func (d *Device) LowerBound(k *core.BoundKey, _ float64) float64 {
 	g := d.geo
-	g.checkRequest(req)
-	positioning, transfer := 0.0, 0.0
-	lbn := req.LBN
-	remaining := req.Blocks
-	for first := true; remaining > 0; first = false {
-		cyl, row, rowHi, n := g.segment(lbn, remaining)
-		if first {
-			tx := 0.0
-			if cyl != d.st.cyl {
-				dx := math.Abs(g.XPos(cyl) - g.XPos(d.st.cyl))
-				tx = 2*math.Sqrt(dx/((1+g.SpringFactor)*g.SledAccel))*1e3*(1-1e-9) + g.SettleMs
-			}
-			ty := 0.0
-			if d.st.yRow >= 0 {
-				tyF, tyR := d.ytab.seeks(d.st.yRow, d.st.vdir, row, rowHi+1)
-				ty = min(tyF, tyR)
-			}
-			positioning = max(tx, ty)
-		}
-		transfer += float64(rowHi-row+1) * g.RowTimeMs
-		lbn += int64(n)
-		remaining -= n
+	tx := 0.0
+	if cyl := int(k.Cyl); cyl != d.st.cyl {
+		dx := math.Abs(g.XPos(cyl) - g.XPos(d.st.cyl))
+		tx = 2*math.Sqrt(dx/((1+g.SpringFactor)*g.SledAccel))*1e3*(1-1e-9) + g.SettleMs
 	}
-	return positioning + transfer + g.Overhead
+	ty := 0.0
+	if d.st.yRow >= 0 {
+		tyF, tyR := d.ytab.seeks(d.st.yRow, d.st.vdir, int(k.Row), int(k.EndRow))
+		ty = min(tyF, tyR)
+	}
+	return max(tx, ty) + k.Fixed + g.Overhead
 }
 
 // ErrorPenalty implements core.RecoveryModel with the §6.1.3 MEMS

@@ -132,7 +132,7 @@ func TestAccessReusesEstimate(t *testing.T) {
 					}
 				}
 
-				_, _, hit := tw.inner.memoized(&core.Request{LBN: tw.mapLBN(req.LBN), Blocks: req.Blocks})
+				hit := tw.inner.memoized(&core.Request{LBN: tw.mapLBN(req.LBN), Blocks: req.Blocks}) != nil
 				if want := pattern != 1 && pattern != 4; hit != want {
 					t.Fatalf("%s req %d (pattern %d): memo hit %v, want %v", label, k, pattern, hit, want)
 				}

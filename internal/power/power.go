@@ -239,14 +239,24 @@ func (m *Managed) EstimateAccess(req *core.Request, now float64) float64 {
 	return penalty + m.inner.EstimateAccess(req, now+penalty)
 }
 
-// AccessLowerBound implements core.LowerBounder: the restart penalty
-// plus the wrapped device's bound at the restart-shifted start time,
-// mirroring EstimateAccess term for term. Over a device with no bound
-// the penalty alone bounds the estimate.
-func (m *Managed) AccessLowerBound(req *core.Request, now float64) float64 {
+// BoundKey implements core.LowerBounder by delegation: the restart
+// penalty depends on the time, so it stays out of the key. Over a
+// device with no bound it returns the zero key.
+func (m *Managed) BoundKey(req *core.Request) core.BoundKey {
+	if lb, ok := m.inner.(core.LowerBounder); ok {
+		return lb.BoundKey(req)
+	}
+	return core.BoundKey{}
+}
+
+// LowerBound implements core.LowerBounder: the restart penalty plus the
+// wrapped device's bound at the restart-shifted start time, mirroring
+// EstimateAccess term for term. Over a device with no bound the penalty
+// alone bounds the estimate.
+func (m *Managed) LowerBound(k *core.BoundKey, now float64) float64 {
 	penalty := m.restartPenalty(now)
 	if lb, ok := m.inner.(core.LowerBounder); ok {
-		return penalty + lb.AccessLowerBound(req, now+penalty)
+		return penalty + lb.LowerBound(k, now+penalty)
 	}
 	return penalty
 }

@@ -11,8 +11,9 @@
 // captures the overlapped X/Y seeks and settling time (§4.2).
 //
 // Every policy embeds one pending-request core (Add, Len, Reset and a
-// swap-remove) and supplies only its own Next. The extensions are SPTF
-// with a different cost model (SettleAware, ASPTF) or with class bands
+// swap-remove) and supplies its own Next; SPTF also keeps each queued
+// request's bound key beside it. The extensions are SPTF with a
+// different cost model (SettleAware, ASPTF) or with class bands
 // (Priority), never a new queue type.
 package sched
 
@@ -209,12 +210,17 @@ type SPTF struct {
 	// evaluate: never above cost for the same arguments, bit for bit.
 	// Next prices in full only the candidates whose bound could still
 	// win. Nil means no bound.
-	bound core.CostModel
+	bound core.BoundModel
 	name  string
 	// band ranks a request's urgency at time now, lower first; the cost
 	// model only orders requests within the most urgent pending band.
 	// Nil means a single band.
 	band func(r *core.Request, now float64) int
+	// keys holds the device's bound key of q[i] at keys[i]. Next keys the
+	// requests added since the last dispatch (Add has no device), and
+	// take swap-removes a key with its request, so each queued request
+	// is keyed once however many dispatches it waits through.
+	keys []core.BoundKey
 	// cands holds each pending request's band and bound during Next,
 	// reused across calls.
 	cands []candidate
@@ -257,18 +263,53 @@ func NewCostSPTF(name string, cost core.CostModel) *SPTF {
 // Name implements core.Scheduler.
 func (s *SPTF) Name() string { return s.name }
 
+// Reset implements core.Scheduler.
+func (s *SPTF) Reset() {
+	s.queue.Reset()
+	s.keys = s.keys[:0]
+}
+
+// take swap-removes the i'th pending request and, when the queue is
+// keyed, its bound key.
+func (s *SPTF) take(i int) *core.Request {
+	if last := len(s.keys) - 1; last == len(s.q)-1 {
+		s.keys[i] = s.keys[last]
+		s.keys = s.keys[:last]
+	}
+	return s.queue.take(i)
+}
+
 // Next implements core.Scheduler: the pending request with the
-// lexicographically least (band, cost, queue index). A first pass
-// records every candidate's band and cost bound and fully prices the
-// seed, the least (band, bound, index). A second pass in queue order
-// prices only the candidates that could still beat the best so far: a
-// worse band, a bound above the best cost, or a bound equal to it at a
-// later index cannot win, because cost ≥ bound. With no bound every
-// candidate in the most urgent band is priced. The pick is the same
+// lexicographically least (band, cost, queue index). A lone pending
+// request is that request, so it is returned unpriced. Otherwise a
+// first pass records every candidate's band and cost bound and fully
+// prices the seed, the least (band, bound, index). A second pass in
+// queue order prices only the candidates that could still beat the
+// best so far: a worse band, a bound above the best cost, or a bound
+// equal to it at a later index cannot win, because cost ≥ bound.
+// Without a bound model, or on a device that cannot bound its
+// estimates, every candidate's bound is −Inf (not 0, which derived cost
+// models can go below), so every candidate in the most urgent band is
+// priced. The pick is the same
 // either way; no sort is needed, so a dispatch stays O(n).
+//
+// The keys are the device's, so a scheduler must serve one device
+// between Resets.
 func (s *SPTF) Next(d core.Device, now float64) *core.Request {
-	if len(s.q) == 0 {
+	switch len(s.q) {
+	case 0:
 		return nil
+	case 1:
+		return s.take(0)
+	}
+	var lb core.LowerBounder
+	if s.bound != nil {
+		lb, _ = d.(core.LowerBounder)
+	}
+	if lb != nil {
+		for _, r := range s.q[len(s.keys):] {
+			s.keys = append(s.keys, lb.BoundKey(r))
+		}
 	}
 	s.cands = s.cands[:0]
 	seed := 0
@@ -277,8 +318,8 @@ func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 		if s.band != nil {
 			c.band = s.band(r, now)
 		}
-		if s.bound != nil {
-			c.bound = s.bound(d, r, now)
+		if lb != nil {
+			c.bound = s.bound(lb, &s.keys[i], r, now)
 		}
 		s.cands = append(s.cands, c)
 		if sc := s.cands[seed]; c.band < sc.band || c.band == sc.band && c.bound < sc.bound {

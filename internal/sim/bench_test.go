@@ -46,16 +46,13 @@ func BenchmarkDiskAccess(b *testing.B) {
 // estimateSink keeps the estimate benches' results live.
 var estimateSink float64
 
-// benchEstimate times the cost-model side of one SPTF dispatch: each op
-// prices 8 queued candidates with price from one device state.
-// The states come from 64 devices, each moved by one Access before the
-// timer starts, so the timed loop holds neither Access nor timer
-// toggles; each device is priced at the completion time of its Access.
-func benchEstimate(b *testing.B, newDev func() core.Device, price core.CostModel) {
-	const states, depth = 64, 8
-	devs := make([]core.Device, states)
-	nows := make([]float64, states)
-	var reqs []*core.Request
+// estimateStates is the pricing benches' setup: 64 devices, each moved
+// by one Access, the time its Access completes, and the requests to
+// price. The timed loops hold neither Access nor timer toggles.
+func estimateStates(newDev func() core.Device) (devs []core.Device, nows []float64, reqs []*core.Request) {
+	const states = 64
+	devs = make([]core.Device, states)
+	nows = make([]float64, states)
 	for i := range devs {
 		devs[i] = newDev()
 		if reqs == nil {
@@ -63,11 +60,22 @@ func benchEstimate(b *testing.B, newDev func() core.Device, price core.CostModel
 		}
 		nows[i] = devs[i].Access(reqs[len(reqs)-1-i], 0)
 	}
+	return devs, nows, reqs
+}
+
+// benchDepth is the candidates one pricing-bench op prices.
+const benchDepth = 8
+
+// benchEstimate times the cost-model side of one SPTF dispatch: each op
+// prices 8 queued candidates with price from one of estimateStates'
+// device states, each priced at the completion time of its Access.
+func benchEstimate(b *testing.B, newDev func() core.Device, price core.CostModel) {
+	devs, nows, reqs := estimateStates(newDev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, now := devs[i%states], nows[i%states]
-		for _, r := range reqs[(i*depth)%len(reqs):][:depth] {
+		d, now := devs[i%len(devs)], nows[i%len(devs)]
+		for _, r := range reqs[(i*benchDepth)%len(reqs):][:benchDepth] {
 			estimateSink += price(d, r, now)
 		}
 	}
@@ -80,10 +88,28 @@ func BenchmarkMEMSEstimate(b *testing.B) {
 }
 
 // BenchmarkMEMSLowerBound is the MEMS device's cheap side of a pruned
-// SPTF dispatch; an op is 8 AccessLowerBound calls on the same
-// candidates BenchmarkMEMSEstimate prices in full.
+// SPTF dispatch; an op is 8 LowerBound calls on the same candidates
+// BenchmarkMEMSEstimate prices in full. Their keys are made before the
+// timer starts, as SPTF makes each queued request's key once.
 func BenchmarkMEMSLowerBound(b *testing.B) {
-	benchEstimate(b, func() core.Device { return mems.MustDevice(mems.DefaultConfig()) }, core.AccessCostBound)
+	devs, nows, reqs := estimateStates(func() core.Device { return mems.MustDevice(mems.DefaultConfig()) })
+	lbs := make([]core.LowerBounder, len(devs))
+	for i, d := range devs {
+		lbs[i] = d.(core.LowerBounder)
+	}
+	keys := make([]core.BoundKey, len(reqs))
+	for i, r := range reqs {
+		keys[i] = lbs[0].BoundKey(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lb, now := lbs[i%len(lbs)], nows[i%len(lbs)]
+		ks := keys[(i*benchDepth)%len(keys):][:benchDepth]
+		for j := range ks {
+			estimateSink += lb.LowerBound(&ks[j], now)
+		}
+	}
 }
 
 // BenchmarkDiskEstimate is SPTF's per-dispatch pricing on the disk
