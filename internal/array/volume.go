@@ -233,9 +233,6 @@ func (v *Volume) Lost() bool { return v.lost }
 // Rebuilding reports whether an online rebuild is in progress.
 func (v *Volume) Rebuilding() bool { return v.spareDev >= 0 }
 
-// Watermark returns the rebuilt member-LBN prefix.
-func (v *Volume) Watermark() int64 { return v.watermark }
-
 // Epoch returns the redundancy-state generation, incremented by Fail
 // and FinishRebuild; plans created under an older epoch must be
 // re-resolved with ReplaceDeadOp before issue.

@@ -393,12 +393,6 @@ func (d *Device) SetState(cyl, head int) {
 // Cylinders returns the cylinder count (used by layouts).
 func (d *Device) Cylinders() int { return d.cfg.Cylinders }
 
-// CylinderOf returns the cylinder holding lbn.
-func (d *Device) CylinderOf(lbn int64) int {
-	c, _, _ := d.Locate(lbn)
-	return c
-}
-
 // ZoneSPT reports the sectors per track of the zone containing lbn; the
 // layout experiments use it to reason about streaming bandwidth.
 func (d *Device) ZoneSPT(lbn int64) int { return d.zoneOf(lbn).spt }

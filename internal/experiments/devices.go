@@ -33,6 +33,15 @@ func memsFactory(settleConstants float64) core.DeviceFactory {
 // diskFactory is a core.DeviceFactory for the reference disk.
 func diskFactory() core.Device { return newDisk() }
 
+// closedMean serves reqs back to back on d under the job's run policy
+// and returns the mean service time in ms. Busy/Requests sums service
+// times in issue order, exactly as a hand-written `sum += d.Access`
+// loop does, so it is bit-identical to one; the Welford mean is not.
+func closedMean(ctx *sim.Context, d core.Device, reqs []*core.Request) float64 {
+	res := sim.RunClosed(ctx, d, workload.NewFromSlice(reqs), sim.Options{})
+	return res.Busy / float64(res.Requests)
+}
+
 // schedFactory returns a factory for the named scheduler. The names come
 // from sched.Names, so construction cannot fail.
 func schedFactory(name string) core.SchedulerFactory {

@@ -44,7 +44,7 @@ func cachePlan(p Params) *Plan {
 		jobs[i] = &runner.Job{
 			Label: "cache " + v.label + " " + v.mode,
 			Seed:  p.Seed,
-			Custom: func(*runner.Job) any {
+			Custom: func(job *runner.Job) any {
 				dev := newMEMS(1)
 				var d core.Device = dev
 				var c *cache.Cache
@@ -55,17 +55,15 @@ func cachePlan(p Params) *Plan {
 					d = c
 				}
 				rng := rand.New(rand.NewSource(p.Seed))
-				now, sum := 0.0, 0.0
-				for i := 0; i < n; i++ {
+				reqs := make([]*core.Request, n)
+				for i := range reqs {
 					lbn := int64(i * v.blocks)
 					if !v.seq {
 						lbn = rng.Int63n(d.Capacity() - int64(v.blocks))
 					}
-					svc := d.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: v.blocks}, now)
-					now += svc
-					sum += svc
+					reqs[i] = &core.Request{Op: core.Read, LBN: lbn, Blocks: v.blocks}
 				}
-				mean := sum / float64(n)
+				mean := closedMean(job.SimContext(), d, reqs)
 				bw := float64(v.blocks) * 512 / (mean / 1000) / 1e6
 				hit := "—"
 				if c != nil {

@@ -34,22 +34,21 @@ func generationsPlan(p Params) *Plan {
 		jobs[i] = &runner.Job{
 			Label: "generations " + gen.name,
 			Seed:  p.Seed,
-			Custom: func(*runner.Job) any {
+			Custom: func(job *runner.Job) any {
 				d, err := mems.NewDevice(gen.cfg)
 				if err != nil {
 					panic(err) // generation configs are maintained with the model
 				}
 				g := d.Geometry()
 				rng := rand.New(rand.NewSource(p.Seed))
-				sum := 0.0
-				for i := 0; i < trials; i++ {
-					lbn := rng.Int63n(g.TotalSectors - 8)
-					sum += d.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: 8}, 0)
+				reqs := make([]*core.Request, trials)
+				for i := range reqs {
+					reqs[i] = &core.Request{Op: core.Read, LBN: rng.Int63n(g.TotalSectors - 8), Blocks: 8}
 				}
 				return []string{gen.name,
 					fmt.Sprintf("%.2f", float64(g.CapacityBytes())/1e9),
 					fmt.Sprintf("%.1f", g.StreamBandwidth()/1e6),
-					ms(sum / float64(trials)),
+					ms(closedMean(job.SimContext(), d, reqs)),
 					ms(d.SeekX(0, g.Cylinders-1))}
 			},
 		}

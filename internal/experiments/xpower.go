@@ -62,9 +62,6 @@ func powerPlan(p Params) *Plan {
 				m := power.NewManaged(inner, v.model, v.policy)
 				res := sim.Run(job.SimContext(), m, sched.NewFCFS(), workload.NewFromSlice(tr.Requests()),
 					sim.Options{})
-				if err := job.Ctx().Err(); err != nil {
-					return err
-				}
 				m.FinishAt(res.Elapsed)
 				rep := m.Report()
 				return []string{v.device, v.polName,

@@ -43,11 +43,7 @@ func raidPlan(p Params) *Plan {
 		{"4 KB read, healthy", random(core.Read, -1)},
 		{"4 KB read, degraded (reconstruct)", random(core.Read, 0)},
 		{"member rebuild (full scan)", func(j *runner.Job, devs []core.Device) any {
-			scanMs := raidRebuildScan(j.SimContext(), raidVolume(devs, 1), devs)
-			if err := j.Ctx().Err(); err != nil {
-				return err
-			}
-			return scanMs / 1000 // seconds
+			return raidRebuildScan(j.SimContext(), raidVolume(devs, 1), devs) / 1000 // seconds
 		}},
 	}
 	devices := []struct {

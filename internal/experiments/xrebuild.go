@@ -113,11 +113,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, nil, p.MemberSched, p.FaultRate, p)
-				if err := job.Ctx().Err(); err != nil {
-					return err
-				}
-				return out
+				return rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, nil, p.MemberSched, p.FaultRate, p)
 			}
 			grid[fi][di] = j
 			jobs = append(jobs, j)
@@ -132,11 +128,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, sim.AdaptiveRebuild{}, p.MemberSched, p.FaultRate, p)
-				if err := job.Ctx().Err(); err != nil {
-					return err
-				}
-				return out
+				return rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, sim.AdaptiveRebuild{}, p.MemberSched, p.FaultRate, p)
 			}
 			adaptiveJobs[di] = j
 			jobs = append(jobs, j)
@@ -151,11 +143,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, nil, p.MemberSched, p.FaultRate, p)
-				if err := job.Ctx().Err(); err != nil {
-					return err
-				}
-				return out
+				return rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, nil, p.MemberSched, p.FaultRate, p)
 			}
 			mirror[di] = j
 			jobs = append(jobs, j)

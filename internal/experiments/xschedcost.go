@@ -118,11 +118,7 @@ func schedCostPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				out := schedCostRun(job, dev, name, p)
-				if err := job.Ctx().Err(); err != nil {
-					return err
-				}
-				return out
+				return schedCostRun(job, dev, name, p)
 			}
 			grid[di][si] = j
 			jobs = append(jobs, j)
@@ -140,11 +136,7 @@ func schedCostPlan(p Params) *Plan {
 			j.Custom = func(job *runner.Job) any {
 				// Fault rate 0 keeps -fault-rate off these rows, so they
 				// isolate the member-queue policy.
-				out := rebuildRun(job, rebuildParityCfg(), memsFactory(1), 1000, frac, nil, name, 0, p)
-				if err := job.Ctx().Err(); err != nil {
-					return err
-				}
-				return out
+				return rebuildRun(job, rebuildParityCfg(), memsFactory(1), 1000, frac, nil, name, 0, p)
 			}
 			degraded[fi][si] = j
 			jobs = append(jobs, j)

@@ -7,6 +7,7 @@ import (
 	"memsim/internal/core"
 	"memsim/internal/layout"
 	"memsim/internal/runner"
+	"memsim/internal/sim"
 )
 
 func init() { register("shuffle", shufflePlan) }
@@ -38,8 +39,8 @@ func shufflePlan(p Params) *Plan {
 		staticJobs[i] = &runner.Job{
 			Label: fmt.Sprintf("shuffle static drift=%d×", frac),
 			Seed:  p.Seed,
-			Custom: func(*runner.Job) any {
-				return shuffleStatic(p, n, drift)
+			Custom: func(job *runner.Job) any {
+				return shuffleStatic(job.SimContext(), p, n, drift)
 			},
 		}
 		adaptiveJobs[i] = &runner.Job{
@@ -100,20 +101,15 @@ func shuffleWorkload(extents int64, extentBlocks int64, count, drift int, seed i
 	}
 }
 
-// shuffleStatic measures the identity layout.
-func shuffleStatic(p Params, count, drift int) float64 {
+// shuffleStatic measures the identity layout on the closed-loop engine.
+func shuffleStatic(ctx *sim.Context, p Params, count, drift int) float64 {
 	d := newMEMS(1)
-	g := d.Geometry()
-	ext := int64(g.SectorsPerCylinder)
-	sum, now := 0.0, 0.0
-	n := 0
+	ext := int64(d.Geometry().SectorsPerCylinder)
+	reqs := make([]*core.Request, 0, count)
 	shuffleWorkload(d.Capacity()/ext, ext, count, drift, p.Seed, func(lbn int64) {
-		svc := d.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: 8}, now)
-		now += svc
-		sum += svc
-		n++
+		reqs = append(reqs, &core.Request{Op: core.Read, LBN: lbn, Blocks: 8})
 	})
-	return sum / float64(n)
+	return closedMean(ctx, d, reqs)
 }
 
 // shuffleAdaptive measures the adaptive organ pipe with incremental

@@ -31,11 +31,7 @@ func stripingPlan(p Params) *Plan {
 				Label: fmt.Sprintf("striping %d sleds rate=%g", n, rate),
 				Seed:  p.Seed,
 				Custom: func(job *runner.Job) any {
-					out := stripedResponse(job, n, rate, p)
-					if err := job.Ctx().Err(); err != nil {
-						return err
-					}
-					return out
+					return stripedResponse(job, n, rate, p)
 				},
 			}
 			grid[ri][ni] = j

@@ -93,16 +93,13 @@ func (s *SlipRemap) Access(req *core.Request, now float64) float64 {
 	return cur - now
 }
 
-// EstimateAccess implements core.Device. Multi-piece estimates would
-// need to advance device state piece-by-piece; the single-piece case is
-// exact and the multi-piece case returns the first piece's estimate as a
-// lower bound (the LBN-based schedulers never call this).
+// EstimateAccess implements core.Device by estimating the request's
+// first piece only. That is exact for a request the remap table leaves
+// whole, but a request split around a slipped or remapped sector is
+// underestimated: the later pieces, with their own positioning, are not
+// priced. Pricing them would mean advancing device state piece by piece.
 func (s *SlipRemap) EstimateAccess(req *core.Request, now float64) float64 {
-	ps := s.pieces(req.LBN, req.Blocks)
-	if len(ps) == 1 {
-		ps[0].Op = req.Op
-		return s.inner.EstimateAccess(&ps[0], now)
-	}
-	ps[0].Op = req.Op
-	return s.inner.EstimateAccess(&ps[0], now)
+	p := s.pieces(req.LBN, req.Blocks)[0]
+	p.Op = req.Op
+	return s.inner.EstimateAccess(&p, now)
 }

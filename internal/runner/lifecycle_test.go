@@ -127,6 +127,33 @@ func TestDeclarativeJobCancelledMidRun(t *testing.T) {
 	j.Result()
 }
 
+func TestCustomJobCancelledMidRun(t *testing.T) {
+	// A Custom body that runs the engine under SimContext and returns
+	// without checking anything still fails with the context error when
+	// the run is cut short: cancellation is decided by the runner, for
+	// Custom and declarative jobs alike, and Value stays unreadable.
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := &Job{Label: "interrupted custom", Custom: func(job *Job) any {
+		d := &cancellingDevice{tickDevice{svc: 1}, 100, cancel}
+		src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 5000, 1)
+		return sim.Run(job.SimContext(), d, sched.NewFCFS(), src, sim.Options{}).Requests
+	}}
+	_, err := (&Context{Workers: 1, Ctx: cctx}).Run([]*Job{j})
+	if err == nil {
+		t.Fatal("interrupted batch returned nil error")
+	}
+	if !errors.Is(j.Err(), context.Canceled) {
+		t.Fatalf("job err = %v, want Canceled", j.Err())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Value() of a cancelled Custom job did not panic")
+		}
+	}()
+	j.Value()
+}
+
 func TestCustomErrorReturnFailsJob(t *testing.T) {
 	// The Custom error-return convention: a body returning a non-nil
 	// error fails the job with it, and Value stays unreadable.

@@ -62,10 +62,11 @@ type Job struct {
 	// Custom, when non-nil, replaces the declarative run; its return
 	// value becomes the job's Value. It may report simulated time by
 	// setting SimMs. A Custom body that returns an error value fails the
-	// job with it (the body's only non-panic error channel) — the
-	// convention cancellable bodies use to surface Ctx's cancellation
-	// cause. Bodies observe the batch lifecycle through Ctx and
-	// SimContext.
+	// job with it — the channel for the body's own errors. Cancellation
+	// is the runner's business: a body that runs the engine under
+	// SimContext need not check anything, because a run cut short there
+	// fails the job exactly as it fails a declarative one. Only a body
+	// with work of its own between runs (a Monte-Carlo loop) polls Ctx.
 	Custom func(j *Job) any
 
 	// SimMs is the simulated time the job covered in milliseconds. The
@@ -131,9 +132,10 @@ func (j *Job) Value() any {
 // run executes the job under its installed run policy, converting
 // panics into errors so one bad job cannot take down the whole pool.
 // Declarative runs pass the policy and the job's Options straight to
-// the engine; Custom bodies reach it through SimContext. A run stopped
-// by cancellation fails the job with the context's error instead of
-// publishing a partial Result.
+// the engine; Custom bodies reach it through SimContext. Either way, an
+// engine run stopped by cancellation latches the policy (see
+// sim.Context.Cancelled), and the job fails with the context's error
+// instead of publishing a partial Result or Value.
 func (j *Job) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -157,7 +159,7 @@ func (j *Job) run() (err error) {
 		j.res = sim.RunClosed(j.sctx, d, j.Source(d), j.Options)
 		j.SimMs = j.res.Elapsed
 	}
-	if j.res.Cancelled {
+	if j.sctx.Cancelled() {
 		cause := j.sctx.Ctx.Err()
 		if cause == nil {
 			cause = context.Canceled

@@ -37,6 +37,7 @@ import (
 // Result, and the observability plumbing every regime threads through.
 type engine struct {
 	ctx  Context
+	src  *Context // the caller's Context, latched on cancellation
 	opts Options
 	inj  *fault.Injector
 	p    Probe
@@ -63,7 +64,7 @@ type engine struct {
 // then the shared Context.Probe, then the engine's invariant probe
 // under Context.Check; a nil ctx is the zero Context.
 func newEngine(ctx *Context, opts Options) *engine {
-	e := &engine{opts: opts, inj: opts.Injector}
+	e := &engine{src: ctx, opts: opts, inj: opts.Injector}
 	if ctx != nil {
 		e.ctx = *ctx
 	}
@@ -146,6 +147,7 @@ func (e *engine) loop() {
 	cancel := func() {
 		e.stopped = true
 		e.res.Cancelled = true
+		e.src.cancelled = true // non-nil: a nil Context has no done channel
 	}
 	if cancelled() {
 		// Already cancelled (an expired deadline, a batch-wide interrupt

@@ -20,9 +20,10 @@ func TestRunPreCancelledContext(t *testing.T) {
 	cancel()
 	d := &fixedDevice{svc: 2}
 	src := workload.NewFromSlice(mkReqs([]float64{0, 1, 2}))
-	res := Run(&Context{Ctx: cctx}, d, sched.NewFCFS(), src, Options{})
-	if !res.Cancelled {
-		t.Fatal("pre-cancelled run not marked Cancelled")
+	ctx := &Context{Ctx: cctx}
+	res := Run(ctx, d, sched.NewFCFS(), src, Options{})
+	if !res.Cancelled || !ctx.Cancelled() {
+		t.Fatalf("pre-cancelled run: Result.Cancelled=%v Context.Cancelled()=%v", res.Cancelled, ctx.Cancelled())
 	}
 	if res.Requests != 0 || res.FailedRequests != 0 {
 		t.Errorf("pre-cancelled run completed %d/%d requests, want 0",
@@ -39,9 +40,10 @@ func TestRunClosedPreCancelledContext(t *testing.T) {
 	cancel()
 	d := &fixedDevice{svc: 1}
 	src := workload.NewFromSlice(mkReqs(make([]float64, 10)))
-	res := RunClosed(&Context{Ctx: cctx}, d, src, Options{})
-	if !res.Cancelled || res.Requests != 0 {
-		t.Fatalf("closed pre-cancelled: Cancelled=%v requests=%d", res.Cancelled, res.Requests)
+	ctx := &Context{Ctx: cctx}
+	res := RunClosed(ctx, d, src, Options{})
+	if !res.Cancelled || !ctx.Cancelled() || res.Requests != 0 {
+		t.Fatalf("closed pre-cancelled: Cancelled=%v/%v requests=%d", res.Cancelled, ctx.Cancelled(), res.Requests)
 	}
 }
 
@@ -83,7 +85,9 @@ func TestRunCancelMidRun(t *testing.T) {
 func TestRunBackgroundContextByteIdentical(t *testing.T) {
 	// context.Background has a nil Done channel, so the cancellation
 	// fast path must leave the event loop untouched: results are
-	// identical to a nil-Context run, poll counters and all.
+	// identical to a nil-Context run, poll counters and all. A live
+	// cancellable context polls but never fires: same results, and its
+	// Context is not latched Cancelled. A nil Context never is.
 	mk := func(ctx *Context) Result {
 		d := &fixedDevice{svc: 2}
 		src := workload.NewFromSlice(mkReqs([]float64{0, 0.5, 1, 7, 9}))
@@ -96,6 +100,15 @@ func TestRunBackgroundContextByteIdentical(t *testing.T) {
 	}
 	if bg.Cancelled {
 		t.Error("background-context run marked Cancelled")
+	}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	lctx := &Context{Ctx: live}
+	if res := mk(lctx); !reflect.DeepEqual(plain, res) || lctx.Cancelled() {
+		t.Errorf("live-context run diverged or latched Cancelled=%v:\nnil ctx: %+v\nlive: %+v", lctx.Cancelled(), plain, res)
+	}
+	if (*Context)(nil).Cancelled() {
+		t.Error("nil Context reports Cancelled")
 	}
 }
 
@@ -255,11 +268,12 @@ func TestRunVolumeDeadlineExpiry(t *testing.T) {
 	spec := volFixtures(t, parityVolCfg(), 1)
 	arr := []float64{0, 1, 2, 3}
 	src := workload.NewFromSlice(volReqs(arr, core.Read, []int64{0, 8, 16, 24}))
-	res, err := RunVolume(&Context{Ctx: cctx}, spec, src, Options{})
+	ctx := &Context{Ctx: cctx}
+	res, err := RunVolume(ctx, spec, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cancelled || res.Requests != 0 {
-		t.Errorf("expired deadline: Cancelled=%v requests=%d", res.Cancelled, res.Requests)
+	if !res.Cancelled || !ctx.Cancelled() || res.Requests != 0 {
+		t.Errorf("expired deadline: Cancelled=%v/%v requests=%d", res.Cancelled, ctx.Cancelled(), res.Requests)
 	}
 }

@@ -24,11 +24,14 @@ import (
 // Options, which describe *what is simulated*: the parallel experiment
 // runner hands every job one ready-made Context, and the interactive
 // CLIs build their own, without touching the experiment declarations.
-// A nil *Context is valid and observes nothing.
+// A nil *Context is valid and observes nothing. The one thing a run
+// writes back is the cancellation latch read by Cancelled, so
+// cancellable runs sharing a Context must not run concurrently.
 type Context struct {
 	// Ctx, when non-nil, makes the run cancellable: the event loop polls
 	// Ctx.Done() every 1024 events and, once cancelled, stops
-	// dispatching, finalizes normally, and marks the Result Cancelled.
+	// dispatching, finalizes normally, and marks both the Result and
+	// this Context Cancelled.
 	// A nil Ctx (or context.Background, whose Done channel is nil) keeps
 	// the poll-free fast path, so uncancellable runs stay byte-identical
 	// to runs predating cancellation support.
@@ -68,7 +71,19 @@ type Context struct {
 	// suite pins it. Moments (mean, CV², min/max) are Welford-computed
 	// either way and never change.
 	Sketch bool
+
+	// cancelled latches that some run under this Context was stopped
+	// for cancellation; see Cancelled.
+	cancelled bool
 }
+
+// Cancelled reports whether any run given this Context stopped early
+// because Ctx was cancelled (the run's Result is then marked Cancelled
+// too). The latch is sticky across runs, so a caller that drives
+// several runs through one Context — the experiment runner's Custom
+// bodies — learns after the fact that one of them was cut short,
+// without checking each Result. A nil Context is never cancelled.
+func (c *Context) Cancelled() bool { return c != nil && c.cancelled }
 
 // progressEvery is the completion interval between OnProgress calls.
 const progressEvery = 1000

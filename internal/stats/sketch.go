@@ -282,7 +282,3 @@ func (s *Sketch) Merge(other *Sketch) {
 // the sketch's memory footprint in units of int64, bounded by
 // 2×maxSketchBuckets regardless of how many observations were added.
 func (s *Sketch) Buckets() int { return len(s.pos.buckets) + len(s.neg.buckets) }
-
-// RelativeAccuracy returns the guaranteed relative error bound of
-// Percentile estimates (the α the bucket geometry was derived from).
-func (s *Sketch) RelativeAccuracy() float64 { return sketchAlpha }
