@@ -24,8 +24,8 @@ func main() {
 		g := dev.Geometry()
 
 		placers := []memsim.Placer{
-			memsim.NewMEMSSimpleLayout(g),
-			memsim.NewMEMSOrganPipeLayout(g, 0.04),
+			memsim.NewSimpleLayout(g.TotalSectors),
+			memsim.NewOrganPipeLayout(g.TotalSectors, 0.04),
 			memsim.NewMEMSColumnarLayout(g, 25),
 			memsim.NewMEMSSubregionedLayout(g, 5),
 		}
@@ -53,8 +53,8 @@ func main() {
 	fmt.Println("Atlas 10K:")
 	base := 0.0
 	for i, p := range []memsim.Placer{
-		memsim.NewDiskSimpleLayout(disk),
-		memsim.NewDiskOrganPipeLayout(disk, 0.04),
+		memsim.NewSimpleLayout(disk.Capacity()),
+		memsim.NewOrganPipeLayout(disk.Capacity(), 0.04),
 	} {
 		src := memsim.NewBipartiteWorkload(memsim.DefaultBipartiteConfig(1), p)
 		res := memsim.SimulateClosed(disk, src, memsim.SimOptions{})

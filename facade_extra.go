@@ -29,14 +29,15 @@ const (
 	LargeClass = layout.Large
 )
 
-// NewMEMSSimpleLayout places both classes uniformly (the Fig. 11
-// baseline).
-func NewMEMSSimpleLayout(g *MEMSGeometry) Placer { return layout.NewMEMSSimple(g) }
+// NewSimpleLayout places both classes uniformly over a device of the
+// given capacity in sectors (the Fig. 11 baseline, MEMS or disk).
+func NewSimpleLayout(capacity int64) Placer { return layout.NewSimple(capacity) }
 
-// NewMEMSOrganPipeLayout packs the small population into the centermost
-// cylinders — the layout that is optimal for disks.
-func NewMEMSOrganPipeLayout(g *MEMSGeometry, smallFrac float64) Placer {
-	return layout.NewMEMSOrganPipe(g, smallFrac)
+// NewOrganPipeLayout packs the small population into the center of a
+// device of the given capacity in sectors (the centermost cylinders) —
+// the layout that is optimal for disks.
+func NewOrganPipeLayout(capacity int64, smallFrac float64) Placer {
+	return layout.NewOrganPipe(capacity, smallFrac)
 }
 
 // NewMEMSColumnarLayout divides the LBN space into columns of contiguous
@@ -49,16 +50,6 @@ func NewMEMSColumnarLayout(g *MEMSGeometry, columns int) Placer {
 // confining small data in both X and Y.
 func NewMEMSSubregionedLayout(g *MEMSGeometry, n int) Placer {
 	return layout.NewMEMSSubregioned(g, n)
-}
-
-// NewDiskSimpleLayout and NewDiskOrganPipeLayout are the disk-side
-// baselines of Fig. 11.
-func NewDiskSimpleLayout(d *DiskDevice) Placer { return layout.NewDiskSimple(d) }
-
-// NewDiskOrganPipeLayout packs the small population into the disk's
-// center cylinders.
-func NewDiskOrganPipeLayout(d *DiskDevice, smallFrac float64) Placer {
-	return layout.NewDiskOrganPipe(d, smallFrac)
 }
 
 // BipartiteConfig parameterizes the §5.3 workload (89% 4 KB / 11%
@@ -282,20 +273,7 @@ func SimulateVolume(spec VolumeSpec, src WorkloadSource, opts SimOptions) (SimRe
 	return sim.RunVolume(nil, spec, src, opts)
 }
 
-// ─── Availability under failure (lifetime model + rebuild pacing) ───────
-
-// RebuildPolicy paces a volume's online rebuild; set one on
-// VolumeSpec.RebuildPolicy. Implementations must be deterministic.
-type RebuildPolicy = sim.RebuildPolicy
-
-// FixedRebuildPolicy is the default constant-duty-cycle throttle
-// (equivalent to VolumeSpec.RebuildFrac).
-type FixedRebuildPolicy = sim.FixedRebuild
-
-// AdaptiveRebuildPolicy backs the rebuild off as foreground queue depth
-// grows and sprints when the queues are idle, trading MTTR against
-// foreground latency automatically.
-type AdaptiveRebuildPolicy = sim.AdaptiveRebuild
+// ─── Availability under failure (lifetime model) ────────────────────────
 
 // DeviceLifetimeModel draws whole-device failure times from per-slot
 // exponential lifetime streams (seeded, deterministic); attach one via

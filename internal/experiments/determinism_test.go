@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"memsim/internal/runner"
@@ -173,8 +172,6 @@ func (t eventTally) Observe(ev sim.ProbeEvent) {
 // hand-written Custom bodies: the multi-device, volume, power and
 // closed-loop MEMS regimes emit lifecycle events under their own job
 // labels, and observing them leaves every table byte-identical.
-// shuffle's adaptive jobs are still timed by hand, so only its static
-// jobs must emit.
 func TestCustomEngineBodiesAreTraced(t *testing.T) {
 	p := Quick().WithRequests(300)
 	for _, id := range []string{"rebuild", "striping", "schedcost", "power", "cache", "generations", "shuffle"} {
@@ -191,9 +188,6 @@ func TestCustomEngineBodiesAreTraced(t *testing.T) {
 			labels := map[string]bool{}
 			for _, j := range pl.Jobs {
 				labels[j.Label] = true
-				if id == "shuffle" && !strings.Contains(j.Label, " static ") {
-					continue
-				}
 				if tally[j.Label][sim.EventComplete] == 0 {
 					t.Errorf("job %q emitted no complete events", j.Label)
 				}

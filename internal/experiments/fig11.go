@@ -38,20 +38,20 @@ func fig11Plan(p Params) *Plan {
 	dd := newDisk()
 	groups := []group{
 		{"MEMS", memsFactory(1), []layout.Placer{
-			layout.NewMEMSSimple(g1),
-			layout.NewMEMSOrganPipe(g1, organPipeSmallFrac),
+			layout.NewSimple(g1.TotalSectors),
+			layout.NewOrganPipe(g1.TotalSectors, organPipeSmallFrac),
 			layout.NewMEMSColumnar(g1, 25),
 			layout.NewMEMSSubregioned(g1, 5),
 		}},
 		{"MEMS-nosettle", memsFactory(0), []layout.Placer{
-			layout.NewMEMSSimple(g0),
-			layout.NewMEMSOrganPipe(g0, organPipeSmallFrac),
+			layout.NewSimple(g0.TotalSectors),
+			layout.NewOrganPipe(g0.TotalSectors, organPipeSmallFrac),
 			layout.NewMEMSColumnar(g0, 25),
 			layout.NewMEMSSubregioned(g0, 5),
 		}},
 		{"Atlas10K", diskFactory, []layout.Placer{
-			layout.NewDiskSimple(dd),
-			layout.NewDiskOrganPipe(dd, organPipeSmallFrac),
+			layout.NewSimple(dd.Capacity()),
+			layout.NewOrganPipe(dd.Capacity(), organPipeSmallFrac),
 		}},
 	}
 

@@ -113,7 +113,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				return rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, nil, p.MemberSched, p.FaultRate, p)
+				return rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, false, p.MemberSched, p.FaultRate, p)
 			}
 			grid[fi][di] = j
 			jobs = append(jobs, j)
@@ -128,7 +128,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				return rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, sim.AdaptiveRebuild{}, p.MemberSched, p.FaultRate, p)
+				return rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, true, p.MemberSched, p.FaultRate, p)
 			}
 			adaptiveJobs[di] = j
 			jobs = append(jobs, j)
@@ -143,7 +143,7 @@ func rebuildPlan(p Params) *Plan {
 				Seed:  p.Seed,
 			}
 			j.Custom = func(job *runner.Job) any {
-				return rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, nil, p.MemberSched, p.FaultRate, p)
+				return rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, false, p.MemberSched, p.FaultRate, p)
 			}
 			mirror[di] = j
 			jobs = append(jobs, j)
@@ -215,11 +215,12 @@ func memberSched(name string) core.Scheduler {
 
 // rebuildRun drives one volume through a mid-run member failure and
 // online rebuild, and distills the failover metrics. Every member queue
-// runs the named scheduler (see memberSched). A non-nil policy paces the
-// rebuild dynamically; nil selects the fixed-fraction throttle frac.
+// runs the named scheduler (see memberSched). adaptive paces the
+// rebuild off foreground pressure; otherwise it runs at the fixed
+// fraction frac.
 // faultRate layers transient per-attempt errors on the device kill.
 func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
-	rate, frac float64, policy sim.RebuildPolicy, schedName string, faultRate float64,
+	rate, frac float64, adaptive bool, schedName string, faultRate float64,
 	p Params) rebuildOutcome {
 	v, err := array.NewVolume(cfg)
 	if err != nil {
@@ -260,7 +261,7 @@ func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
 	})
 	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
 		Volume: v, Devices: devs, Scheds: scheds,
-		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac, RebuildPolicy: policy,
+		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac, AdaptiveRebuild: adaptive,
 	}, src, sim.Options{Warmup: p.Warmup, Injector: inj})
 	if err != nil {
 		panic(err)

@@ -136,7 +136,7 @@ func schedCostPlan(p Params) *Plan {
 			j.Custom = func(job *runner.Job) any {
 				// Fault rate 0 keeps -fault-rate off these rows, so they
 				// isolate the member-queue policy.
-				return rebuildRun(job, rebuildParityCfg(), memsFactory(1), 1000, frac, nil, name, 0, p)
+				return rebuildRun(job, rebuildParityCfg(), memsFactory(1), 1000, frac, false, name, 0, p)
 			}
 			degraded[fi][si] = j
 			jobs = append(jobs, j)

@@ -46,9 +46,8 @@ func shufflePlan(p Params) *Plan {
 		adaptiveJobs[i] = &runner.Job{
 			Label: fmt.Sprintf("shuffle adaptive drift=%d×", frac),
 			Seed:  p.Seed,
-			Custom: func(*runner.Job) any {
-				svc, mig := shuffleAdaptive(p, n, drift)
-				return adaptiveCell{svc, mig}
+			Custom: func(job *runner.Job) any {
+				return shuffleAdaptive(job.SimContext(), p, n, drift)
 			},
 		}
 		jobs = append(jobs, staticJobs[i], adaptiveJobs[i])
@@ -113,9 +112,9 @@ func shuffleStatic(ctx *sim.Context, p Params, count, drift int) float64 {
 }
 
 // shuffleAdaptive measures the adaptive organ pipe with incremental
-// reshuffling (up to 4 extent swaps every 250 requests), charging
-// migration at streaming bandwidth.
-func shuffleAdaptive(p Params, count, drift int) (service, migration float64) {
+// reshuffling (up to 4 extent swaps every 250 requests) on the
+// closed-loop engine, charging migration at streaming bandwidth.
+func shuffleAdaptive(ctx *sim.Context, p Params, count, drift int) adaptiveCell {
 	d := newMEMS(1)
 	g := d.Geometry()
 	ext := int64(g.SectorsPerCylinder)
@@ -123,22 +122,43 @@ func shuffleAdaptive(p Params, count, drift int) (service, migration float64) {
 	if err != nil {
 		panic(err) // capacity is cylinders × SectorsPerCylinder by construction
 	}
-	md := core.NewManagedDevice(d, aop)
-	perBlockMs := 2 * float64(g.SectorSize) / g.StreamBandwidth() * 1e3
-	sum, mig, now := 0.0, 0.0, 0.0
-	n := 0
+	src := &reshuffleSource{aop: aop, perBlockMs: 2 * float64(g.SectorSize) / g.StreamBandwidth() * 1e3}
 	shuffleWorkload(d.Capacity()/ext, ext, count, drift, p.Seed, func(lbn int64) {
-		aop.Record(lbn, 8)
-		svc := md.Access(&core.Request{Op: core.Read, LBN: lbn, Blocks: 8}, now)
-		now += svc
-		sum += svc
-		n++
-		if n%250 == 0 {
-			moved := aop.ReshuffleN(4)
-			cost := float64(moved) * perBlockMs
-			mig += cost
-			now += cost
-		}
+		src.lbns = append(src.lbns, lbn)
 	})
-	return sum / float64(n), mig / float64(n)
+	res := sim.RunClosed(ctx, core.NewManagedDevice(d, aop), src, sim.Options{})
+	return adaptiveCell{res.Busy / float64(res.Requests), src.mig / float64(res.Requests)}
 }
+
+// reshuffleSource feeds shuffleAdaptive's reads to the closed loop,
+// recording each one's popularity. Every 250 requests it reshuffles and
+// charges the migration as think time before the next read, and once
+// more before it reports the end of a stream whose length is a multiple
+// of 250.
+type reshuffleSource struct {
+	aop        *layout.AdaptiveOrganPipe
+	lbns       []int64
+	i          int
+	perBlockMs float64
+	think, mig float64
+}
+
+// Next implements workload.Source.
+func (s *reshuffleSource) Next() *core.Request {
+	s.think = 0
+	if s.i > 0 && s.i%250 == 0 {
+		s.think = float64(s.aop.ReshuffleN(4)) * s.perBlockMs
+		s.mig += s.think
+	}
+	if s.i == len(s.lbns) {
+		return nil
+	}
+	lbn := s.lbns[s.i]
+	s.i++
+	s.aop.Record(lbn, 8)
+	return &core.Request{Op: core.Read, LBN: lbn, Blocks: 8}
+}
+
+// ThinkMs implements workload.Thinker: the migration charged ahead of
+// the read Next just returned.
+func (s *reshuffleSource) ThinkMs() float64 { return s.think }

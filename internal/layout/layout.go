@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"memsim/internal/disk"
 	"memsim/internal/mems"
 )
 
@@ -96,45 +95,46 @@ func CenterOut(sizes []int64, capacity int64) ([]int64, error) {
 	return starts, nil
 }
 
-// ─── MEMS placers ───────────────────────────────────────────────────────
+// ─── Linear-LBN placers (any device) ────────────────────────────────────
 
-// memsSimple places both classes uniformly over the whole device: the
+// simple places both classes uniformly over the whole LBN space: the
 // "simple" linear layout baseline of Fig. 11.
-type memsSimple struct{ g *mems.Geometry }
+type simple struct{ capacity int64 }
 
-// NewMEMSSimple returns the simple layout baseline for a MEMS device.
-func NewMEMSSimple(g *mems.Geometry) Placer { return &memsSimple{g} }
+// NewSimple returns the simple layout baseline for a device of the given
+// capacity in sectors.
+func NewSimple(capacity int64) Placer { return &simple{capacity} }
 
-func (p *memsSimple) Name() string { return "simple" }
+func (p *simple) Name() string { return "simple" }
 
-func (p *memsSimple) Place(rng *rand.Rand, _ Class, blocks int) int64 {
-	return rng.Int63n(p.g.TotalSectors - int64(blocks) + 1)
+func (p *simple) Place(rng *rand.Rand, _ Class, blocks int) int64 {
+	return rng.Int63n(p.capacity - int64(blocks) + 1)
 }
 
-// memsOrganPipe emulates the organ-pipe layout on MEMS: the popular small
-// population is packed into the centermost cylinders (per-block
-// popularity ranking) and the large population spreads outward to either
-// side. Only the X dimension is exploited — organ pipe is a disk scheme
-// and knows nothing about the sled's Y dimension, which is exactly the
-// deficiency §5.3 identifies.
-type memsOrganPipe struct {
-	g *mems.Geometry
+// organPipe packs the popular small population into the center of the
+// LBN space with the large population to either side — the layout that
+// is optimal for disks. On MEMS it uses only the X dimension (the
+// centermost cylinders) and knows nothing about the sled's Y dimension,
+// which is exactly the deficiency §5.3 identifies.
+type organPipe struct {
+	capacity int64
 	// smallLo/smallHi bound the small population's LBN extent (centered);
 	// large occupies the remainder on both sides.
 	smallLo, smallHi int64
 }
 
-// NewMEMSOrganPipe builds an organ-pipe placement in which the small
-// population occupies smallFrac of the device capacity at the center.
-func NewMEMSOrganPipe(g *mems.Geometry, smallFrac float64) Placer {
-	smallBlocks := int64(smallFrac * float64(g.TotalSectors))
-	mid := g.TotalSectors / 2
-	return &memsOrganPipe{g: g, smallLo: mid - smallBlocks/2, smallHi: mid + smallBlocks/2}
+// NewOrganPipe builds an organ-pipe placement for a device of the given
+// capacity in sectors, in which the small population occupies smallFrac
+// of the capacity at the center.
+func NewOrganPipe(capacity int64, smallFrac float64) Placer {
+	smallBlocks := int64(smallFrac * float64(capacity))
+	mid := capacity / 2
+	return &organPipe{capacity: capacity, smallLo: mid - smallBlocks/2, smallHi: mid + smallBlocks/2}
 }
 
-func (p *memsOrganPipe) Name() string { return "organ-pipe" }
+func (p *organPipe) Name() string { return "organ-pipe" }
 
-func (p *memsOrganPipe) Place(rng *rand.Rand, c Class, blocks int) int64 {
+func (p *organPipe) Place(rng *rand.Rand, c Class, blocks int) int64 {
 	if c == Small {
 		return p.smallLo + rng.Int63n(p.smallHi-p.smallLo-int64(blocks)+1)
 	}
@@ -142,8 +142,10 @@ func (p *memsOrganPipe) Place(rng *rand.Rand, c Class, blocks int) int64 {
 	if rng.Intn(2) == 0 && p.smallLo > int64(blocks) {
 		return rng.Int63n(p.smallLo - int64(blocks) + 1)
 	}
-	return p.smallHi + rng.Int63n(p.g.TotalSectors-p.smallHi-int64(blocks)+1)
+	return p.smallHi + rng.Int63n(p.capacity-p.smallHi-int64(blocks)+1)
 }
+
+// ─── MEMS placers ───────────────────────────────────────────────────────
 
 // memsColumnar divides the LBN space into n columns of contiguous
 // cylinders; small data lives in the center column, large data in the
@@ -278,46 +280,4 @@ func (p *memsSubregioned) Place(rng *rand.Rand, c Class, blocks int) int64 {
 		lbn = g.TotalSectors - int64(blocks)
 	}
 	return lbn
-}
-
-// ─── Disk placers ───────────────────────────────────────────────────────
-
-// diskSimple places both classes uniformly over the disk.
-type diskSimple struct{ d *disk.Device }
-
-// NewDiskSimple returns the simple layout baseline for a disk.
-func NewDiskSimple(d *disk.Device) Placer { return &diskSimple{d} }
-
-func (p *diskSimple) Name() string { return "simple" }
-
-func (p *diskSimple) Place(rng *rand.Rand, _ Class, blocks int) int64 {
-	return rng.Int63n(p.d.Capacity() - int64(blocks) + 1)
-}
-
-// diskOrganPipe packs the small population into the center of the disk's
-// LBN space (center cylinders) with large data to either side — the
-// layout that is optimal for disks.
-type diskOrganPipe struct {
-	d                *disk.Device
-	smallLo, smallHi int64
-}
-
-// NewDiskOrganPipe builds the organ-pipe placement with the small
-// population occupying smallFrac of the capacity at the center.
-func NewDiskOrganPipe(d *disk.Device, smallFrac float64) Placer {
-	smallBlocks := int64(smallFrac * float64(d.Capacity()))
-	mid := d.Capacity() / 2
-	return &diskOrganPipe{d: d, smallLo: mid - smallBlocks/2, smallHi: mid + smallBlocks/2}
-}
-
-func (p *diskOrganPipe) Name() string { return "organ-pipe" }
-
-func (p *diskOrganPipe) Place(rng *rand.Rand, c Class, blocks int) int64 {
-	if c == Small {
-		return p.smallLo + rng.Int63n(p.smallHi-p.smallLo-int64(blocks)+1)
-	}
-	if rng.Intn(2) == 0 && p.smallLo > int64(blocks) {
-		return rng.Int63n(p.smallLo - int64(blocks) + 1)
-	}
-	return p.smallHi + rng.Int63n(p.d.Capacity()-p.smallHi-int64(blocks)+1)
 }

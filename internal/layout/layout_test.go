@@ -136,8 +136,8 @@ func checkPlacer(t *testing.T, p Placer, capacity int64) {
 func TestMEMSPlacersStayInBounds(t *testing.T) {
 	g := geo(t)
 	for _, p := range []Placer{
-		NewMEMSSimple(g),
-		NewMEMSOrganPipe(g, 0.04),
+		NewSimple(g.TotalSectors),
+		NewOrganPipe(g.TotalSectors, 0.04),
 		NewMEMSColumnar(g, 25),
 		NewMEMSSubregioned(g, 5),
 	} {
@@ -148,8 +148,8 @@ func TestMEMSPlacersStayInBounds(t *testing.T) {
 func TestDiskPlacersStayInBounds(t *testing.T) {
 	d := disk.MustDevice(disk.Atlas10K())
 	for _, p := range []Placer{
-		NewDiskSimple(d),
-		NewDiskOrganPipe(d, 0.04),
+		NewSimple(d.Capacity()),
+		NewOrganPipe(d.Capacity(), 0.04),
 	} {
 		checkPlacer(t, p, d.Capacity())
 	}
@@ -219,7 +219,7 @@ func TestSubregionedLargeInOuterBands(t *testing.T) {
 
 func TestOrganPipeSmallCentered(t *testing.T) {
 	g := geo(t)
-	p := NewMEMSOrganPipe(g, 0.04)
+	p := NewOrganPipe(g.TotalSectors, 0.04)
 	rng := rand.New(rand.NewSource(6))
 	mid := g.TotalSectors / 2
 	band := int64(0.02*float64(g.TotalSectors)) + 8
@@ -244,10 +244,9 @@ func TestOrganPipeSmallCentered(t *testing.T) {
 
 func TestPlacerNames(t *testing.T) {
 	g := geo(t)
-	d := disk.MustDevice(disk.Atlas10K())
 	cases := map[string]Placer{
-		"simple":      NewMEMSSimple(g),
-		"organ-pipe":  NewMEMSOrganPipe(g, 0.04),
+		"simple":      NewSimple(g.TotalSectors),
+		"organ-pipe":  NewOrganPipe(g.TotalSectors, 0.04),
 		"columnar":    NewMEMSColumnar(g, 25),
 		"subregioned": NewMEMSSubregioned(g, 5),
 	}
@@ -255,9 +254,6 @@ func TestPlacerNames(t *testing.T) {
 		if p.Name() != want {
 			t.Errorf("Name() = %q, want %q", p.Name(), want)
 		}
-	}
-	if NewDiskSimple(d).Name() != "simple" || NewDiskOrganPipe(d, 0.1).Name() != "organ-pipe" {
-		t.Error("disk placer names wrong")
 	}
 }
 

@@ -50,12 +50,10 @@ type engine struct {
 	runErr    error
 
 	// phases is the first PhaseCollector in Options.Probe: it feeds
-	// Result.Phases and gates per-member phase attribution. invariants
-	// holds every InvariantProbe there, then check, the engine-owned
-	// probe attached under Context.Check.
-	phases     *PhaseCollector
-	invariants []*InvariantProbe
-	check      *InvariantProbe
+	// Result.Phases and gates per-member phase attribution. check is
+	// the engine-owned invariant probe attached under Context.Check.
+	phases *PhaseCollector
+	check  *invariantProbe
 }
 
 // newEngine builds an engine for one run, resetting the injector and
@@ -74,8 +72,7 @@ func newEngine(ctx *Context, opts Options) *engine {
 	e.resolve(opts.Probe)
 	e.p = composeProbes(opts.Probe, e.ctx.Probe)
 	if e.ctx.Check {
-		e.check = NewInvariantProbe()
-		e.invariants = append(e.invariants, e.check)
+		e.check = newInvariantProbe()
 		e.p = composeProbes(e.p, e.check)
 	}
 	return e
@@ -84,8 +81,7 @@ func newEngine(ctx *Context, opts Options) *engine {
 // resolve walks the run-scoped probe tree once, descending MultiProbe
 // and WithRun wrappers: it resets every ProbeResetter, flips every
 // PhaseCollector to the sketch backend under Context.Sketch, and
-// records the first PhaseCollector and every InvariantProbe for
-// finalize and newMemberSet.
+// records the first PhaseCollector for finalize and newMemberSet.
 func (e *engine) resolve(p Probe) {
 	switch pr := p.(type) {
 	case nil:
@@ -99,16 +95,13 @@ func (e *engine) resolve(p Probe) {
 		if r, ok := p.(ProbeResetter); ok {
 			r.ResetProbe()
 		}
-		switch leaf := p.(type) {
-		case *PhaseCollector:
+		if pc, ok := p.(*PhaseCollector); ok {
 			if e.ctx.Sketch {
-				leaf.UseSketch()
+				pc.UseSketch()
 			}
 			if e.phases == nil {
-				e.phases = leaf
+				e.phases = pc
 			}
-		case *InvariantProbe:
-			e.invariants = append(e.invariants, leaf)
 		}
 	}
 }
@@ -165,10 +158,10 @@ func (e *engine) loop() {
 // finalize closes the run: elapsed time, phase aggregates, and data
 // loss latched from the injector's redundancy array. In check mode it
 // then verifies the end-of-run invariants — every top-level arrival was
-// completed when the run drained naturally, and the attached
-// InvariantProbe saw no per-event violations — panicking on failure
-// (the EventQueue convention: an invariant violation is a simulation
-// bug, not an operational error).
+// completed when the run drained naturally, and the engine's invariant
+// probe saw no per-event or conservation violations — panicking on
+// failure (the EventQueue convention: an invariant violation is a
+// simulation bug, not an operational error).
 func (e *engine) finalize() {
 	e.res.Elapsed = e.q.Now()
 	if e.phases != nil {
@@ -177,10 +170,8 @@ func (e *engine) finalize() {
 	if e.inj != nil && e.inj.Array() != nil && e.inj.Array().DataLoss() {
 		e.res.DataLoss = true
 	}
-	for _, iv := range e.invariants {
-		iv.finishRun(&e.res)
-	}
 	if e.check != nil {
+		e.check.finishRun(&e.res)
 		if !e.stopped && e.arrived != e.completed {
 			panic(fmt.Sprintf("sim: invariant violated: %d arrivals but %d completions in a drained run", e.arrived, e.completed))
 		}

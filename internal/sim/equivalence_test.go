@@ -287,7 +287,7 @@ func equivalenceScenarios(t *testing.T) []scenario {
 	)
 
 	// ── Redundant volumes (fork-join + failover + rebuild) ──────────
-	volume := func(level array.VolumeLevel, members, spares int, fail bool, policy sim.RebuildPolicy) scenario {
+	volume := func(level array.VolumeLevel, members, spares int, fail, adaptive bool) scenario {
 		name := "volume_mirror"
 		if level == array.VolParity {
 			name = "volume_parity"
@@ -295,8 +295,8 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		if fail {
 			name += "_fail"
 		}
-		if policy != nil {
-			name += "_" + policy.Name()
+		if adaptive {
+			name += "_adaptive"
 		}
 		run := func(opts sim.Options) (sim.Result, error) {
 			cfg := array.VolumeConfig{
@@ -321,7 +321,7 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			})
 			return sim.RunVolume(nil, sim.VolumeSpec{
 				Volume: v, Devices: devs, Scheds: scheds,
-				RebuildChunk: 2700, RebuildFrac: 0.5, RebuildPolicy: policy,
+				RebuildChunk: 2700, RebuildFrac: 0.5, AdaptiveRebuild: adaptive,
 			}, src, opts)
 		}
 		scn := scenario{name: name, run: run}
@@ -340,13 +340,13 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		return scn
 	}
 	scns = append(scns,
-		volume(array.VolMirror, 2, 1, false, nil),
-		volume(array.VolMirror, 2, 1, true, nil),
-		volume(array.VolParity, 3, 1, true, nil),
+		volume(array.VolMirror, 2, 1, false, false),
+		volume(array.VolMirror, 2, 1, true, false),
+		volume(array.VolParity, 3, 1, true, false),
 		// Queue-aware pacing under the same failure: pins the adaptive
-		// policy's trajectory (pace changes shift chunk timing and the
-		// trace) without touching the fixed-policy goldens above.
-		volume(array.VolParity, 3, 1, true, sim.AdaptiveRebuild{}),
+		// pacing's trajectory (pace changes shift chunk timing and the
+		// trace) without touching the fixed-pacing goldens above.
+		volume(array.VolParity, 3, 1, true, true),
 	)
 
 	_ = warmup

@@ -1,11 +1,10 @@
-// invariant.go is the run-time self-verification layer: InvariantProbe
+// invariant.go is the run-time self-verification layer: invariantProbe
 // watches the same lifecycle event stream every other probe sees and
 // validates the simulator's structural invariants on each event —
 // conservation, clock sanity, non-negative phase times, breakdown
-// reconciliation, class validity. Context.Check attaches one
-// engine-owned instance and panics at finalize on any recorded
-// violation; the probe is also exported so tests and bespoke harnesses
-// can attach their own and inspect Err directly.
+// reconciliation, class validity. Context.Check is its one entry point:
+// the engine builds a fresh instance for every checked run and panics
+// at finalize on any recorded violation.
 package sim
 
 import (
@@ -27,7 +26,7 @@ const invariantTol = 1e-9
 // failure is the diagnostic; thousands of repeats of it are noise.
 const maxViolations = 8
 
-// InvariantProbe validates the simulator's structural invariants over a
+// invariantProbe validates the simulator's structural invariants over a
 // run's lifecycle event stream:
 //
 //   - conservation: measured completions reconcile with Result.Requests
@@ -44,11 +43,7 @@ const maxViolations = 8
 //   - request validity: scheduling classes are in range and completed
 //     requests have ordered Arrival/Start/Finish stamps and
 //     non-negative accumulated phase and recovery times.
-//
-// The probe is run-scoped (it implements ProbeResetter); sharing one
-// instance across concurrently-running jobs is invalid — attach a fresh
-// one per run, or use Context.Check and let the engine own it.
-type InvariantProbe struct {
+type invariantProbe struct {
 	violations []string
 
 	lastClock  float64
@@ -61,11 +56,11 @@ type InvariantProbe struct {
 	failed    int
 }
 
-// NewInvariantProbe returns an empty probe.
-func NewInvariantProbe() *InvariantProbe { return &InvariantProbe{} }
+// newInvariantProbe returns an empty probe.
+func newInvariantProbe() *invariantProbe { return &invariantProbe{} }
 
 // violate records one violation, keeping only the first maxViolations.
-func (ip *InvariantProbe) violate(format string, args ...any) {
+func (ip *invariantProbe) violate(format string, args ...any) {
 	if len(ip.violations) < maxViolations {
 		ip.violations = append(ip.violations, fmt.Sprintf(format, args...))
 	}
@@ -73,7 +68,7 @@ func (ip *InvariantProbe) violate(format string, args ...any) {
 
 // Err returns every recorded violation joined into one error, or nil
 // for a clean run.
-func (ip *InvariantProbe) Err() error {
+func (ip *invariantProbe) Err() error {
 	if len(ip.violations) == 0 {
 		return nil
 	}
@@ -84,11 +79,8 @@ func (ip *InvariantProbe) Err() error {
 	return errors.Join(errs...)
 }
 
-// ResetProbe implements ProbeResetter: the probe's state is run-scoped.
-func (ip *InvariantProbe) ResetProbe() { *ip = InvariantProbe{} }
-
 // Observe implements Probe.
-func (ip *InvariantProbe) Observe(ev ProbeEvent) {
+func (ip *invariantProbe) Observe(ev ProbeEvent) {
 	if math.IsNaN(ev.Time) || math.IsInf(ev.Time, 0) {
 		ip.violate("%s event at non-finite time %v", ev.Kind, ev.Time)
 		return
@@ -143,7 +135,7 @@ func (ip *InvariantProbe) Observe(ev ProbeEvent) {
 
 // checkClass validates the request's scheduling class on events that
 // stamp one.
-func (ip *InvariantProbe) checkClass(ev ProbeEvent) {
+func (ip *invariantProbe) checkClass(ev ProbeEvent) {
 	if int(ev.Class) >= core.NumClasses {
 		ip.violate("%s event with class %d out of range [0,%d)", ev.Kind, ev.Class, core.NumClasses)
 	}
@@ -154,7 +146,7 @@ func (ip *InvariantProbe) checkClass(ev ProbeEvent) {
 
 // checkBreakdown validates one service visit's phase decomposition:
 // finite, non-negative phases that reconcile with the visit's total.
-func (ip *InvariantProbe) checkBreakdown(ev ProbeEvent) {
+func (ip *invariantProbe) checkBreakdown(ev ProbeEvent) {
 	bd := ev.Breakdown
 	phases := [...]struct {
 		name string
@@ -185,7 +177,7 @@ func (ip *InvariantProbe) checkBreakdown(ev ProbeEvent) {
 
 // checkComplete validates a finished request's stamps and tallies it
 // for finishRun's conservation checks.
-func (ip *InvariantProbe) checkComplete(ev ProbeEvent) {
+func (ip *invariantProbe) checkComplete(ev ProbeEvent) {
 	ip.completes++
 	if ev.Measured {
 		ip.measured++
@@ -221,9 +213,8 @@ func (ip *InvariantProbe) checkComplete(ev ProbeEvent) {
 // finishRun cross-checks the probe's tallies against the finalized
 // Result: the measured completions it observed must be exactly the
 // requests the statistics report, and failed completions must match the
-// failure counter. Called by the engine's finalize for every attached
-// InvariantProbe (engine-owned or caller-attached).
-func (ip *InvariantProbe) finishRun(res *Result) {
+// failure counter. Called by the engine's finalize.
+func (ip *invariantProbe) finishRun(res *Result) {
 	if ip.measured != res.Requests {
 		ip.violate("probe saw %d measured completions but Result.Requests is %d", ip.measured, res.Requests)
 	}

@@ -11,7 +11,7 @@ import (
 // feed runs a sequence of synthetic events through a fresh probe and
 // returns its error.
 func feed(events ...ProbeEvent) error {
-	ip := NewInvariantProbe()
+	ip := newInvariantProbe()
 	for _, ev := range events {
 		ip.Observe(ev)
 	}
@@ -155,7 +155,7 @@ func TestInvariantProbeOpenArrivalMayTrailClock(t *testing.T) {
 }
 
 func TestInvariantProbeFinishRunConservation(t *testing.T) {
-	ip := NewInvariantProbe()
+	ip := newInvariantProbe()
 	ip.Observe(ProbeEvent{Kind: EventComplete, Time: 1, Measured: true, Req: okReq(0, 0, 1)})
 	ip.Observe(ProbeEvent{Kind: EventComplete, Time: 2,
 		Req: &core.Request{Finish: 2, Failed: true, Blocks: 1}})
@@ -166,7 +166,7 @@ func TestInvariantProbeFinishRunConservation(t *testing.T) {
 		t.Fatalf("matching tallies flagged: %v", err)
 	}
 
-	ip2 := NewInvariantProbe()
+	ip2 := newInvariantProbe()
 	ip2.Observe(ProbeEvent{Kind: EventComplete, Time: 1, Measured: true, Req: okReq(0, 0, 1)})
 	ip2.finishRun(&Result{Requests: 7})
 	err := ip2.Err()
@@ -176,7 +176,7 @@ func TestInvariantProbeFinishRunConservation(t *testing.T) {
 }
 
 func TestInvariantProbeCapsViolations(t *testing.T) {
-	ip := NewInvariantProbe()
+	ip := newInvariantProbe()
 	for i := 0; i < 100; i++ {
 		ip.Observe(ProbeEvent{Kind: EventDispatch, Time: -1, Queue: 0})
 	}
@@ -189,14 +189,21 @@ func TestInvariantProbeCapsViolations(t *testing.T) {
 	}
 }
 
+// TestInvariantProbeReset checks that a checked run never inherits an
+// earlier run's violations: the engine builds a fresh probe per run, even
+// when the runs share one Context.
 func TestInvariantProbeReset(t *testing.T) {
-	ip := NewInvariantProbe()
-	ip.Observe(ProbeEvent{Kind: EventDispatch, Time: -1, Queue: 0})
-	if ip.Err() == nil {
+	ctx := &Context{Check: true}
+	first := newEngine(ctx, Options{})
+	first.check.Observe(ProbeEvent{Kind: EventDispatch, Time: -1, Queue: 0})
+	if first.check.Err() == nil {
 		t.Fatal("setup violation missing")
 	}
-	ip.ResetProbe()
-	if err := ip.Err(); err != nil {
-		t.Fatalf("reset probe still reports: %v", err)
+	next := newEngine(ctx, Options{})
+	if next.check == first.check {
+		t.Fatal("engine reused the previous run's invariant probe")
+	}
+	if err := next.check.Err(); err != nil {
+		t.Fatalf("fresh probe already reports: %v", err)
 	}
 }

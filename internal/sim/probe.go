@@ -37,8 +37,8 @@ const (
 	// permanently backs the failed slot; Dev is the rebuilt member
 	// slot. Req is nil.
 	EventRebuildDone
-	// EventRebuildPace fires when the rebuild policy changes its pace
-	// mid-rebuild (never under the default fixed-fraction policy); Dev
+	// EventRebuildPace fires when adaptive rebuild pacing changes its
+	// pace mid-rebuild (never under the fixed RebuildFrac pacing); Dev
 	// is the member slot being rebuilt, Queue the foreground queue depth
 	// the decision saw, and Pace the new duty cycle. Req is nil.
 	EventRebuildPace
@@ -119,11 +119,11 @@ type Probe interface {
 	Observe(ProbeEvent)
 }
 
-// ProbeResetter is implemented by probes with run-scoped state
-// (PhaseCollector, InvariantProbe). The simulation entry points reset
-// such probes in Options.Probe alongside the device and scheduler, so
-// reusing one Options value across runs starts each run's statistics
-// fresh. Context.Probe is never reset.
+// ProbeResetter is implemented by probes with run-scoped state, such
+// as PhaseCollector. The simulation entry points reset such probes in
+// Options.Probe alongside the device and scheduler, so reusing one
+// Options value across runs starts each run's statistics fresh.
+// Context.Probe is never reset.
 type ProbeResetter interface {
 	ResetProbe()
 }

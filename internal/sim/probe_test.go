@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"memsim/internal/core"
@@ -308,8 +307,7 @@ func TestMultiProbeFanOut(t *testing.T) {
 
 // TestResolveProbeTree covers the engine's one walk over Options.Probe:
 // what it resets, which collector surfaces as Result.Phases, what
-// Context.Sketch flips, which InvariantProbes get the end-of-run checks,
-// and that the shared Context.Probe stays outside the walk. Each row is
+// Context.Sketch flips, and that the shared Context.Probe stays outside the walk. Each row is
 // resolved by newEngine and then driven through a two-member RunMulti
 // (six requests, all measured).
 func TestResolveProbeTree(t *testing.T) {
@@ -323,17 +321,15 @@ func TestResolveProbeTree(t *testing.T) {
 	nested, nestedPC := &recordingProbe{}, seeded()
 	wrapped := seeded()
 	first, second := seeded(), seeded()
-	iv := NewInvariantProbe()
 	shared := seeded()
 	cases := []struct {
-		name       string
-		ctx        *Context
-		probe      Probe             // Options.Probe
-		phases     *PhaseCollector   // must surface as Result.Phases
-		invariants []*InvariantProbe // must get finishRun
-		fresh      []*PhaseCollector // must be reset by the walk
-		sketched   []*PhaseCollector // must be on the sketch backend
-		then       func(t *testing.T, e *engine, res Result)
+		name     string
+		ctx      *Context
+		probe    Probe             // Options.Probe
+		phases   *PhaseCollector   // must surface as Result.Phases
+		fresh    []*PhaseCollector // must be reset by the walk
+		sketched []*PhaseCollector // must be on the sketch backend
+		then     func(t *testing.T, e *engine, res Result)
 	}{
 		{
 			name:   "nested MultiProbe with nil entries",
@@ -366,23 +362,6 @@ func TestResolveProbeTree(t *testing.T) {
 			},
 		},
 		{
-			name:       "caller-attached InvariantProbe",
-			probe:      MultiProbe{WithRun(iv, "j")},
-			invariants: []*InvariantProbe{iv},
-			then: func(t *testing.T, e *engine, _ Result) {
-				if err := iv.Err(); err != nil {
-					t.Fatalf("clean run reported %v", err)
-				}
-				// finalize must hand the Result to the caller's probe: a
-				// Result claiming completions nobody observed is caught.
-				e.res.Requests = 1
-				e.finalize()
-				if err := iv.Err(); err == nil || !strings.Contains(err.Error(), "Result.Requests is 1") {
-					t.Errorf("finishRun not applied to the caller's probe: %v", err)
-				}
-			},
-		},
-		{
 			name: "collector as the shared Context.Probe",
 			ctx:  &Context{Probe: shared, Sketch: true},
 			then: func(t *testing.T, _ *engine, _ Result) {
@@ -401,9 +380,6 @@ func TestResolveProbeTree(t *testing.T) {
 			e := newEngine(c.ctx, opts)
 			if e.phases != c.phases {
 				t.Errorf("resolved collector %p, want %p", e.phases, c.phases)
-			}
-			if !reflect.DeepEqual(e.invariants, c.invariants) {
-				t.Errorf("resolved %d invariant probes, want %d", len(e.invariants), len(c.invariants))
 			}
 			for _, pc := range c.fresh {
 				if n := pc.Stats().Requests; n != 0 {

@@ -49,7 +49,7 @@ type Context struct {
 	// concurrent use (JSONLProbe is).
 	Probe Probe
 	// Check enables run-time self-verification: the engine attaches an
-	// engine-owned InvariantProbe (composed after every other probe) and
+	// engine-owned invariant probe (composed after every other probe) and
 	// panics at finalize on any violation — request conservation, event
 	// clock monotonicity, negative phase times, breakdown reconciliation
 	// drift beyond 1e-9, invalid request classes. Violations indicate a
@@ -136,10 +136,10 @@ type Options struct {
 	// through every entry point. A nil Probe is zero-cost and
 	// byte-identical to an unprobed run. These probes are run-scoped:
 	// the engine resets every ProbeResetter among them alongside the
-	// device and scheduler, the first PhaseCollector among them feeds
-	// Result.Phases, and every InvariantProbe among them gets the
-	// end-of-run conservation checks. Shared observers that must
-	// outlive the run belong in Context.Probe instead.
+	// device and scheduler, and the first PhaseCollector among them
+	// feeds Result.Phases. Invariant checking is not attached here but
+	// through Context.Check. Shared observers that must outlive the run
+	// belong in Context.Probe instead.
 	Probe Probe
 }
 

@@ -23,9 +23,21 @@ import (
 // raid artifact's member rebuild scan reads in too.
 const DefaultRebuildChunk = 2700
 
+// adaptivePace is the VolumeSpec.AdaptiveRebuild duty cycle for a
+// foreground backlog of queue requests: it sprints at 1 while the
+// member queues are idle and backs off hyperbolically as they fill,
+// flooring at 0.1. During foreground bursts the rebuild yields
+// (bounding degraded-mode p95), and the moment the queues drain it
+// sprints (bounding MTTR), where any fixed fraction must pick one side
+// and pay the other.
+func adaptivePace(queue int) float64 {
+	const minPace = 0.1
+	return max(1/(1+float64(queue)), minPace)
+}
+
 // VolumeSpec describes a redundant volume run: the geometry/state
 // machine, its physical member and spare devices (one scheduler queue
-// each), and the online-rebuild policy.
+// each), and the online-rebuild pacing.
 type VolumeSpec struct {
 	// Volume is the redundancy state machine; RunVolume resets it.
 	Volume *array.Volume
@@ -42,11 +54,9 @@ type VolumeSpec struct {
 	// rebuilder idles so rebuild I/O occupies roughly this fraction of
 	// its timeline (1, or 0 for the default, rebuilds flat out).
 	RebuildFrac float64
-	// RebuildPolicy, when non-nil, paces the rebuild dynamically and
-	// supersedes RebuildFrac; nil selects FixedRebuild{Frac: RebuildFrac}
-	// — the historical constant throttle, byte-identical by the golden
-	// equivalence suite.
-	RebuildPolicy RebuildPolicy
+	// AdaptiveRebuild, when set, paces the rebuild off live foreground
+	// pressure (see adaptivePace) and supersedes RebuildFrac.
+	AdaptiveRebuild bool
 }
 
 // VolumeStats aggregates a RunVolume run's redundancy and failover
@@ -78,8 +88,8 @@ type VolumeStats struct {
 	// SpareReads counts foreground reads satisfied from the rebuilt
 	// prefix of the hot spare mid-rebuild.
 	SpareReads int
-	// PaceChanges counts rebuild-pace changes the policy made mid-rebuild
-	// (0 under the default fixed-fraction policy, which never varies).
+	// PaceChanges counts rebuild-pace changes made mid-rebuild (0 under
+	// the fixed RebuildFrac pacing, which never varies).
 	PaceChanges int
 	// LostRequests counts foreground requests that completed in error
 	// because their data was unreachable (lost volume or mid-flight
@@ -204,11 +214,6 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 	if frac < 0 || frac > 1 {
 		return Result{}, fmt.Errorf("sim: rebuild fraction %g out of (0,1]", spec.RebuildFrac)
 	}
-	policy := spec.RebuildPolicy
-	if policy == nil {
-		policy = FixedRebuild{Frac: frac}
-	}
-	policy.Reset()
 	if inj := opts.Injector; inj != nil {
 		for _, ev := range inj.DeviceEvents() {
 			if ev.Dev >= cfg.Members {
@@ -221,7 +226,7 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 	v.Reset()
 	e := newEngine(ctx, opts)
 	ms := newMemberSet(devs, scheds, e)
-	finish := e.runVolume(v, ms, src, chunk, policy)
+	finish := e.runVolume(v, ms, src, chunk, frac, spec.AdaptiveRebuild)
 	e.loop()
 	e.finalize()
 	finish()
@@ -233,7 +238,7 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 // member set. It returns a closure the adapter must call after the
 // event loop drains, closing the still-open degraded window and
 // publishing the volume aggregates.
-func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, policy RebuildPolicy) func() {
+func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, frac float64, adaptive bool) func() {
 	var vstats VolumeStats
 	if e.ctx.Sketch {
 		vstats.useSketch()
@@ -246,7 +251,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// the active failure for MTTR accounting; -1 when closed.
 	degradedSince := -1.0
 	failStart := -1.0
-	// lastPace is the policy's previous duty-cycle decision; -1 marks the
+	// lastPace is the previous duty-cycle decision; -1 marks the
 	// first decision of a rebuild, which establishes the baseline without
 	// emitting a pace-change event.
 	lastPace := -1.0
@@ -387,15 +392,17 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			}
 			return
 		}
-		// Throttle: ask the policy for the next duty cycle and idle after
-		// the chunk so rebuild I/O occupies ~pace of the rebuilder's
-		// timeline. At this instant every rebuild member op has completed,
-		// so the summed queue depth is pure foreground backlog.
-		fg := 0
-		for i := range ms.scheds {
-			fg += ms.scheds[i].Len()
+		// Throttle: idle after the chunk so rebuild I/O occupies ~pace of
+		// the rebuilder's timeline. At this instant every rebuild member
+		// op has completed, so the summed queue depth is pure foreground
+		// backlog.
+		pace, fg := frac, 0
+		if adaptive {
+			for i := range ms.scheds {
+				fg += ms.scheds[i].Len()
+			}
+			pace = adaptivePace(fg)
 		}
-		pace := clampPace(policy.Pace(fg))
 		if lastPace >= 0 && pace != lastPace {
 			vstats.PaceChanges++
 			if e.p != nil {

@@ -509,14 +509,14 @@ func TestRunVolumeLifetimeDrawnFailures(t *testing.T) {
 }
 
 func TestRunVolumeAdaptivePaceChanges(t *testing.T) {
-	// Under a foreground burst the adaptive policy must actually change
+	// Under a foreground burst adaptive pacing must actually change
 	// pace (backing off as the survivor queue grows, sprinting as it
 	// drains), emitting one EventRebuildPace per change; the default
-	// fixed policy must emit none.
-	run := func(policy RebuildPolicy) (Result, *recordingProbe) {
+	// fixed pacing must emit none.
+	run := func(adaptive bool) (Result, *recordingProbe) {
 		spec := volFixtures(t, mirrorVolCfg(), 1)
 		spec.RebuildChunk = 8
-		spec.RebuildPolicy = policy
+		spec.AdaptiveRebuild = adaptive
 		rp := &recordingProbe{}
 		// 80 reads at 4/ms against a 1 ms/req survivor: the queue grows
 		// through the burst and drains after it ends at 20 ms.
@@ -535,12 +535,12 @@ func TestRunVolumeAdaptivePaceChanges(t *testing.T) {
 		return res, rp
 	}
 
-	adaptive, arp := run(AdaptiveRebuild{})
+	adaptive, arp := run(true)
 	if adaptive.Volume.RebuildsDone != 1 {
 		t.Fatalf("adaptive rebuild incomplete: %+v", adaptive.Volume)
 	}
 	if adaptive.Volume.PaceChanges == 0 {
-		t.Error("adaptive policy never changed pace under a varying queue")
+		t.Error("adaptive pacing never changed pace under a varying queue")
 	}
 	if got := arp.count(EventRebuildPace); got != adaptive.Volume.PaceChanges {
 		t.Errorf("pace events = %d, PaceChanges = %d", got, adaptive.Volume.PaceChanges)
@@ -563,24 +563,24 @@ func TestRunVolumeAdaptivePaceChanges(t *testing.T) {
 		}
 	}
 
-	fixed, frp := run(nil) // default FixedRebuild flat-out
+	fixed, frp := run(false) // default fixed pacing, flat-out
 	if fixed.Volume.RebuildsDone != 1 {
 		t.Fatalf("fixed rebuild incomplete: %+v", fixed.Volume)
 	}
 	if fixed.Volume.PaceChanges != 0 || frp.count(EventRebuildPace) != 0 {
-		t.Errorf("fixed policy changed pace: changes=%d events=%d",
+		t.Errorf("fixed pacing changed pace: changes=%d events=%d",
 			fixed.Volume.PaceChanges, frp.count(EventRebuildPace))
 	}
 }
 
 func TestRunVolumeAdaptiveSprintsWhenIdle(t *testing.T) {
-	// With no foreground pressure during the rebuild the adaptive policy
+	// With no foreground pressure during the rebuild adaptive pacing
 	// holds pace 1 throughout: MTTR matches the flat-out fixed rebuild
 	// (16 ms, see TestRunVolumeThrottleStretchesRebuild) and no pace
 	// change fires.
 	spec := volFixtures(t, mirrorVolCfg(), 1)
 	spec.RebuildChunk = 8
-	spec.RebuildPolicy = AdaptiveRebuild{}
+	spec.AdaptiveRebuild = true
 	src := workload.NewFromSlice(volReqs([]float64{0, 1, 2}, core.Read, []int64{0, 8, 16}))
 	res, err := RunVolume(nil, spec, src,
 		Options{Injector: devEvents(t, fault.DeviceEvent{AtMs: 4, Dev: 1})})
@@ -692,5 +692,26 @@ func TestRunVolumeMaxRequests(t *testing.T) {
 	}
 	if res.Requests != 7 {
 		t.Errorf("requests = %d, want 7", res.Requests)
+	}
+}
+
+func TestAdaptiveRebuildPace(t *testing.T) {
+	if got := adaptivePace(0); got != 1 {
+		t.Errorf("idle pace = %g, want sprint at 1", got)
+	}
+	if got := adaptivePace(1); got != 0.5 {
+		t.Errorf("adaptivePace(1) = %g, want 0.5", got)
+	}
+	if got := adaptivePace(1000); got != 0.1 {
+		t.Errorf("deep-queue pace = %g, want floor 0.1", got)
+	}
+	// Monotone non-increasing in queue depth.
+	prev := math.Inf(1)
+	for q := 0; q <= 64; q++ {
+		cur := adaptivePace(q)
+		if cur > prev {
+			t.Fatalf("pace rose with load: adaptivePace(%d)=%g > adaptivePace(%d)=%g", q, cur, q-1, prev)
+		}
+		prev = cur
 	}
 }

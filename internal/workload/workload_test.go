@@ -147,7 +147,7 @@ func TestBipartiteMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewBipartite(DefaultBipartite(1), layout.NewMEMSSimple(g))
+	w := NewBipartite(DefaultBipartite(1), layout.NewSimple(g.TotalSectors))
 	small, large := 0, 0
 	for r := w.Next(); r != nil; r = w.Next() {
 		switch r.Blocks {
@@ -184,7 +184,7 @@ func TestBipartitePanicsOnBadConfig(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewBipartite(cfg, layout.NewMEMSSimple(g))
+	NewBipartite(cfg, layout.NewSimple(g.TotalSectors))
 }
 
 func TestSliceAndFromSlice(t *testing.T) {

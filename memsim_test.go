@@ -341,8 +341,7 @@ func TestFacadeAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewRandomWorkload(500, 512, v.Capacity(), 400, 11)
-	var policy RebuildPolicy = AdaptiveRebuildPolicy{}
-	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds, RebuildPolicy: policy},
+	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds, AdaptiveRebuild: true},
 		src, SimOptions{Injector: inj})
 	if err != nil {
 		t.Fatal(err)
