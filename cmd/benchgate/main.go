@@ -1,18 +1,19 @@
 // Command benchgate compares a current benchrun profile against the
-// committed baseline (BENCH_20.json) and fails when a gated benchmark
+// committed baseline (BENCH_23.json) and fails when a gated benchmark
 // regressed beyond the threshold — the CI side of the
 // benchmark-regression harness.
 //
 // Usage:
 //
-//	go run ./cmd/benchgate -baseline BENCH_20.json -current /tmp/cur.json
+//	go run ./cmd/benchgate -baseline BENCH_23.json -current /tmp/cur.json
 //
 // Only benchmarks matching -gate (default: the engine hot path,
 // BenchmarkRun*/BenchmarkEngineMillion in internal/sim, the MEMS
 // device's BenchmarkMEMSAccess/BenchmarkMEMSEstimate/
-// BenchmarkMEMSLowerBound, and the sled solver's
+// BenchmarkMEMSLowerBound, the sled solver's
 // BenchmarkSeekSolverClosedForm/BenchmarkSeekSolverMovingY in
-// internal/physics) are enforced;
+// internal/physics, and the fault layer's BenchmarkSlipRemapScan/
+// BenchmarkLossProbability) are enforced;
 // everything present in both files is printed for the log. A gated
 // benchmark missing from either side is reported but not fatal, so a
 // quick (CI-sized) run — whose EngineMillion subbenches carry a
@@ -48,10 +49,10 @@ func load(path string) (map[string]benchrec.Result, *benchrec.File, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_20.json", "committed baseline JSON")
+	baseline := flag.String("baseline", "BENCH_23.json", "committed baseline JSON")
 	current := flag.String("current", "", "freshly measured JSON (required)")
 	threshold := flag.Float64("threshold", 0.20, "fatal ns/op regression fraction on gated benches")
-	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion|MEMS(Access|Estimate|LowerBound))|internal/physics:BenchmarkSeekSolver(ClosedForm|MovingY)`, "package:name regexp selecting enforced benches")
+	gate := flag.String("gate", `internal/sim:Benchmark(Run|EngineMillion|MEMS(Access|Estimate|LowerBound))|internal/physics:BenchmarkSeekSolver(ClosedForm|MovingY)|internal/fault:Benchmark(SlipRemapScan|LossProbability)`, "package:name regexp selecting enforced benches")
 	flag.Parse()
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")

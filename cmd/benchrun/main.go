@@ -1,11 +1,11 @@
 // Command benchrun runs the repository's benchmark suites and writes
-// their results as machine-readable JSON (the BENCH_20.json format),
+// their results as machine-readable JSON (the BENCH_23.json format),
 // the input side of the benchmark-regression harness (cmd/benchgate
 // compares two such files).
 //
 // Usage:
 //
-//	go run ./cmd/benchrun -out BENCH_20.json          # full profile
+//	go run ./cmd/benchrun -out BENCH_23.json          # full profile
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
@@ -15,7 +15,9 @@
 // seek between row boundaries), the
 // schedulers at queue depths 8/64/512 (BenchmarkSchedNext, every
 // algorithm, with the full estimates per dispatch), the stats backends
-// (./internal/stats Dist/Sketch/Sample benches), and the
+// (./internal/stats Dist/Sketch/Sample benches), the fault layer's
+// artifact kernels (./internal/fault: the remap artifact's slip-remap
+// scan and the fault artifact's loss Monte Carlo), and the
 // million-request end-to-end runs (BenchmarkEngineMillion; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
@@ -88,7 +90,7 @@ func parseLine(line string) (r benchrec.Result, ok bool) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_20.json", "output JSON path")
+	out := flag.String("out", "BENCH_23.json", "output JSON path")
 	quick := flag.Bool("quick", false, "CI-sized run: shorter benchtime, 100k-request EngineMillion")
 	flag.Parse()
 
@@ -104,6 +106,7 @@ func main() {
 		{pkg: "./internal/physics", pattern: "^(BenchmarkSeekSolverClosedForm|BenchmarkSeekSolverMovingY)$", benchtime: bt},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},
+		{pkg: "./internal/fault", pattern: "^(BenchmarkSlipRemapScan|BenchmarkLossProbability)$", benchtime: bt},
 	}
 
 	doc := benchrec.File{GoVersion: runtime.Version(), Quick: *quick}

@@ -12,7 +12,7 @@ import (
 // cmd/benchrun writes it gives back the same bytes, so no field is
 // dropped, renamed or reformatted.
 func TestCommittedProfilesRoundTrip(t *testing.T) {
-	for _, path := range []string{"../../BENCH_10.json", "../../BENCH_15.json", "../../BENCH_18.json", "../../BENCH_19.json", "../../BENCH_20.json"} {
+	for _, path := range []string{"../../BENCH_10.json", "../../BENCH_15.json", "../../BENCH_18.json", "../../BENCH_19.json", "../../BENCH_20.json", "../../BENCH_23.json"} {
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

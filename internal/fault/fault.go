@@ -63,6 +63,8 @@ type Array struct {
 	remap map[int]int
 	// spares not yet consumed, in ascending order.
 	spares []int
+	// pool is the backing array NewArray gave spares; reset refills it.
+	pool []int
 	// failed marks every tip that has ever failed (remapped or not).
 	failed map[int]bool
 	// defects counts recoverable media defects absorbed by ECC.
@@ -80,11 +82,25 @@ func NewArray(cfg Config) (*Array, error) {
 		failedAt: make([]int, cfg.Stripes()),
 		remap:    make(map[int]int),
 		failed:   make(map[int]bool),
+		pool:     make([]int, 0, cfg.SpareTips),
 	}
-	for i := cfg.Tips - cfg.SpareTips; i < cfg.Tips; i++ {
+	a.reset()
+	return a, nil
+}
+
+// reset restores the state NewArray returns, in place: no tip failed,
+// every stripe group back (after ConvertDataToSpares), the spare pool
+// full and no defects.
+func (a *Array) reset() {
+	a.failedAt = a.failedAt[:a.cfg.Stripes()]
+	clear(a.failedAt)
+	clear(a.remap)
+	clear(a.failed)
+	a.spares = a.pool[:0]
+	for i := a.cfg.Tips - a.cfg.SpareTips; i < a.cfg.Tips; i++ {
 		a.spares = append(a.spares, i)
 	}
-	return a, nil
+	a.defects = 0
 }
 
 // Config returns the array's configuration.
@@ -114,25 +130,31 @@ func (a *Array) FailTip(id int) (stillRecoverable bool, err error) {
 	if id < 0 || id >= a.cfg.Tips {
 		return !a.DataLoss(), fmt.Errorf("fault: tip %d out of range [0,%d)", id, a.cfg.Tips)
 	}
-	if !a.failed[id] {
-		a.failed[id] = true
-		g := a.stripeOf(id)
-		switch {
-		case g < 0:
-			// A spare died: shrink the pool (it may already be in use).
-			a.removeSpare(id)
-		case len(a.spares) > 0:
-			// Remap the whole region to a spare at the same tip sector;
-			// access timing is unchanged because the spare activates in
-			// place of the failed tip.
-			sp := a.spares[0]
-			a.spares = a.spares[1:]
-			a.remap[id] = sp
-		default:
-			a.failedAt[g]++
-		}
-	}
+	a.fail(id)
 	return !a.DataLoss(), nil
+}
+
+// fail is FailTip for an in-range id, without the data-loss check.
+func (a *Array) fail(id int) {
+	if a.failed[id] {
+		return
+	}
+	a.failed[id] = true
+	g := a.stripeOf(id)
+	switch {
+	case g < 0:
+		// A spare died: shrink the pool (it may already be in use).
+		a.removeSpare(id)
+	case len(a.spares) > 0:
+		// Remap the whole region to a spare at the same tip sector;
+		// access timing is unchanged because the spare activates in
+		// place of the failed tip.
+		sp := a.spares[0]
+		a.spares = a.spares[1:]
+		a.remap[id] = sp
+	default:
+		a.failedAt[g]++
+	}
 }
 
 // removeSpare deletes id from the spare pool if present; if the spare was
@@ -274,17 +296,23 @@ func LossProbability(cfg Config, k, trials int, rng *rand.Rand) (float64, error)
 	if k < 0 || trials <= 0 {
 		return 0, fmt.Errorf("fault: need k ≥ 0 and trials > 0 (k=%d trials=%d)", k, trials)
 	}
+	a, err := NewArray(cfg)
+	if err != nil {
+		return 0, err
+	}
+	perm := make([]int, cfg.Tips)
 	losses := 0
 	for t := 0; t < trials; t++ {
-		a, err := NewArray(cfg)
-		if err != nil {
-			return 0, err
+		a.reset()
+		// rng.Perm(cfg.Tips)'s draws, into the reused buffer: the random
+		// stream, and so every estimate, stays the same.
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
 		}
-		perm := rng.Perm(cfg.Tips)
-		for i := 0; i < k && i < len(perm); i++ {
-			if _, err := a.FailTip(perm[i]); err != nil {
-				return 0, err
-			}
+		for _, id := range perm[:min(k, len(perm))] {
+			a.fail(id)
 		}
 		if a.DataLoss() {
 			losses++

@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -368,6 +371,114 @@ func TestSeekErrorPenalties(t *testing.T) {
 	} {
 		if err := f(); err == nil {
 			t.Errorf("case %d: expected an error for out-of-range penalty arguments", i)
+		}
+	}
+}
+
+// lossProbabilityReference is LossProbability as first written: a fresh
+// NewArray and a fresh rng.Perm for every trial. The reusing version
+// must draw the same stream and return the same estimates.
+func lossProbabilityReference(t *testing.T, cfg Config, k, trials int, rng *rand.Rand) float64 {
+	t.Helper()
+	losses := 0
+	for tr := 0; tr < trials; tr++ {
+		a, err := NewArray(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := rng.Perm(cfg.Tips)
+		for i := 0; i < k && i < len(perm); i++ {
+			failTip(t, a, perm[i])
+		}
+		if a.DataLoss() {
+			losses++
+		}
+	}
+	return float64(losses) / float64(trials)
+}
+
+func TestLossProbabilityMatchesFreshPerTrialReference(t *testing.T) {
+	// The fault artifact's configurations, from disk-like to heavily
+	// redundant.
+	configs := []Config{
+		{Tips: 6400, DataTips: 64, ECCTips: 0, SpareTips: 0},
+		{Tips: 6400, DataTips: 64, ECCTips: 1, SpareTips: 30},
+		{Tips: 6400, DataTips: 64, ECCTips: 2, SpareTips: 130},
+		{Tips: 6400, DataTips: 64, ECCTips: 2, SpareTips: 394},
+	}
+	const trials = 40
+	for seed := int64(1); seed <= 3; seed++ {
+		// One rng per side threaded through the grid, as the artifact
+		// does, so a drift in any cell shows in every later one.
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for _, k := range []int{0, 1, 50, 800} {
+			for _, cfg := range configs {
+				p, err := LossProbability(cfg, k, trials, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref := lossProbabilityReference(t, cfg, k, trials, want); p != ref {
+					t.Errorf("seed %d k=%d %+v: P(loss) = %g, reference %g", seed, k, cfg, p, ref)
+				}
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d k=%d %+v: next draw %d, reference %d — the stream moved", seed, k, cfg, g, w)
+				}
+			}
+		}
+	}
+}
+
+// arrayState is everything Array reports about itself, plus the spare
+// order and remap table that decide its later remaps.
+type arrayState struct {
+	spares, failed, degraded, unremapped, defects, stripes int
+	loss                                                   bool
+	spareIDs                                               []int
+	remap                                                  map[int]int
+}
+
+func stateOf(a *Array) arrayState {
+	return arrayState{a.SparesLeft(), a.FailedTips(), a.DegradedStripes(), a.UnremappedFailures(),
+		a.Defects(), len(a.failedAt), a.DataLoss(), slices.Clone(a.spares), maps.Clone(a.remap)}
+}
+
+func TestArrayResetMatchesNewArray(t *testing.T) {
+	// 27 stripe groups of 4 data + 1 ECC tip, spares 135–139.
+	cfg := Config{Tips: 140, DataTips: 4, ECCTips: 1, SpareTips: 5}
+	steps := []func(a *Array){
+		func(a *Array) { failTip(t, a, 0) },   // remapped to spare 135
+		func(a *Array) { failTip(t, a, 135) }, // in-use spare dies: 0 moves to 136
+		func(a *Array) { failTip(t, a, 139) }, // unused spare dies
+		func(a *Array) { failTip(t, a, 5) },   // → 137
+		func(a *Array) { failTip(t, a, 10) },  // → 138, pool empty
+		func(a *Array) { failTip(t, a, 11) },  // stripe 2 degraded
+		func(a *Array) { failTip(t, a, 12) },  // stripe 2 lost
+		func(a *Array) {
+			if err := a.MediaDefect(20); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(a *Array) { a.ConvertDataToSpares() }, // stripe 26 retires
+		func(a *Array) { failTip(t, a, 30) },       // → converted spare 130
+	}
+	used, _ := NewArray(cfg)
+	for _, step := range steps {
+		step(used)
+	}
+	if s := stateOf(used); !s.loss || s.defects != 1 || s.stripes != 26 || s.failed != 8 {
+		t.Fatalf("scenario did not reach the states it exercises: %+v", s)
+	}
+	used.reset()
+	fresh, _ := NewArray(cfg)
+	if g, w := stateOf(used), stateOf(fresh); !reflect.DeepEqual(g, w) {
+		t.Fatalf("after reset: %+v, NewArray: %+v", g, w)
+	}
+	// The reset array must also behave like a new one from here on.
+	for i, step := range steps {
+		step(used)
+		step(fresh)
+		if g, w := stateOf(used), stateOf(fresh); !reflect.DeepEqual(g, w) {
+			t.Fatalf("step %d after reset: %+v, NewArray: %+v", i, g, w)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"memsim/internal/core"
@@ -16,16 +18,26 @@ import (
 // A request whose extent crosses remapped sectors is split: the
 // contiguous healthy runs and each remapped sector are serviced as
 // separate sequential accesses, exactly as a disk's firmware must.
+// The table is a slice sorted by sector, so an access costs
+// O(log n + pieces) for n remapped sectors.
 type SlipRemap struct {
 	inner core.Device
-	table map[int64]int64
+	// table holds the remap entries, sorted by from with one entry per
+	// sector unless dirty: Remap appends, and tidy restores the order.
+	table []remapEntry
+	dirty bool
+	// buf is pieces' reused result.
+	buf []core.Request
 }
+
+// remapEntry redirects logical sector from to physical sector to.
+type remapEntry struct{ from, to int64 }
 
 var _ core.Device = (*SlipRemap)(nil)
 
 // NewSlipRemap wraps inner with an empty remap table.
 func NewSlipRemap(inner core.Device) *SlipRemap {
-	return &SlipRemap{inner: inner, table: make(map[int64]int64)}
+	return &SlipRemap{inner: inner}
 }
 
 // Remap redirects logical sector from to physical sector to. Both must
@@ -34,11 +46,31 @@ func (s *SlipRemap) Remap(from, to int64) {
 	if from < 0 || from >= s.inner.Capacity() || to < 0 || to >= s.inner.Capacity() {
 		panic(fmt.Sprintf("fault: remap %d→%d outside device capacity %d", from, to, s.inner.Capacity()))
 	}
-	s.table[from] = to
+	s.table = append(s.table, remapEntry{from, to})
+	s.dirty = true
+}
+
+// tidy sorts the table by sector and keeps the last Remap of each one.
+func (s *SlipRemap) tidy() {
+	if !s.dirty {
+		return
+	}
+	slices.SortStableFunc(s.table, func(a, b remapEntry) int { return cmp.Compare(a.from, b.from) })
+	out := s.table[:0]
+	for i, e := range s.table {
+		if i+1 < len(s.table) && s.table[i+1].from == e.from {
+			continue // a later Remap of the same sector wins
+		}
+		out = append(out, e)
+	}
+	s.table, s.dirty = out, false
 }
 
 // Remapped reports the number of remapped sectors.
-func (s *SlipRemap) Remapped() int { return len(s.table) }
+func (s *SlipRemap) Remapped() int {
+	s.tidy()
+	return len(s.table)
+}
 
 // Name implements core.Device.
 func (s *SlipRemap) Name() string { return s.inner.Name() + "+slip" }
@@ -53,32 +85,27 @@ func (s *SlipRemap) SectorSize() int { return s.inner.SectorSize() }
 // heal on reset).
 func (s *SlipRemap) Reset() { s.inner.Reset() }
 
-// pieces splits [lbn, lbn+blocks) at remapped sectors. Each piece is a
-// physically contiguous access.
-func (s *SlipRemap) pieces(lbn int64, blocks int) []core.Request {
-	// Collect remapped sectors inside the extent.
-	var hit []int64
-	for from := range s.table {
-		if from >= lbn && from < lbn+int64(blocks) {
-			hit = append(hit, from)
-		}
-	}
-	if len(hit) == 0 {
-		return []core.Request{{LBN: lbn, Blocks: blocks}}
-	}
-	sort.Slice(hit, func(i, j int) bool { return hit[i] < hit[j] })
-	var out []core.Request
+// pieces splits req's extent [LBN, LBN+Blocks) at remapped sectors. Each
+// piece is a physically contiguous access with req's Op. The result is
+// valid until the next call.
+func (s *SlipRemap) pieces(req *core.Request) []core.Request {
+	s.tidy()
+	lbn, end := req.LBN, req.LBN+int64(req.Blocks)
+	out := s.buf[:0]
 	cur := lbn
-	for _, h := range hit {
-		if h > cur {
-			out = append(out, core.Request{LBN: cur, Blocks: int(h - cur)})
+	i := sort.Search(len(s.table), func(i int) bool { return s.table[i].from >= lbn })
+	for ; i < len(s.table) && s.table[i].from < end; i++ {
+		e := s.table[i]
+		if e.from > cur {
+			out = append(out, core.Request{Op: req.Op, LBN: cur, Blocks: int(e.from - cur)})
 		}
-		out = append(out, core.Request{LBN: s.table[h], Blocks: 1})
-		cur = h + 1
+		out = append(out, core.Request{Op: req.Op, LBN: e.to, Blocks: 1})
+		cur = e.from + 1
 	}
-	if end := lbn + int64(blocks); cur < end {
-		out = append(out, core.Request{LBN: cur, Blocks: int(end - cur)})
+	if cur < end || len(out) == 0 {
+		out = append(out, core.Request{Op: req.Op, LBN: cur, Blocks: int(end - cur)})
 	}
+	s.buf = out
 	return out
 }
 
@@ -86,9 +113,9 @@ func (s *SlipRemap) pieces(lbn int64, blocks int) []core.Request {
 // each paying its own positioning.
 func (s *SlipRemap) Access(req *core.Request, now float64) float64 {
 	cur := now
-	for _, p := range s.pieces(req.LBN, req.Blocks) {
-		p.Op = req.Op
-		cur += s.inner.Access(&p, cur)
+	ps := s.pieces(req)
+	for i := range ps {
+		cur += s.inner.Access(&ps[i], cur)
 	}
 	return cur - now
 }
@@ -99,7 +126,5 @@ func (s *SlipRemap) Access(req *core.Request, now float64) float64 {
 // underestimated: the later pieces, with their own positioning, are not
 // priced. Pricing them would mean advancing device state piece by piece.
 func (s *SlipRemap) EstimateAccess(req *core.Request, now float64) float64 {
-	p := s.pieces(req.LBN, req.Blocks)[0]
-	p.Op = req.Op
-	return s.inner.EstimateAccess(&p, now)
+	return s.inner.EstimateAccess(&s.pieces(req)[0], now)
 }
