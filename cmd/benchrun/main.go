@@ -18,7 +18,9 @@
 // (./internal/stats Dist/Sketch/Sample benches), the fault layer's
 // artifact kernels (./internal/fault: the remap artifact's slip-remap
 // scan and the fault artifact's loss Monte Carlo), and the
-// million-request end-to-end runs (BenchmarkEngineMillion; -quick
+// million-request end-to-end runs in the open, closed, multi and volume
+// regimes (BenchmarkEngineMillion, whose volume row is a failing and
+// rebuilding parity volume under transient faults; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
 // -benchmem, so every record carries ns/op, B/op and allocs/op, plus

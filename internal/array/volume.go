@@ -137,6 +137,10 @@ type MemberOp struct {
 // phases execute in order, with every operation of a phase issued
 // concurrently (fork) and the next phase starting when all complete
 // (join) — the shape of a RAID-5 read-modify-write.
+//
+// PlanReadInto, PlanWriteInto and PlanRebuildChunkInto build into a
+// caller-owned Plan, reusing its phase storage; PlanRead, PlanWrite and
+// PlanRebuildChunk return a fresh Plan the caller owns outright.
 type Plan struct {
 	// Phases are the fork-join stages.
 	Phases [][]MemberOp
@@ -149,6 +153,30 @@ type Plan struct {
 	// DegradedWrite marks a write that executed with reduced
 	// redundancy (a failed data or parity member).
 	DegradedWrite bool
+}
+
+// reset empties p, keeping its phase storage.
+func (p *Plan) reset() {
+	p.Phases = p.Phases[:0]
+	p.Reconstructed, p.SpareRead, p.DegradedWrite = false, false, false
+}
+
+// phase opens an empty phase at the end of p, reusing the storage of
+// the phase an earlier plan held at that index.
+func (p *Plan) phase() {
+	n := len(p.Phases)
+	if n < cap(p.Phases) {
+		p.Phases = p.Phases[:n+1]
+		p.Phases[n] = p.Phases[n][:0]
+		return
+	}
+	p.Phases = append(p.Phases, nil)
+}
+
+// add appends ops to p's last phase.
+func (p *Plan) add(ops ...MemberOp) {
+	last := len(p.Phases) - 1
+	p.Phases[last] = append(p.Phases[last], ops...)
 }
 
 // Volume is the failover state machine over a volume geometry. It is
@@ -173,6 +201,11 @@ type Volume struct {
 	// epoch increments on every redundancy-state transition (failure,
 	// completed rebuild) so stale plans can be detected and re-planned.
 	epoch int
+
+	// chunks and live are the planners' reused scratch: split's member
+	// chunks and liveSlots' result.
+	chunks []vchunk
+	live   []int
 }
 
 // NewVolume validates cfg and builds a healthy volume.
@@ -302,15 +335,18 @@ func (v *Volume) covered(lbn int64, blocks int) bool {
 	return v.spareDev >= 0 && lbn+int64(blocks) <= v.watermark
 }
 
-// liveSlots returns the non-failed member slots in ascending order.
+// liveSlots returns the non-failed member slots in ascending order, in
+// a buffer the Volume reuses on the next call. Every caller (readSlot,
+// the planners, ReplaceDeadOp) reads it within the call that asked for
+// it and keeps none of it.
 func (v *Volume) liveSlots() []int {
-	out := make([]int, 0, v.cfg.Members)
+	v.live = v.live[:0]
 	for s := 0; s < v.cfg.Members; s++ {
 		if s != v.failed {
-			out = append(out, s)
+			v.live = append(v.live, s)
 		}
 	}
-	return out
+	return v.live
 }
 
 // vchunk is one member's strip-bounded share of a volume extent.
@@ -342,10 +378,11 @@ func (v *Volume) mapBlock(lbn int64) (slot int, mlbn int64, parity int) {
 }
 
 // split decomposes a volume extent into strip-bounded member chunks
-// (VolStripe and VolParity; VolMirror addresses members directly).
+// (VolStripe and VolParity; VolMirror addresses members directly), in a
+// buffer the Volume reuses on the next call.
 func (v *Volume) split(lbn int64, blocks int) []vchunk {
 	u := v.cfg.StripeUnit
-	var out []vchunk
+	out := v.chunks[:0]
 	for i := 0; i < blocks; {
 		l := lbn + int64(i)
 		slot, mlbn, parity := v.mapBlock(l)
@@ -356,6 +393,7 @@ func (v *Volume) split(lbn int64, blocks int) []vchunk {
 		out = append(out, vchunk{slot: slot, lbn: mlbn, blocks: run, parity: parity})
 		i += run
 	}
+	v.chunks = out
 	return out
 }
 
@@ -379,78 +417,103 @@ func (v *Volume) checkRange(lbn int64, blocks int) {
 	}
 }
 
-// PlanRead realizes a volume read under the current redundancy state.
-// ok is false when the addressed data is lost (stripe-member failure or
-// double fault): the request must complete in error, never be silently
-// served.
+// PlanRead is PlanReadInto on a fresh Plan.
 func (v *Volume) PlanRead(lbn int64, blocks int) (Plan, bool) {
-	v.checkRange(lbn, blocks)
-	if v.lost {
+	var pl Plan
+	if !v.PlanReadInto(&pl, lbn, blocks) {
 		return Plan{}, false
 	}
+	return pl, true
+}
+
+// PlanWrite is PlanWriteInto on a fresh Plan.
+func (v *Volume) PlanWrite(lbn int64, blocks int) (Plan, bool) {
 	var pl Plan
-	if v.cfg.Level == VolMirror {
-		pl.Phases = [][]MemberOp{{{Slot: v.readSlot(lbn), Op: core.Read, LBN: lbn, Blocks: blocks}}}
-		return pl, true
+	if !v.PlanWriteInto(&pl, lbn, blocks) {
+		return Plan{}, false
 	}
-	var ops []MemberOp
+	return pl, true
+}
+
+// PlanRebuildChunk is PlanRebuildChunkInto on a fresh Plan.
+func (v *Volume) PlanRebuildChunk(chunk int) (Plan, int) {
+	var pl Plan
+	n := v.PlanRebuildChunkInto(&pl, chunk)
+	return pl, n
+}
+
+// PlanReadInto realizes a volume read under the current redundancy
+// state into pl, replacing its contents and reusing its storage. ok is
+// false when the addressed data is lost (stripe-member failure or
+// double fault): the request must complete in error, never be silently
+// served, and pl holds no usable plan.
+func (v *Volume) PlanReadInto(pl *Plan, lbn int64, blocks int) (ok bool) {
+	v.checkRange(lbn, blocks)
+	pl.reset()
+	if v.lost {
+		return false
+	}
+	pl.phase()
+	if v.cfg.Level == VolMirror {
+		pl.add(MemberOp{Slot: v.readSlot(lbn), Op: core.Read, LBN: lbn, Blocks: blocks})
+		return true
+	}
 	for _, c := range v.split(lbn, blocks) {
 		if c.slot != v.failed {
-			ops = append(ops, MemberOp{Slot: c.slot, Op: core.Read, LBN: c.lbn, Blocks: c.blocks})
+			pl.add(MemberOp{Slot: c.slot, Op: core.Read, LBN: c.lbn, Blocks: c.blocks})
 			continue
 		}
 		switch {
 		case v.cfg.Level == VolStripe:
-			return Plan{}, false // no redundancy: the chunk is gone
+			return false // no redundancy: the chunk is gone
 		case v.covered(c.lbn, c.blocks):
 			// The rebuilt spare prefix already holds the data.
-			ops = append(ops, MemberOp{Slot: c.slot, Op: core.Read, LBN: c.lbn, Blocks: c.blocks})
+			pl.add(MemberOp{Slot: c.slot, Op: core.Read, LBN: c.lbn, Blocks: c.blocks})
 			pl.SpareRead = true
 		default:
 			// Parity reconstruction: read the same member range on every
 			// surviving peer (k peer reads charged on the event loop).
 			for _, s := range v.liveSlots() {
-				ops = append(ops, MemberOp{Slot: s, Op: core.Read, LBN: c.lbn, Blocks: c.blocks})
+				pl.add(MemberOp{Slot: s, Op: core.Read, LBN: c.lbn, Blocks: c.blocks})
 			}
 			pl.Reconstructed = true
 		}
 	}
-	pl.Phases = [][]MemberOp{ops}
-	return pl, true
+	return true
 }
 
-// PlanWrite realizes a volume write: replicated single-phase writes for
+// PlanWriteInto realizes a volume write into pl, replacing its contents
+// and reusing its storage: replicated single-phase writes for
 // VolMirror, per-chunk read-modify-write fork-join phases for
-// VolParity. ok is false when data is lost.
-func (v *Volume) PlanWrite(lbn int64, blocks int) (Plan, bool) {
+// VolParity. ok is false when data is lost, and pl then holds no usable
+// plan.
+func (v *Volume) PlanWriteInto(pl *Plan, lbn int64, blocks int) (ok bool) {
 	v.checkRange(lbn, blocks)
+	pl.reset()
 	if v.lost {
-		return Plan{}, false
+		return false
 	}
-	var pl Plan
 	pl.DegradedWrite = v.failed >= 0
 	switch v.cfg.Level {
 	case VolMirror:
-		var ops []MemberOp
+		pl.phase()
 		for _, s := range v.liveSlots() {
-			ops = append(ops, MemberOp{Slot: s, Op: core.Write, LBN: lbn, Blocks: blocks})
+			pl.add(MemberOp{Slot: s, Op: core.Write, LBN: lbn, Blocks: blocks})
 		}
 		if v.failed >= 0 && v.covered(lbn, blocks) {
 			// Keep the rebuilt spare prefix current.
-			ops = append(ops, MemberOp{Slot: v.failed, Op: core.Write, LBN: lbn, Blocks: blocks})
+			pl.add(MemberOp{Slot: v.failed, Op: core.Write, LBN: lbn, Blocks: blocks})
 		}
-		pl.Phases = [][]MemberOp{ops}
-		return pl, true
+		return true
 	case VolStripe:
-		var ops []MemberOp
+		pl.phase()
 		for _, c := range v.split(lbn, blocks) {
 			if c.slot == v.failed {
-				return Plan{}, false
+				return false
 			}
-			ops = append(ops, MemberOp{Slot: c.slot, Op: core.Write, LBN: c.lbn, Blocks: c.blocks})
+			pl.add(MemberOp{Slot: c.slot, Op: core.Write, LBN: c.lbn, Blocks: c.blocks})
 		}
-		pl.Phases = [][]MemberOp{ops}
-		return pl, true
+		return true
 	}
 	// VolParity: read-modify-write per chunk, chunks serialized (write
 	// ordering), exactly the §6.2 sequence for the single-chunk small
@@ -463,53 +526,58 @@ func (v *Volume) PlanWrite(lbn int64, blocks int) (Plan, bool) {
 			c.slot == v.failed && v.covered(c.lbn, c.blocks):
 			// Healthy RMW — also valid with the failed slot's range
 			// already rebuilt on the spare (DeviceOf resolves it there).
-			pl.Phases = append(pl.Phases,
-				[]MemberOp{read(c.slot), read(c.parity)},
-				[]MemberOp{write(c.slot), write(c.parity)})
+			pl.phase()
+			pl.add(read(c.slot), read(c.parity))
+			pl.phase()
+			pl.add(write(c.slot), write(c.parity))
 		case c.slot == v.failed:
 			// Data member dead: fold the update into parity by reading
 			// the row's surviving data members, then rewriting parity.
-			var reads []MemberOp
+			pl.phase()
 			for _, s := range v.liveSlots() {
 				if s != c.parity {
-					reads = append(reads, read(s))
+					pl.add(read(s))
 				}
 			}
-			pl.Phases = append(pl.Phases, reads, []MemberOp{write(c.parity)})
+			pl.phase()
+			pl.add(write(c.parity))
 			pl.Reconstructed = true
 		default: // c.parity == v.failed
 			// Parity member dead: the data write proceeds unprotected.
-			pl.Phases = append(pl.Phases, []MemberOp{write(c.slot)})
+			pl.phase()
+			pl.add(write(c.slot))
 		}
 	}
-	return pl, true
+	return true
 }
 
-// PlanRebuildChunk realizes the next background rebuild unit: read the
+// PlanRebuildChunkInto realizes the next background rebuild unit into
+// pl, replacing its contents and reusing its storage: read the
 // surviving peers' next chunk (or one replica for VolMirror), then
 // write the reconstructed chunk to the spare. It returns the chunk's
-// block count (0 when no rebuild is active or the scan is complete).
-func (v *Volume) PlanRebuildChunk(chunk int) (Plan, int) {
+// block count (0, with pl empty, when no rebuild is active or the scan
+// is complete).
+func (v *Volume) PlanRebuildChunkInto(pl *Plan, chunk int) int {
+	pl.reset()
 	if v.spareDev < 0 || v.watermark >= v.cfg.PerMember || chunk <= 0 {
-		return Plan{}, 0
+		return 0
 	}
 	n := chunk
 	if left := v.cfg.PerMember - v.watermark; int64(n) > left {
 		n = int(left)
 	}
 	start := v.watermark
-	var reads []MemberOp
+	pl.phase()
+	live := v.liveSlots()
 	if v.cfg.Level == VolMirror {
-		reads = []MemberOp{{Slot: v.liveSlots()[0], Op: core.Read, LBN: start, Blocks: n}}
-	} else {
-		for _, s := range v.liveSlots() {
-			reads = append(reads, MemberOp{Slot: s, Op: core.Read, LBN: start, Blocks: n})
-		}
+		live = live[:1]
 	}
-	return Plan{Phases: [][]MemberOp{
-		reads,
-		{{Slot: v.failed, Op: core.Write, LBN: start, Blocks: n}},
-	}}, n
+	for _, s := range live {
+		pl.add(MemberOp{Slot: s, Op: core.Read, LBN: start, Blocks: n})
+	}
+	pl.phase()
+	pl.add(MemberOp{Slot: v.failed, Op: core.Write, LBN: start, Blocks: n})
+	return n
 }
 
 // ReplaceDeadOp re-resolves one member operation from a plan made

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -449,5 +450,55 @@ func TestVolumeEpochAndReset(t *testing.T) {
 	}
 	if dev := v.DeviceOf(0); dev != 0 {
 		t.Errorf("reset slot mapping: %d", dev)
+	}
+}
+
+func TestPlanIntoReusesStorage(t *testing.T) {
+	// The Into planners build into the caller's Plan: once it has grown,
+	// planning allocates nothing, in healthy and degraded states alike,
+	// and a reused Plan holds exactly what a fresh one would. The
+	// value-returning planners hand back a Plan no later call touches.
+	v := mustVolume(t, parityCfg())
+	var pl Plan
+	plan := func() {
+		v.PlanReadInto(&pl, 3, 20)
+		v.PlanWriteInto(&pl, 5, 30)
+	}
+	if allocs := testing.AllocsPerRun(50, plan); allocs != 0 {
+		t.Errorf("healthy planning allocates %.1f objects per run", allocs)
+	}
+	want, _ := mustVolume(t, parityCfg()).PlanWrite(5, 30)
+	kept, _ := v.PlanWrite(5, 30)
+	if err := v.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	if !v.BeginRebuild() {
+		t.Fatal("no rebuild")
+	}
+	v.Advance(16)
+	degraded := func() {
+		plan()
+		v.PlanRebuildChunkInto(&pl, 8)
+	}
+	if allocs := testing.AllocsPerRun(50, degraded); allocs != 0 {
+		t.Errorf("degraded planning allocates %.1f objects per run", allocs)
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Errorf("returned plan changed under later planning:\n got %+v\nwant %+v", kept, want)
+	}
+	// pl last held a two-phase rebuild plan: refilling it must leave no
+	// trace of that plan's phases or flags.
+	for _, c := range []struct {
+		into  func(*Plan) bool
+		fresh func() (Plan, bool)
+	}{
+		{func(p *Plan) bool { return v.PlanReadInto(p, 0, 40) }, func() (Plan, bool) { return v.PlanRead(0, 40) }},
+		{func(p *Plan) bool { return v.PlanWriteInto(p, 5, 30) }, func() (Plan, bool) { return v.PlanWrite(5, 30) }},
+	} {
+		ok := c.into(&pl)
+		fresh, freshOK := c.fresh()
+		if ok != freshOK || !reflect.DeepEqual(pl, fresh) {
+			t.Errorf("reused plan differs from a fresh one:\n got %+v\nwant %+v", pl, fresh)
+		}
 	}
 }

@@ -120,14 +120,14 @@ func raidVolume(devs []core.Device, failed int) *array.Volume {
 // at stripe-aligned random LBNs.
 func raidRandom(v *array.Volume, devs []core.Device, op core.Op, trials int, rng *rand.Rand) float64 {
 	now, sum := 0.0, 0.0
+	var pl array.Plan
 	for i := 0; i < trials; i++ {
 		lbn := raidDraw(rng, devs[0].Capacity(), v.Capacity())
 		// ok is always true here: one failed member loses no data.
-		var pl array.Plan
 		if op == core.Write {
-			pl, _ = v.PlanWrite(lbn, 8)
+			v.PlanWriteInto(&pl, lbn, 8)
 		} else {
-			pl, _ = v.PlanRead(lbn, 8)
+			v.PlanReadInto(&pl, lbn, 8)
 		}
 		svc := raidTime(v, devs, pl, now)
 		sum += svc

@@ -5,8 +5,10 @@ import (
 	"io"
 	"testing"
 
+	"memsim/internal/array"
 	"memsim/internal/core"
 	"memsim/internal/disk"
+	"memsim/internal/fault"
 	"memsim/internal/mems"
 	"memsim/internal/sched"
 	"memsim/internal/workload"
@@ -232,6 +234,63 @@ func BenchmarkEngineMillion(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run(fmtScale("volume", n), func(b *testing.B) {
+		spec, opts := volumeRebuildFixture(b, n, true)
+		opts.Warmup, opts.Probe = n/100, NewPhaseCollector()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := RunVolume(&Context{Sketch: true}, spec, volumeRebuildSource(n), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// The shape of memsperf's volume-rebuild workload: a 4+1
+// rotated-parity volume of MEMS G1 members with one-cylinder stripe
+// units and SPTF queues, at 1000 volume requests/s, where 1% of access
+// attempts hit a transient error and, when failing, member slot 1 dies
+// a quarter of the way through the arrival stream and is rebuilt at a
+// fixed 0.3 throttle.
+const (
+	volBenchRate      = 1000
+	volBenchChunk     = 2700
+	volBenchPerMember = 6_750_000
+)
+
+// volumeRebuildFixture builds the volume-rebuild spec and options for
+// an n-request stream; fail schedules the mid-run member failure.
+func volumeRebuildFixture(tb testing.TB, n int, fail bool) (VolumeSpec, Options) {
+	tb.Helper()
+	v, err := array.NewVolume(array.VolumeConfig{Level: array.VolParity, Members: 4, Spares: 1,
+		StripeUnit: volBenchChunk, PerMember: volBenchPerMember})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := VolumeSpec{Volume: v, RebuildChunk: volBenchChunk, RebuildFrac: 0.3}
+	for range v.Config().Devices() {
+		spec.Devices = append(spec.Devices, mems.MustDevice(mems.DefaultConfig()))
+		spec.Scheds = append(spec.Scheds, sched.NewSPTF())
+	}
+	cfg := fault.DefaultInjectorConfig()
+	cfg.TransientRate, cfg.Seed = 0.01, 1
+	if fail {
+		cfg.DeviceEvents = []fault.DeviceEvent{{AtMs: 0.25 * float64(n) / volBenchRate * 1000, Dev: 1}}
+	}
+	inj, err := fault.NewInjector(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec, Options{Injector: inj}
+}
+
+// volumeRebuildSource is the volume-rebuild arrival stream: n random
+// requests of 4 KB mean size over the fixture volume's capacity.
+func volumeRebuildSource(n int) workload.Source {
+	return workload.NewRandom(workload.RandomConfig{
+		Rate: volBenchRate, ReadFraction: 0.67, MeanBytes: 4096, MaxBytes: 32 * 1024,
+		SectorSize: 512, Capacity: 3 * volBenchPerMember, Count: n, Seed: 1,
 	})
 }
 

@@ -74,6 +74,9 @@ func (k EventKind) String() string {
 
 // ProbeEvent is one typed lifecycle observation. The Req pointer is the
 // live simulation request: probes may read it but must not mutate it.
+// Under RunVolume a member op's request is reused for a later member op
+// once its fork-join leg completes, so a probe copies anything it keeps
+// past Observe rather than the pointer.
 type ProbeEvent struct {
 	// Kind is the lifecycle stage.
 	Kind EventKind
@@ -92,7 +95,8 @@ type ProbeEvent struct {
 	// tagged them with); zero (foreground) elsewhere. In-memory only:
 	// the JSONL trace format does not serialize it.
 	Class core.Class
-	// Req is the request the event concerns.
+	// Req is the request the event concerns; see the type's comment for
+	// how long a member op's request stays that op's.
 	Req *core.Request
 	// Breakdown carries the visit's phase decomposition for service
 	// events, and the single retry's penalty (in Recovery) for retry

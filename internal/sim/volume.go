@@ -122,12 +122,16 @@ func (v *VolumeStats) useSketch() {
 
 // volReq tracks one in-flight volume-level intent — a foreground
 // request or a background rebuild chunk — through its fork-join phases
-// of member operations.
+// of member operations. volReqs are pooled per run: one goes back to
+// the free list when its intent finishes and keeps its plan storage for
+// the next.
 type volReq struct {
-	r      *core.Request
-	phases [][]array.MemberOp
-	// phase indexes the executing entry of phases; outstanding counts
-	// its member ops still in flight.
+	r *core.Request
+	// plan is the intent's member-operation plan, built in place by the
+	// volume's planners; remap rewrites its remaining phases in place.
+	plan array.Plan
+	// phase indexes the executing entry of plan.Phases; outstanding
+	// counts its member ops still in flight.
 	phase       int
 	outstanding int
 	// epoch is the volume redundancy generation the plan was made
@@ -143,17 +147,28 @@ type volReq struct {
 	rebuild     bool
 	chunkBlocks int
 	chunkStart  float64
+	// chunkReq is r for a rebuild chunk, which has no source request.
+	chunkReq core.Request
 
 	degradedRead  bool
 	degradedWrite bool
 	spareRead     bool
 }
 
+// memberReq is one member operation of a volume intent: the request its
+// device's scheduler queues and serves, and the intent it realizes.
+// memberReqs are pooled per run like volReqs: one goes back to the free
+// list when its fork-join leg completes, so a probe sees the same
+// request pointer again for a later operation.
+type memberReq struct {
+	req core.Request
+	vr  *volReq
+}
+
 // volInflight is one member's in-flight service-completion state,
 // consumed by the member's reusable completion callback.
 type volInflight struct {
-	mr    *core.Request
-	vr    *volReq
+	m     *memberReq
 	done  float64
 	again bool
 }
@@ -172,7 +187,8 @@ type volInflight struct {
 // volume request.
 //
 // Member-level operations emit arrive/dispatch/service probe events
-// (Dev = physical device index); volume-level requests emit complete
+// (Dev = physical device index) on run-owned requests that are reused
+// once their fork-join leg completes; volume-level requests emit complete
 // events; failover emits EventDeviceFail/EventRebuildStart/
 // EventRebuildDone (Dev = member slot, Req = nil). Response statistics
 // are per volume-level request; rebuild traffic is excluded from them
@@ -243,10 +259,39 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	if e.ctx.Sketch {
 		vstats.useSketch()
 	}
-	// opmap resolves a queued member request back to its volume intent;
-	// entries are deleted at dispatch (requeued ops re-register), and
-	// the map is never iterated, so determinism is preserved.
-	opmap := make(map[*core.Request]*volReq)
+	// freeVR and freeMR are the run's free lists of volume intents and
+	// member ops. queued[dev] holds the member ops waiting in device
+	// dev's scheduler: a dispatch finds the scheduler's pick there by
+	// pointer, a scan no longer than the scheduler's own.
+	var (
+		freeVR []*volReq
+		freeMR []*memberReq
+		queued = make([][]*memberReq, len(ms.devs))
+	)
+	newVR := func(r *core.Request) *volReq {
+		var vr *volReq
+		if n := len(freeVR); n > 0 {
+			vr, freeVR = freeVR[n-1], freeVR[:n-1]
+		} else {
+			vr = new(volReq)
+		}
+		*vr = volReq{r: r, plan: array.Plan{Phases: vr.plan.Phases[:0]}, epoch: v.Epoch()}
+		return vr
+	}
+	// take removes the scheduler's pick mr from device dev's queued ops.
+	take := func(dev int, mr *core.Request) *memberReq {
+		q := queued[dev]
+		for j, m := range q {
+			if &m.req == mr {
+				last := len(q) - 1
+				q[j] = q[last]
+				q[last] = nil
+				queued[dev] = q[:last]
+				return m
+			}
+		}
+		panic(fmt.Sprintf("sim: device %d scheduler dispatched a request it was never given", dev))
+	}
 	// degradedSince and failStart track the open degraded window and
 	// the active failure for MTTR accounting; -1 when closed.
 	degradedSince := -1.0
@@ -287,12 +332,19 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 
 	enqueue := func(vr *volReq, op array.MemberOp, now float64) {
 		dev := v.DeviceOf(op.Slot)
-		mr := &core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
+		var m *memberReq
+		if n := len(freeMR); n > 0 {
+			m, freeMR = freeMR[n-1], freeMR[:n-1]
+		} else {
+			m = new(memberReq)
+		}
+		m.req = core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
 			Class: memberClass(vr)}
-		opmap[mr] = vr
-		ms.scheds[dev].Add(mr)
+		m.vr = vr
+		queued[dev] = append(queued[dev], m)
+		ms.scheds[dev].Add(&m.req)
 		if e.p != nil {
-			e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: mr,
+			e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: &m.req,
 				Queue: ms.scheds[dev].Len()})
 		}
 		dispatch(dev)
@@ -303,9 +355,10 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// it may mark the parent request failed when its data is gone.
 	remap := func(vr *volReq) {
 		vr.epoch = v.Epoch()
-		for pi := vr.phase; pi < len(vr.phases); pi++ {
+		phases := vr.plan.Phases
+		for pi := vr.phase; pi < len(phases); pi++ {
 			var resolved []array.MemberOp
-			for _, op := range vr.phases[pi] {
+			for _, op := range phases[pi] {
 				repl, recon, ok := v.ReplaceDeadOp(op)
 				if !ok {
 					vr.r.Failed = true
@@ -315,7 +368,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 				}
 				resolved = append(resolved, repl...)
 			}
-			vr.phases[pi] = resolved
+			phases[pi] = resolved
 		}
 	}
 
@@ -418,12 +471,18 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		e.q.Schedule(now+gap, startChunkFn)
 	}
 
+	// finish closes a volume intent, whose member ops have all
+	// completed, and returns it to the free list: complete runs onDone
+	// synchronously, so nothing holds vr once finishReq or chunkDone
+	// returns.
 	finish := func(vr *volReq, now float64) {
 		if vr.rebuild {
 			chunkDone(vr, now)
-			return
+		} else {
+			finishReq(vr, now)
 		}
-		finishReq(vr, now)
+		vr.r = nil
+		freeVR = append(freeVR, vr)
 	}
 
 	// issue advances a volume intent to its next non-empty phase and
@@ -433,11 +492,11 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			if vr.epoch != v.Epoch() {
 				remap(vr)
 			}
-			if vr.r.Failed || vr.phase >= len(vr.phases) {
+			if vr.r.Failed || vr.phase >= len(vr.plan.Phases) {
 				finish(vr, now)
 				return
 			}
-			ops := vr.phases[vr.phase]
+			ops := vr.plan.Phases[vr.phase]
 			if len(ops) == 0 {
 				vr.phase++
 				continue
@@ -470,8 +529,8 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			return
 		}
 		ms.busy[i] = true
-		vr := opmap[mr]
-		delete(opmap, mr)
+		m := take(i, mr)
+		vr := m.vr
 		if !vr.started {
 			vr.started = true
 			vr.r.Start = now
@@ -498,31 +557,34 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			ms.phases[i].add(bd, mr.Class)
 		}
 		fl := &inflight[i]
-		fl.mr, fl.vr, fl.done, fl.again = mr, vr, now+svc, again
+		fl.m, fl.done, fl.again = m, now+svc, again
 		e.q.Schedule(now+svc, doneFns[i])
 	}
 
 	for i := range doneFns {
 		doneFns[i] = func() {
 			fl := &inflight[i]
-			mr, vr := fl.mr, fl.vr
+			m, vr := fl.m, fl.m.vr
 			ms.busy[i] = false
 			if fl.again {
 				// The visit exhausted its retries with requeue budget
 				// left: the member op goes back to its own queue and the
 				// fork-join leg stays outstanding.
-				opmap[mr] = vr
-				requeue(ms.scheds[i], mr)
+				queued[i] = append(queued[i], m)
+				requeue(ms.scheds[i], &m.req)
 				if e.p != nil {
-					e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: fl.done, Dev: i, Req: mr,
+					e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: fl.done, Dev: i, Req: &m.req,
 						Queue: ms.scheds[i].Len()})
 				}
 			} else {
-				if mr.Failed {
+				if m.req.Failed {
 					// The member op exhausted every budget (or addressed
 					// lost sectors): its parent volume request fails.
 					vr.r.Failed = true
 				}
+				// The leg is done: the op is free for the next enqueue.
+				m.vr = nil
+				freeMR = append(freeMR, m)
 				opDone(vr, e.q.Now())
 			}
 			dispatch(i)
@@ -533,18 +595,15 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		if e.stopped || v.Lost() || !v.Rebuilding() {
 			return
 		}
-		plan, blocks := v.PlanRebuildChunk(chunk)
+		vr := newVR(nil)
+		blocks := v.PlanRebuildChunkInto(&vr.plan, chunk)
 		if blocks == 0 {
+			freeVR = append(freeVR, vr)
 			return
 		}
-		vr := &volReq{
-			r:           &core.Request{Arrival: now, Op: core.Read, LBN: -1, Blocks: blocks, Class: core.ClassRebuild},
-			phases:      plan.Phases,
-			epoch:       v.Epoch(),
-			rebuild:     true,
-			chunkBlocks: blocks,
-			chunkStart:  now,
-		}
+		vr.chunkReq = core.Request{Arrival: now, Op: core.Read, LBN: -1, Blocks: blocks, Class: core.ClassRebuild}
+		vr.r = &vr.chunkReq
+		vr.rebuild, vr.chunkBlocks, vr.chunkStart = true, blocks, now
 		issue(vr, now)
 	}
 	startChunkFn = func() { startChunk(e.q.Now()) }
@@ -554,15 +613,16 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// reconstruction, spare redirection, or dropped redundancy writes);
 	// an op whose data is unreachable fails its parent request. The op
 	// in service, if any, completes normally — it was already on the
-	// bus when the device died.
+	// bus when the device died. A drained op is not recycled: it left
+	// its queue without a probe event, so reusing its request would show
+	// an observer the same pointer arriving while still queued.
 	drainDead := func(devIdx, slot int, now float64) {
 		for {
 			mr := ms.scheds[devIdx].Next(ms.devs[devIdx], now)
 			if mr == nil {
 				return
 			}
-			vr := opmap[mr]
-			delete(opmap, mr)
+			vr := take(devIdx, mr).vr
 			repl, recon, ok := v.ReplaceDeadOp(array.MemberOp{
 				Slot: slot, Op: mr.Op, LBN: mr.LBN, Blocks: mr.Blocks})
 			if !ok {
@@ -624,16 +684,13 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// redundancy state and fork its first phase.
 	e.chainArrivals(src, func(r *core.Request) {
 		now := e.q.Now()
-		var (
-			plan array.Plan
-			ok   bool
-		)
+		vr := newVR(r)
+		var ok bool
 		if r.Op == core.Read {
-			plan, ok = v.PlanRead(r.LBN, r.Blocks)
+			ok = v.PlanReadInto(&vr.plan, r.LBN, r.Blocks)
 		} else {
-			plan, ok = v.PlanWrite(r.LBN, r.Blocks)
+			ok = v.PlanWriteInto(&vr.plan, r.LBN, r.Blocks)
 		}
-		vr := &volReq{r: r, epoch: v.Epoch()}
 		if !ok {
 			// The addressed data is lost: fail without touching a device
 			// rather than silently serving stale sectors.
@@ -641,12 +698,11 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			r.Start = now
 			vr.started = true
 		} else {
-			vr.phases = plan.Phases
 			if r.Op == core.Read {
-				vr.degradedRead = plan.Reconstructed
-				vr.spareRead = plan.SpareRead
+				vr.degradedRead = vr.plan.Reconstructed
+				vr.spareRead = vr.plan.SpareRead
 			} else {
-				vr.degradedWrite = plan.DegradedWrite
+				vr.degradedWrite = vr.plan.DegradedWrite
 			}
 		}
 		issue(vr, now)

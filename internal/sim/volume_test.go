@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -713,5 +714,189 @@ func TestAdaptiveRebuildPace(t *testing.T) {
 			t.Fatalf("pace rose with load: adaptivePace(%d)=%g > adaptivePace(%d)=%g", q, cur, q-1, prev)
 		}
 		prev = cur
+	}
+}
+
+func TestRunVolumeOneMemberMatchesRun(t *testing.T) {
+	// A one-member stripe volume whose strip is the whole device never
+	// splits a request, so it is the same queueing system as Run on that
+	// device: every statistic must agree bit for bit. Recovered is not
+	// compared: RunVolume keeps its own fault tallies and never counts
+	// it.
+	dev := mems.MustDevice(mems.DefaultConfig())
+	capacity := dev.Capacity()
+	reqs := func() workload.Source {
+		return workload.DefaultRandom(1500, dev.SectorSize(), capacity, 3000, 7)
+	}
+	for _, policy := range []string{"FCFS", "SPTF"} {
+		for _, rate := range []float64{0, 0.02} {
+			t.Run(fmt.Sprintf("%s/transient=%g", policy, rate), func(t *testing.T) {
+				opts := func() Options {
+					o := Options{Warmup: 100}
+					if rate > 0 {
+						cfg := fault.DefaultInjectorConfig()
+						cfg.TransientRate, cfg.Seed = rate, 3
+						o.Injector = mustInjector(t, cfg)
+					}
+					return o
+				}
+				newSched := func() core.Scheduler {
+					s, err := sched.New(policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				run := Run(nil, dev, newSched(), reqs(), opts())
+				v, err := array.NewVolume(array.VolumeConfig{Level: array.VolStripe, Members: 1,
+					StripeUnit: capacity, PerMember: capacity})
+				if err != nil {
+					t.Fatal(err)
+				}
+				vol, err := RunVolume(nil, VolumeSpec{Volume: v, Devices: []core.Device{dev},
+					Scheds: []core.Scheduler{newSched()}}, reqs(), opts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if run.MaxQueue < 2 {
+					t.Fatal("no request ever queued; the scheduler half exercises nothing")
+				}
+				if rate > 0 && run.Retries == 0 {
+					t.Fatal("injector produced no retries; the fault half exercises nothing")
+				}
+				for _, f := range []struct {
+					name     string
+					run, vol any
+				}{
+					{"Requests", run.Requests, vol.Requests},
+					{"Response", run.Response, vol.Response},
+					{"Service", run.Service, vol.Service},
+					{"QueueLen", run.QueueLen, vol.QueueLen},
+					{"MaxQueue", run.MaxQueue, vol.MaxQueue},
+					{"Busy", run.Busy, vol.Busy},
+					{"Elapsed", run.Elapsed, vol.Elapsed},
+					{"Retries", run.Retries, vol.Retries},
+					{"Requeues", run.Requeues, vol.Requeues},
+					{"RecoveryMs", run.RecoveryMs, vol.RecoveryMs},
+					{"FailedRequests", run.FailedRequests, vol.FailedRequests},
+					{"DegradedReads", run.DegradedReads, vol.DegradedReads},
+					{"LostReads", run.LostReads, vol.LostReads},
+				} {
+					if !reflect.DeepEqual(f.run, f.vol) {
+						t.Errorf("%s: Run %+v, RunVolume %+v", f.name, f.run, f.vol)
+					}
+				}
+			})
+		}
+	}
+}
+
+// memberOpLife follows one member-op request pointer through the probe
+// stream: whether it waits in a queue, and until when its latest
+// service visit runs.
+type memberOpLife struct {
+	queued, serving bool
+	serviceEnd      float64
+}
+
+func TestRunVolumeRecyclesMemberOpsOnlyAfterTheirLeg(t *testing.T) {
+	// Member ops are pooled, so one request pointer realizes many member
+	// operations over a run. A recycle that comes too early shows in the
+	// probe stream as a pointer arriving again while it still waits in a
+	// queue or before its service visit ends, or as a dispatch of a
+	// pointer that never arrived. A failing-and-rebuilding parity volume
+	// under heavy transient faults drives every path that hands ops
+	// around: the dead queue's drain, requeues, degraded plans and
+	// rebuild chunks.
+	spec := volFixtures(t, parityVolCfg(), 1)
+	spec.RebuildChunk = 8
+	spec.RebuildFrac = 0.2
+	life := map[*core.Request]*memberOpLife{}
+	arrivals := 0
+	probe := probeFunc(func(ev ProbeEvent) {
+		if ev.Req == nil || ev.Kind == EventComplete {
+			return // failover events, and volume-level completions
+		}
+		l := life[ev.Req]
+		if l == nil {
+			l = &memberOpLife{}
+			life[ev.Req] = l
+		}
+		switch ev.Kind {
+		case EventArrive:
+			arrivals++
+			if l.queued {
+				t.Errorf("%p arrived at %g while still queued", ev.Req, ev.Time)
+			}
+			if l.serving && ev.Time < l.serviceEnd {
+				t.Errorf("%p arrived at %g while in service until %g", ev.Req, ev.Time, l.serviceEnd)
+			}
+			l.queued, l.serving = true, false
+		case EventDispatch:
+			if !l.queued {
+				t.Errorf("%p dispatched at %g without an arrive or requeue", ev.Req, ev.Time)
+			}
+			l.queued, l.serving = false, true
+		case EventService:
+			if !l.serving {
+				t.Errorf("%p serviced at %g while not dispatched", ev.Req, ev.Time)
+			}
+			l.serviceEnd = ev.Time
+		case EventRequeue:
+			if !l.serving || ev.Time != l.serviceEnd {
+				t.Errorf("%p requeued at %g, not at the end of a visit (%g)", ev.Req, ev.Time, l.serviceEnd)
+			}
+			l.queued, l.serving = true, false
+		}
+	})
+	const n = 600
+	reqs := make([]*core.Request, n)
+	for i := range reqs {
+		op := core.Read
+		if i%3 == 0 {
+			op = core.Write
+		}
+		reqs[i] = &core.Request{Arrival: float64(i) * 2, Op: op, LBN: int64(i*37) % 120, Blocks: 1 + i%9}
+	}
+	inj := mustInjector(t, fault.InjectorConfig{TransientRate: 0.3, MaxRetries: 1, MaxRequeues: 3,
+		FallbackPenaltyMs: 0.5, Seed: 9, DeviceEvents: []fault.DeviceEvent{{AtMs: 200, Dev: 1}}})
+	res, err := RunVolume(nil, spec, workload.NewFromSlice(reqs), Options{Probe: probe, Injector: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := res.Volume
+	if res.Requeues == 0 || vs.DeviceFailures != 1 || vs.RebuildChunks == 0 || vs.DegradedReads == 0 {
+		t.Fatalf("run missed a path: requeues %d, failures %d, rebuild chunks %d, degraded reads %d",
+			res.Requeues, vs.DeviceFailures, vs.RebuildChunks, vs.DegradedReads)
+	}
+	if len(life) >= arrivals/2 {
+		t.Errorf("%d member-op pointers for %d arrivals: ops are not being recycled", len(life), arrivals)
+	}
+}
+
+func TestRunVolumeAllocsPerRequest(t *testing.T) {
+	// Volume intents and member ops are pooled and plans reuse their
+	// storage, so a volume run allocates about one object per request:
+	// the source's own request. The budget leaves room for run set-up
+	// and the growth of the exact response samples.
+	if raceBuild {
+		t.Skip("allocation budgets are checked in the normal build; this run is slow under -race")
+	}
+	const n, budget = 20000, 1.5
+	for _, fail := range []bool{false, true} {
+		spec, opts := volumeRebuildFixture(t, n, fail)
+		var res Result
+		allocs := testing.AllocsPerRun(2, func() {
+			var err error
+			if res, err = RunVolume(nil, spec, volumeRebuildSource(n), opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fail && (res.Volume.DeviceFailures != 1 || res.Volume.RebuildChunks == 0 || res.Retries == 0) {
+			t.Fatalf("failing run missed its failure, rebuild or retries: %+v", res.Volume)
+		}
+		if perReq := allocs / n; perReq > budget {
+			t.Errorf("fail=%v: %.3f allocations per request, budget %g", fail, perReq, budget)
+		}
 	}
 }
