@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -40,6 +41,7 @@ import (
 	"strings"
 
 	"memsim/internal/benchrec"
+	"memsim/internal/runner"
 )
 
 // suite is one `go test -bench` invocation.
@@ -134,7 +136,10 @@ func main() {
 		os.Exit(1)
 	}
 	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := runner.WriteArtifact(*out, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	}); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
 		os.Exit(1)
 	}

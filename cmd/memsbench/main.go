@@ -53,6 +53,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,11 +77,10 @@ func main() {
 }
 
 // run is the whole CLI behind an exit code, parameterized for tests:
-// 0 on success, 1 on any job or artifact failure (interruption
-// included), 2 on flag-parse errors.
+// 0 on success, 1 on a rejected flag value or any job or artifact
+// failure (interruption included), 2 on flag-parse errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("memsbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		runIDs     = fs.String("run", "all", "comma-separated artifact IDs, or \"all\"")
 		quick      = fs.Bool("quick", false, "use reduced simulation sizes")
@@ -88,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out        = fs.String("o", "", "output directory for -csv (default: current)")
 		list       = fs.Bool("list", false, "list artifact IDs and exit")
 		seed       = fs.Int64("seed", 1, "random seed for all generators")
-		reqs       = fs.Int("requests", 0, "override per-run request count (rescales warmup, closed runs and trials proportionally)")
-		parallel   = fs.Int("parallel", runtime.NumCPU(), "simulation jobs to run concurrently")
+		reqs       = fs.Int("requests", 0, "override per-run request count (rescales warmup, closed runs and trials proportionally; ≤ 0: keep the preset)")
+		parallel   = fs.Int("parallel", runtime.NumCPU(), "simulation jobs to run concurrently (≤ 0: GOMAXPROCS)")
 		progress   = fs.Bool("progress", false, "report per-job completions to stderr")
 		faultRate  = fs.Float64("fault-rate", 0, "extra transient-error rate for the faultinject sweep, in [0,1)")
 		faultSeed  = fs.Int64("fault-seed", 0, "seed for fault-injection randomness (0: derive from -seed)")
@@ -107,7 +107,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sketch     = fs.Bool("sketch", false, "use bounded quantile sketches for percentile statistics (O(1) memory at any request count; p95/p99 within ±1%)")
 		checkpoint = fs.String("checkpoint", "", "atomic progress checkpoint for resumable experiments (mttdl): interrupted trials resume byte-identically")
 	)
+	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.PrintDefaults()
+			return 0
+		}
+		fmt.Fprintln(stderr, "memsbench:", err)
 		return 2
 	}
 
@@ -167,23 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	ctx := &runner.Context{Workers: *parallel, Ctx: sigCtx, Timeout: *timeout, Check: *check, Sketch: *sketch}
-	var (
-		traceFile  *os.File
-		traceProbe *sim.JSONLProbe
-	)
-	if *tracePath != "" {
-		f, err := openTrace(*tracePath)
-		if err != nil {
-			return fail(err)
-		}
-		traceFile = f
-		if *parallel > 1 {
-			fmt.Fprintln(stderr, "memsbench: -trace forces -parallel 1 for deterministic event order")
-		}
-		traceProbe = sim.NewJSONLProbe(traceFile)
-		ctx.Workers = 1
-		ctx.Probe = traceProbe
-	}
 	if *progress {
 		ctx.Progress = func(ev runner.Event) {
 			if ev.Err != nil {
@@ -195,13 +185,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	outcomes, sum, err := experiments.RunEach(ctx, ids, p)
-	if err != nil {
-		// Batch construction failed (unknown ID): nothing ran.
-		if traceFile != nil {
-			os.Remove(traceFile.Name())
+	var (
+		outcomes []experiments.Outcome
+		sum      runner.Summary
+		batchErr error // batch construction failed (unknown ID): nothing ran
+	)
+	if *tracePath == "" {
+		outcomes, sum, batchErr = experiments.RunEach(ctx, ids, p)
+	} else {
+		ctx.Workers = 1
+		// The lifecycle trace spans the whole batch: with any job missing
+		// it would masquerade as a complete record, so it commits only
+		// when every job finished.
+		err := runner.WriteArtifact(*tracePath, func(w io.Writer) error {
+			if *parallel > 1 {
+				fmt.Fprintln(stderr, "memsbench: -trace forces -parallel 1 for deterministic event order")
+			}
+			probe := sim.NewJSONLProbe(w)
+			ctx.Probe = probe
+			if outcomes, sum, batchErr = experiments.RunEach(ctx, ids, p); batchErr != nil {
+				return batchErr
+			}
+			if sigCtx.Err() != nil {
+				return errIncompleteTrace
+			}
+			for _, o := range outcomes {
+				if o.Err != nil {
+					return errIncompleteTrace
+				}
+			}
+			return probe.Flush()
+		})
+		switch {
+		case batchErr != nil: // reported below, before anything else
+		case errors.Is(err, errIncompleteTrace):
+			fmt.Fprintln(stderr, "memsbench: discarding incomplete lifecycle trace")
+		case err != nil:
+			return fail(fmt.Errorf("-trace: %w", err))
+		default:
+			fmt.Fprintf(stderr, "memsbench: wrote lifecycle trace to %s\n", *tracePath)
 		}
-		return fail(err)
+	}
+	if batchErr != nil {
+		return fail(batchErr)
 	}
 
 	interrupted := sigCtx.Err() != nil
@@ -210,24 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if o.Err != nil {
 			failed++
 			fmt.Fprintln(stderr, "memsbench:", o.Err)
-		}
-	}
-
-	// The lifecycle trace spans the whole batch: with any job missing it
-	// would masquerade as a complete record, so it only commits clean.
-	if traceProbe != nil {
-		if interrupted || failed > 0 {
-			os.Remove(traceFile.Name())
-			fmt.Fprintln(stderr, "memsbench: discarding incomplete lifecycle trace")
-		} else {
-			if err := traceProbe.Flush(); err != nil {
-				os.Remove(traceFile.Name())
-				return fail(fmt.Errorf("writing %s: %w", *tracePath, err))
-			}
-			if err := commitTrace(traceFile, *tracePath); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stderr, "memsbench: wrote lifecycle trace to %s\n", *tracePath)
 		}
 	}
 	if *progress {
@@ -266,6 +274,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// errIncompleteTrace discards a lifecycle trace whose batch lost a job.
+var errIncompleteTrace = errors.New("incomplete lifecycle trace")
+
 // flagValues collects the fault/rebuild/availability/lifecycle knobs
 // subject to parse-time validation, so a bad value fails with a
 // one-line error before any simulation starts.
@@ -283,7 +294,11 @@ type flagValues struct {
 	checkpoint    string
 }
 
-// validateFlags rejects out-of-range or nonsensical knob values.
+// validateFlags rejects out-of-range or nonsensical knob values. The
+// float checks are written so that NaN, which compares false against
+// everything, fails them. Flags not checked here accept every value:
+// -seed and -fault-seed name streams, -parallel ≤ 0 means GOMAXPROCS,
+// and -requests ≤ 0 keeps the preset's request counts.
 func validateFlags(v flagValues) error {
 	if v.faultRate < 0 || v.faultRate >= 1 || math.IsNaN(v.faultRate) {
 		return fmt.Errorf("-fault-rate %g out of [0,1)", v.faultRate)
@@ -305,8 +320,8 @@ func validateFlags(v flagValues) error {
 	if v.failDev < 0 {
 		return fmt.Errorf("-fail-dev %d must be non-negative", v.failDev)
 	}
-	if v.thinkMs < 0 {
-		return fmt.Errorf("-think-ms %g must be non-negative", v.thinkMs)
+	if !(v.thinkMs >= 0) || math.IsInf(v.thinkMs, 1) {
+		return fmt.Errorf("-think-ms %g must be a finite, non-negative mean (0: back-to-back)", v.thinkMs)
 	}
 	if v.sched != "" {
 		if _, err := sched.New(v.sched); err != nil {
@@ -353,35 +368,5 @@ func writeCSV(t experiments.Table, out string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(stdout, "wrote", path)
-	return nil
-}
-
-// openTrace validates the -trace output path and opens a temporary file
-// next to it. The trace streams into the temporary file during the run;
-// commitTrace renames it over the final path only after a clean flush,
-// so an interrupted run never leaves a truncated trace where a complete
-// one is expected.
-func openTrace(path string) (*os.File, error) {
-	if info, err := os.Stat(path); err == nil && info.IsDir() {
-		return nil, fmt.Errorf("-trace %s: is a directory", path)
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return nil, fmt.Errorf("-trace %s: %w", path, err)
-	}
-	return f, nil
-}
-
-// commitTrace publishes the streamed temporary trace file at its final
-// path.
-func commitTrace(f *os.File, path string) error {
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("closing %s: %w", path, err)
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("-trace %s: %w", path, err)
-	}
 	return nil
 }

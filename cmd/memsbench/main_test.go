@@ -37,6 +37,8 @@ func TestValidateFlags(t *testing.T) {
 		{"negative trials", func(v *flagValues) { v.trials = -5 }, "-trials"},
 		{"negative fail dev", func(v *flagValues) { v.failDev = -1 }, "-fail-dev"},
 		{"negative think", func(v *flagValues) { v.thinkMs = -1 }, "-think-ms"},
+		{"nan think", func(v *flagValues) { v.thinkMs = math.NaN() }, "-think-ms"},
+		{"inf think", func(v *flagValues) { v.thinkMs = math.Inf(1) }, "-think-ms"},
 		{"unknown sched", func(v *flagValues) { v.sched = "EDF" }, "-sched"},
 		{"unknown member sched", func(v *flagValues) { v.memberSched = "EDF" }, "-member-sched"},
 		{"negative timeout", func(v *flagValues) { v.timeout = -time.Second }, "-timeout"},
@@ -63,49 +65,44 @@ func TestValidateFlags(t *testing.T) {
 }
 
 func TestOpenTraceRejectsDirectory(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := openTrace(dir); err == nil || !strings.Contains(err.Error(), "is a directory") {
-		t.Errorf("openTrace(%q) = %v, want directory error", dir, err)
+	// A directory path fails before any simulation, with one line.
+	code, _, stderr := execRun("-quick", "-run", "phases", "-trace", t.TempDir())
+	if code != 1 || !strings.Contains(stderr, "is a directory") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("exit %d, stderr %q; want 1 and one is-a-directory line", code, stderr)
 	}
 }
 
 func TestOpenTraceRejectsUnwritablePath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no", "such", "dir", "t.jsonl")
-	if _, err := openTrace(path); err == nil {
-		t.Errorf("openTrace(%q) succeeded on a missing parent", path)
-	} else if !strings.Contains(err.Error(), "-trace") {
-		t.Errorf("error %q does not name the flag", err)
+	code, _, stderr := execRun("-quick", "-run", "phases", "-trace", path)
+	if code != 1 || !strings.Contains(stderr, "-trace") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("exit %d, stderr %q; want 1 and one line naming -trace", code, stderr)
 	}
 }
 
 func TestOpenTraceStreamsThenCommits(t *testing.T) {
-	// The trace streams into a temporary file; the final path appears
-	// only once commitTrace publishes it, so an interrupted run never
-	// leaves a truncated trace.
-	path := filepath.Join(t.TempDir(), "t.jsonl")
-	f, err := openTrace(path)
-	if err != nil {
-		t.Fatal(err)
+	// The trace streams into a temporary file that replaces the -trace
+	// path only when the batch is complete: a clean batch publishes it
+	// and leaves no temporary file; a batch that loses a job publishes
+	// nothing, even over an old trace.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.jsonl")
+	code, _, stderr := execRun("-quick", "-requests", "300", "-run", "phases", "-trace", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
-	if _, err := f.WriteString("{\"event\":\"arrive\"}\n"); err != nil {
-		t.Fatal(err)
+	first, err := os.ReadFile(path)
+	if err != nil || !strings.HasPrefix(string(first), "{") {
+		t.Fatalf("trace = %.40q, err = %v", first, err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("final trace path exists before commit: %v", err)
+	code, _, stderr = execRun("-quick", "-requests", "300", "-run", "phases", "-trace", path, "-timeout", "1ns")
+	if code != 1 || !strings.Contains(stderr, "discarding incomplete lifecycle trace") {
+		t.Errorf("failed batch: exit %d, stderr:\n%s", code, stderr)
 	}
-	if err := commitTrace(f, path); err != nil {
-		t.Fatal(err)
+	if again, err := os.ReadFile(path); err != nil || string(again) != string(first) {
+		t.Errorf("failed batch touched the published trace (err %v)", err)
 	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "{\"event\":\"arrive\"}\n" {
-		t.Errorf("committed trace = %q, err = %v", got, err)
-	}
-	// The temporary file is gone.
-	ents, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Errorf("%d directory entries after commit, want 1", len(ents))
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("%d directory entries, want only the trace", len(ents))
 	}
 }

@@ -1,116 +1,133 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestNewDeviceValidation(t *testing.T) {
-	for _, name := range []string{"mems", "disk"} {
-		if _, err := newDevice(name); err != nil {
-			t.Errorf("newDevice(%q) = %v", name, err)
+// execRun invokes the CLI entry point with captured output.
+func execRun(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+func TestNumericFlags(t *testing.T) {
+	// Every numeric flag at 0, -1, NaN and +Inf. A value either runs
+	// (exit 0), is rejected (exit 1, one stderr line), or does not parse
+	// as the flag's type (exit 2, one stderr line).
+	const (
+		accepted = 0
+		rejected = 1
+		noParse  = 2
+	)
+	cases := []struct {
+		flag, value string
+		want        int
+		why         string // for accepted values
+	}{
+		{"-count", "0", rejected, ""},
+		{"-count", "-1", rejected, ""},
+		{"-count", "NaN", noParse, ""},
+		{"-count", "+Inf", noParse, ""},
+		{"-capacity", "0", accepted, "0 selects the paper's MEMS device"},
+		{"-capacity", "-1", rejected, ""},
+		{"-capacity", "1", rejected, ""},
+		{"-capacity", "NaN", noParse, ""},
+		{"-capacity", "+Inf", noParse, ""},
+		{"-scale", "0", rejected, ""},
+		{"-scale", "-1", rejected, ""},
+		{"-scale", "NaN", rejected, ""},
+		{"-scale", "+Inf", rejected, ""},
+	}
+	for _, tc := range cases {
+		for _, gen := range []string{"cello", "tpcc"} {
+			args := []string{"-gen", gen, "-count", "50", tc.flag, tc.value}
+			code, _, stderr := execRun(args...)
+			switch {
+			case tc.want == accepted && tc.why == "":
+				t.Errorf("%s %s is accepted without a reason", tc.flag, tc.value)
+			case code != tc.want:
+				t.Errorf("%q: exit %d, want %d; stderr:\n%s", args, code, tc.want, stderr)
+			case tc.want != accepted && strings.Count(stderr, "\n") != 1:
+				t.Errorf("%q: stderr is not one line:\n%s", args, stderr)
+			case tc.want != accepted && !strings.Contains(stderr, tc.flag):
+				t.Errorf("%q: stderr does not name %s: %s", args, tc.flag, stderr)
+			}
 		}
 	}
-	if _, err := newDevice("floppy"); err == nil || !strings.Contains(err.Error(), "floppy") {
-		t.Errorf("newDevice(floppy) = %v, want error naming the device", err)
+}
+
+func TestSmallestCapacityGenerates(t *testing.T) {
+	// The generators lay out valid traces on the smallest accepted device.
+	for _, gen := range []string{"cello", "tpcc"} {
+		code, _, stderr := execRun("-gen", gen, "-count", "20000", "-capacity", "65536")
+		if code != 0 {
+			t.Errorf("-gen %s at the minimum capacity: exit %d, stderr:\n%s", gen, code, stderr)
+		}
+	}
+}
+
+func TestGenerateThenStats(t *testing.T) {
+	// -gen -o writes the trace atomically (no temporary file left), and
+	// -stats reads it back.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "c.txt")
+	code, _, stderr := execRun("-gen", "tpcc", "-count", "300", "-scale", "4", "-o", path)
+	if code != 0 || !strings.Contains(stderr, "wrote 300 records") {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("%d directory entries, want only the trace", len(ents))
+	}
+	code, stdout, stderr := execRun("-stats", path)
+	if code != 0 || !strings.Contains(stdout, "records          300") {
+		t.Errorf("exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }
 
 func TestOpenOutValidation(t *testing.T) {
+	// A bad -o path is a one-line error that leaves nothing behind, and
+	// without -o the trace goes to stdout.
 	dir := t.TempDir()
-	if _, _, err := openOut(dir); err == nil || !strings.Contains(err.Error(), "is a directory") {
-		t.Errorf("openOut(%q) = %v, want directory error", dir, err)
+	for _, out := range []string{dir, filepath.Join(dir, "missing", "c.txt")} {
+		code, _, stderr := execRun("-gen", "cello", "-count", "50", "-o", out)
+		if code != 1 || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("-o %s: exit %d, stderr %q; want 1 and one line", out, code, stderr)
+		}
 	}
-	if _, _, err := openOut(filepath.Join(dir, "missing", "out.jsonl")); err == nil {
-		t.Error("openOut succeeded on a missing parent directory")
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("bad -o paths left %d entries behind", len(ents))
 	}
-	w, closeOut, err := openOut("")
-	if err != nil || w != os.Stdout {
-		t.Errorf("openOut(\"\") = %v, %v; want stdout", w, err)
-	}
-	if err := closeOut(); err != nil {
-		t.Errorf("stdout closer = %v", err)
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	// Errors must surface before any simulation work: bad scheduler, bad
-	// device, unreadable trace, oversized trace.
-	tr := filepath.Join(t.TempDir(), "t.txt")
-	if err := os.WriteFile(tr, []byte("0.0 r 10 4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := replay(tr, "mems", "ELEVATOR", 1, 0, ""); err == nil || !strings.Contains(err.Error(), "ELEVATOR") {
-		t.Errorf("bad scheduler: %v", err)
-	}
-	if err := replay(tr, "zip", "FCFS", 1, 0, ""); err == nil {
-		t.Error("bad device accepted")
-	}
-	if err := replay(filepath.Join(t.TempDir(), "missing.txt"), "mems", "FCFS", 1, 0, ""); err == nil {
-		t.Error("missing trace accepted")
-	}
-	// An LBN beyond the device's capacity fails validation cleanly.
-	big := filepath.Join(t.TempDir(), "big.txt")
-	if err := os.WriteFile(big, []byte("0.0 r 99999999999 4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := replay(big, "mems", "FCFS", 1, 0, ""); err == nil || !strings.Contains(err.Error(), "does not fit") {
-		t.Errorf("oversized trace: %v", err)
+	code, stdout, _ := execRun("-gen", "cello", "-count", "50")
+	if code != 0 || !strings.HasPrefix(stdout, "# trace: cello-synthetic (50 records)") {
+		t.Errorf("stdout trace: exit %d, %.60q", code, stdout)
 	}
 }
 
-func TestReplaySmoke(t *testing.T) {
-	// A well-formed two-record trace replays end to end into a JSONL file.
+func TestCommandErrors(t *testing.T) {
 	dir := t.TempDir()
-	tr := filepath.Join(dir, "t.txt")
-	if err := os.WriteFile(tr, []byte("0.0 r 10 8\n5.0 w 5000 8\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "out.jsonl")
-	if err := replay(tr, "mems", "SPTF", 1, 0, out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(data), "\n")
-	if lines != 8 { // 2 requests × (arrive, dispatch, service, complete)
-		t.Errorf("JSONL lines = %d, want 8\n%s", lines, data)
-	}
-}
-
-func TestReplayRejectsMalformedTraces(t *testing.T) {
-	// Replay input is untrusted: truncated rows, unparseable fields and
-	// non-finite times must come back as one-line errors from the parse
-	// or validation layer, never reach the simulator.
 	cases := []struct {
-		name, content, want string
+		args []string
+		code int
+		want string
 	}{
-		{"truncated row", "1.0 r 10\n", "want 4 fields"},
-		{"bad op", "1.0 x 10 4\n", "bad op"},
-		{"bad time", "abc r 10 4\n", "bad time"},
-		{"nan time", "NaN r 10 4\n", "non-finite time"},
-		{"inf time", "+Inf r 10 4\n", "non-finite time"},
-		{"overflow time", "1e309 r 10 4\n", "bad time"},
-		{"time regression", "5.0 r 10 4\n1.0 r 20 4\n", "precedes"},
-		{"zero blocks", "1.0 r 10 0\n", "blocks"},
+		{[]string{"-gen", "sprite"}, 1, "sprite"},
+		{[]string{"-stats", filepath.Join(dir, "missing.txt")}, 1, "missing.txt"},
+		{[]string{"-gen", "cello", "stray"}, 1, "stray"},
+		{[]string{"-replay", "c.txt"}, 2, "-replay"},
+		{nil, 2, "usage"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "bad.txt")
-			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err := replay(path, "mems", "FCFS", 1, 0, "")
-			if err == nil {
-				t.Fatal("malformed trace replayed without error")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
+		code, _, stderr := execRun(tc.args...)
+		if code != tc.code || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%q: exit %d, stderr %q; want exit %d and one line mentioning %q", tc.args, code, stderr, tc.code, tc.want)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("failed commands left %d entries behind", len(ents))
 	}
 }

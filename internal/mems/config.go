@@ -147,14 +147,17 @@ func NewGeometry(cfg Config) (*Geometry, error) {
 		return nil, fmt.Errorf("mems: usable tips (%d) must be a multiple of active tips (%d)", cfg.Tips-cfg.SpareTips, cfg.ActiveTips)
 	case cfg.DataBytes <= 0 || cfg.SectorSize%cfg.DataBytes != 0:
 		return nil, fmt.Errorf("mems: sector size (%d) must be a multiple of tip-sector data bytes (%d)", cfg.SectorSize, cfg.DataBytes)
-	case cfg.BitWidth <= 0 || cfg.BitsX <= 0 || cfg.BitsY <= 0:
+	// The float checks are written so that NaN, which compares false
+	// against everything, fails them.
+	case !positiveFinite(cfg.BitWidth) || cfg.BitsX <= 0 || cfg.BitsY <= 0:
 		return nil, fmt.Errorf("mems: bit geometry must be positive")
-	case cfg.PerTipRate <= 0 || cfg.SledAccel <= 0:
-		return nil, fmt.Errorf("mems: rates and accelerations must be positive")
-	case cfg.SpringFactor < 0 || cfg.SpringFactor >= 1:
+	case !positiveFinite(cfg.PerTipRate) || !positiveFinite(cfg.SledAccel):
+		return nil, fmt.Errorf("mems: rates and accelerations must be positive and finite")
+	case !(cfg.SpringFactor >= 0 && cfg.SpringFactor < 1):
 		return nil, fmt.Errorf("mems: spring factor %g must be in [0, 1)", cfg.SpringFactor)
-	case cfg.SettleConstants < 0 || cfg.ResonantHz <= 0:
-		return nil, fmt.Errorf("mems: settling parameters out of range")
+	case !(cfg.SettleConstants >= 0) || math.IsInf(cfg.SettleConstants, 1) || !positiveFinite(cfg.ResonantHz):
+		return nil, fmt.Errorf("mems: settling parameters out of range (settle constants %g, resonance %g Hz)",
+			cfg.SettleConstants, cfg.ResonantHz)
 	}
 	g := &Geometry{Config: cfg}
 	g.TipSectorBits = cfg.ServoBits + cfg.EncodedBits
@@ -178,6 +181,10 @@ func NewGeometry(cfg Config) (*Geometry, error) {
 	g.HalfRange = float64(cfg.BitsX) * cfg.BitWidth / 2
 	return g, nil
 }
+
+// positiveFinite reports whether x is a positive, finite number (false
+// for NaN).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // CapacityBytes returns the addressable capacity in bytes.
 func (g *Geometry) CapacityBytes() int64 {

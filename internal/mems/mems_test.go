@@ -95,6 +95,16 @@ func TestGeometryValidation(t *testing.T) {
 		func(c *Config) { c.ResonantHz = 0 },
 		func(c *Config) { c.SettleConstants = -1 },
 		func(c *Config) { c.ActiveTips = 1248 }, // not multiple of stripe width
+		// NaN passes every ordered comparison, so each float field
+		// gets its own NaN case; ±Inf settling yields Inf or NaN times.
+		func(c *Config) { c.SettleConstants = math.NaN() },
+		func(c *Config) { c.SettleConstants = math.Inf(1) },
+		func(c *Config) { c.SettleConstants = math.Inf(-1) },
+		func(c *Config) { c.ResonantHz = math.NaN() },
+		func(c *Config) { c.SpringFactor = math.NaN() },
+		func(c *Config) { c.BitWidth = math.NaN() },
+		func(c *Config) { c.PerTipRate = math.NaN() },
+		func(c *Config) { c.SledAccel = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

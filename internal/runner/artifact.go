@@ -7,13 +7,19 @@ import (
 	"path/filepath"
 )
 
-// WriteArtifact renders an experiment artifact to path atomically: the
-// render callback streams into a temporary file in the same directory,
-// which replaces path in one rename only after the render and all
-// writes succeed. An interrupted or failing render therefore never
-// leaves a truncated artifact behind — the previous version of the
-// file, if any, survives intact.
+// WriteArtifact writes the file at path atomically; every command's
+// output file goes through it. The render callback streams into a
+// temporary file in the same directory, which replaces path in one
+// rename only after the render and all writes succeed. An interrupted
+// or failing render therefore never leaves a truncated file behind —
+// the previous version of the file, if any, survives intact. A path
+// that names a directory, or whose directory does not exist, fails
+// before render is called, so a render that runs a simulation does no
+// work for an output it cannot publish.
 func WriteArtifact(path string, render func(w io.Writer) error) (err error) {
+	if info, serr := os.Stat(path); serr == nil && info.IsDir() {
+		return fmt.Errorf("artifact %s: is a directory", path)
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {

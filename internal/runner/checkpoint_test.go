@@ -173,3 +173,48 @@ func TestCheckpointDeterministicBytes(t *testing.T) {
 		t.Error("identical saves produced different file bytes")
 	}
 }
+
+// FuzzCheckpoint hands OpenCheckpoint arbitrary bytes as the saved file.
+// A checkpoint on disk is untrusted input: whatever it holds, opening it
+// yields a one-line error or a usable Checkpoint, never a panic. Usable
+// means Load decides without panicking and Save publishes a file that
+// reopens with the saved state.
+func FuzzCheckpoint(f *testing.F) {
+	p := ckParams{Trials: 100, Seed: 42}
+	f.Add([]byte(`{"experiment":"mttdl","params":{"trials":100,"seed":42},"jobs":{"job a":{"trial":7,"sum":3.5}}}`))
+	f.Add([]byte(`{"experiment":"mttdl","params":{"seed":42,"trials":100},"jobs":null}`))
+	f.Add([]byte(`{"experiment":"mttdl","params":{"trials":100,"seed":42},"jobs":{"job a":"x"}}`))
+	f.Add([]byte(`{"experiment":"mttdl","params":{"trials":1,"seed":42}}`))
+	f.Add([]byte(`{"experiment":"fig5\n"}`))
+	f.Add([]byte("garbage{"))
+	f.Add([]byte("null"))
+	f.Add([]byte(""))
+	f.Add([]byte("\xff\xfe\n{"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := ckPath(t)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := OpenCheckpoint(path, "mttdl", p)
+		if err != nil {
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("error is not one line: %q", err)
+			}
+			return
+		}
+		var st ckState
+		ck.Load("job a", &st)
+		want := ckState{Trial: 3, Sum: 1.5}
+		if err := ck.Save("job b", want); err != nil {
+			t.Fatalf("saving into an accepted checkpoint: %v", err)
+		}
+		re, err := OpenCheckpoint(path, "mttdl", p)
+		if err != nil {
+			t.Fatalf("reopening a saved checkpoint: %v", err)
+		}
+		var got ckState
+		if !re.Load("job b", &got) || got != want {
+			t.Fatalf("reopened state = %+v, want %+v", got, want)
+		}
+	})
+}

@@ -390,3 +390,24 @@ func TestWriteArtifactAtomic(t *testing.T) {
 		t.Error("expected error for unwritable directory")
 	}
 }
+
+func TestWriteArtifactBadPathFailsBeforeRender(t *testing.T) {
+	// A path that can never be published fails before render runs, so a
+	// render that simulates wastes no work on it.
+	dir := t.TempDir()
+	rendered := false
+	render := func(io.Writer) error { rendered = true; return nil }
+	err := WriteArtifact(dir, render)
+	if err == nil || !strings.Contains(err.Error(), "is a directory") {
+		t.Errorf("directory path: %v, want an is-a-directory error", err)
+	}
+	if err := WriteArtifact(filepath.Join(dir, "missing", "x.jsonl"), render); err == nil {
+		t.Error("missing parent directory accepted")
+	}
+	if rendered {
+		t.Error("render ran for a path that cannot be published")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("%d entries left in the directory, want 0", len(ents))
+	}
+}

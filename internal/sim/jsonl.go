@@ -10,8 +10,8 @@ import (
 )
 
 // JSONLProbe is a Probe that writes one JSON object per lifecycle event
-// to an io.Writer — the trace format cmd/memstrace replays into and
-// cmd/memsbench's -trace flag emits. It is safe for concurrent use (the
+// to an io.Writer — the trace format cmd/memsim's -o flag and
+// cmd/memsbench's -trace flag emit. It is safe for concurrent use (the
 // parallel experiment runner shares one instance across jobs), buffers
 // internally, and latches the first write error rather than failing
 // mid-simulation; call Flush to drain the buffer and surface that error.

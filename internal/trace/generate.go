@@ -32,6 +32,18 @@ type CelloConfig struct {
 	Seed int64
 }
 
+// Generate builds the named synthetic trace, "cello" or "tpcc", with its
+// default configuration for a device of the given capacity.
+func Generate(kind string, capacity int64, count int) (*Trace, error) {
+	switch kind {
+	case "cello":
+		return GenerateCello(DefaultCello(capacity, count)), nil
+	case "tpcc":
+		return GenerateTPCC(DefaultTPCC(capacity, count)), nil
+	}
+	return nil, fmt.Errorf("unknown trace %q (want cello or tpcc)", kind)
+}
+
 // DefaultCello returns the configuration used by the Fig. 7 reproduction.
 func DefaultCello(capacity int64, count int) CelloConfig {
 	return CelloConfig{

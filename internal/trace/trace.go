@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,10 +69,10 @@ func (t *Trace) Duration() float64 {
 // Scale returns a copy of the trace with every arrival time divided by
 // factor, multiplying the average arrival rate by factor — the paper's
 // mechanism for producing a range of workload intensities from one trace.
-// It panics if factor is not positive.
+// It panics if factor is not positive and finite.
 func (t *Trace) Scale(factor float64) *Trace {
-	if factor <= 0 {
-		panic(fmt.Sprintf("trace: scale factor must be positive, got %g", factor))
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		panic(fmt.Sprintf("trace: scale factor must be positive and finite, got %g", factor))
 	}
 	out := &Trace{Name: fmt.Sprintf("%s/x%g", t.Name, factor), Records: make([]Record, len(t.Records))}
 	for i, r := range t.Records {
@@ -192,6 +193,16 @@ func Write(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadFile reads the trace file at path, named after its path.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f, path)
 }
 
 // Read parses a trace in the text format. The name is attached to the

@@ -35,6 +35,30 @@ func TestScale(t *testing.T) {
 		}()
 		tr.Scale(0)
 	}()
+	// NaN compares false against zero, so it needs its own case: a NaN
+	// factor would turn every arrival time into NaN.
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scale(%g) did not panic", bad)
+				}
+			}()
+			tr.Scale(bad)
+		}()
+	}
+}
+
+func TestGenerateByName(t *testing.T) {
+	for _, kind := range []string{"cello", "tpcc"} {
+		tr, err := Generate(kind, testCapacity, 50)
+		if err != nil || tr.Len() != 50 {
+			t.Errorf("Generate(%q) = %v records, %v", kind, tr, err)
+		}
+	}
+	if _, err := Generate("sprite", testCapacity, 50); err == nil || !strings.Contains(err.Error(), "sprite") {
+		t.Errorf("unknown kind: %v", err)
+	}
 }
 
 func TestClip(t *testing.T) {

@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"memsim/internal/core"
@@ -51,15 +52,18 @@ type RandomConfig struct {
 	Seed int64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The float checks are written
+// so that NaN, which compares false against everything, fails them: a
+// NaN rate would put every arrival at a NaN time and the open loop
+// would never drain.
 func (c *RandomConfig) Validate() error {
 	switch {
-	case c.Rate <= 0:
-		return fmt.Errorf("workload: rate must be positive, got %g", c.Rate)
-	case c.ReadFraction < 0 || c.ReadFraction > 1:
+	case !(c.Rate > 0) || math.IsInf(c.Rate, 1):
+		return fmt.Errorf("workload: rate must be positive and finite, got %g", c.Rate)
+	case !(c.ReadFraction >= 0 && c.ReadFraction <= 1):
 		return fmt.Errorf("workload: read fraction %g out of [0,1]", c.ReadFraction)
-	case c.MeanBytes <= 0:
-		return fmt.Errorf("workload: mean size must be positive")
+	case !(c.MeanBytes > 0) || math.IsInf(c.MeanBytes, 1):
+		return fmt.Errorf("workload: mean size must be positive and finite, got %g", c.MeanBytes)
 	case c.SectorSize <= 0:
 		return fmt.Errorf("workload: sector size must be positive")
 	case c.Capacity <= 0:

@@ -25,6 +25,13 @@ func TestRandomValidation(t *testing.T) {
 		func(c *RandomConfig) { c.SectorSize = 0 },
 		func(c *RandomConfig) { c.Capacity = 0 },
 		func(c *RandomConfig) { c.Count = 0 },
+		// NaN passes every ordered comparison, so each float field
+		// gets its own NaN case; a NaN rate hangs the open loop.
+		func(c *RandomConfig) { c.Rate = math.NaN() },
+		func(c *RandomConfig) { c.Rate = math.Inf(1) },
+		func(c *RandomConfig) { c.ReadFraction = math.NaN() },
+		func(c *RandomConfig) { c.MeanBytes = math.NaN() },
+		func(c *RandomConfig) { c.MeanBytes = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		cfg := base

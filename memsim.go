@@ -270,7 +270,7 @@ type PhaseCollector = sim.PhaseCollector
 func NewPhaseCollector() *PhaseCollector { return sim.NewPhaseCollector() }
 
 // JSONLProbe streams lifecycle events as JSON Lines (the memsbench
-// -trace / memstrace -replay format; schema in README.md).
+// -trace / memsim -o format; schema in README.md).
 type JSONLProbe = sim.JSONLProbe
 
 // NewJSONLProbe returns a probe writing JSONL records to w; call Flush
