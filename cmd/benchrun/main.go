@@ -9,7 +9,7 @@
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
-// BenchmarkPhaseCollector, BenchmarkJSONLObserve, device Access,
+// BenchmarkPhaseCollector, BenchmarkJSONLObserve(Run), device Access,
 // SPTF-style EstimateAccess pricing and the MEMS lower bound), the sled
 // seek solver (./internal/physics: a rest-to-rest X seek and a moving Y
 // seek between row boundaries), the
@@ -105,7 +105,7 @@ func main() {
 		schedBT = "50x"
 	}
 	suites := []suite{
-		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
+		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkJSONLObserveRun|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
 		{pkg: "./internal/physics", pattern: "^(BenchmarkSeekSolverClosedForm|BenchmarkSeekSolverMovingY)$", benchtime: bt},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},

@@ -73,6 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
+		if tr.Len() == 0 {
+			return fail(fmt.Errorf("trace %s has no records", *statsF))
+		}
 		printStats(stdout, tr)
 	case *gen != "":
 		if *capacity == 0 {

@@ -89,6 +89,27 @@ func TestGenerateThenStats(t *testing.T) {
 	}
 }
 
+func TestStatsRejectsEmptyTrace(t *testing.T) {
+	// A trace with no records has no read fraction or mean size to
+	// report: -stats exits 1 with one line naming the file, as memsim
+	// -tracefile rejects a trace with no requests.
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, content string }{
+		{"empty.txt", ""},
+		{"comments.txt", "# trace: nothing\n# 0 records\n\n"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := execRun("-stats", path)
+		if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, path) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1, no stdout and one line naming the file",
+				tc.name, code, stdout, stderr)
+		}
+	}
+}
+
 func TestOpenOutValidation(t *testing.T) {
 	// A bad -o path is a one-line error that leaves nothing behind, and
 	// without -o the trace goes to stdout.

@@ -189,6 +189,46 @@ func BenchmarkJSONLObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkJSONLObserveRun times one JSONLProbe.Observe over the event
+// stream of a real run (openRunEvents), replayed in order into
+// io.Discard. Unlike BenchmarkJSONLObserve's four fixed events, its
+// floats recur only as often as they do in a trace, so the float memo
+// is measured at its real hit rate.
+func BenchmarkJSONLObserveRun(b *testing.B) {
+	events := openRunEvents()
+	jp := NewJSONLProbe(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jp.Observe(events[i%len(events)])
+	}
+	if err := jp.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// captureProbe keeps every event it observes, each with a copy of its
+// request as it stood when the event fired.
+type captureProbe struct{ events []ProbeEvent }
+
+func (c *captureProbe) Observe(ev ProbeEvent) {
+	if ev.Req != nil {
+		r := *ev.Req
+		ev.Req = &r
+	}
+	c.events = append(c.events, ev)
+}
+
+// openRunEvents is the event stream of a 20k-request open SPTF run on
+// the MEMS G1 device at 1100 req/s, the shape of memsperf's
+// open-observed workload.
+func openRunEvents() []ProbeEvent {
+	d := mems.MustDevice(mems.DefaultConfig())
+	c := &captureProbe{}
+	Run(nil, d, sched.NewSPTF(), workload.DefaultRandom(1100, 512, d.Capacity(), 20000, 1), Options{Probe: c})
+	return c.events
+}
+
 // BenchmarkEngineMillion is the harness's end-to-end scale probe: one
 // full high-volume run per iteration in each regime, sketch-backed so
 // stats memory stays O(1) (run with -benchtime=1x; -short drops the

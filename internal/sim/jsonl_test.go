@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"memsim/internal/core"
+	"memsim/internal/fault"
 )
 
 // The v1 record structs below are the encoder's oracle: JSONLProbe once
@@ -273,9 +274,16 @@ func jsonlEvents() []ProbeEvent {
 
 // TestJSONLProbeZeroAlloc guards the encoder's reason to exist: once
 // its scratch buffer has grown, Observe allocates nothing for any event
-// kind.
+// kind, whether the record is encoded straight into the writer's free
+// space or through the scratch buffer. The 200 calls per event fill the
+// writer's buffer many times over, so each record also takes the
+// scratch path whenever the free space runs below its bound; the
+// long-label record, longer than the writer's whole buffer, takes it on
+// every call.
 func TestJSONLProbeZeroAlloc(t *testing.T) {
-	for _, ev := range jsonlEvents() {
+	long := ProbeEvent{Kind: EventService, Time: 3.5, Run: strings.Repeat("long-label/", 500),
+		Req: &core.Request{Op: core.Write, LBN: 9, Blocks: 8, Arrival: 1.25}, Breakdown: core.Breakdown{Seek: 0.5, ServiceMs: 0.5}}
+	for _, ev := range append(jsonlEvents(), long) {
 		checkLegacy(t, ev)
 		jp := NewJSONLProbe(io.Discard)
 		jp.Observe(ev) // warm-up: grows the scratch buffer
@@ -338,4 +346,191 @@ func workerLabel(w int) string {
 		return fmt.Sprintf("job<%d>&\u2028", w)
 	}
 	return fmt.Sprintf("job-%d", w)
+}
+
+// TestJSONLMaxRecordLen pins maxRecordFixed: the longest record of each
+// kind (every integer at its most negative, every float at the longest
+// form a float64 takes, the longest op name) fits the bound Observe
+// uses to choose the direct path, so that path never reallocates.
+func TestJSONLMaxRecordLen(t *testing.T) {
+	const longest = -1.2345678901234567e-6 // "-0.0000012345678901234567"
+	if got, _ := json.Marshal(longest); len(got) != 25 {
+		t.Fatalf("%s is %d bytes, want the 25-byte maximum", got, len(got))
+	}
+	f := longest
+	for kind := EventArrive; kind <= EventRebuildPace+1; kind++ {
+		ev := ProbeEvent{
+			Kind: kind, Time: f, Dev: math.MinInt, Queue: math.MinInt, Pace: f,
+			Breakdown: core.Breakdown{Seek: f, Settle: f, Turnaround: f, Transfer: f, Overhead: f, Recovery: f, ServiceMs: f},
+			Req: &core.Request{Op: core.Op(math.MinInt), LBN: math.MinInt64, Blocks: math.MinInt, Arrival: f, Finish: -f,
+				Phases: core.Breakdown{ServiceMs: f}, Retries: math.MinInt, Requeues: math.MinInt, Failed: true, Degraded: true},
+		}
+		checkLegacy(t, ev)
+		line, _ := legacyLine(ev)
+		if len(line) > maxRecordFixed {
+			t.Errorf("%s: longest record is %d bytes, over maxRecordFixed %d", kind, len(line), maxRecordFixed)
+		}
+	}
+}
+
+// volumeRunEvents is the event stream of a failing, rebuilding volume:
+// the volume-rebuild fixture at 2% transient errors, one retry before a
+// requeue and adaptive pacing, so retry, requeue, device-fail, rebuild
+// and pace records all occur.
+func volumeRunEvents(t *testing.T) []ProbeEvent {
+	const n = 8000
+	spec, _ := volumeRebuildFixture(t, n, true)
+	spec.AdaptiveRebuild = true
+	cfg := fault.DefaultInjectorConfig()
+	cfg.TransientRate, cfg.MaxRetries, cfg.Seed = 0.02, 1, 1
+	cfg.DeviceEvents = []fault.DeviceEvent{{AtMs: 0.25 * n / volBenchRate * 1000, Dev: 1}}
+	inj, err := fault.NewInjector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &captureProbe{}
+	if _, err := RunVolume(nil, spec, volumeRebuildSource(n), Options{Injector: inj, Probe: c}); err != nil {
+		t.Fatal(err)
+	}
+	return c.events
+}
+
+// TestJSONLProbeRunMatchesOracle runs two real event streams, a full
+// open run and then a failing volume run, through one probe, so the
+// float memo sees hits, evictions and slot collisions across thousands
+// of distinct values, and every line must equal the v1 oracle's.
+func TestJSONLProbeRunMatchesOracle(t *testing.T) {
+	open, vol := openRunEvents(), volumeRunEvents(t)
+	kinds := map[EventKind]int{}
+	for _, ev := range vol {
+		kinds[ev.Kind]++
+	}
+	for k := EventArrive; k <= EventRebuildPace; k++ {
+		if kinds[k] == 0 {
+			t.Errorf("the volume stream has no %s event", k)
+		}
+	}
+	events := append(open, vol...)
+	distinct := map[uint64]bool{}
+	var want bytes.Buffer
+	for _, ev := range events {
+		line, err := legacyLine(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		for _, f := range []float64{ev.Time, ev.Breakdown.Seek, ev.Breakdown.ServiceMs} {
+			distinct[math.Float64bits(f)] = true
+		}
+	}
+	if len(distinct) < 10*floatMemoSize {
+		t.Fatalf("%d distinct floats do not overflow the %d-slot memo", len(distinct), floatMemoSize)
+	}
+	var got bytes.Buffer
+	jp := NewJSONLProbe(&got)
+	for _, ev := range events {
+		jp.Observe(ev)
+	}
+	if err := jp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.SplitAfter(got.Bytes(), []byte("\n")), bytes.SplitAfter(want.Bytes(), []byte("\n"))
+	for i := range wantLines {
+		if i >= len(gotLines) || !bytes.Equal(gotLines[i], wantLines[i]) {
+			var g []byte
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			t.Fatalf("line %d of %d:\n got %s\nwant %s", i+1, len(events), g, wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines, want %d", len(gotLines), len(wantLines))
+	}
+}
+
+// memoCollision returns two distinct floats near base that share a
+// float memo slot.
+func memoCollision(base float64) (float64, float64) {
+	seen := map[uint64]float64{}
+	for f := base; ; f = math.Nextafter(f, math.Inf(1)) {
+		slot := floatMemoSlot(math.Float64bits(f))
+		if g, ok := seen[slot]; ok {
+			return g, f
+		}
+		seen[slot] = f
+	}
+}
+
+// FuzzJSONLStream feeds several records through one shared probe, each
+// float field drawn from a small pool of fuzzed values, so the float
+// memo stores a value in one field and replays it in later fields and
+// records, under every collision the pool's slots allow. The output
+// must be the v1 oracle's lines, up to the first record with a
+// non-finite float, which latches its error and writes nothing more.
+func FuzzJSONLStream(f *testing.F) {
+	a, b := memoCollision(907.3329113)
+	var pool []float64
+	for _, v := range []float64{0, 1e-7, 1e21, 5e-324, 2.2250738585072009e-308, a, b} {
+		pool = append(pool, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+	}
+	pool = append(pool, math.Copysign(0, -1))
+	picks := make([]byte, 0, 3*jsonlFloats*len(pool))
+	for i := 0; i < cap(picks); i++ {
+		picks = append(picks, byte(i*7%len(pool)))
+	}
+	f.Add([]byte{byte(EventService), byte(EventComplete), byte(EventArrive)}, picks, floatBytes(pool...))
+	f.Add([]byte{byte(EventService), byte(EventService)}, []byte{0, 1}, floatBytes(0, math.Copysign(0, -1)))
+	f.Add([]byte{byte(EventRetry), byte(EventService)}, []byte{0}, floatBytes(1e-7))
+	f.Add([]byte{byte(EventComplete), byte(EventService), byte(EventDispatch)}, []byte{0, 1, 2, 1, 0}, floatBytes(a, b, 1e21))
+	f.Add([]byte{byte(EventArrive), byte(EventService), byte(EventArrive)}, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, floatBytes(2.5, math.NaN()))
+	f.Fuzz(func(t *testing.T, kinds, picks, raw []byte) {
+		if len(kinds) == 0 || len(picks) == 0 || len(raw) < 8 {
+			return
+		}
+		vals := make([]float64, min(len(raw)/8, 64))
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		nrec := min(len(kinds), 16)
+		var got, want bytes.Buffer
+		jp := NewJSONLProbe(&got)
+		var wantErr error
+		for i := 0; i < nrec; i++ {
+			var fl [jsonlFloats]float64
+			for j := range fl {
+				fl[j] = vals[int(picks[(i*jsonlFloats+j)%len(picks)])%len(vals)]
+			}
+			ev := ProbeEvent{
+				Kind: EventKind(kinds[i]), Time: fl[0], Run: "stream", Queue: i, Pace: fl[3],
+				Measured: i%2 == 0,
+				Breakdown: core.Breakdown{
+					Seek: fl[4], Settle: fl[5], Turnaround: fl[6], Transfer: fl[7],
+					Overhead: fl[8], Recovery: fl[9], ServiceMs: fl[10],
+				},
+				Req: &core.Request{Op: core.Op(i % 3), LBN: int64(i), Blocks: 8, Arrival: fl[1], Finish: fl[2],
+					Phases: core.Breakdown{ServiceMs: fl[11]}},
+			}
+			jp.Observe(ev)
+			if wantErr != nil {
+				continue
+			}
+			line, err := legacyLine(ev)
+			if err != nil {
+				wantErr = err
+				continue
+			}
+			if len(line) > maxRecordLen(&ev) {
+				t.Fatalf("record %d is %d bytes, over its bound %d", i, len(line), maxRecordLen(&ev))
+			}
+			want.Write(line)
+		}
+		err := jp.Flush()
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("Flush error %v, want %v", err, wantErr)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("stream output:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+		}
+	})
 }
