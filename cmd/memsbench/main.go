@@ -173,7 +173,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ctx := &runner.Context{Workers: *parallel, Ctx: sigCtx, Timeout: *timeout, Check: *check, Sketch: *sketch}
+	ctx := &runner.Context{Workers: *parallel, Timeout: *timeout,
+		Sim: sim.Context{Ctx: sigCtx, Check: *check, Sketch: *sketch}}
 	if *progress {
 		ctx.Progress = func(ev runner.Event) {
 			if ev.Err != nil {
@@ -202,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "memsbench: -trace forces -parallel 1 for deterministic event order")
 			}
 			probe := sim.NewJSONLProbe(w)
-			ctx.Probe = probe
+			ctx.Sim.Probe = probe
 			if outcomes, sum, batchErr = experiments.RunEach(ctx, ids, p); batchErr != nil {
 				return batchErr
 			}

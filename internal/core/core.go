@@ -171,17 +171,6 @@ type Requeuer interface {
 	Requeue(r *Request)
 }
 
-// DeviceFactory constructs a fresh, unshared Device. Device models are
-// stateful and not safe for concurrent use, so the parallel experiment
-// runner builds one instance per job rather than sharing a reset device
-// between runs.
-type DeviceFactory func() Device
-
-// SchedulerFactory constructs a fresh, unshared Scheduler, for the same
-// reason as DeviceFactory: schedulers carry queue state and are not safe
-// for concurrent use.
-type SchedulerFactory func() Scheduler
-
 // Layout remaps logical blocks before they reach the device, implementing
 // the data-placement schemes of §5 of the paper. Map must be a total
 // function on [0, capacity); layouts that are bijections preserve

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"memsim/internal/runner"
@@ -107,7 +108,7 @@ func TestProbedOutputMatchesUnprobed(t *testing.T) {
 	plain := batch(t, runner.Sequential(), ids, p)
 	var trace bytes.Buffer
 	jp := sim.NewJSONLProbe(&trace)
-	probed := batch(t, &runner.Context{Workers: 1, Probe: jp}, ids, p)
+	probed := batch(t, &runner.Context{Workers: 1, Sim: sim.Context{Probe: jp}}, ids, p)
 	if err := jp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func (t eventTally) Observe(ev sim.ProbeEvent) {
 }
 
 // TestCustomEngineBodiesAreTraced pins the batch probe's reach into the
-// hand-written Custom bodies: the multi-device, volume, power and
+// engine-driven job bodies: the multi-device, volume, power and
 // closed-loop MEMS regimes emit lifecycle events under their own job
 // labels, and observing them leaves every table byte-identical.
 func TestCustomEngineBodiesAreTraced(t *testing.T) {
@@ -182,7 +183,7 @@ func TestCustomEngineBodiesAreTraced(t *testing.T) {
 				t.Fatal(err)
 			}
 			tally := eventTally{}
-			if _, err := (&runner.Context{Workers: 1, Probe: tally}).Run(pl.Jobs); err != nil {
+			if _, err := (&runner.Context{Workers: 1, Sim: sim.Context{Probe: tally}}).Run(pl.Jobs); err != nil {
 				t.Fatal(err)
 			}
 			labels := map[string]bool{}
@@ -210,6 +211,46 @@ func TestCustomEngineBodiesAreTraced(t *testing.T) {
 			}
 			if a, b := renderAll([][]Table{plain}), renderAll([][]Table{pl.Assemble()}); !bytes.Equal(a, b) {
 				t.Errorf("probed output diverged from unprobed\n--- plain ---\n%s--- probed ---\n%s", a, b)
+			}
+		})
+	}
+}
+
+// TestEngineJobsReportSimTime pins the simulated time the runner reports
+// for engine-driven job bodies, which time nothing themselves: every job
+// of these artifacts reports a positive figure, and where a body makes
+// one run (rebuild, schedcost) the figure is that run's own Elapsed.
+func TestEngineJobsReportSimTime(t *testing.T) {
+	p := Quick()
+	for _, id := range []string{"cache", "generations", "shuffle", "striping", "power", "rebuild", "schedcost", "raid"} {
+		t.Run(id, func(t *testing.T) {
+			pl, err := PlanFor(id, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simMs := map[string]float64{}
+			ctx := &runner.Context{Workers: 2, Progress: func(ev runner.Event) { simMs[ev.Label] = ev.SimMs }}
+			if _, err := ctx.Run(pl.Jobs); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range pl.Jobs {
+				if id == "raid" && !strings.Contains(j.Label, "member rebuild") {
+					continue // raid's random-access rows still time the device by hand
+				}
+				got := simMs[j.Label]
+				if got <= 0 {
+					t.Errorf("job %q reported %g ms simulated", j.Label, got)
+				}
+				own := -1.0
+				switch v := j.Value().(type) {
+				case rebuildOutcome:
+					own = v.simMs
+				case schedCostOutcome:
+					own = v.simMs
+				}
+				if (id == "rebuild" || id == "schedcost") && got != own {
+					t.Errorf("job %q reported %g ms simulated, its run's Elapsed is %g", j.Label, got, own)
+				}
 			}
 		})
 	}

@@ -25,12 +25,13 @@ func newMEMS(settleConstants float64) *mems.Device {
 func newDisk() *disk.Device { return disk.MustDevice(disk.Atlas10K()) }
 
 // memsFactory returns a factory for MEMS devices with the given settling
-// constant, so each job gets its own instance.
-func memsFactory(settleConstants float64) core.DeviceFactory {
+// constant, so each job body builds its own instance.
+func memsFactory(settleConstants float64) func() core.Device {
 	return func() core.Device { return newMEMS(settleConstants) }
 }
 
-// diskFactory is a core.DeviceFactory for the reference disk.
+// diskFactory builds a fresh reference disk, for plans that take a
+// device factory.
 func diskFactory() core.Device { return newDisk() }
 
 // closedMean serves reqs back to back on d under the job's run policy
@@ -42,38 +43,40 @@ func closedMean(ctx *sim.Context, d core.Device, reqs []*core.Request) float64 {
 	return res.Busy / float64(res.Requests)
 }
 
-// schedFactory returns a factory for the named scheduler. The names come
-// from sched.Names, so construction cannot fail.
-func schedFactory(name string) core.SchedulerFactory {
-	return func() core.Scheduler {
-		s, err := sched.New(name)
-		if err != nil {
-			panic(err)
-		}
-		return s
+// newSched builds the named scheduler. The names come from sched.Names
+// or a flag validated at parse time, so construction cannot fail.
+func newSched(name string) core.Scheduler {
+	s, err := sched.New(name)
+	if err != nil {
+		panic(err)
 	}
+	return s
 }
+
+// runJob declares a job whose body is one engine run under the job's
+// run policy; result reads the sim.Result it returned.
+func runJob(label string, seed int64, run func(*sim.Context) sim.Result) *runner.Job {
+	return &runner.Job{Label: label, Seed: seed, Body: func(j *runner.Job) any { return run(j.SimContext()) }}
+}
+
+// result reads a finished runJob's Result.
+func result(j *runner.Job) sim.Result { return j.Value().(sim.Result) }
 
 // sweepPlan declares the random-workload scheduler sweep — one job per
 // (rate, scheduler) cell — and assembles the two-panel mean-response /
 // cv² tables of Figs. 5, 6 and 8.
-func sweepPlan(idPrefix, device string, dev core.DeviceFactory, rates []float64, p Params) *Plan {
+func sweepPlan(idPrefix, device string, dev func() core.Device, rates []float64, p Params) *Plan {
 	names := sched.Names()
 	grid := make([][]*runner.Job, len(rates))
 	var jobs []*runner.Job
 	for ri, rate := range rates {
 		grid[ri] = make([]*runner.Job, len(names))
 		for si, name := range names {
-			j := &runner.Job{
-				Label:     fmt.Sprintf("%s %s rate=%g", idPrefix, name, rate),
-				Seed:      p.Seed,
-				Device:    dev,
-				Scheduler: schedFactory(name),
-				Source: func(d core.Device) workload.Source {
-					return workload.DefaultRandom(rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
-				},
-				Options: sim.Options{Warmup: p.Warmup},
-			}
+			j := runJob(fmt.Sprintf("%s %s rate=%g", idPrefix, name, rate), p.Seed, func(ctx *sim.Context) sim.Result {
+				d := dev()
+				src := workload.DefaultRandom(rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
+				return sim.Run(ctx, d, newSched(name), src, sim.Options{Warmup: p.Warmup})
+			})
 			grid[ri][si] = j
 			jobs = append(jobs, j)
 		}
@@ -87,7 +90,7 @@ func sweepPlan(idPrefix, device string, dev core.DeviceFactory, rates []float64,
 				resp[ri] = make([]float64, len(names))
 				cv[ri] = make([]float64, len(names))
 				for si := range names {
-					res := grid[ri][si].Result()
+					res := result(grid[ri][si])
 					resp[ri][si] = res.Response.Mean()
 					cv[ri][si] = res.Response.SquaredCV()
 				}

@@ -331,7 +331,7 @@ func mergePlans(plans ...*Plan) *Plan {
 // that share state across rows, or pure arithmetic — in a single-job
 // plan.
 func tablesJob(label string, seed int64, body func() []Table) *Plan {
-	j := &runner.Job{Label: label, Seed: seed, Custom: func(*runner.Job) any { return body() }}
+	j := &runner.Job{Label: label, Seed: seed, Body: func(*runner.Job) any { return body() }}
 	return &Plan{
 		Jobs:     []*runner.Job{j},
 		Assemble: func() []Table { return j.Value().([]Table) },

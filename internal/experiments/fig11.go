@@ -30,7 +30,7 @@ func fig11Plan(p Params) *Plan {
 	// runs it against that job's own fresh device instance.
 	type group struct {
 		device  string
-		dev     core.DeviceFactory
+		dev     func() core.Device
 		placers []layout.Placer
 	}
 	g1 := newMEMS(1).Geometry()
@@ -60,24 +60,18 @@ func fig11Plan(p Params) *Plan {
 	for gi, grp := range groups {
 		jobsOf[gi] = make([]*runner.Job, len(grp.placers))
 		for pi, pl := range grp.placers {
-			j := &runner.Job{
-				Label:  fmt.Sprintf("fig11 %s %s", grp.device, pl.Name()),
-				Seed:   p.Seed,
-				Device: grp.dev,
-				Source: func(core.Device) workload.Source {
-					src := workload.Source(workload.NewBipartite(workload.DefaultBipartite(p.Seed), pl))
-					if p.ThinkMs > 0 {
-						// Multiprogrammed closed loop: each terminal
-						// thinks (exponential mean -think-ms) before its
-						// next request. Off by default — the paper's
-						// regime is strictly back-to-back.
-						src = workload.ThinkTime(src, workload.ExpThink(p.ThinkMs),
-							runner.DeriveSeed(p.Seed, "thinktime"))
-					}
-					return src
-				},
-				Options: sim.Options{MaxRequests: p.ClosedRequests},
-			}
+			j := runJob(fmt.Sprintf("fig11 %s %s", grp.device, pl.Name()), p.Seed, func(ctx *sim.Context) sim.Result {
+				src := workload.Source(workload.NewBipartite(workload.DefaultBipartite(p.Seed), pl))
+				if p.ThinkMs > 0 {
+					// Multiprogrammed closed loop: each terminal thinks
+					// (exponential mean -think-ms) before its next
+					// request. Off by default — the paper's regime is
+					// strictly back-to-back.
+					src = workload.ThinkTime(src, workload.ExpThink(p.ThinkMs),
+						runner.DeriveSeed(p.Seed, "thinktime"))
+				}
+				return sim.RunClosed(ctx, grp.dev(), src, sim.Options{MaxRequests: p.ClosedRequests})
+			})
 			jobsOf[gi][pi] = j
 			jobs = append(jobs, j)
 		}
@@ -93,7 +87,7 @@ func fig11Plan(p Params) *Plan {
 			for gi, grp := range groups {
 				base := 0.0
 				for pi, pl := range grp.placers {
-					mean := jobsOf[gi][pi].Result().Service.Mean()
+					mean := result(jobsOf[gi][pi]).Service.Mean()
 					if pi == 0 {
 						base = mean
 					}

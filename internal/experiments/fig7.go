@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"memsim/internal/core"
 	"memsim/internal/runner"
 	"memsim/internal/sched"
 	"memsim/internal/sim"
@@ -46,16 +45,11 @@ func traceSweepPlan(id, title string, gen func(capacity int64, n int) *trace.Tra
 	for xi, scale := range scales {
 		grid[xi] = make([]*runner.Job, len(names))
 		for si, name := range names {
-			j := &runner.Job{
-				Label:     fmt.Sprintf("%s %s scale=%g", id, name, scale),
-				Seed:      p.Seed,
-				Device:    memsFactory(1),
-				Scheduler: schedFactory(name),
-				Source: func(d core.Device) workload.Source {
-					return workload.NewFromSlice(gen(d.Capacity(), p.Requests).Scale(scale).Requests())
-				},
-				Options: sim.Options{Warmup: p.Warmup},
-			}
+			j := runJob(fmt.Sprintf("%s %s scale=%g", id, name, scale), p.Seed, func(ctx *sim.Context) sim.Result {
+				d := newMEMS(1)
+				src := workload.NewFromSlice(gen(d.Capacity(), p.Requests).Scale(scale).Requests())
+				return sim.Run(ctx, d, newSched(name), src, sim.Options{Warmup: p.Warmup})
+			})
 			grid[xi][si] = j
 			jobs = append(jobs, j)
 		}
@@ -77,7 +71,7 @@ func traceSweepPlan(id, title string, gen func(capacity int64, n int) *trace.Tra
 				row := []string{f2(scale)}
 				cvRow := []string{f2(scale)}
 				for si := range names {
-					res := grid[xi][si].Result()
+					res := result(grid[xi][si])
 					row = append(row, ms(res.Response.Mean()))
 					cvRow = append(cvRow, f2(res.Response.SquaredCV()))
 				}

@@ -7,6 +7,7 @@ import (
 	"memsim/internal/core"
 	"memsim/internal/mems"
 	"memsim/internal/runner"
+	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
 
@@ -53,14 +54,10 @@ func fig9Plan(p Params) *Plan {
 			grid[y][x] = make([]*runner.Job, len(settles))
 			seed := p.Seed + int64(y*n+x)
 			for vi, settle := range settles {
-				j := &runner.Job{
-					Label:  fmt.Sprintf("fig9 x%d y%d settle=%g", x, y, settle),
-					Seed:   seed,
-					Device: memsFactory(settle),
-					Source: func(core.Device) workload.Source {
-						return workload.NewFromSlice(subregionRequests(g, n, x, y, p.ClosedRequests, seed))
-					},
-				}
+				j := runJob(fmt.Sprintf("fig9 x%d y%d settle=%g", x, y, settle), seed, func(ctx *sim.Context) sim.Result {
+					src := workload.NewFromSlice(subregionRequests(g, n, x, y, p.ClosedRequests, seed))
+					return sim.RunClosed(ctx, newMEMS(settle), src, sim.Options{})
+				})
 				grid[y][x][vi] = j
 				jobs = append(jobs, j)
 			}
@@ -77,8 +74,8 @@ func fig9Plan(p Params) *Plan {
 			for y := 0; y < n; y++ {
 				row := []string{fmt.Sprintf("y%d", y)}
 				for x := 0; x < n; x++ {
-					a := grid[y][x][0].Result()
-					b := grid[y][x][1].Result()
+					a := result(grid[y][x][0])
+					b := result(grid[y][x][1])
 					row = append(row, fmt.Sprintf("%.3f/%.3f", a.Service.Mean(), b.Service.Mean()))
 				}
 				t.AddRow(row...)

@@ -11,6 +11,7 @@ import (
 
 	"memsim/internal/fault"
 	"memsim/internal/runner"
+	"memsim/internal/sim"
 )
 
 // mttdlCSV renders the mttdl artifact for byte comparison.
@@ -150,7 +151,7 @@ func TestRunEachBatchCancelled(t *testing.T) {
 	// takes.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ctx := &runner.Context{Workers: 1, Ctx: cctx}
+	ctx := &runner.Context{Workers: 1, Sim: sim.Context{Ctx: cctx}}
 	outs, _, err := RunEach(ctx, []string{"table1"}, tiny())
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func init() { register("aging", agingPlan) }
 // request's positioning estimate by Weight · wait-time; a small weight
 // restores bounded tails at modest mean-response cost.
 func agingPlan(p Params) *Plan {
-	mks := []core.SchedulerFactory{
+	mks := []func() core.Scheduler{
 		func() core.Scheduler { return sched.NewSPTF() },
 		func() core.Scheduler { return sched.NewASPTF(0.01) },
 		func() core.Scheduler { return sched.NewASPTF(0.05) },
@@ -29,16 +29,11 @@ func agingPlan(p Params) *Plan {
 	jobs := make([]*runner.Job, len(mks))
 	for i, mk := range mks {
 		names[i] = mk().Name()
-		jobs[i] = &runner.Job{
-			Label:     "aging " + names[i],
-			Seed:      p.Seed,
-			Device:    memsFactory(1),
-			Scheduler: mk,
-			Source: func(d core.Device) workload.Source {
-				return workload.DefaultRandom(1600, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
-			},
-			Options: sim.Options{Warmup: p.Warmup},
-		}
+		jobs[i] = runJob("aging "+names[i], p.Seed, func(ctx *sim.Context) sim.Result {
+			d := newMEMS(1)
+			src := workload.DefaultRandom(1600, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
+			return sim.Run(ctx, d, mk(), src, sim.Options{Warmup: p.Warmup})
+		})
 	}
 	return &Plan{
 		Jobs: jobs,
@@ -49,7 +44,7 @@ func agingPlan(p Params) *Plan {
 				Columns: []string{"scheduler", "mean response(ms)", "cv²", "max response(ms)"},
 			}
 			for i, j := range jobs {
-				res := j.Result()
+				res := result(j)
 				t.AddRow(names[i], ms(res.Response.Mean()), f2(res.Response.SquaredCV()),
 					ms(res.Response.Max()))
 			}

@@ -34,7 +34,7 @@ func busPlan(p Params) *Plan {
 		jobs[i] = &runner.Job{
 			Label: fmt.Sprintf("bus %d sleds", n),
 			Seed:  p.Seed,
-			Custom: func(*runner.Job) any {
+			Body: func(*runner.Job) any {
 				rawBytes, rawElapsed := streamRun(n, rounds, nil)
 				b := bus.New(bus.Ultra160())
 				shBytes, shElapsed := streamRun(n, rounds, b)

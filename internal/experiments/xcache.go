@@ -44,7 +44,7 @@ func cachePlan(p Params) *Plan {
 		jobs[i] = &runner.Job{
 			Label: "cache " + v.label + " " + v.mode,
 			Seed:  p.Seed,
-			Custom: func(job *runner.Job) any {
+			Body: func(job *runner.Job) any {
 				dev := newMEMS(1)
 				var d core.Device = dev
 				var c *cache.Cache

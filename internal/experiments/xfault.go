@@ -41,14 +41,14 @@ func faultPlan(p Params) *Plan {
 	// The Monte-Carlo loss table threads one rng through every cell, so
 	// it is a single job; remap neutrality is an independent measurement.
 	lossJob := &runner.Job{
-		Label:  "fault loss Monte Carlo",
-		Seed:   p.Seed,
-		Custom: func(*runner.Job) any { return lossTable(p) },
+		Label: "fault loss Monte Carlo",
+		Seed:  p.Seed,
+		Body:  func(*runner.Job) any { return lossTable(p) },
 	}
 	remapJob := &runner.Job{
-		Label:  "fault remap neutrality",
-		Seed:   p.Seed,
-		Custom: func(*runner.Job) any { return remapNeutrality() },
+		Label: "fault remap neutrality",
+		Seed:  p.Seed,
+		Body:  func(*runner.Job) any { return remapNeutrality() },
 	}
 	return &Plan{
 		Jobs: []*runner.Job{lossJob, remapJob},

@@ -45,7 +45,7 @@ func faultInjectPlan(p Params) *Plan {
 		job *runner.Job
 		inj *fault.Injector
 	}
-	newCell := func(label string, rate float64, dev core.DeviceFactory,
+	newCell := func(label string, rate float64, dev func() core.Device,
 		arrival float64, cfg fault.InjectorConfig) cell {
 		cfg.TransientRate = rate
 		cfg.Seed = runner.DeriveSeed(base, label)
@@ -55,16 +55,11 @@ func faultInjectPlan(p Params) *Plan {
 		}
 		return cell{
 			inj: inj,
-			job: &runner.Job{
-				Label:     label,
-				Seed:      p.Seed,
-				Device:    dev,
-				Scheduler: schedFactory("SPTF"),
-				Source: func(d core.Device) workload.Source {
-					return workload.DefaultRandom(arrival, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
-				},
-				Options: sim.Options{Warmup: p.Warmup, Injector: inj},
-			},
+			job: runJob(label, p.Seed, func(ctx *sim.Context) sim.Result {
+				d := dev()
+				src := workload.DefaultRandom(arrival, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
+				return sim.Run(ctx, d, newSched("SPTF"), src, sim.Options{Warmup: p.Warmup, Injector: inj})
+			}),
 		}
 	}
 
@@ -122,8 +117,8 @@ func faultInjectPlan(p Params) *Plan {
 				return ms(r.RecoveryMs / float64(r.Retries))
 			}
 			for i, rate := range rates {
-				mr := memsCells[i].job.Result()
-				dr := diskCells[i].job.Result()
+				mr := result(memsCells[i].job)
+				dr := result(diskCells[i].job)
 				a.AddRow(fmt.Sprintf("%g", rate),
 					ms(mr.Response.Mean()), fmt.Sprintf("%d", mr.Retries),
 					fmt.Sprintf("%d", mr.FailedRequests), perError(mr),
@@ -138,7 +133,7 @@ func faultInjectPlan(p Params) *Plan {
 					"degraded reads", "ECC recovery (ms)", "data loss"},
 			}
 			for i, k := range tipFailureCounts {
-				res := failCells[i].job.Result()
+				res := result(failCells[i].job)
 				arr := failCells[i].inj.Array()
 				b.AddRow(fmt.Sprintf("%d", k),
 					fmt.Sprintf("%d", arrCfg.SpareTips-arr.SparesLeft()),

@@ -34,7 +34,7 @@ func generationsPlan(p Params) *Plan {
 		jobs[i] = &runner.Job{
 			Label: "generations " + gen.name,
 			Seed:  p.Seed,
-			Custom: func(job *runner.Job) any {
+			Body: func(job *runner.Job) any {
 				d, err := mems.NewDevice(gen.cfg)
 				if err != nil {
 					panic(err) // generation configs are maintained with the model

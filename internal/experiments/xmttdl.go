@@ -121,7 +121,7 @@ func mttdlPlan(p Params) *Plan {
 				Label: fmt.Sprintf("mttdl %s %s", dev.name, lv.name),
 				Seed:  p.Seed,
 			}
-			j.Custom = func(job *runner.Job) any {
+			j.Body = func(job *runner.Job) any {
 				ckpt, err := openCheckpoint()
 				if err != nil {
 					return err
@@ -138,7 +138,7 @@ func mttdlPlan(p Params) *Plan {
 					// assumed — one real failover run under foreground load at
 					// throttle 0.3 (the rebuild artifact's middle operating
 					// point). An interruption here has nothing worth saving.
-					w := rebuildRun(job, lv.cfg, dev.mk, dev.rate, 0.3, false, p.MemberSched, p.FaultRate, p)
+					w := rebuildRun(job.SimContext(), lv.cfg, dev.mk, dev.rate, 0.3, false, p.MemberSched, p.FaultRate, p)
 					if cerr := job.Ctx().Err(); cerr != nil {
 						return cerr
 					}

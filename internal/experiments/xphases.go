@@ -27,7 +27,7 @@ func phasesPlan(p Params) *Plan {
 	// and the schedulers differentiate without starving FCFS.
 	devices := []struct {
 		name string
-		dev  core.DeviceFactory
+		dev  func() core.Device
 		rate float64
 	}{
 		{"MEMS", memsFactory(1), 1000},
@@ -44,16 +44,11 @@ func phasesPlan(p Params) *Plan {
 	for _, dv := range devices {
 		for _, name := range names {
 			pc := sim.NewPhaseCollector()
-			j := &runner.Job{
-				Label:     fmt.Sprintf("phases %s %s rate=%g", dv.name, name, dv.rate),
-				Seed:      p.Seed,
-				Device:    dv.dev,
-				Scheduler: schedFactory(name),
-				Source: func(d core.Device) workload.Source {
-					return workload.DefaultRandom(dv.rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
-				},
-				Options: sim.Options{Warmup: p.Warmup, Probe: pc},
-			}
+			j := runJob(fmt.Sprintf("phases %s %s rate=%g", dv.name, name, dv.rate), p.Seed, func(ctx *sim.Context) sim.Result {
+				d := dv.dev()
+				src := workload.DefaultRandom(dv.rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
+				return sim.Run(ctx, d, newSched(name), src, sim.Options{Warmup: p.Warmup, Probe: pc})
+			})
 			cells = append(cells, cell{job: j, pc: pc})
 			jobs = append(jobs, j)
 		}
@@ -77,7 +72,7 @@ func phasesPlan(p Params) *Plan {
 			i := 0
 			for _, dv := range devices {
 				for _, name := range names {
-					ps := cells[i].job.Result().Phases
+					ps := result(cells[i].job).Phases
 					if ps == nil {
 						panic(fmt.Sprintf("phases: job %q ran without phase stats", cells[i].job.Label))
 					}

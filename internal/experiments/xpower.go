@@ -51,7 +51,7 @@ func powerPlan(p Params) *Plan {
 		jobs[i] = &runner.Job{
 			Label: fmt.Sprintf("power %s %s", v.device, v.polName),
 			Seed:  p.Seed,
-			Custom: func(job *runner.Job) any {
+			Body: func(job *runner.Job) any {
 				var inner core.Device
 				if v.device == "MEMS" {
 					inner = newMEMS(1)

@@ -62,7 +62,7 @@ func raidPlan(p Params) *Plan {
 			j := &runner.Job{
 				Label: fmt.Sprintf("raid %s %s", dev.name, m.name),
 				Seed:  p.Seed,
-				Custom: func(j *runner.Job) any {
+				Body: func(j *runner.Job) any {
 					devs := make([]core.Device, 4)
 					for i := range devs {
 						devs[i] = dev.mk()

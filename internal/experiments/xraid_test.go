@@ -195,7 +195,7 @@ func TestRAIDRebuildIsTracedAndChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	tally := eventTally{}
-	if _, err := (&runner.Context{Workers: 1, Probe: tally, Check: true}).Run(pl.Jobs); err != nil {
+	if _, err := (&runner.Context{Workers: 1, Sim: sim.Context{Probe: tally, Check: true}}).Run(pl.Jobs); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range pl.Jobs {

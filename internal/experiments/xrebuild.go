@@ -8,15 +8,15 @@ import (
 	"memsim/internal/fault"
 	"memsim/internal/mems"
 	"memsim/internal/runner"
-	"memsim/internal/sched"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
 
 func init() { register("rebuild", rebuildPlan) }
 
-// rebuildOutcome is one run's summary, returned by the job's Custom body.
+// rebuildOutcome is one run's summary, returned by the job's body.
 type rebuildOutcome struct {
+	simMs         float64 // the run's Result.Elapsed
 	mttrS         float64 // failure to rebuild completion, seconds
 	healthyP95    float64 // foreground p95 before failure / after failover, ms
 	degradedP95   float64 // foreground p95 while degraded, ms
@@ -56,7 +56,7 @@ func rebuildMirrorCfg() array.VolumeConfig {
 // the MEMS volume — the fig. 6 regime).
 type rebuildDevice struct {
 	name string
-	mk   core.DeviceFactory
+	mk   func() core.Device
 	rate float64
 }
 
@@ -112,8 +112,8 @@ func rebuildPlan(p Params) *Plan {
 				Label: fmt.Sprintf("rebuild %s f=%g", dev.name, frac),
 				Seed:  p.Seed,
 			}
-			j.Custom = func(job *runner.Job) any {
-				return rebuildRun(job, parityCfg, dev.mk, dev.rate, frac, false, p.MemberSched, p.FaultRate, p)
+			j.Body = func(job *runner.Job) any {
+				return rebuildRun(job.SimContext(), parityCfg, dev.mk, dev.rate, frac, false, p.MemberSched, p.FaultRate, p)
 			}
 			grid[fi][di] = j
 			jobs = append(jobs, j)
@@ -127,8 +127,8 @@ func rebuildPlan(p Params) *Plan {
 				Label: fmt.Sprintf("rebuild %s adaptive", dev.name),
 				Seed:  p.Seed,
 			}
-			j.Custom = func(job *runner.Job) any {
-				return rebuildRun(job, parityCfg, dev.mk, dev.rate, 0, true, p.MemberSched, p.FaultRate, p)
+			j.Body = func(job *runner.Job) any {
+				return rebuildRun(job.SimContext(), parityCfg, dev.mk, dev.rate, 0, true, p.MemberSched, p.FaultRate, p)
 			}
 			adaptiveJobs[di] = j
 			jobs = append(jobs, j)
@@ -142,8 +142,8 @@ func rebuildPlan(p Params) *Plan {
 				Label: fmt.Sprintf("rebuild mirror %s f=0.3", dev.name),
 				Seed:  p.Seed,
 			}
-			j.Custom = func(job *runner.Job) any {
-				return rebuildRun(job, mirrorCfg, dev.mk, dev.rate, 0.3, false, p.MemberSched, p.FaultRate, p)
+			j.Body = func(job *runner.Job) any {
+				return rebuildRun(job.SimContext(), mirrorCfg, dev.mk, dev.rate, 0.3, false, p.MemberSched, p.FaultRate, p)
 			}
 			mirror[di] = j
 			jobs = append(jobs, j)
@@ -206,11 +206,7 @@ func memberSched(name string) core.Scheduler {
 	if name == "" {
 		name = "SPTF"
 	}
-	s, err := sched.New(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
+	return newSched(name)
 }
 
 // rebuildRun drives one volume through a mid-run member failure and
@@ -219,7 +215,7 @@ func memberSched(name string) core.Scheduler {
 // rebuild off foreground pressure; otherwise it runs at the fixed
 // fraction frac.
 // faultRate layers transient per-attempt errors on the device kill.
-func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
+func rebuildRun(ctx *sim.Context, cfg array.VolumeConfig, mk func() core.Device,
 	rate, frac float64, adaptive bool, schedName string, faultRate float64,
 	p Params) rebuildOutcome {
 	v, err := array.NewVolume(cfg)
@@ -259,16 +255,16 @@ func rebuildRun(job *runner.Job, cfg array.VolumeConfig, mk core.DeviceFactory,
 		Count:        p.Requests,
 		Seed:         p.Seed,
 	})
-	res, err := sim.RunVolume(job.SimContext(), sim.VolumeSpec{
+	res, err := sim.RunVolume(ctx, sim.VolumeSpec{
 		Volume: v, Devices: devs, Scheds: scheds,
 		RebuildChunk: int(cfg.StripeUnit), RebuildFrac: frac, AdaptiveRebuild: adaptive,
 	}, src, sim.Options{Warmup: p.Warmup, Injector: inj})
 	if err != nil {
 		panic(err)
 	}
-	job.SimMs = res.Elapsed
 	vs := res.Volume
 	return rebuildOutcome{
+		simMs:         res.Elapsed,
 		mttrS:         vs.RebuildMs / 1000,
 		healthyP95:    vs.Healthy.P95(),
 		degradedP95:   vs.Degraded.P95(),

@@ -52,7 +52,7 @@ func remapPlan(p Params) *Plan {
 			j := &runner.Job{
 				Label: fmt.Sprintf("remap %s rate=%g", col.name, rate),
 				Seed:  p.Seed,
-				Custom: func(*runner.Job) any {
+				Body: func(*runner.Job) any {
 					return col.scan(rate)
 				},
 			}

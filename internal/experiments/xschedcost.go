@@ -5,7 +5,6 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/runner"
-	"memsim/internal/sched"
 	"memsim/internal/sim"
 	"memsim/internal/stats"
 	"memsim/internal/workload"
@@ -32,7 +31,7 @@ func schedCostSchedulers(p Params) []string {
 // region where queue order matters (utilization ≈ 0.8, cf. figs. 5/6).
 type schedCostDevice struct {
 	name string
-	mk   core.DeviceFactory
+	mk   func() core.Device
 	rate float64
 }
 
@@ -45,6 +44,7 @@ func schedCostDevices() []schedCostDevice {
 
 // schedCostOutcome is one single-device run's summary.
 type schedCostOutcome struct {
+	simMs          float64 // the run's Result.Elapsed
 	mean, p95, p99 float64 // response time, ms
 	settle         float64 // mean settle per request, ms
 	service        float64 // mean device service per request, ms
@@ -65,19 +65,15 @@ func (r *respProbe) Observe(ev sim.ProbeEvent) {
 
 func (r *respProbe) ResetProbe() { r.d = stats.Dist{} }
 
-func schedCostRun(job *runner.Job, dev schedCostDevice, schedName string, p Params) schedCostOutcome {
-	s, err := sched.New(schedName)
-	if err != nil {
-		panic(err)
-	}
+func schedCostRun(ctx *sim.Context, dev schedCostDevice, schedName string, p Params) schedCostOutcome {
 	d := dev.mk()
 	pc := sim.NewPhaseCollector()
 	rp := &respProbe{}
 	src := workload.DefaultRandom(dev.rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
-	res := sim.Run(job.SimContext(), d, s, src,
+	res := sim.Run(ctx, d, newSched(schedName), src,
 		sim.Options{Warmup: p.Warmup, Probe: sim.MultiProbe{pc, rp}})
-	job.SimMs = res.Elapsed
 	return schedCostOutcome{
+		simMs:   res.Elapsed,
 		mean:    rp.d.Mean(),
 		p95:     rp.d.P95(),
 		p99:     rp.d.P99(),
@@ -117,8 +113,8 @@ func schedCostPlan(p Params) *Plan {
 				Label: fmt.Sprintf("schedcost %s %s", dev.name, name),
 				Seed:  p.Seed,
 			}
-			j.Custom = func(job *runner.Job) any {
-				return schedCostRun(job, dev, name, p)
+			j.Body = func(job *runner.Job) any {
+				return schedCostRun(job.SimContext(), dev, name, p)
 			}
 			grid[di][si] = j
 			jobs = append(jobs, j)
@@ -133,10 +129,10 @@ func schedCostPlan(p Params) *Plan {
 				Label: fmt.Sprintf("schedcost degraded %s f=%g", name, frac),
 				Seed:  p.Seed,
 			}
-			j.Custom = func(job *runner.Job) any {
+			j.Body = func(job *runner.Job) any {
 				// Fault rate 0 keeps -fault-rate off these rows, so they
 				// isolate the member-queue policy.
-				return rebuildRun(job, rebuildParityCfg(), memsFactory(1), 1000, frac, false, name, 0, p)
+				return rebuildRun(job.SimContext(), rebuildParityCfg(), memsFactory(1), 1000, frac, false, name, 0, p)
 			}
 			degraded[fi][si] = j
 			jobs = append(jobs, j)

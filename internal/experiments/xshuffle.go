@@ -39,14 +39,14 @@ func shufflePlan(p Params) *Plan {
 		staticJobs[i] = &runner.Job{
 			Label: fmt.Sprintf("shuffle static drift=%d×", frac),
 			Seed:  p.Seed,
-			Custom: func(job *runner.Job) any {
+			Body: func(job *runner.Job) any {
 				return shuffleStatic(job.SimContext(), p, n, drift)
 			},
 		}
 		adaptiveJobs[i] = &runner.Job{
 			Label: fmt.Sprintf("shuffle adaptive drift=%d×", frac),
 			Seed:  p.Seed,
-			Custom: func(job *runner.Job) any {
+			Body: func(job *runner.Job) any {
 				return shuffleAdaptive(job.SimContext(), p, n, drift)
 			},
 		}

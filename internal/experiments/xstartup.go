@@ -23,13 +23,13 @@ func startupPlan(p Params) *Plan {
 	if trials > 1000 {
 		trials = 1000
 	}
-	mkDevs := []core.DeviceFactory{memsFactory(1), diskFactory}
+	mkDevs := []func() core.Device{memsFactory(1), diskFactory}
 	syncJobs := make([]*runner.Job, len(mkDevs))
 	for i, mk := range mkDevs {
 		syncJobs[i] = &runner.Job{
 			Label: fmt.Sprintf("startup sync device %d", i),
 			Seed:  p.Seed,
-			Custom: func(*runner.Job) any {
+			Body: func(*runner.Job) any {
 				dev := mk()
 				rng := rand.New(rand.NewSource(p.Seed))
 				now, sum, max := 0.0, 0.0, 0.0

@@ -30,7 +30,7 @@ func stripingPlan(p Params) *Plan {
 			j := &runner.Job{
 				Label: fmt.Sprintf("striping %d sleds rate=%g", n, rate),
 				Seed:  p.Seed,
-				Custom: func(job *runner.Job) any {
+				Body: func(job *runner.Job) any {
 					return stripedResponse(job, n, rate, p)
 				},
 			}
@@ -72,7 +72,7 @@ func stripingPlan(p Params) *Plan {
 }
 
 // stripedOutcome is one striping run's summary, returned by the job's
-// Custom body.
+// body.
 type stripedOutcome struct {
 	mean    float64 // mean response (ms), or −1 when hopelessly saturated
 	clamped int     // requests the stripe router clamped to a strip boundary

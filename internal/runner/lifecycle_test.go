@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,12 +20,12 @@ func TestJobTimeoutDeadlineExceeded(t *testing.T) {
 	// its siblings are unaffected and the summary splits the counts.
 	slow := &Job{
 		Label: "slow",
-		Custom: func(j *Job) any {
+		Body: func(j *Job) any {
 			<-j.Ctx().Done() // park until the per-job deadline fires
 			return j.Ctx().Err()
 		},
 	}
-	quick := openJob("quick", 10, 1)
+	quick := openJob("quick", 10, 1, sim.Options{})
 	ctx := &Context{Workers: 2, Timeout: 20 * time.Millisecond}
 	sum, err := ctx.Run([]*Job{slow, quick})
 	if err == nil {
@@ -39,8 +40,8 @@ func TestJobTimeoutDeadlineExceeded(t *testing.T) {
 	if quick.Err() != nil {
 		t.Errorf("sibling failed: %v", quick.Err())
 	}
-	if quick.Result().Requests != 10 {
-		t.Errorf("sibling requests = %d, want 10", quick.Result().Requests)
+	if result(quick).Requests != 10 {
+		t.Errorf("sibling requests = %d, want 10", result(quick).Requests)
 	}
 	if sum.Failed != 1 || sum.Cancelled != 1 {
 		t.Errorf("summary failed=%d cancelled=%d, want 1/1", sum.Failed, sum.Cancelled)
@@ -58,13 +59,13 @@ func TestBatchCancelSkipsQueuedJobs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		jobs = append(jobs, &Job{
 			Label: "skipped",
-			Custom: func(j *Job) any {
+			Body: func(j *Job) any {
 				ran.Add(1)
 				return nil
 			},
 		})
 	}
-	sum, err := (&Context{Workers: 1, Ctx: cctx, Check: true}).Run(jobs)
+	sum, err := (&Context{Workers: 1, Sim: sim.Context{Ctx: cctx, Check: true}}).Run(jobs)
 	if err == nil {
 		t.Fatal("cancelled batch returned nil error")
 	}
@@ -100,19 +101,17 @@ func (d *cancellingDevice) Access(r *core.Request, now float64) float64 {
 }
 
 func TestDeclarativeJobCancelledMidRun(t *testing.T) {
-	// Cancellation mid-run fails a declarative job with the context
-	// error and keeps its partial Result unreadable.
+	// Cancellation mid-run fails a job declared as one engine run with
+	// the context error and keeps the partial Result it returned
+	// unreadable.
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	j := &Job{
-		Label:     "interrupted",
-		Device:    func() core.Device { return &cancellingDevice{tickDevice{svc: 1}, 100, cancel} },
-		Scheduler: func() core.Scheduler { return sched.NewFCFS() },
-		Source: func(d core.Device) workload.Source {
-			return workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 5000, 1)
-		},
-	}
-	_, err := (&Context{Workers: 1, Ctx: cctx}).Run([]*Job{j})
+	j := &Job{Label: "interrupted", Body: func(job *Job) any {
+		d := &cancellingDevice{tickDevice{svc: 1}, 100, cancel}
+		src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 5000, 1)
+		return sim.Run(job.SimContext(), d, sched.NewFCFS(), src, sim.Options{})
+	}}
+	_, err := (&Context{Workers: 1, Sim: sim.Context{Ctx: cctx}}).Run([]*Job{j})
 	if err == nil {
 		t.Fatal("interrupted batch returned nil error")
 	}
@@ -121,25 +120,25 @@ func TestDeclarativeJobCancelledMidRun(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Result() of a cancelled job did not panic")
+			t.Error("Value() of a cancelled job did not panic")
 		}
 	}()
-	j.Result()
+	result(j)
 }
 
 func TestCustomJobCancelledMidRun(t *testing.T) {
-	// A Custom body that runs the engine under SimContext and returns
-	// without checking anything still fails with the context error when
-	// the run is cut short: cancellation is decided by the runner, for
-	// Custom and declarative jobs alike, and Value stays unreadable.
+	// A body that runs the engine under SimContext and returns without
+	// checking anything still fails with the context error when the run
+	// is cut short: cancellation is decided by the runner, and Value
+	// stays unreadable.
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	j := &Job{Label: "interrupted custom", Custom: func(job *Job) any {
+	j := &Job{Label: "interrupted custom", Body: func(job *Job) any {
 		d := &cancellingDevice{tickDevice{svc: 1}, 100, cancel}
 		src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 5000, 1)
 		return sim.Run(job.SimContext(), d, sched.NewFCFS(), src, sim.Options{}).Requests
 	}}
-	_, err := (&Context{Workers: 1, Ctx: cctx}).Run([]*Job{j})
+	_, err := (&Context{Workers: 1, Sim: sim.Context{Ctx: cctx}}).Run([]*Job{j})
 	if err == nil {
 		t.Fatal("interrupted batch returned nil error")
 	}
@@ -148,17 +147,17 @@ func TestCustomJobCancelledMidRun(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Value() of a cancelled Custom job did not panic")
+			t.Error("Value() of a cancelled job did not panic")
 		}
 	}()
 	j.Value()
 }
 
 func TestCustomErrorReturnFailsJob(t *testing.T) {
-	// The Custom error-return convention: a body returning a non-nil
+	// The error-return convention: a body returning a non-nil
 	// error fails the job with it, and Value stays unreadable.
 	boom := errors.New("boom")
-	j := &Job{Label: "erring", Custom: func(*Job) any { return boom }}
+	j := &Job{Label: "erring", Body: func(*Job) any { return boom }}
 	_, err := Sequential().Run([]*Job{j})
 	if err == nil || !errors.Is(j.Err(), boom) {
 		t.Fatalf("err = %v, want wrapped boom", j.Err())
@@ -176,13 +175,13 @@ func TestCustomErrorReturnFailsJob(t *testing.T) {
 
 func TestJobLifecycleAccessorsBeforeRun(t *testing.T) {
 	// Before the pool installs anything, the accessors return inert
-	// defaults a Custom body can use unconditionally.
+	// defaults a body can use unconditionally.
 	j := &Job{Label: "unrun"}
 	if j.Ctx() != context.Background() {
 		t.Error("Ctx before run is not context.Background")
 	}
 	sc := j.SimContext()
-	if sc.Check || sc.Sketch || sc.Probe != nil {
+	if sc.Check || sc.Sketch || sc.Probe != nil || sc.SimMs() != 0 {
 		t.Errorf("run policy set before run: %+v", sc)
 	}
 	if sc.Ctx != context.Background() {
@@ -192,29 +191,69 @@ func TestJobLifecycleAccessorsBeforeRun(t *testing.T) {
 
 func TestContextCheckReachesCustomBodies(t *testing.T) {
 	// The batch policy — Check, Sketch and the labelled probe — reaches
-	// Custom bodies through SimContext, the same context Ctx reads.
+	// bodies through SimContext, the same context Ctx reads.
 	var saw sim.Context
 	var sameCtx bool
-	j := &Job{Label: "checked", Custom: func(job *Job) any {
+	j := &Job{Label: "checked", Body: func(job *Job) any {
 		saw = *job.SimContext()
 		sameCtx = saw.Ctx == job.Ctx()
 		return nil
 	}}
 	lp := &labelProbe{}
-	if _, err := (&Context{Workers: 1, Check: true, Sketch: true, Probe: lp}).Run([]*Job{j}); err != nil {
+	if _, err := (&Context{Workers: 1, Sim: sim.Context{Check: true, Sketch: true, Probe: lp}}).Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
 	if !saw.Check || !saw.Sketch {
-		t.Errorf("Check/Sketch did not reach the Custom body: %+v", saw)
+		t.Errorf("Check/Sketch did not reach the body: %+v", saw)
 	}
 	if saw.Probe == nil {
-		t.Fatal("batch probe did not reach the Custom body")
+		t.Fatal("batch probe did not reach the body")
 	}
 	saw.Probe.Observe(sim.ProbeEvent{Kind: sim.EventComplete})
 	if len(lp.labels) != 1 || lp.labels[0] != "checked" {
-		t.Errorf("Custom body's probe is not labelled with the job: %v", lp.labels)
+		t.Errorf("body's probe is not labelled with the job: %v", lp.labels)
 	}
 	if !sameCtx {
 		t.Error("SimContext().Ctx differs from Ctx()")
+	}
+}
+
+func TestJobSimTime(t *testing.T) {
+	// The engine reports each job's simulated time: the summed Elapsed
+	// of every run its body drove, a cancelled run's partial Elapsed
+	// included, and 0 for a body that runs none. It reaches both the
+	// progress Event and the Summary.
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var partial sim.Result
+	jobs := []*Job{
+		{Label: "two runs", Body: func(j *Job) any {
+			return closedRun(j, 10, 2).Elapsed + closedRun(j, 5, 3).Elapsed
+		}},
+		{Label: "no run", Body: func(*Job) any { return 0.0 }},
+		{Label: "cancelled", Body: func(j *Job) any {
+			d := &cancellingDevice{tickDevice{svc: 1}, 100, cancel}
+			src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 5000, 1)
+			partial = sim.Run(j.SimContext(), d, sched.NewFCFS(), src, sim.Options{})
+			return partial
+		}},
+	}
+	got := map[string]float64{}
+	c := &Context{Workers: 1, Sim: sim.Context{Ctx: cctx}, Progress: func(ev Event) { got[ev.Label] = ev.SimMs }}
+	sum, _ := c.Run(jobs)
+	if jobs[0].Value().(float64) != 35 || got["two runs"] != 35 {
+		t.Errorf("two runs: body saw %v, event %g, want 35", jobs[0].Value(), got["two runs"])
+	}
+	if v, ok := got["no run"]; !ok || v != 0 {
+		t.Errorf("no run: event %g (reported %v), want 0", v, ok)
+	}
+	if !errors.Is(jobs[2].Err(), context.Canceled) || !partial.Cancelled {
+		t.Fatalf("cancelled job: err %v, result cancelled %v", jobs[2].Err(), partial.Cancelled)
+	}
+	if got["cancelled"] != partial.Elapsed || partial.Elapsed <= 0 || partial.Elapsed >= 50000 {
+		t.Errorf("cancelled: event %g, partial Elapsed %g", got["cancelled"], partial.Elapsed)
+	}
+	if want := 35 + partial.Elapsed; sum.Sim.N() != 3 || math.Abs(sum.Sim.Mean()*3-want) > 1e-9*want {
+		t.Errorf("summary sim = %g over %d jobs, want %g over 3", sum.Sim.Mean()*3, sum.Sim.N(), want)
 	}
 }

@@ -28,29 +28,51 @@ func (d *tickDevice) Reset()                                        {}
 func (d *tickDevice) Access(*core.Request, float64) float64         { return d.svc }
 func (d *tickDevice) EstimateAccess(*core.Request, float64) float64 { return d.svc }
 
-func openJob(label string, n int, seed int64) *Job {
+// openJob declares a job whose body runs n random requests through the
+// open-arrival loop on a tickDevice under FCFS and returns the Result.
+func openJob(label string, n int, seed int64, opts sim.Options) *Job {
 	return &Job{
-		Label:     label,
-		Seed:      seed,
-		Device:    func() core.Device { return &tickDevice{svc: 1} },
-		Scheduler: func() core.Scheduler { return sched.NewFCFS() },
-		Source: func(d core.Device) workload.Source {
-			return workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), n, seed)
+		Label: label,
+		Seed:  seed,
+		Body: func(j *Job) any {
+			d := &tickDevice{svc: 1}
+			src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), n, j.Seed)
+			return sim.Run(j.SimContext(), d, sched.NewFCFS(), src, opts)
 		},
 	}
 }
 
+// closedJob declares a job whose body serves n one-block reads back to
+// back on a device costing svc ms each: its Result.Elapsed is n·svc.
+func closedJob(label string, n int, svc float64) *Job {
+	return &Job{Label: label, Body: func(j *Job) any { return closedRun(j, n, svc) }}
+}
+
+func closedRun(j *Job, n int, svc float64) sim.Result {
+	reqs := make([]*core.Request, n)
+	for i := range reqs {
+		reqs[i] = &core.Request{Op: core.Read, LBN: int64(i), Blocks: 1}
+	}
+	return sim.RunClosed(j.SimContext(), &tickDevice{svc: svc}, workload.NewFromSlice(reqs), sim.Options{})
+}
+
+// result reads an engine job's Result.
+func result(j *Job) sim.Result { return j.Value().(sim.Result) }
+
+// TestDeclarativeJobRuns runs a job declared as one open-arrival engine
+// run whose body returns the Result, the shape every experiment sweep
+// uses.
 func TestDeclarativeJobRuns(t *testing.T) {
-	j := openJob("open", 50, 1)
+	j := openJob("open", 50, 1, sim.Options{})
 	sum, err := Sequential().Run([]*Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Result().Requests != 50 {
-		t.Errorf("requests = %d, want 50", j.Result().Requests)
+	if result(j).Requests != 50 {
+		t.Errorf("requests = %d, want 50", result(j).Requests)
 	}
-	if j.SimMs <= 0 || sum.Sim.Mean() != j.SimMs {
-		t.Errorf("sim time not recorded: job %g, summary %g", j.SimMs, sum.Sim.Mean())
+	if el := result(j).Elapsed; el <= 0 || sum.Sim.Mean() != el {
+		t.Errorf("sim time not recorded: run elapsed %g, summary %g", el, sum.Sim.Mean())
 	}
 	if sum.Jobs != 1 || sum.Wall.N() != 1 {
 		t.Errorf("summary = %+v", sum)
@@ -58,19 +80,11 @@ func TestDeclarativeJobRuns(t *testing.T) {
 }
 
 func TestClosedJobRuns(t *testing.T) {
-	reqs := make([]*core.Request, 10)
-	for i := range reqs {
-		reqs[i] = &core.Request{Op: core.Read, LBN: int64(i), Blocks: 1}
-	}
-	j := &Job{
-		Label:  "closed",
-		Device: func() core.Device { return &tickDevice{svc: 2} },
-		Source: func(core.Device) workload.Source { return workload.NewFromSlice(reqs) },
-	}
+	j := closedJob("closed", 10, 2)
 	if _, err := Sequential().Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Result().Elapsed; got != 20 {
+	if got := result(j).Elapsed; got != 20 {
 		t.Errorf("closed run elapsed = %g, want 20", got)
 	}
 }
@@ -79,7 +93,7 @@ func TestParallelMatchesSequentialResults(t *testing.T) {
 	mk := func() []*Job {
 		jobs := make([]*Job, 24)
 		for i := range jobs {
-			jobs[i] = openJob(fmt.Sprintf("job%d", i), 200, int64(i+1))
+			jobs[i] = openJob(fmt.Sprintf("job%d", i), 200, int64(i+1), sim.Options{})
 		}
 		return jobs
 	}
@@ -91,7 +105,7 @@ func TestParallelMatchesSequentialResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range seqJobs {
-		a, b := seqJobs[i].Result(), parJobs[i].Result()
+		a, b := result(seqJobs[i]), result(parJobs[i])
 		if a.Response.Mean() != b.Response.Mean() || a.Elapsed != b.Elapsed {
 			t.Errorf("job %d diverged: sequential %v vs parallel %v", i, a.String(), b.String())
 		}
@@ -102,9 +116,8 @@ func TestCustomJobValue(t *testing.T) {
 	j := &Job{
 		Label: "custom",
 		Seed:  7,
-		Custom: func(j *Job) any {
+		Body: func(j *Job) any {
 			rng := rand.New(rand.NewSource(j.Seed))
-			j.SimMs = 42
 			return rng.Int63()
 		},
 	}
@@ -115,16 +128,13 @@ func TestCustomJobValue(t *testing.T) {
 	if j.Value().(int64) != want {
 		t.Errorf("custom value = %d, want %d", j.Value(), want)
 	}
-	if j.SimMs != 42 {
-		t.Errorf("SimMs = %g, want 42", j.SimMs)
-	}
 }
 
 func TestPanicBecomesErrorAndSiblingsStillRun(t *testing.T) {
 	var ran atomic.Int32
 	jobs := []*Job{
-		{Label: "boom", Custom: func(*Job) any { panic("kaput") }},
-		{Label: "ok", Custom: func(*Job) any { ran.Add(1); return "fine" }},
+		{Label: "boom", Body: func(*Job) any { panic("kaput") }},
+		{Label: "ok", Body: func(*Job) any { ran.Add(1); return "fine" }},
 	}
 	_, err := Sequential().Run(jobs)
 	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "kaput") {
@@ -140,8 +150,8 @@ func TestPanicBecomesErrorAndSiblingsStillRun(t *testing.T) {
 
 func TestMisdeclaredJobErrors(t *testing.T) {
 	_, err := Sequential().Run([]*Job{{Label: "empty"}})
-	if err == nil {
-		t.Fatal("expected error for a job with no body")
+	if err == nil || err.Error() != `job "empty": no body` {
+		t.Fatalf("err = %v, want a one-line no-body error", err)
 	}
 }
 
@@ -151,14 +161,14 @@ func TestReadBeforeRunPanics(t *testing.T) {
 			t.Error("expected panic reading an unexecuted job")
 		}
 	}()
-	(&Job{Label: "unread"}).Result()
+	(&Job{Label: "unread"}).Value()
 }
 
 func TestProgressEvents(t *testing.T) {
 	const n = 9
 	jobs := make([]*Job, n)
 	for i := range jobs {
-		jobs[i] = &Job{Label: fmt.Sprintf("j%d", i), Custom: func(*Job) any { return nil }}
+		jobs[i] = &Job{Label: fmt.Sprintf("j%d", i), Body: func(*Job) any { return nil }}
 	}
 	var events []Event
 	ctx := &Context{Workers: 4, Progress: func(ev Event) { events = append(events, ev) }}
@@ -182,7 +192,7 @@ func TestErrorEventCarriesError(t *testing.T) {
 			got = ev.Err
 		}
 	}}
-	_, err := ctx.Run([]*Job{{Label: "bad", Custom: func(*Job) any { panic(errors.New("x")) }}})
+	_, err := ctx.Run([]*Job{{Label: "bad", Body: func(*Job) any { panic(errors.New("x")) }}})
 	if err == nil || got == nil {
 		t.Errorf("error not surfaced: run err %v, event err %v", err, got)
 	}
@@ -212,7 +222,7 @@ func TestDeriveSeedStable(t *testing.T) {
 func TestPoolUnderLoad(t *testing.T) {
 	jobs := make([]*Job, 64)
 	for i := range jobs {
-		jobs[i] = openJob(fmt.Sprintf("load%d", i), 100, int64(i))
+		jobs[i] = openJob(fmt.Sprintf("load%d", i), 100, int64(i), sim.Options{})
 	}
 	var last int32
 	ctx := &Context{Workers: 8, Progress: func(ev Event) { atomic.StoreInt32(&last, int32(ev.Done)) }}
@@ -223,7 +233,6 @@ func TestPoolUnderLoad(t *testing.T) {
 	if sum.Jobs != 64 || sum.Wall.N() != 64 || atomic.LoadInt32(&last) != 64 {
 		t.Errorf("summary %+v, last event %d", sum, last)
 	}
-	_ = sim.Options{} // keep the sim import for the declarative types
 }
 
 // labelProbe records the run labels of observed completions; safe for
@@ -237,11 +246,11 @@ func (p *labelProbe) Observe(ev sim.ProbeEvent) {
 }
 
 func TestContextProbeObservesJobs(t *testing.T) {
-	// A context probe hears every declarative job's lifecycle, each event
+	// A batch probe hears every engine job's lifecycle, each event
 	// stamped with the job's label, in declaration order under Workers: 1.
 	lp := &labelProbe{}
-	jobs := []*Job{openJob("alpha", 3, 1), openJob("beta", 2, 2)}
-	c := &Context{Workers: 1, Probe: lp}
+	jobs := []*Job{openJob("alpha", 3, 1, sim.Options{}), openJob("beta", 2, 2, sim.Options{})}
+	c := &Context{Workers: 1, Sim: sim.Context{Probe: lp}}
 	if _, err := c.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +269,9 @@ func TestContextProbeComposesWithJobProbe(t *testing.T) {
 	// A job that declares its own probe (the phases experiment's
 	// collector) still feeds the shared context probe.
 	pc := sim.NewPhaseCollector()
-	j := openJob("both", 4, 3)
-	j.Options.Probe = pc
+	j := openJob("both", 4, 3, sim.Options{Probe: pc})
 	lp := &labelProbe{}
-	c := &Context{Workers: 1, Probe: lp}
+	c := &Context{Workers: 1, Sim: sim.Context{Probe: lp}}
 	if _, err := c.Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +281,18 @@ func TestContextProbeComposesWithJobProbe(t *testing.T) {
 	if len(lp.labels) != 4 || lp.labels[0] != "both" {
 		t.Errorf("shared probe saw %v", lp.labels)
 	}
-	if j.Result().Phases == nil {
+	if result(j).Phases == nil {
 		t.Error("Result.Phases lost in probe composition")
 	}
 }
 
 func TestCustomJobsAreNotProbed(t *testing.T) {
-	// The runner emits no events of its own: a Custom body that drives
+	// The runner emits no events of its own: a body that drives
 	// no engine run leaves the batch probe silent.
 	lp := &labelProbe{}
 	ran := false
-	j := &Job{Label: "custom", Custom: func(*Job) any { ran = true; return 7 }}
-	c := &Context{Workers: 1, Probe: lp}
+	j := &Job{Label: "custom", Body: func(*Job) any { ran = true; return 7 }}
+	c := &Context{Workers: 1, Sim: sim.Context{Probe: lp}}
 	if _, err := c.Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,16 +305,16 @@ func TestCustomJobsAreNotProbed(t *testing.T) {
 }
 
 func TestCustomEngineRunsAreProbed(t *testing.T) {
-	// A Custom body that drives the engine through SimContext feeds the
+	// A body that drives the engine through SimContext feeds the
 	// batch probe under its job label, after any probe it declared.
 	lp := &labelProbe{}
 	pc := sim.NewPhaseCollector()
-	j := &Job{Label: "custom-run", Custom: func(job *Job) any {
+	j := &Job{Label: "custom-run", Body: func(job *Job) any {
 		d := &tickDevice{svc: 1}
 		src := workload.DefaultRandom(100, d.SectorSize(), d.Capacity(), 3, 1)
 		return sim.Run(job.SimContext(), d, sched.NewFCFS(), src, sim.Options{Probe: pc})
 	}}
-	if _, err := (&Context{Workers: 1, Probe: lp}).Run([]*Job{j}); err != nil {
+	if _, err := (&Context{Workers: 1, Sim: sim.Context{Probe: lp}}).Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"custom-run", "custom-run", "custom-run"}
@@ -320,9 +328,9 @@ func TestCustomEngineRunsAreProbed(t *testing.T) {
 
 func TestErrorsJoinInDeclarationOrder(t *testing.T) {
 	jobs := []*Job{
-		{Label: "first-bad", Custom: func(*Job) any { panic("alpha") }},
-		{Label: "fine", Custom: func(*Job) any { return nil }},
-		{Label: "second-bad", Custom: func(*Job) any { panic("beta") }},
+		{Label: "first-bad", Body: func(*Job) any { panic("alpha") }},
+		{Label: "fine", Body: func(*Job) any { return nil }},
+		{Label: "second-bad", Body: func(*Job) any { panic("beta") }},
 	}
 	_, err := (&Context{Workers: 3}).Run(jobs)
 	if err == nil {

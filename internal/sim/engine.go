@@ -37,7 +37,7 @@ import (
 // Result, and the observability plumbing every regime threads through.
 type engine struct {
 	ctx  Context
-	src  *Context // the caller's Context, latched on cancellation
+	src  *Context // the caller's Context: cancellation latch, simulated-time total
 	opts Options
 	inj  *fault.Injector
 	p    Probe
@@ -155,8 +155,9 @@ func (e *engine) loop() {
 	}
 }
 
-// finalize closes the run: elapsed time, phase aggregates, and data
-// loss latched from the injector's redundancy array. In check mode it
+// finalize closes the run: elapsed time (added to the caller's
+// Context, see Context.SimMs), phase aggregates, and data loss latched
+// from the injector's redundancy array. In check mode it
 // then verifies the end-of-run invariants — every top-level arrival was
 // completed when the run drained naturally, and the engine's invariant
 // probe saw no per-event or conservation violations — panicking on
@@ -164,6 +165,9 @@ func (e *engine) loop() {
 // simulation bug, not an operational error).
 func (e *engine) finalize() {
 	e.res.Elapsed = e.q.Now()
+	if e.src != nil {
+		e.src.simMs += e.res.Elapsed
+	}
 	if e.phases != nil {
 		e.res.Phases = e.phases.Stats()
 	}
@@ -420,7 +424,7 @@ func (o *openRun) pump() {
 		r.Start = now
 	}
 	if e.p != nil {
-		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Req: r, Queue: qlen, Class: r.Class})
+		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Req: r, Queue: qlen})
 	}
 	svc, _, again := e.serveVisit(o.d, r, r, 0, now)
 	e.res.Busy += svc
@@ -497,7 +501,7 @@ func (c *closedRun) issue() {
 		// Closed regime: arrival and dispatch coincide; the "queue"
 		// is the request itself.
 		e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Req: r, Queue: 1})
-		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Req: r, Queue: 1, Class: r.Class})
+		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Req: r, Queue: 1})
 	}
 	t := now
 	total := 0.0

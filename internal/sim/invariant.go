@@ -133,12 +133,8 @@ func (ip *invariantProbe) Observe(ev ProbeEvent) {
 	}
 }
 
-// checkClass validates the request's scheduling class on events that
-// stamp one.
+// checkClass validates the scheduling class of the event's request.
 func (ip *invariantProbe) checkClass(ev ProbeEvent) {
-	if int(ev.Class) >= core.NumClasses {
-		ip.violate("%s event with class %d out of range [0,%d)", ev.Kind, ev.Class, core.NumClasses)
-	}
 	if ev.Req != nil && int(ev.Req.Class) >= core.NumClasses {
 		ip.violate("%s event request with class %d out of range [0,%d)", ev.Kind, ev.Req.Class, core.NumClasses)
 	}

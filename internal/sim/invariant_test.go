@@ -95,7 +95,7 @@ func TestInvariantProbeViolations(t *testing.T) {
 		{
 			"class out of range",
 			[]ProbeEvent{{Kind: EventDispatch, Time: 0, Queue: 1,
-				Class: core.Class(core.NumClasses)}},
+				Req: &core.Request{Class: core.Class(core.NumClasses)}}},
 			"out of range",
 		},
 		{

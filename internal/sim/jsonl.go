@@ -32,13 +32,17 @@ import (
 // and the phase constants recur in every service record. So the probe
 // formats each distinct float once and keeps the bytes in a small
 // direct-mapped memo (see appendFloat), guarded by the same mutex as
-// the writer.
+// the writer. The run label changes only between jobs, so the probe
+// keeps the last label's quoted bytes too: a label that needs escaping
+// (the shuffle artifact's "×") is escaped once per job, not per event.
 type JSONLProbe struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
 	buf  []byte // a record too long for w's free space, reused under mu
 	err  error
 	memo [floatMemoSize]floatMemoEntry
+	run  string // the last run label encoded, and runQ its JSON bytes
+	runQ []byte
 }
 
 // floatMemoSize is the number of float memo slots, a power of two. On
@@ -153,7 +157,10 @@ func (p *JSONLProbe) encode(b []byte, ev *ProbeEvent) []byte {
 	b = append(b, quotedKinds[min(int(ev.Kind), len(quotedKinds)-1)]...)
 	b = p.appendFloat(b, `,"t_ms":`, ev.Time)
 	if ev.Run != "" {
-		b = appendString(b, `,"run":`, ev.Run)
+		if ev.Run != p.run {
+			p.run, p.runQ = ev.Run, appendString(p.runQ[:0], "", ev.Run)
+		}
+		b = append(append(b, `,"run":`...), p.runQ...)
 	}
 	if ev.Dev != 0 {
 		b = appendInt(b, `,"dev":`, int64(ev.Dev))

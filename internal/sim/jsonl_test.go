@@ -283,7 +283,15 @@ func jsonlEvents() []ProbeEvent {
 func TestJSONLProbeZeroAlloc(t *testing.T) {
 	long := ProbeEvent{Kind: EventService, Time: 3.5, Run: strings.Repeat("long-label/", 500),
 		Req: &core.Request{Op: core.Write, LBN: 9, Blocks: 8, Arrival: 1.25}, Breakdown: core.Breakdown{Seek: 0.5, ServiceMs: 0.5}}
-	for _, ev := range append(jsonlEvents(), long) {
+	// Labels that need escaping, as the shuffle artifact's do.
+	var escaped []ProbeEvent
+	for _, run := range []string{"shuffle static drift=1×", "r<&>r"} {
+		for _, ev := range jsonlEvents() {
+			ev.Run = run
+			escaped = append(escaped, ev)
+		}
+	}
+	for _, ev := range append(append(jsonlEvents(), long), escaped...) {
 		checkLegacy(t, ev)
 		jp := NewJSONLProbe(io.Discard)
 		jp.Observe(ev) // warm-up: grows the scratch buffer
@@ -293,6 +301,27 @@ func TestJSONLProbeZeroAlloc(t *testing.T) {
 		if err := jp.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// The cached label follows every change: one probe alternating
+	// between labels writes each record as a fresh probe would.
+	var got, want bytes.Buffer
+	jp := NewJSONLProbe(&got)
+	for i := range escaped {
+		for _, ev := range []ProbeEvent{escaped[i], escaped[len(escaped)-1-i], jsonlEvents()[0]} {
+			jp.Observe(ev)
+			line, err := legacyLine(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Write(line)
+		}
+	}
+	if err := jp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("alternating labels diverge from the struct encoding:\n got %s\nwant %s", got.Bytes(), want.Bytes())
 	}
 }
 

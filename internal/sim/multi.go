@@ -138,7 +138,7 @@ func (m *multiRun) dispatch(i int) {
 		r.Start = now
 	}
 	if e.p != nil {
-		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: r, Queue: qlen, Class: r.Class})
+		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: r, Queue: qlen})
 	}
 	svc, _, again := e.serveVisit(ms.devs[i], r, r, i, now)
 	done := now + svc

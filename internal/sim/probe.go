@@ -90,11 +90,6 @@ type ProbeEvent struct {
 	// Queue is the pending-queue length including this request, valid
 	// for arrive and dispatch events.
 	Queue int
-	// Class is the request's scheduling class, stamped on dispatch
-	// events (member ops under RunVolume carry the class the volume
-	// tagged them with); zero (foreground) elsewhere. In-memory only:
-	// the JSONL trace format does not serialize it.
-	Class core.Class
 	// Req is the request the event concerns; see the type's comment for
 	// how long a member op's request stays that op's.
 	Req *core.Request

@@ -172,7 +172,7 @@ func TestRequeuePreferenceVolume(t *testing.T) {
 // TestVolumeClassAccounting exercises the class-tagging path end to
 // end: a parity member dies mid-run, so reconstruction reads and
 // rebuild chunks flow alongside foreground traffic, and the per-class
-// response split plus the dispatch-event class stamps must reconcile
+// response split plus the dispatched requests' classes must reconcile
 // with the volume's own counters.
 func TestVolumeClassAccounting(t *testing.T) {
 	spec := volFixtures(t, parityVolCfg(), 1)
@@ -183,13 +183,14 @@ func TestVolumeClassAccounting(t *testing.T) {
 		if ev.Kind != EventDispatch {
 			return
 		}
-		if int(ev.Class) >= core.NumClasses {
-			t.Errorf("dispatch carries out-of-range class %d", ev.Class)
+		class := ev.Req.Class
+		if int(class) >= core.NumClasses {
+			t.Errorf("dispatch carries out-of-range class %d", class)
 			return
 		}
-		classes[ev.Class]++
-		if ev.Time < 10 && ev.Class != core.ClassForeground {
-			t.Errorf("pre-failure dispatch at %.1f ms tagged %v", ev.Time, ev.Class)
+		classes[class]++
+		if ev.Time < 10 && class != core.ClassForeground {
+			t.Errorf("pre-failure dispatch at %.1f ms tagged %v", ev.Time, class)
 		}
 	})
 	arr := make([]float64, 80)

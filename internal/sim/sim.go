@@ -24,9 +24,10 @@ import (
 // Options, which describe *what is simulated*: the parallel experiment
 // runner hands every job one ready-made Context, and the interactive
 // CLIs build their own, without touching the experiment declarations.
-// A nil *Context is valid and observes nothing. The one thing a run
-// writes back is the cancellation latch read by Cancelled, so
-// cancellable runs sharing a Context must not run concurrently.
+// A nil *Context is valid and observes nothing. Every run writes back
+// into its Context — the cancellation latch read by Cancelled and the
+// simulated time read by SimMs — so runs that share a Context must not
+// run concurrently.
 type Context struct {
 	// Ctx, when non-nil, makes the run cancellable: the event loop polls
 	// Ctx.Done() every 1024 events and, once cancelled, stops
@@ -75,15 +76,30 @@ type Context struct {
 	// cancelled latches that some run under this Context was stopped
 	// for cancellation; see Cancelled.
 	cancelled bool
+	// simMs totals the Elapsed of every run under this Context; see
+	// SimMs.
+	simMs float64
 }
 
 // Cancelled reports whether any run given this Context stopped early
 // because Ctx was cancelled (the run's Result is then marked Cancelled
 // too). The latch is sticky across runs, so a caller that drives
-// several runs through one Context — the experiment runner's Custom
-// bodies — learns after the fact that one of them was cut short,
+// several runs through one Context — an experiment runner job body —
+// learns after the fact that one of them was cut short,
 // without checking each Result. A nil Context is never cancelled.
 func (c *Context) Cancelled() bool { return c != nil && c.cancelled }
+
+// SimMs returns the simulated time, in ms, that the runs given this
+// Context covered: the sum of their Result.Elapsed, a cancelled run's
+// partial Elapsed included. The experiment runner reports it per job,
+// so a job body that runs the engine need not time itself. A nil
+// Context reports 0.
+func (c *Context) SimMs() float64 {
+	if c == nil {
+		return 0
+	}
+	return c.simMs
+}
 
 // progressEvery is the completion interval between OnProgress calls.
 const progressEvery = 1000

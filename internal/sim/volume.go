@@ -539,8 +539,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			vr.qlen = qlen
 		}
 		if e.p != nil {
-			e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: mr, Queue: qlen,
-				Class: mr.Class})
+			e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: mr, Queue: qlen})
 		}
 		// The shared visit path accumulates the member op's phase
 		// breakdown into the parent volume request and applies fault

@@ -23,12 +23,6 @@ type Source interface {
 	Next() *core.Request
 }
 
-// Factory builds a fresh Source for a simulation against d. The parallel
-// experiment runner calls one factory per job, so request streams are
-// never shared between concurrently-executing simulations. Generators
-// whose sizing does not depend on device geometry may ignore d.
-type Factory func(d core.Device) Source
-
 // RandomConfig parameterizes the paper's random workload.
 type RandomConfig struct {
 	// Rate is the mean arrival rate in requests per second; interarrival

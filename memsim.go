@@ -168,8 +168,10 @@ type SimResult = sim.Result
 
 // SimContext carries a run's policy: cancellation, progress callbacks
 // every 1000 completions, a shared observer probe that is never reset,
-// invariant checking and bounded quantile sketches. A nil *SimContext
-// is valid and observes nothing.
+// invariant checking and bounded quantile sketches. Each run writes
+// back its cancellation and its simulated time (Cancelled, SimMs), so
+// runs sharing one must not run concurrently. A nil *SimContext is
+// valid and observes nothing.
 type SimContext = sim.Context
 
 // Simulate executes an open-arrival simulation: requests arrive at their
