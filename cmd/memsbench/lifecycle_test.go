@@ -26,9 +26,12 @@ func TestRunExitSuccess(t *testing.T) {
 }
 
 func TestRunExitFlagParseError(t *testing.T) {
-	code, _, _ := execRun("-no-such-flag")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2 for a flag-parse error", code)
+	// -sketch is not a flag: a distribution picks its own backend by size.
+	for _, flag := range []string{"-no-such-flag", "-sketch"} {
+		code, _, stderr := execRun(flag)
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, flag) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 and one line naming it", flag, code, stderr)
+		}
 	}
 }
 

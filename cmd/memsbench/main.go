@@ -26,12 +26,10 @@
 //	memsbench -run rebuild -member-sched Priority
 //	                              # class-aware volume member queues during rebuild
 //	memsbench -check              # simulator invariant checking on every run
-//	memsbench -sketch             # bounded quantile sketches: O(1) stats
-//	                              # memory at any request count, p95/p99
-//	                              # within ±1% of exact
-//	memsbench -requests 1000000 -sketch -run phases
-//	                              # a million-request run that would
-//	                              # otherwise retain every observation
+//	memsbench -requests 1000000 -run phases
+//	                              # a million-request run: past 524 288
+//	                              # observations a distribution keeps a
+//	                              # bounded sketch (p95/p99 within ±1%)
 //	memsbench -timeout 30s        # per-job wall-clock deadline
 //	memsbench -run mttdl -checkpoint mttdl.ckpt
 //	                              # resumable Monte-Carlo trials (byte-identical
@@ -104,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracePath  = fs.String("trace", "", "write request-lifecycle JSONL (one event per line) to this file; forces -parallel 1 so event order is deterministic")
 		timeout    = fs.Duration("timeout", 0, "per-job wall-clock deadline; a job past it fails without killing the batch (0: none)")
 		check      = fs.Bool("check", false, "enable simulator invariant self-checking on every run (conservation, clock monotonicity, breakdown reconciliation)")
-		sketch     = fs.Bool("sketch", false, "use bounded quantile sketches for percentile statistics (O(1) memory at any request count; p95/p99 within ±1%)")
 		checkpoint = fs.String("checkpoint", "", "atomic progress checkpoint for resumable experiments (mttdl): interrupted trials resume byte-identically")
 	)
 	fs.SetOutput(io.Discard)
@@ -174,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	ctx := &runner.Context{Workers: *parallel, Timeout: *timeout,
-		Sim: sim.Context{Ctx: sigCtx, Check: *check, Sketch: *sketch}}
+		Sim: sim.Context{Ctx: sigCtx, Check: *check}}
 	if *progress {
 		ctx.Progress = func(ev runner.Event) {
 			if ev.Err != nil {

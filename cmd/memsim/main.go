@@ -150,9 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 	sctx := &sim.Context{Ctx: sigCtx, Check: *check}
 	if *progress {
-		sctx.OnProgress = func(completed int, simMs float64) {
+		sctx.Probe = &sim.ProgressProbe{Report: func(completed int, simMs float64) {
 			fmt.Fprintf(stderr, "memsim: %d/%d requests, %.0f ms simulated\n", completed, n, simMs)
-		}
+		}}
 	}
 	pc := sim.NewPhaseCollector()
 	var res sim.Result

@@ -223,3 +223,26 @@ func TestCheck(t *testing.T) {
 	}
 	wantOneLineFailure(t, []string{"-requests", "200", "-warmup", "0", "-settle", "1e308", "-check"}, 1, "invariant violated")
 }
+
+func TestProgress(t *testing.T) {
+	// -progress prints one line per 1000 completions, warmup included,
+	// with the simulated time reached; a count that is a multiple of
+	// 1000 reports its last completion too. The summary is unchanged.
+	for _, tc := range []struct {
+		requests string
+		want     string
+	}{
+		{"2500", "memsim: 1000/2500 requests, 1009 ms simulated\nmemsim: 2000/2500 requests, 2035 ms simulated\n"},
+		{"2000", "memsim: 1000/2000 requests, 1009 ms simulated\nmemsim: 2000/2000 requests, 2035 ms simulated\n"},
+	} {
+		args := []string{"-requests", tc.requests, "-warmup", "100"}
+		_, plain, _ := execRun(args...)
+		code, stdout, stderr := execRun(append(args, "-progress")...)
+		if code != 0 || stderr != tc.want {
+			t.Errorf("-requests %s -progress: exit %d, stderr:\n%s\nwant:\n%s", tc.requests, code, stderr, tc.want)
+		}
+		if stdout != plain {
+			t.Errorf("-requests %s: -progress changed the summary", tc.requests)
+		}
+	}
+}

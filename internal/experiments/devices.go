@@ -34,6 +34,14 @@ func memsFactory(settleConstants float64) func() core.Device {
 // device factory.
 func diskFactory() core.Device { return newDisk() }
 
+// ratedDevice pairs a device factory with the arrival rate an
+// experiment drives it at.
+type ratedDevice struct {
+	name string
+	mk   func() core.Device
+	rate float64
+}
+
 // closedMean serves reqs back to back on d under the job's run policy
 // and returns the mean service time in ms. Busy/Requests sums service
 // times in issue order, exactly as a hand-written `sum += d.Access`

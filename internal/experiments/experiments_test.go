@@ -236,6 +236,27 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+func TestFig11RequestCount(t *testing.T) {
+	// Each fig11 job serves the paper's 10 000 reads, or ClosedRequests
+	// when that is fewer: the Bipartite source's count bounds the run.
+	for _, tc := range []struct{ closed, want int }{{600, 600}, {12000, 10000}} {
+		p := tiny()
+		p.ClosedRequests = tc.closed
+		pl, err := PlanFor("fig11", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&runner.Context{Workers: 2}).Run(pl.Jobs); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range pl.Jobs {
+			if n := result(j).Requests; n != tc.want {
+				t.Errorf("ClosedRequests %d: job %q served %d requests, want %d", tc.closed, j.Label, n, tc.want)
+			}
+		}
+	}
+}
+
 func TestFig11Shape(t *testing.T) {
 	ts := run(t, "fig11", tiny())
 	tb := ts[0]

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"memsim/internal/core"
+	"memsim/internal/sim"
 )
 
 func TestRAIDShape(t *testing.T) {
@@ -515,6 +518,24 @@ func TestSchedCostShape(t *testing.T) {
 	}
 	if x.String() != y.String() {
 		t.Error("schedcost output not deterministic")
+	}
+}
+
+func TestSchedCostResponseBounded(t *testing.T) {
+	// schedcost keeps its response distribution outside any
+	// PhaseCollector; past stats.Dist's exact limit (1<<19
+	// observations) it holds a sketch like every other Dist.
+	const n = 1<<19 + 1
+	rp := &respProbe{}
+	ev := sim.ProbeEvent{Kind: sim.EventComplete, Measured: true, Req: &core.Request{Finish: 1.5}}
+	for i := 0; i < n; i++ {
+		rp.Observe(ev)
+	}
+	if rp.d.N() != n || rp.d.Retained() != 0 {
+		t.Errorf("after %d completions: n=%d retained=%d, want 0 retained", n, rp.d.N(), rp.d.Retained())
+	}
+	if p99 := rp.d.P99(); p99 < 1.5*0.98 || p99 > 1.5*1.02 {
+		t.Errorf("p99 = %g, want 1.5 within 2%%", p99)
 	}
 }
 

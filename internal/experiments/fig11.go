@@ -61,7 +61,13 @@ func fig11Plan(p Params) *Plan {
 		jobsOf[gi] = make([]*runner.Job, len(grp.placers))
 		for pi, pl := range grp.placers {
 			j := runJob(fmt.Sprintf("fig11 %s %s", grp.device, pl.Name()), p.Seed, func(ctx *sim.Context) sim.Result {
-				src := workload.Source(workload.NewBipartite(workload.DefaultBipartite(p.Seed), pl))
+				// The paper's 10 000 reads, or ClosedRequests when a
+				// scaled-down run asks for fewer.
+				cfg := workload.DefaultBipartite(p.Seed)
+				if p.ClosedRequests > 0 {
+					cfg.Count = min(cfg.Count, p.ClosedRequests)
+				}
+				src := workload.Source(workload.NewBipartite(cfg, pl))
 				if p.ThinkMs > 0 {
 					// Multiprogrammed closed loop: each terminal thinks
 					// (exponential mean -think-ms) before its next
@@ -70,7 +76,7 @@ func fig11Plan(p Params) *Plan {
 					src = workload.ThinkTime(src, workload.ExpThink(p.ThinkMs),
 						runner.DeriveSeed(p.Seed, "thinktime"))
 				}
-				return sim.RunClosed(ctx, grp.dev(), src, sim.Options{MaxRequests: p.ClosedRequests})
+				return sim.RunClosed(ctx, grp.dev(), src, sim.Options{})
 			})
 			jobsOf[gi][pi] = j
 			jobs = append(jobs, j)

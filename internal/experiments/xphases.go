@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"memsim/internal/core"
 	"memsim/internal/runner"
 	"memsim/internal/sched"
 	"memsim/internal/sim"
@@ -25,32 +24,20 @@ func phasesPlan(p Params) *Plan {
 	// Rates sit near half of FCFS saturation for each device (mean
 	// random 4 KB service ≈ 0.8 ms MEMS, ≈ 8.4 ms disk), so queues form
 	// and the schedulers differentiate without starving FCFS.
-	devices := []struct {
-		name string
-		dev  func() core.Device
-		rate float64
-	}{
+	devices := []ratedDevice{
 		{"MEMS", memsFactory(1), 1000},
 		{"Atlas 10K", diskFactory, 60},
 	}
 	names := sched.Names()
 
-	type cell struct {
-		job *runner.Job
-		pc  *sim.PhaseCollector
-	}
-	cells := make([]cell, 0, len(devices)*len(names))
 	var jobs []*runner.Job
 	for _, dv := range devices {
 		for _, name := range names {
-			pc := sim.NewPhaseCollector()
-			j := runJob(fmt.Sprintf("phases %s %s rate=%g", dv.name, name, dv.rate), p.Seed, func(ctx *sim.Context) sim.Result {
-				d := dv.dev()
+			jobs = append(jobs, runJob(fmt.Sprintf("phases %s %s rate=%g", dv.name, name, dv.rate), p.Seed, func(ctx *sim.Context) sim.Result {
+				d := dv.mk()
 				src := workload.DefaultRandom(dv.rate, d.SectorSize(), d.Capacity(), p.Requests, p.Seed)
-				return sim.Run(ctx, d, newSched(name), src, sim.Options{Warmup: p.Warmup, Probe: pc})
-			})
-			cells = append(cells, cell{job: j, pc: pc})
-			jobs = append(jobs, j)
+				return sim.Run(ctx, d, newSched(name), src, sim.Options{Warmup: p.Warmup, Probe: sim.NewPhaseCollector()})
+			}))
 		}
 	}
 
@@ -72,9 +59,9 @@ func phasesPlan(p Params) *Plan {
 			i := 0
 			for _, dv := range devices {
 				for _, name := range names {
-					ps := result(cells[i].job).Phases
+					ps := result(jobs[i]).Phases
 					if ps == nil {
-						panic(fmt.Sprintf("phases: job %q ran without phase stats", cells[i].job.Label))
+						panic(fmt.Sprintf("phases: job %q ran without phase stats", jobs[i].Label))
 					}
 					a.AddRow(dv.name, name,
 						ms(ps.Seek.Mean()), ms(ps.Settle.Mean()), ms(ps.Turnaround.Mean()),

@@ -51,17 +51,11 @@ func rebuildMirrorCfg() array.VolumeConfig {
 	}
 }
 
-// rebuildDevice pairs a device factory with a per-device arrival rate
-// sized to comparable utilization (the disk volume saturates far below
-// the MEMS volume — the fig. 6 regime).
-type rebuildDevice struct {
-	name string
-	mk   func() core.Device
-	rate float64
-}
-
-func rebuildDevices() []rebuildDevice {
-	return []rebuildDevice{
+// rebuildDevices are the volume member devices, each with a
+// per-device arrival rate sized to comparable utilization (the disk
+// volume saturates far below the MEMS volume — the fig. 6 regime).
+func rebuildDevices() []ratedDevice {
+	return []ratedDevice{
 		{"MEMS", func() core.Device { return mems.MustDevice(mems.DefaultConfig()) }, 1000},
 		{"Atlas 10K", func() core.Device { return newDisk() }, 150},
 	}

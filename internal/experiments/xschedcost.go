@@ -27,16 +27,11 @@ func schedCostSchedulers(p Params) []string {
 	return names
 }
 
-// schedCostDevice pairs a device with an arrival rate in the contended
-// region where queue order matters (utilization ≈ 0.8, cf. figs. 5/6).
-type schedCostDevice struct {
-	name string
-	mk   func() core.Device
-	rate float64
-}
-
-func schedCostDevices() []schedCostDevice {
-	return []schedCostDevice{
+// schedCostDevices pairs each device with an arrival rate in the
+// contended region where queue order matters (utilization ≈ 0.8, cf.
+// figs. 5/6).
+func schedCostDevices() []ratedDevice {
+	return []ratedDevice{
 		{"MEMS", memsFactory(1), 1000},
 		{"Atlas 10K", func() core.Device { return newDisk() }, 100},
 	}
@@ -65,7 +60,7 @@ func (r *respProbe) Observe(ev sim.ProbeEvent) {
 
 func (r *respProbe) ResetProbe() { r.d = stats.Dist{} }
 
-func schedCostRun(ctx *sim.Context, dev schedCostDevice, schedName string, p Params) schedCostOutcome {
+func schedCostRun(ctx *sim.Context, dev ratedDevice, schedName string, p Params) schedCostOutcome {
 	d := dev.mk()
 	pc := sim.NewPhaseCollector()
 	rp := &respProbe{}

@@ -181,7 +181,7 @@ func TestJobLifecycleAccessorsBeforeRun(t *testing.T) {
 		t.Error("Ctx before run is not context.Background")
 	}
 	sc := j.SimContext()
-	if sc.Check || sc.Sketch || sc.Probe != nil || sc.SimMs() != 0 {
+	if sc.Check || sc.Probe != nil || sc.SimMs() != 0 {
 		t.Errorf("run policy set before run: %+v", sc)
 	}
 	if sc.Ctx != context.Background() {
@@ -190,7 +190,7 @@ func TestJobLifecycleAccessorsBeforeRun(t *testing.T) {
 }
 
 func TestContextCheckReachesCustomBodies(t *testing.T) {
-	// The batch policy — Check, Sketch and the labelled probe — reaches
+	// The batch policy — Check and the labelled probe — reaches
 	// bodies through SimContext, the same context Ctx reads.
 	var saw sim.Context
 	var sameCtx bool
@@ -200,11 +200,11 @@ func TestContextCheckReachesCustomBodies(t *testing.T) {
 		return nil
 	}}
 	lp := &labelProbe{}
-	if _, err := (&Context{Workers: 1, Sim: sim.Context{Check: true, Sketch: true, Probe: lp}}).Run([]*Job{j}); err != nil {
+	if _, err := (&Context{Workers: 1, Sim: sim.Context{Check: true, Probe: lp}}).Run([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
-	if !saw.Check || !saw.Sketch {
-		t.Errorf("Check/Sketch did not reach the body: %+v", saw)
+	if !saw.Check {
+		t.Errorf("Check did not reach the body: %+v", saw)
 	}
 	if saw.Probe == nil {
 		t.Fatal("batch probe did not reach the body")

@@ -58,8 +58,8 @@ type Job struct {
 
 	// sctx is the run policy the pool installs before executing the job:
 	// its cancellation context (batch signal plus per-job deadline), the
-	// batch probe labelled with the job, and the check and sketch
-	// switches. The engine writes the job's simulated time back into it.
+	// batch probe labelled with the job, and the check switch. The
+	// engine writes the job's simulated time back into it.
 	sctx *sim.Context
 }
 
@@ -72,7 +72,7 @@ func (j *Job) Ctx() context.Context { return j.SimContext().Ctx }
 // SimContext returns the job's run policy, for the body to pass as the
 // first argument of the sim entry points: its runs then stop at batch
 // cancellation or the job's deadline, feed the batch probe under the
-// job's label, honor `-check` and `-sketch`, and add their simulated
+// job's label, honor `-check`, and add their simulated
 // time to the job's. Before the job runs it is an inert context wired
 // to context.Background.
 func (j *Job) SimContext() *sim.Context {
@@ -186,8 +186,8 @@ type Context struct {
 	// Sim.Probe sees every job's runs with each event's Run field set to
 	// the job label; it is shared across workers, so under parallelism
 	// it must be safe for concurrent use (sim.JSONLProbe is), and with
-	// Workers: 1 events arrive in declaration order. Sim.Check and
-	// Sim.Sketch apply to every run.
+	// Workers: 1 events arrive in declaration order. Sim.Check applies
+	// to every run.
 	Sim sim.Context
 }
 

@@ -144,26 +144,37 @@ func BenchmarkRunPhaseStats(b *testing.B) { benchRun(b, NewPhaseCollector()) }
 
 // BenchmarkPhaseCollector isolates the probe-side aggregation path —
 // PhaseStats.add through Observe — from the simulation driving it, in
-// both percentile backends. Run with -benchmem: the exact backend's
-// bytes/op is dominated by retained-sample growth, the sketch's by
-// nothing (its buckets saturate immediately).
+// both percentile backends. The exact row resets its collector before
+// the distributions reach exactLimit, so it never migrates; the sketch
+// row pre-fills exactLimit observations, so every timed one lands in
+// the sketch. Run with -benchmem: the exact backend's bytes/op is
+// dominated by retained-sample growth, the sketch's by nothing (its
+// buckets saturate immediately).
 func BenchmarkPhaseCollector(b *testing.B) {
 	ev := ProbeEvent{Kind: EventComplete, Measured: true, Req: &core.Request{
 		Phases: core.Breakdown{Seek: 0.4, Settle: 0.2, Transfer: 0.1, ServiceMs: 0.7},
 	}}
-	for _, mode := range []string{"exact", "sketch"} {
-		b.Run(mode, func(b *testing.B) {
-			c := NewPhaseCollector()
-			if mode == "sketch" {
-				c.UseSketch()
+	b.Run("exact", func(b *testing.B) {
+		c := NewPhaseCollector()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%(exactLimit-1) == 0 {
+				c.ResetProbe()
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Observe(ev)
-			}
-		})
-	}
+			c.Observe(ev)
+		}
+	})
+	b.Run("sketch", func(b *testing.B) {
+		c := NewPhaseCollector()
+		for i := 0; i < exactLimit; i++ {
+			c.Observe(ev)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Observe(ev)
+		}
+	})
 }
 
 // BenchmarkJSONLObserve times one JSONLProbe.Observe over the event mix
@@ -230,10 +241,12 @@ func openRunEvents() []ProbeEvent {
 }
 
 // BenchmarkEngineMillion is the harness's end-to-end scale probe: one
-// full high-volume run per iteration in each regime, sketch-backed so
-// stats memory stays O(1) (run with -benchtime=1x; -short drops the
+// full high-volume run per iteration in each regime, with a
+// PhaseCollector attached (run with -benchtime=1x; -short drops the
 // request count tenfold, which also changes the subbench name so
-// cross-scale numbers are never compared).
+// cross-scale numbers are never compared). At 1M requests the
+// collector's distributions cross exactLimit about halfway through and
+// finish in the sketch; the -short rows stay exact.
 func BenchmarkEngineMillion(b *testing.B) {
 	n := 1000000
 	if testing.Short() {
@@ -244,7 +257,7 @@ func BenchmarkEngineMillion(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
-			Run(&Context{Sketch: true}, d, sched.NewSPTF(), src,
+			Run(nil, d, sched.NewSPTF(), src,
 				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
 		}
 	})
@@ -253,7 +266,7 @@ func BenchmarkEngineMillion(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
-			RunClosed(&Context{Sketch: true}, d, src,
+			RunClosed(nil, d, src,
 				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
 		}
 	})
@@ -269,7 +282,7 @@ func BenchmarkEngineMillion(b *testing.B) {
 			}
 			perDev := devs[0].Capacity()
 			src := workload.DefaultRandom(1100, 512, perDev*members, n, 1)
-			if _, err := RunMulti(&Context{Sketch: true}, devs, scheds, ConcatRouter(perDev), src,
+			if _, err := RunMulti(nil, devs, scheds, ConcatRouter(perDev), src,
 				Options{Warmup: n / 100, Probe: NewPhaseCollector()}); err != nil {
 				b.Fatal(err)
 			}
@@ -280,7 +293,7 @@ func BenchmarkEngineMillion(b *testing.B) {
 		opts.Warmup, opts.Probe = n/100, NewPhaseCollector()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunVolume(&Context{Sketch: true}, spec, volumeRebuildSource(n), opts); err != nil {
+			if _, err := RunVolume(nil, spec, volumeRebuildSource(n), opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,7 @@
 //   - a service target: a single device+scheduler, or a memberSet of
 //     per-device queues addressed by a Router or an array.Volume plan;
 //   - a shared completion path (complete): warmup gating, failed-request
-//     exclusion, probe emission, progress, MaxRequests stop.
+//     exclusion, probe emission.
 //
 // Every service visit in every regime flows through serveVisit, so
 // fault injection — transient retries, requeues, lost-sector reads, ECC
@@ -79,9 +79,8 @@ func newEngine(ctx *Context, opts Options) *engine {
 }
 
 // resolve walks the run-scoped probe tree once, descending MultiProbe
-// and WithRun wrappers: it resets every ProbeResetter, flips every
-// PhaseCollector to the sketch backend under Context.Sketch, and
-// records the first PhaseCollector for finalize and newMemberSet.
+// and WithRun wrappers: it resets every ProbeResetter and records the
+// first PhaseCollector for finalize and newMemberSet.
 func (e *engine) resolve(p Probe) {
 	switch pr := p.(type) {
 	case nil:
@@ -95,13 +94,8 @@ func (e *engine) resolve(p Probe) {
 		if r, ok := p.(ProbeResetter); ok {
 			r.ResetProbe()
 		}
-		if pc, ok := p.(*PhaseCollector); ok {
-			if e.ctx.Sketch {
-				pc.UseSketch()
-			}
-			if e.phases == nil {
-				e.phases = pc
-			}
+		if pc, ok := p.(*PhaseCollector); ok && e.phases == nil {
+			e.phases = pc
 		}
 	}
 }
@@ -119,7 +113,7 @@ func composeProbes(a, b Probe) Probe {
 }
 
 // loop dispatches events until the queue drains or a regime stops the
-// run (MaxRequests, router error). With a cancellable Context the loop
+// run (cancellation, router error). With a cancellable Context the loop
 // additionally polls the cancellation channel every cancelEvery events;
 // the common uncancellable case keeps the bare dispatch loop.
 func (e *engine) loop() {
@@ -285,16 +279,15 @@ func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now f
 
 // complete is the shared completion path: every top-level request in
 // every regime finishes here. It advances the completion count, fires
-// progress and the EventComplete probe, optionally tallies the fault
+// the EventComplete probe, optionally tallies the fault
 // outcome (tally — single and multi regimes with an injector;
 // RunVolume keeps its own richer tallies), and folds the
 // request into the measured statistics when it is past warmup and not
 // failed. qlen < 0 skips the queue-length statistics (closed regime).
 // onDone, when non-nil, runs last with the measured flag for
-// regime-specific accounting. Reaching MaxRequests stops the run.
+// regime-specific accounting.
 func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc float64, tally bool, onDone func(measured bool)) {
 	e.completed++
-	e.ctx.progress(e.completed, now)
 	measured := e.completed > e.opts.Warmup && !r.Failed
 	if e.p != nil {
 		e.p.Observe(ProbeEvent{Kind: EventComplete, Time: now, Dev: dev, Req: r, Measured: measured})
@@ -315,9 +308,6 @@ func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc
 	}
 	if onDone != nil {
 		onDone(measured)
-	}
-	if e.opts.MaxRequests > 0 && e.completed >= e.opts.MaxRequests {
-		e.stopped = true
 	}
 }
 
@@ -398,9 +388,6 @@ type openRun struct {
 
 func (o *openRun) pump() {
 	e := o.e
-	if e.stopped {
-		return
-	}
 	now := e.q.Now()
 	// Ingest every request that has arrived by `now`.
 	for o.next != nil && o.next.Arrival <= now {
@@ -525,9 +512,6 @@ func (c *closedRun) finish() {
 	e, r := c.e, c.r
 	r.Finish = c.t
 	e.complete(c.t, r, 0, -1, c.total, c.total, true, nil)
-	if e.stopped {
-		return
-	}
 	if next := c.src.Next(); next != nil {
 		c.r = next
 		e.q.Schedule(e.q.Now()+c.delay(), c.issueFn)
@@ -552,8 +536,7 @@ type memberSet struct {
 }
 
 // newMemberSet resets the member devices and schedulers and sizes the
-// attribution slices. With Context.Sketch the per-member phase
-// aggregates use the bounded backend like the run-level collector.
+// attribution slices.
 func newMemberSet(devs []core.Device, scheds []core.Scheduler, e *engine) *memberSet {
 	for i := range devs {
 		devs[i].Reset()
@@ -567,11 +550,6 @@ func newMemberSet(devs []core.Device, scheds []core.Scheduler, e *engine) *membe
 	}
 	if e.phases != nil {
 		ms.phases = make([]PhaseStats, len(devs))
-		if e.ctx.Sketch {
-			for i := range ms.phases {
-				ms.phases[i].useSketch()
-			}
-		}
 	}
 	return ms
 }

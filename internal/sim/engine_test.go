@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -260,24 +259,12 @@ func TestRunClosedThinkTime(t *testing.T) {
 }
 
 // TestRunOpenAdapterEdgeCases: the event-driven open regime handles the
-// empty source and MaxRequests stop exactly like the historical loop.
+// empty source exactly like the historical loop.
 func TestRunOpenAdapterEdgeCases(t *testing.T) {
 	empty := Run(nil, &fixedDevice{svc: 1}, sched.NewFCFS(),
 		workload.NewFromSlice(nil), Options{})
 	if empty.Requests != 0 || empty.Elapsed != 0 {
 		t.Errorf("empty source: requests=%d elapsed=%g, want 0/0", empty.Requests, empty.Elapsed)
-	}
-
-	capped := Run(nil, &fixedDevice{svc: 1}, sched.NewFCFS(),
-		workload.NewFromSlice(mkReqs(make([]float64, 50))), Options{MaxRequests: 7})
-	if capped.Requests != 7 {
-		t.Errorf("capped requests = %d, want 7", capped.Requests)
-	}
-	if capped.Elapsed != 7 {
-		t.Errorf("capped elapsed = %g, want 7", capped.Elapsed)
-	}
-	if math.Abs(capped.Utilization()-1) > 1e-12 {
-		t.Errorf("capped utilization = %g, want 1", capped.Utilization())
 	}
 }
 

@@ -124,7 +124,7 @@ func (m *multiRun) deliver(r *core.Request) {
 
 func (m *multiRun) dispatch(i int) {
 	e, ms := m.e, m.ms
-	if ms.busy[i] || e.stopped {
+	if ms.busy[i] {
 		return
 	}
 	now := e.q.Now()
@@ -170,7 +170,7 @@ func (md *memberDispatch) tally(measured bool) {
 	ms, i := md.m.ms, md.i
 	ms.members[i].Requests++
 	if ms.phases != nil && measured {
-		ms.phases[i].add(md.r.Phases, md.r.Class)
+		ms.phases[i].add(md.r.Phases)
 	}
 }
 

@@ -104,15 +104,6 @@ func TestRunMultiScalesThroughput(t *testing.T) {
 	}
 }
 
-func TestRunMultiMaxRequests(t *testing.T) {
-	devs, scheds := multiFixtures(2, 1)
-	src := workload.NewFromSlice(mkReqs(make([]float64, 50)))
-	res := mustMulti(t, nil, devs, scheds, ConcatRouter(1<<29), src, Options{MaxRequests: 7})
-	if res.Requests != 7 {
-		t.Errorf("requests = %d, want 7", res.Requests)
-	}
-}
-
 func TestRunMultiErrors(t *testing.T) {
 	devs, scheds := multiFixtures(2, 1)
 	src := func() workload.Source { return workload.NewFromSlice(mkReqs([]float64{0})) }
@@ -216,5 +207,45 @@ func TestStripeRouter(t *testing.T) {
 	_, nr = r(&core.Request{LBN: 6, Blocks: 8})
 	if nr.Blocks != 2 {
 		t.Errorf("clamped blocks = %d, want 2", nr.Blocks)
+	}
+}
+
+func TestRunMultiIdlePeriods(t *testing.T) {
+	// Arrivals separated by idle gaps: the event loop must ride through
+	// empty queues, and elapsed time tracks the last completion.
+	devs, scheds := multiFixtures(1, 2)
+	src := workload.NewFromSlice(mkReqs([]float64{0, 100, 200}))
+	res, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 3 {
+		t.Fatalf("requests = %d", res.Requests)
+	}
+	if res.Elapsed != 202 {
+		t.Errorf("elapsed = %g, want 202", res.Elapsed)
+	}
+	if res.Response.Mean() != 2 {
+		t.Errorf("response mean = %g, want 2 (no contention)", res.Response.Mean())
+	}
+}
+
+func TestRunMultiCompleteEvents(t *testing.T) {
+	// A probe observing EventComplete hears every completion, warmup
+	// included.
+	devs, scheds := multiFixtures(2, 1)
+	src := workload.NewFromSlice(mkReqs(make([]float64, 12)))
+	seen := 0
+	complete := probeFunc(func(ev ProbeEvent) {
+		if ev.Kind == EventComplete {
+			seen++
+		}
+	})
+	if _, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src,
+		Options{Warmup: 5, Probe: complete}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 12 {
+		t.Errorf("complete events fired %d times, want 12", seen)
 	}
 }

@@ -127,6 +127,30 @@ type ProbeResetter interface {
 	ResetProbe()
 }
 
+// progressEvery is the completion interval between ProgressProbe
+// reports.
+const progressEvery = 1000
+
+// ProgressProbe reports a run in flight: on every 1000th EventComplete
+// (warmup and failed requests included) it calls Report with the
+// completion count and the simulated time reached, in milliseconds.
+// It keeps its count across runs, so it belongs on Context.Probe,
+// which the engine never resets.
+type ProgressProbe struct {
+	Report func(completed int, simMs float64)
+	done   int
+}
+
+// Observe implements Probe.
+func (p *ProgressProbe) Observe(ev ProbeEvent) {
+	if ev.Kind != EventComplete {
+		return
+	}
+	if p.done++; p.done%progressEvery == 0 {
+		p.Report(p.done, ev.Time)
+	}
+}
+
 // MultiProbe fans events out to several probes in order; nil elements
 // are skipped.
 type MultiProbe []Probe
@@ -177,10 +201,10 @@ func breakdownOf(d core.Device, svc float64) core.Breakdown {
 }
 
 // PhaseStats aggregates per-request service-phase observations: one Dist
-// (Welford moments + retained samples for p95/p99) per phase, plus the
-// derived positioning sum, the total device service, and the
-// unattributed residue (≈0 for fully-decomposed devices; the check that
-// per-phase sums reconcile with service time).
+// (Welford moments + p95/p99) per phase, plus the derived positioning
+// sum, the total device service, and the unattributed residue (≈0 for
+// fully-decomposed devices; the check that per-phase sums reconcile
+// with service time).
 //
 // Observations are per completed request in the measured window (past
 // warmup, not failed), each the sum over the request's service visits.
@@ -197,34 +221,10 @@ type PhaseStats struct {
 	Unattributed stats.Dist
 	// Requests counts the measured completions folded in.
 	Requests int
-	// ClassService splits the Service distribution by request class
-	// (foreground / degraded-read / rebuild), so class-aware scheduling
-	// policies are measurable per class; ClassRequests counts the
-	// observations per class.
-	ClassService [core.NumClasses]stats.Dist
-	// ClassRequests counts the observations folded into each class.
-	ClassRequests [core.NumClasses]int
 }
 
-// useSketch flips every distribution to the bounded sketch backend
-// (stats.Dist.UseSketch): O(1) memory, percentile estimates within the
-// sketch's documented error bound. Must run before observations for the
-// exact-percentile guarantee, though late flips migrate losslessly.
-func (s *PhaseStats) useSketch() {
-	for _, d := range []*stats.Dist{
-		&s.Seek, &s.Settle, &s.Turnaround, &s.Transfer, &s.Overhead, &s.Recovery,
-		&s.Positioning, &s.Service, &s.Unattributed,
-	} {
-		d.UseSketch()
-	}
-	for i := range s.ClassService {
-		s.ClassService[i].UseSketch()
-	}
-}
-
-// add folds one completed request's accumulated breakdown in under its
-// scheduling class.
-func (s *PhaseStats) add(bd core.Breakdown, class core.Class) {
+// add folds one completed request's accumulated breakdown in.
+func (s *PhaseStats) add(bd core.Breakdown) {
 	s.Seek.Add(bd.Seek)
 	s.Settle.Add(bd.Settle)
 	s.Turnaround.Add(bd.Turnaround)
@@ -235,10 +235,6 @@ func (s *PhaseStats) add(bd core.Breakdown, class core.Class) {
 	s.Service.Add(bd.ServiceMs)
 	s.Unattributed.Add(bd.Unattributed())
 	s.Requests++
-	if int(class) < core.NumClasses {
-		s.ClassService[class].Add(bd.ServiceMs)
-		s.ClassRequests[class]++
-	}
 }
 
 // PhaseCollector is a Probe that aggregates PhaseStats over a run's
@@ -246,37 +242,22 @@ func (s *PhaseStats) add(bd core.Breakdown, class core.Class) {
 // MultiProbe) and the run's Result.Phases points at its statistics
 // (the first collector's, if there are several).
 type PhaseCollector struct {
-	ps     PhaseStats
-	sketch bool
+	ps PhaseStats
 }
 
 // NewPhaseCollector returns an empty collector.
 func NewPhaseCollector() *PhaseCollector { return &PhaseCollector{} }
-
-// UseSketch switches the collector's aggregates to the bounded quantile
-// sketch, now and after every ResetProbe. The engine calls it on every
-// collector in Options.Probe when Context.Sketch is set; callers building
-// long-lived collectors outside a run may call it directly.
-func (c *PhaseCollector) UseSketch() {
-	c.sketch = true
-	c.ps.useSketch()
-}
 
 // Observe implements Probe.
 func (c *PhaseCollector) Observe(ev ProbeEvent) {
 	if ev.Kind != EventComplete || !ev.Measured {
 		return
 	}
-	c.ps.add(ev.Req.Phases, ev.Req.Class)
+	c.ps.add(ev.Req.Phases)
 }
 
 // ResetProbe implements ProbeResetter.
-func (c *PhaseCollector) ResetProbe() {
-	c.ps = PhaseStats{}
-	if c.sketch {
-		c.ps.useSketch()
-	}
-}
+func (c *PhaseCollector) ResetProbe() { c.ps = PhaseStats{} }
 
 // Stats returns the collected aggregates.
 func (c *PhaseCollector) Stats() *PhaseStats { return &c.ps }

@@ -306,8 +306,8 @@ func TestMultiProbeFanOut(t *testing.T) {
 }
 
 // TestResolveProbeTree covers the engine's one walk over Options.Probe:
-// what it resets, which collector surfaces as Result.Phases, what
-// Context.Sketch flips, and that the shared Context.Probe stays outside the walk. Each row is
+// what it resets, which collector surfaces as Result.Phases, and that
+// the shared Context.Probe stays outside the walk. Each row is
 // resolved by newEngine and then driven through a two-member RunMulti
 // (six requests, all measured).
 func TestResolveProbeTree(t *testing.T) {
@@ -323,13 +323,12 @@ func TestResolveProbeTree(t *testing.T) {
 	first, second := seeded(), seeded()
 	shared := seeded()
 	cases := []struct {
-		name     string
-		ctx      *Context
-		probe    Probe             // Options.Probe
-		phases   *PhaseCollector   // must surface as Result.Phases
-		fresh    []*PhaseCollector // must be reset by the walk
-		sketched []*PhaseCollector // must be on the sketch backend
-		then     func(t *testing.T, e *engine, res Result)
+		name   string
+		ctx    *Context
+		probe  Probe             // Options.Probe
+		phases *PhaseCollector   // must surface as Result.Phases
+		fresh  []*PhaseCollector // must be reset by the walk
+		then   func(t *testing.T, e *engine, res Result)
 	}{
 		{
 			name:   "nested MultiProbe with nil entries",
@@ -349,12 +348,10 @@ func TestResolveProbeTree(t *testing.T) {
 			fresh:  []*PhaseCollector{wrapped},
 		},
 		{
-			name:     "two collectors under Sketch",
-			ctx:      &Context{Sketch: true},
-			probe:    MultiProbe{first, WithRun(second, "j")},
-			phases:   first,
-			fresh:    []*PhaseCollector{first, second},
-			sketched: []*PhaseCollector{first, second},
+			name:   "two collectors",
+			probe:  MultiProbe{first, WithRun(second, "j")},
+			phases: first,
+			fresh:  []*PhaseCollector{first, second},
 			then: func(t *testing.T, _ *engine, _ Result) {
 				if second.Stats().Requests != 6 {
 					t.Errorf("second collector saw %d requests, want 6", second.Stats().Requests)
@@ -363,13 +360,10 @@ func TestResolveProbeTree(t *testing.T) {
 		},
 		{
 			name: "collector as the shared Context.Probe",
-			ctx:  &Context{Probe: shared, Sketch: true},
+			ctx:  &Context{Probe: shared},
 			then: func(t *testing.T, _ *engine, _ Result) {
 				if n := shared.Stats().Requests; n != 1+6 {
 					t.Errorf("shared collector holds %d requests, want 7 (never reset)", n)
-				}
-				if shared.Stats().Service.Sketched() {
-					t.Error("shared collector was flipped to the sketch backend")
 				}
 			},
 		},
@@ -384,11 +378,6 @@ func TestResolveProbeTree(t *testing.T) {
 			for _, pc := range c.fresh {
 				if n := pc.Stats().Requests; n != 0 {
 					t.Errorf("collector kept %d stale requests through the walk", n)
-				}
-			}
-			for _, pc := range c.sketched {
-				if !pc.Stats().Service.Sketched() {
-					t.Error("collector not flipped to the sketch backend")
 				}
 			}
 			devs, scheds := multiFixtures(2, 1)
@@ -555,5 +544,87 @@ func TestBreakdownAccumulateAndResidue(t *testing.T) {
 	}
 	if a.Total() != a.ServiceMs {
 		t.Errorf("total = %g", a.Total())
+	}
+}
+
+// progressAt returns a Context whose ProgressProbe appends each
+// reported completion count and simulated time.
+func progressAt(at *[]int, times *[]float64) *Context {
+	return &Context{Probe: &ProgressProbe{Report: func(n int, ms float64) {
+		*at = append(*at, n)
+		*times = append(*times, ms)
+	}}}
+}
+
+func TestContextProgress(t *testing.T) {
+	d := &fixedDevice{svc: 1}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
+	var at []int
+	var times []float64
+	Run(progressAt(&at, &times), d, sched.NewFCFS(), src, Options{})
+	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
+		t.Errorf("progress fired at %v, want [1000 2000]", at)
+	}
+	// A nil context is valid everywhere.
+	src = workload.NewFromSlice(mkReqs(make([]float64, 3)))
+	Run(nil, d, sched.NewFCFS(), src, Options{})
+}
+
+func TestContextProgressDefaultInterval(t *testing.T) {
+	// The probe reports every 1000 completions, warmup included, under
+	// the closed loop too.
+	d := &fixedDevice{svc: 0.001}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
+	var at []int
+	var times []float64
+	RunClosed(progressAt(&at, &times), d, src, Options{Warmup: 1500})
+	if len(at) != 2 {
+		t.Errorf("progress fired %d times, want 2", len(at))
+	}
+}
+
+func TestContextProgressExactBoundary(t *testing.T) {
+	// A run whose completion count is an exact multiple of the interval
+	// reports its final completion too.
+	d := &fixedDevice{svc: 1}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2000)))
+	var at []int
+	var times []float64
+	Run(progressAt(&at, &times), d, sched.NewFCFS(), src, Options{})
+	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
+		t.Errorf("progress fired at %v, want [1000 2000]", at)
+	}
+}
+
+func TestContextProgressReportsSimTime(t *testing.T) {
+	// The reported time is simulated time, not wall time.
+	d := &fixedDevice{svc: 2}
+	src := workload.NewFromSlice(mkReqs(make([]float64, 3000)))
+	var at []int
+	var times []float64
+	Run(progressAt(&at, &times), d, sched.NewFCFS(), src, Options{})
+	want := []float64{2000, 4000, 6000}
+	if len(times) != len(want) {
+		t.Fatalf("times = %v", times)
+	}
+	for i := range want {
+		if times[i] != want[i] {
+			t.Errorf("progress time %d = %g, want %g", i, times[i], want[i])
+		}
+	}
+}
+
+func TestRunMultiProgress(t *testing.T) {
+	// RunMulti's completions reach a ProgressProbe on Context.Probe as
+	// the single-device loops' do.
+	devs, scheds := multiFixtures(2, 1)
+	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
+	var at []int
+	var times []float64
+	if _, err := RunMulti(progressAt(&at, &times), devs, scheds, ConcatRouter(1<<29), src, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
+		t.Errorf("progress fired at %v, want [1000 2000]", at)
 	}
 }

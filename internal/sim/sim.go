@@ -37,17 +37,13 @@ type Context struct {
 	// the poll-free fast path, so uncancellable runs stay byte-identical
 	// to runs predating cancellation support.
 	Ctx context.Context
-	// OnProgress, when non-nil, is invoked after every 1000 completions
-	// (warmup included) with the completion count and the current
-	// simulated time in milliseconds.
-	OnProgress func(completed int, simMs float64)
 	// Probe, when non-nil, is a shared observer: it sees every lifecycle
-	// event after Options.Probe does, but the engine never resets it,
-	// never flips it to the sketch backend and never surfaces a
-	// PhaseCollector inside it as Result.Phases. The experiment runner
-	// puts its job-labelled trace probe here (WithRun), so one probe
-	// can watch a whole batch. Under parallel jobs it must be safe for
-	// concurrent use (JSONLProbe is).
+	// event after Options.Probe does, but the engine never resets it and
+	// never surfaces a PhaseCollector inside it as Result.Phases. The
+	// experiment runner puts its job-labelled trace probe here
+	// (WithRun), so one probe can watch a whole batch, and memsim puts
+	// its progress reporter here. Under parallel jobs it must be safe
+	// for concurrent use (JSONLProbe is).
 	Probe Probe
 	// Check enables run-time self-verification: the engine attaches an
 	// engine-owned invariant probe (composed after every other probe) and
@@ -60,18 +56,6 @@ type Context struct {
 	// (golden-equivalence discipline), so a clean checked run produces
 	// byte-identical results to an unchecked one.
 	Check bool
-	// Sketch switches every percentile-bearing aggregate the run owns —
-	// the PhaseCollectors in Options.Probe (per-run and per-member) and
-	// RunVolume's VolumeStats distributions — from the exact
-	// sample-retaining backend to the bounded quantile sketch
-	// (stats.Sketch): p95/p99 become estimates within the sketch's
-	// documented relative-error bound (±1%) and stats memory becomes
-	// O(1) in the request count, which is what makes million-request
-	// runs tractable. The default (false) keeps the exact backend and
-	// stays byte-identical to historical runs — the golden equivalence
-	// suite pins it. Moments (mean, CV², min/max) are Welford-computed
-	// either way and never change.
-	Sketch bool
 
 	// cancelled latches that some run under this Context was stopped
 	// for cancellation; see Cancelled.
@@ -101,9 +85,6 @@ func (c *Context) SimMs() float64 {
 	return c.simMs
 }
 
-// progressEvery is the completion interval between OnProgress calls.
-const progressEvery = 1000
-
 // cancelEvery is the event interval between cancellation polls:
 // frequent enough that cancellation lands within microseconds of
 // wall-clock, sparse enough that the hot loop's cost is dominated by
@@ -121,24 +102,14 @@ func (c *Context) done() <-chan struct{} {
 	return c.Ctx.Done()
 }
 
-// progress reports one completion, firing OnProgress on interval
-// boundaries.
-func (c *Context) progress(completed int, simMs float64) {
-	if c.OnProgress != nil && completed%progressEvery == 0 {
-		c.OnProgress(completed, simMs)
-	}
-}
-
 // Options describes what a run simulates: its measurement window, its
 // fault injection, and the run-scoped probes whose state belongs to the
-// run.
+// run. A run serves its source until the source runs dry, so the
+// source's own request count is what bounds it.
 type Options struct {
 	// Warmup excludes the first N completed requests from the reported
 	// statistics, hiding cold-start transients.
 	Warmup int
-	// MaxRequests stops the run after this many completions (0 = run the
-	// source dry).
-	MaxRequests int
 	// Injector, when non-nil, drives deterministic fault injection through
 	// the run (Run and RunClosed): transient positioning errors recovered
 	// by bounded device-level retry at the §6.1.3 penalty, scheduled tip

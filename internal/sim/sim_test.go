@@ -89,15 +89,6 @@ func TestRunWarmup(t *testing.T) {
 	}
 }
 
-func TestRunMaxRequests(t *testing.T) {
-	d := &fixedDevice{svc: 1}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 100)))
-	res := Run(nil, d, sched.NewFCFS(), src, Options{MaxRequests: 10})
-	if res.Requests != 10 {
-		t.Errorf("requests = %d, want 10", res.Requests)
-	}
-}
-
 func TestRunSchedulerSeesArrivedOnly(t *testing.T) {
 	// A request that arrives while another is in service must not be
 	// dispatched before its arrival time.
@@ -180,15 +171,6 @@ func TestRunClosedBackToBack(t *testing.T) {
 	}
 	if res.Utilization() != 1 {
 		t.Errorf("closed run utilization = %g, want 1", res.Utilization())
-	}
-}
-
-func TestRunClosedMaxRequests(t *testing.T) {
-	d := &fixedDevice{svc: 1}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 50)))
-	res := RunClosed(nil, d, src, Options{MaxRequests: 5})
-	if res.Requests != 5 {
-		t.Errorf("requests = %d", res.Requests)
 	}
 }
 
@@ -281,32 +263,5 @@ func TestRunMatchesMD1Theory(t *testing.T) {
 	// Utilization should match ρ.
 	if math.Abs(res.Utilization()-rho) > 0.02 {
 		t.Errorf("utilization = %.3f, want %.2f", res.Utilization(), rho)
-	}
-}
-
-func TestContextProgress(t *testing.T) {
-	d := &fixedDevice{svc: 1}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
-	var at []int
-	ctx := &Context{
-		OnProgress: func(completed int, _ float64) { at = append(at, completed) },
-	}
-	Run(ctx, d, sched.NewFCFS(), src, Options{})
-	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
-		t.Errorf("progress fired at %v, want [1000 2000]", at)
-	}
-	// A nil context is valid everywhere.
-	src = workload.NewFromSlice(mkReqs(make([]float64, 3)))
-	Run(nil, d, sched.NewFCFS(), src, Options{})
-}
-
-func TestContextProgressDefaultInterval(t *testing.T) {
-	d := &fixedDevice{svc: 0.001}
-	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
-	fired := 0
-	ctx := &Context{OnProgress: func(int, float64) { fired++ }}
-	RunClosed(ctx, d, src, Options{})
-	if fired != 2 { // defaults to every 1000 completions
-		t.Errorf("default interval fired %d times, want 2", fired)
 	}
 }

@@ -110,16 +110,6 @@ type VolumeStats struct {
 	ClassResponse [core.NumClasses]stats.Dist
 }
 
-// useSketch flips the volume's response distributions to the bounded
-// sketch backend (Context.Sketch).
-func (v *VolumeStats) useSketch() {
-	v.Healthy.UseSketch()
-	v.Degraded.UseSketch()
-	for i := range v.ClassResponse {
-		v.ClassResponse[i].UseSketch()
-	}
-}
-
 // volReq tracks one in-flight volume-level intent — a foreground
 // request or a background rebuild chunk — through its fork-join phases
 // of member operations. volReqs are pooled per run: one goes back to
@@ -256,9 +246,6 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 // publishing the volume aggregates.
 func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, frac float64, adaptive bool) func() {
 	var vstats VolumeStats
-	if e.ctx.Sketch {
-		vstats.useSketch()
-	}
 	// freeVR and freeMR are the run's free lists of volume intents and
 	// member ops. queued[dev] holds the member ops waiting in device
 	// dev's scheduler: a dispatch finds the scheduler's pick there by
@@ -519,7 +506,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	}
 
 	dispatch = func(i int) {
-		if ms.busy[i] || e.stopped {
+		if ms.busy[i] {
 			return
 		}
 		now := e.q.Now()
@@ -553,7 +540,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			vstats.RebuildBusy += svc
 		}
 		if ms.phases != nil {
-			ms.phases[i].add(bd, mr.Class)
+			ms.phases[i].add(bd)
 		}
 		fl := &inflight[i]
 		fl.m, fl.done, fl.again = m, now+svc, again
@@ -591,7 +578,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	}
 
 	startChunk = func(now float64) {
-		if e.stopped || v.Lost() || !v.Rebuilding() {
+		if v.Lost() || !v.Rebuilding() {
 			return
 		}
 		vr := newVR(nil)

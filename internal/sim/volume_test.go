@@ -682,20 +682,6 @@ func TestRunVolumeMemberPhases(t *testing.T) {
 	}
 }
 
-func TestRunVolumeMaxRequests(t *testing.T) {
-	spec := volFixtures(t, mirrorVolCfg(), 1)
-	arr := make([]float64, 30)
-	lbns := make([]int64, 30)
-	src := workload.NewFromSlice(volReqs(arr, core.Read, lbns))
-	res, err := RunVolume(nil, spec, src, Options{MaxRequests: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 7 {
-		t.Errorf("requests = %d, want 7", res.Requests)
-	}
-}
-
 func TestAdaptiveRebuildPace(t *testing.T) {
 	if got := adaptivePace(0); got != 1 {
 		t.Errorf("idle pace = %g, want sprint at 1", got)

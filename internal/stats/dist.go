@@ -6,33 +6,41 @@ package stats
 // phase's aggregate is one field, not two that can drift apart. The
 // zero value is an empty accumulator ready to use.
 //
-// The order statistics come from one of two backends:
+// The order statistics come from one of two backends, and the Dist
+// picks between them by its own size:
 //
-//   - exact (default): a Sample retaining every observation, so
-//     percentiles are exact — and memory is O(n). This is the
-//     historical behavior and the one the golden byte-identity suite
-//     pins.
-//   - sketch: a bounded log-bucketed Sketch, selected by UseSketch
-//     (sim.Context.Sketch / memsbench -sketch), holding percentile
-//     estimates within sketchAlpha relative error at O(1) memory —
-//     the backend for million-request runs.
+//   - exact: a Sample retaining every observation, so percentiles are
+//     exact. Every Dist starts here, and every run the golden suite,
+//     the artifact CSVs and the benchmark fingerprints pin stays here.
+//   - sketch: a bounded log-bucketed Sketch whose percentiles are
+//     estimates within sketchAlpha relative error at O(1) memory. The
+//     exact backend's observations fold into it, in insertion order,
+//     at the exactLimit-th Add, and every later Add goes to it.
+//
+// So memory is bounded at about exactLimit·8 bytes per Dist whatever
+// the run length, and a run that crosses the limit reports exactly
+// what an always-sketched Dist would: the sketch's buckets do not
+// depend on when the observations arrived. Moments are Welford-computed
+// in both backends and never change.
 //
 // Callers aggregating unbounded streams that need no percentiles at all
 // should prefer a bare Welford.
 type Dist struct {
 	w  Welford
 	s  Sample
-	sk *Sketch // non-nil selects the sketch backend
+	sk *Sketch // non-nil once the Dist has migrated to the sketch
 }
 
-// UseSketch switches the percentile backend to the bounded sketch.
-// Observations already retained by the exact backend are folded into
-// the sketch and released, so flipping mid-stream loses no data — but
-// the idiomatic call site flips the mode before the first Add.
-func (d *Dist) UseSketch() {
-	if d.sk != nil {
-		return
-	}
+// exactLimit is the observation count at which a Dist leaves the exact
+// backend: 1<<19 float64s are 4 MiB. It sits above every pinned output
+// (the artifacts hold at most a few tens of thousands of observations
+// per Dist, the benchmark workloads at most 500 000), so all of them
+// stay exact.
+const exactLimit = 1 << 19
+
+// useSketch moves the percentile backend to the bounded sketch, folding
+// the retained observations in and releasing them.
+func (d *Dist) useSketch() {
 	d.sk = &Sketch{}
 	for _, x := range d.s.xs {
 		d.sk.Add(x)
@@ -44,7 +52,7 @@ func (d *Dist) UseSketch() {
 func (d *Dist) Sketched() bool { return d.sk != nil }
 
 // Retained reports the number of observations the exact backend holds:
-// n in exact mode, 0 in sketch mode. Memory-model tests assert on it.
+// n before the migration, 0 after. Memory-model tests assert on it.
 func (d *Dist) Retained() int { return d.s.N() }
 
 // Add folds one observation into both accumulators.
@@ -55,6 +63,9 @@ func (d *Dist) Add(x float64) {
 		return
 	}
 	d.s.Add(x)
+	if d.s.N() >= exactLimit {
+		d.useSketch()
+	}
 }
 
 // N reports the number of observations added.
@@ -76,8 +87,8 @@ func (d *Dist) StdDev() float64 { return d.w.StdDev() }
 func (d *Dist) SquaredCV() float64 { return d.w.SquaredCV() }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100): exact over the
-// retained observations by default, an estimate within the sketch's
-// documented relative-error bound in sketch mode. Returns 0 if empty.
+// retained observations below exactLimit, an estimate within the
+// sketch's documented relative-error bound past it. Returns 0 if empty.
 func (d *Dist) Percentile(p float64) float64 {
 	if d.sk != nil {
 		return d.sk.Percentile(p)

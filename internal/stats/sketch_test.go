@@ -65,63 +65,89 @@ func TestSketchVsExactQuantiles(t *testing.T) {
 	}
 }
 
-// TestSketchDistModes drives Dist in both modes over the same stream:
-// moments must be identical (the Welford is shared), percentiles within
-// the sketch bound, and the sketch mode must retain no observations.
+// TestSketchDistModes drives a Dist across its backend switch against
+// an exact twin (a Sample and a Welford fed the same stream): below
+// exactLimit it is the exact backend, bit for bit; the exactLimit-th
+// Add migrates it to the sketch, which retains nothing; moments stay
+// identical to the twin's throughout, percentiles stay within the
+// sketch bound, and an Add after the migration still counts.
 func TestSketchDistModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var exact, sketched Dist
-	sketched.UseSketch()
-	for i := 0; i < 20000; i++ {
+	var d Dist
+	var exact Sample
+	var w Welford
+	add := func() {
 		x := rng.ExpFloat64() * 5
+		d.Add(x)
 		exact.Add(x)
-		sketched.Add(x)
+		w.Add(x)
 	}
-	if exact.Mean() != sketched.Mean() || exact.N() != sketched.N() {
-		t.Fatalf("moments diverged: mean %g vs %g, n %d vs %d",
-			exact.Mean(), sketched.Mean(), exact.N(), sketched.N())
-	}
-	if exact.Min() != sketched.Min() || exact.Max() != sketched.Max() {
-		t.Fatalf("extremes diverged")
-	}
-	for _, p := range []float64{50, 95, 99} {
-		if e := relErr(sketched.Percentile(p), exact.Percentile(p)); e > 2*sketchAlpha {
-			t.Errorf("p%g rel err %.4f", p, e)
+	sameMoments := func(when string) {
+		t.Helper()
+		if d.N() != w.N() || d.Mean() != w.Mean() || d.StdDev() != w.StdDev() ||
+			d.Min() != w.Min() || d.Max() != w.Max() || d.Welford() != w {
+			t.Fatalf("%s: moments diverged from the exact twin", when)
 		}
 	}
-	if got := sketched.Retained(); got != 0 {
-		t.Errorf("sketch mode retained %d observations, want 0", got)
+	for i := 0; i < exactLimit-1; i++ {
+		add()
 	}
-	if got := exact.Retained(); got != 20000 {
-		t.Errorf("exact mode retained %d observations, want 20000", got)
+	if d.Sketched() || d.Retained() != exactLimit-1 {
+		t.Fatalf("below the limit: sketched=%v retained=%d, want exact with %d",
+			d.Sketched(), d.Retained(), exactLimit-1)
 	}
-	if !sketched.Sketched() || exact.Sketched() {
-		t.Errorf("mode flags wrong: sketched=%v exact=%v", sketched.Sketched(), exact.Sketched())
+	for _, p := range []float64{0, 1, 50, 95, 99, 99.9, 100} {
+		if got, want := d.Percentile(p), exact.Percentile(p); got != want {
+			t.Errorf("below the limit p%g = %v, exact %v", p, got, want)
+		}
 	}
+	sameMoments("below the limit")
+
+	add() // the exactLimit-th observation
+	if !d.Sketched() || d.Retained() != 0 {
+		t.Fatalf("at the limit: sketched=%v retained=%d, want sketched with 0", d.Sketched(), d.Retained())
+	}
+	sameMoments("at the limit")
+	for _, p := range []float64{50, 95, 99} {
+		if e := relErr(d.Percentile(p), exact.Percentile(p)); e > 2*sketchAlpha {
+			t.Errorf("p%g rel err %.4f after the migration", p, e)
+		}
+	}
+
+	add()
+	if d.N() != exactLimit+1 || d.Retained() != 0 {
+		t.Fatalf("after the limit: N=%d retained=%d, want %d and 0", d.N(), d.Retained(), exactLimit+1)
+	}
+	sameMoments("after the limit")
 }
 
-// TestSketchMidStreamSwitch pins UseSketch's migration contract: flipping
-// after observations were added folds the retained sample into the
-// sketch instead of dropping it.
+// TestSketchMidStreamSwitch pins the migration's losslessness: a Dist
+// that crosses exactLimit reports exactly the percentiles of a Sketch
+// fed the whole stream from the start, even when a percentile read
+// before the switch had sorted the retained samples, so a run past the
+// limit reads the same as an always-sketched one.
 func TestSketchMidStreamSwitch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
 	var d Dist
-	for i := 1; i <= 1000; i++ {
-		d.Add(float64(i))
+	var sk Sketch
+	for i := 0; i < exactLimit+1000; i++ {
+		x := rng.ExpFloat64() * 3
+		if i%97 == 0 {
+			x = 0 // exact zeros take the sketch's zero slot
+		}
+		d.Add(x)
+		sk.Add(x)
+		if i == exactLimit-10 {
+			d.Percentile(50) // sorts the exact backend in place
+		}
 	}
-	d.UseSketch()
-	if d.Retained() != 0 {
-		t.Fatalf("retained %d after switch", d.Retained())
+	if d.N() != sk.N() || d.Retained() != 0 {
+		t.Fatalf("N = %d (sketch %d), retained %d", d.N(), sk.N(), d.Retained())
 	}
-	if d.N() != 1000 {
-		t.Fatalf("N = %d", d.N())
-	}
-	if e := relErr(d.Percentile(95), 950.05); e > 2*sketchAlpha {
-		t.Errorf("p95 after migration: %g (rel err %.4f)", d.Percentile(95), e)
-	}
-	// Idempotent.
-	d.UseSketch()
-	if d.N() != 1000 {
-		t.Fatalf("double UseSketch corrupted N: %d", d.N())
+	for _, p := range []float64{0, 1, 25, 50, 95, 99, 99.9, 100} {
+		if got, want := d.Percentile(p), sk.Percentile(p); got != want {
+			t.Errorf("p%g = %v, always-sketched %v", p, got, want)
+		}
 	}
 }
 
@@ -263,7 +289,8 @@ func BenchmarkSamplePercentileRepeated(b *testing.B) {
 }
 
 // BenchmarkDistAdd compares the exact and sketched Add paths — the
-// per-observation cost every measured completion pays.
+// per-observation cost every measured completion pays. The exact row
+// starts a fresh Dist before each would migrate.
 func BenchmarkDistAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 8192)
@@ -275,12 +302,15 @@ func BenchmarkDistAdd(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if i%(exactLimit-1) == 0 {
+				d = Dist{} // stay below the migration
+			}
 			d.Add(xs[i%len(xs)])
 		}
 	})
 	b.Run("sketch", func(b *testing.B) {
 		var d Dist
-		d.UseSketch()
+		d.useSketch()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

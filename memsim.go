@@ -158,17 +158,17 @@ func TraceSource(t *Trace) WorkloadSource {
 
 // ─── Simulation ─────────────────────────────────────────────────────────
 
-// SimOptions describes what a run simulates: warmup, request cap, fault
-// injection and the run-scoped probes.
+// SimOptions describes what a run simulates: warmup, fault injection
+// and the run-scoped probes. A run lasts until its source runs dry.
 type SimOptions = sim.Options
 
 // SimResult summarizes a run (mean response time and the paper's σ²/µ²
 // starvation metric).
 type SimResult = sim.Result
 
-// SimContext carries a run's policy: cancellation, progress callbacks
-// every 1000 completions, a shared observer probe that is never reset,
-// invariant checking and bounded quantile sketches. Each run writes
+// SimContext carries a run's policy: cancellation, a shared observer
+// probe that is never reset (sim.ProgressProbe is one), and invariant
+// checking. Each run writes
 // back its cancellation and its simulated time (Cancelled, SimMs), so
 // runs sharing one must not run concurrently. A nil *SimContext is
 // valid and observes nothing.
@@ -255,8 +255,9 @@ type MultiProbe = sim.MultiProbe
 // WithRun wraps a probe so every event carries a run label.
 func WithRun(p Probe, run string) Probe { return sim.WithRun(p, run) }
 
-// PhaseDist is a streaming distribution (Welford moments plus retained
-// samples for exact percentiles) used for per-phase aggregates.
+// PhaseDist is a streaming distribution used for per-phase aggregates:
+// Welford moments, plus exact percentiles from retained samples up to
+// 524 288 observations and a bounded quantile sketch (±1%) past that.
 type PhaseDist = stats.Dist
 
 // PhaseStats aggregates per-request phase observations over a run's
