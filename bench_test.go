@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"memsim/internal/core"
 	"memsim/internal/experiments"
 )
 
@@ -148,12 +149,23 @@ func BenchmarkSPTFDispatchQueue64(b *testing.B) {
 	}
 }
 
-// estimateCounter counts the full estimates a scheduler asks for.
-// Embedding the MEMS device keeps every optional interface it
-// implements, the lower bound that lets SPTF skip estimates included.
+// estimateCounter counts the full estimates a scheduler asks for and
+// the bounds it evaluates (LowerBound and Floor calls). Embedding the
+// MEMS device keeps every optional interface it implements, the lower
+// bound that lets SPTF skip estimates included.
 type estimateCounter struct {
 	*MEMSDevice
-	estimates int
+	estimates, bounds int
+}
+
+func (c *estimateCounter) LowerBound(k *core.BoundKey, now float64) float64 {
+	c.bounds++
+	return c.MEMSDevice.LowerBound(k, now)
+}
+
+func (c *estimateCounter) Floor(cyl int32, now float64) float64 {
+	c.bounds++
+	return c.MEMSDevice.Floor(cyl, now)
 }
 
 func (c *estimateCounter) EstimateAccess(r *Request, now float64) float64 {
@@ -170,8 +182,8 @@ func (c *estimateCounter) EstimateBreakdown(r *Request, now float64) Breakdown {
 // requests (seed 9) on the MEMS device, the named scheduler's queue
 // refilled to depth after every dispatch, and the pick serviced. Under
 // a benchmark the timer covers only the dispatches. It returns the full
-// estimates the dispatches asked for.
-func schedNextLoop(tb testing.TB, name string, depth, dispatches int) int {
+// estimates the dispatches asked for and the bounds they evaluated.
+func schedNextLoop(tb testing.TB, name string, depth, dispatches int) (estimates, bounds int) {
 	d, err := NewMEMSDevice(DefaultMEMSConfig())
 	if err != nil {
 		tb.Fatal(err)
@@ -209,43 +221,56 @@ func schedNextLoop(tb testing.TB, name string, depth, dispatches int) int {
 			b.StartTimer()
 		}
 	}
-	return c.estimates
+	return c.estimates, c.bounds
 }
 
 // BenchmarkSchedNext measures one scheduling decision at queue depths
-// 8, 64 and 512 for every algorithm, on the MEMS device. The spread
-// between FCFS (O(1), no estimates) and the cost-model schedulers
-// (device estimates per dispatch) is the price of position-aware
-// scheduling; comparing SPTF against SettleAware/Priority isolates the
-// cost-model indirection's overhead. estimates/op is the full
-// estimates each dispatch asked for: a depth-long scan for SettleAware,
-// a handful for the bound-pruned SPTF and Priority.
+// 8, 64, 512 and 4096 for every algorithm, on the MEMS device. The
+// spread between FCFS (O(1), no estimates) and the cost-model
+// schedulers (device estimates per dispatch) is the price of
+// position-aware scheduling; comparing SPTF against SettleAware/Priority
+// isolates the cost-model indirection's overhead. estimates/op is the
+// full estimates each dispatch asked for: a depth-long scan for
+// SettleAware, a handful for the bound-pruned SPTF and Priority.
+// bounds/op is the bounds it evaluated: one per request for Priority
+// and for SPTF below its walk depth, far fewer for SPTF's walk.
 func BenchmarkSchedNext(b *testing.B) {
 	for _, name := range AllSchedulerNames() {
-		for _, depth := range []int{8, 64, 512} {
+		for _, depth := range []int{8, 64, 512, 4096} {
 			b.Run(fmt.Sprintf("%s/depth=%d", name, depth), func(b *testing.B) {
-				est := schedNextLoop(b, name, depth, b.N)
+				est, bounds := schedNextLoop(b, name, depth, b.N)
 				b.ReportMetric(float64(est)/float64(b.N), "estimates/op")
+				b.ReportMetric(float64(bounds)/float64(b.N), "bounds/op")
 			})
 		}
 	}
 }
 
 // TestSPTFPrunesEstimates fails when the bound pruning of SPTF or
-// Priority regresses, on a count that does not depend on the machine:
+// Priority regresses, on counts that do not depend on the machine:
 // over BenchmarkSchedNext's workload the mean full estimates per
 // dispatch must stay at most 5 at depths 64 and 512, where pricing
-// every candidate would take 64 and 512.
+// every candidate would take 64 and 512; and SPTF's walk must evaluate
+// at most a tenth of the queue's bounds per dispatch at depths 512 and
+// 4096, so it cannot fall back to bounding every request unnoticed.
 func TestSPTFPrunesEstimates(t *testing.T) {
+	const dispatches = 500
 	for _, name := range []string{"SPTF", "Priority"} {
 		for _, depth := range []int{64, 512} {
-			const dispatches = 500
-			est := schedNextLoop(t, name, depth, dispatches)
+			est, _ := schedNextLoop(t, name, depth, dispatches)
 			if mean := float64(est) / dispatches; mean > 5 {
 				t.Errorf("%s depth %d: %.2f full estimates per dispatch, want ≤ 5", name, depth, mean)
 			} else {
 				t.Logf("%s depth %d: %.2f full estimates per dispatch", name, depth, mean)
 			}
+		}
+	}
+	for _, depth := range []int{512, 4096} {
+		_, bounds := schedNextLoop(t, "SPTF", depth, dispatches)
+		if mean := float64(bounds) / dispatches; mean > float64(depth)/10 {
+			t.Errorf("SPTF depth %d: %.1f bounds per dispatch, want ≤ %d", depth, mean, depth/10)
+		} else {
+			t.Logf("SPTF depth %d: %.1f bounds per dispatch", depth, mean)
 		}
 	}
 }

@@ -13,8 +13,9 @@
 // SPTF-style EstimateAccess pricing and the MEMS lower bound), the sled
 // seek solver (./internal/physics: a rest-to-rest X seek and a moving Y
 // seek between row boundaries), the
-// schedulers at queue depths 8/64/512 (BenchmarkSchedNext, every
-// algorithm, with the full estimates per dispatch), the stats backends
+// schedulers at queue depths 8/64/512/4096 (BenchmarkSchedNext, every
+// algorithm, with the full estimates and the bounds per dispatch), the
+// stats backends
 // (./internal/stats Dist/Sketch/Sample benches), the fault layer's
 // artifact kernels (./internal/fault: the remap artifact's slip-remap
 // scan and the fault artifact's loss Monte Carlo), and the
@@ -24,7 +25,7 @@
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
 // -benchmem, so every record carries ns/op, B/op and allocs/op, plus
-// any custom unit the benchmark reports (estimates/op).
+// any custom unit the benchmark reports (estimates/op, bounds/op).
 package main
 
 import (

@@ -85,13 +85,23 @@ type BoundKey struct {
 // so a key computed while the request waits stays valid until it is
 // dispatched. LowerBound(BoundKey(req), now) must never exceed
 // EstimateAccess(req, now) — bit for bit, with no tolerance — and
-// neither step may change device or request state. Cost-model
+// no method may change device or request state. Cost-model
 // schedulers use the bound to skip candidates that cannot beat the best
 // estimate found so far, so a bound that is ever too high changes which
 // request they pick.
+//
+// KeyCyl and Floor bound the bounds of a whole key cylinder, so a deep
+// queue can be scanned outward from the device's position and stop
+// early. Key cylinders are non-negative, and KeyCyl is the key cylinder
+// (BoundKey.Cyl) the device is positioned at. Floor(c, now) must not
+// exceed LowerBound(&k, now) for any key k with k.Cyl == c, bit for
+// bit, and must never decrease as c moves away from KeyCyl on either
+// side.
 type LowerBounder interface {
 	BoundKey(req *Request) BoundKey
 	LowerBound(k *BoundKey, now float64) float64
+	KeyCyl() int32
+	Floor(c int32, now float64) float64
 }
 
 // BoundModel is a lower bound on a CostModel, evaluated from the key lb

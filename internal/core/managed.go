@@ -106,6 +106,23 @@ func (m *ManagedDevice) LowerBound(k *BoundKey, now float64) float64 {
 	return 0
 }
 
+// KeyCyl implements LowerBounder by delegation; over an inner device
+// with no bound every key is the zero key, at cylinder 0.
+func (m *ManagedDevice) KeyCyl() int32 {
+	if lb, ok := m.inner.(LowerBounder); ok {
+		return lb.KeyCyl()
+	}
+	return 0
+}
+
+// Floor implements LowerBounder by delegation, or 0 like LowerBound.
+func (m *ManagedDevice) Floor(c int32, now float64) float64 {
+	if lb, ok := m.inner.(LowerBounder); ok {
+		return lb.Floor(c, now)
+	}
+	return 0
+}
+
 // ErrorPenalty implements RecoveryModel by remapping the request and
 // delegating, mirroring EstimateAccess.
 func (m *ManagedDevice) ErrorPenalty(req *Request, now, u float64) (float64, bool) {

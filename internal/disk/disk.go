@@ -255,9 +255,16 @@ func (d *Device) angleOf(z *zone, cyl, head, s int) float64 {
 }
 
 // rotFrac returns the fraction of a revolution completed at absolute time
-// now.
+// now. For finite x = now/period > 0 the fractional part of a double is
+// exact, so x − Floor(x) is math.Mod(x, 1) bit for bit, at a fraction
+// of its cost; zero, negative and non-finite x keep the Mod path, where
+// x − Floor(x) would turn −0 into +0 or Inf into a different NaN.
 func (d *Device) rotFrac(now float64) float64 {
-	f := math.Mod(now/d.period, 1)
+	x := now / d.period
+	if x > 0 && x <= math.MaxFloat64 {
+		return x - math.Floor(x)
+	}
+	f := math.Mod(x, 1)
 	if f < 0 {
 		f += 1
 	}

@@ -329,3 +329,30 @@ func TestMustDevicePanics(t *testing.T) {
 	cfg.RPM = -5
 	MustDevice(cfg)
 }
+
+// FuzzRotFrac checks rotFrac against the math.Mod formula it replaces,
+// bit for bit, on any time and any period, random bit patterns (NaN,
+// ±Inf, ±0, subnormals) included. The period is taken as its absolute
+// value, as a device's is positive.
+func FuzzRotFrac(f *testing.F) {
+	f.Add(0.0, 6.0)
+	f.Add(math.Copysign(0, -1), 6.0)
+	f.Add(123456.789, 6.0)
+	f.Add(-3.5, 6.0)
+	f.Add(math.Inf(1), 6.0)
+	f.Add(1e300, 1e-300)
+	f.Add(math.Float64frombits(1), 7.5)
+	f.Add(math.NaN(), 6.0)
+	f.Fuzz(func(t *testing.T, now, period float64) {
+		d := &Device{period: math.Abs(period)}
+		want := math.Mod(now/d.period, 1)
+		if want < 0 {
+			want += 1
+		}
+		got := d.rotFrac(now)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("rotFrac(%v) with period %v = %v (%#x), Mod formula %v (%#x)",
+				now, d.period, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}

@@ -59,14 +59,17 @@ type Array struct {
 	cfg Config
 	// failedAt[g] counts failed-and-unremapped tips in stripe group g.
 	failedAt []int
-	// remap maps a failed tip to the spare that replaced it.
-	remap map[int]int
+	// remap[id] is the spare that replaced failed tip id, or −1; owner
+	// is its inverse, owner[spare] the tip it stands in for, or −1.
+	remap, owner []int32
 	// spares not yet consumed, in ascending order.
 	spares []int
 	// pool is the backing array NewArray gave spares; reset refills it.
 	pool []int
-	// failed marks every tip that has ever failed (remapped or not).
-	failed map[int]bool
+	// failed marks every tip that has ever failed (remapped or not), and
+	// failures lists them in failure order, so reset clears only those.
+	failed   []bool
+	failures []int
 	// defects counts recoverable media defects absorbed by ECC.
 	defects int
 }
@@ -80,9 +83,13 @@ func NewArray(cfg Config) (*Array, error) {
 	a := &Array{
 		cfg:      cfg,
 		failedAt: make([]int, cfg.Stripes()),
-		remap:    make(map[int]int),
-		failed:   make(map[int]bool),
+		remap:    make([]int32, cfg.Tips),
+		owner:    make([]int32, cfg.Tips),
+		failed:   make([]bool, cfg.Tips),
 		pool:     make([]int, 0, cfg.SpareTips),
+	}
+	for i := range a.remap {
+		a.remap[i], a.owner[i] = -1, -1
 	}
 	a.reset()
 	return a, nil
@@ -94,8 +101,13 @@ func NewArray(cfg Config) (*Array, error) {
 func (a *Array) reset() {
 	a.failedAt = a.failedAt[:a.cfg.Stripes()]
 	clear(a.failedAt)
-	clear(a.remap)
-	clear(a.failed)
+	for _, id := range a.failures {
+		if sp := a.remap[id]; sp >= 0 {
+			a.remap[id], a.owner[sp] = -1, -1
+		}
+		a.failed[id] = false
+	}
+	a.failures = a.failures[:0]
 	a.spares = a.pool[:0]
 	for i := a.cfg.Tips - a.cfg.SpareTips; i < a.cfg.Tips; i++ {
 		a.spares = append(a.spares, i)
@@ -110,7 +122,7 @@ func (a *Array) Config() Config { return a.cfg }
 func (a *Array) SparesLeft() int { return len(a.spares) }
 
 // FailedTips reports how many tips have failed so far.
-func (a *Array) FailedTips() int { return len(a.failed) }
+func (a *Array) FailedTips() int { return len(a.failures) }
 
 // stripeOf returns the stripe group of tip id, or -1 for spare-pool tips.
 func (a *Array) stripeOf(id int) int {
@@ -140,6 +152,7 @@ func (a *Array) fail(id int) {
 		return
 	}
 	a.failed[id] = true
+	a.failures = append(a.failures, id)
 	g := a.stripeOf(id)
 	switch {
 	case g < 0:
@@ -149,9 +162,7 @@ func (a *Array) fail(id int) {
 		// Remap the whole region to a spare at the same tip sector;
 		// access timing is unchanged because the spare activates in
 		// place of the failed tip.
-		sp := a.spares[0]
-		a.spares = a.spares[1:]
-		a.remap[id] = sp
+		a.cover(id)
 	default:
 		a.failedAt[g]++
 	}
@@ -166,19 +177,21 @@ func (a *Array) removeSpare(id int) {
 			return
 		}
 	}
-	for orig, sp := range a.remap {
-		if sp == id {
-			delete(a.remap, orig)
-			if len(a.spares) > 0 {
-				nsp := a.spares[0]
-				a.spares = a.spares[1:]
-				a.remap[orig] = nsp
-			} else {
-				a.failedAt[a.stripeOf(orig)]++
-			}
-			return
+	if orig := a.owner[id]; orig >= 0 {
+		a.remap[orig], a.owner[id] = -1, -1
+		if len(a.spares) > 0 {
+			a.cover(int(orig))
+		} else {
+			a.failedAt[a.stripeOf(int(orig))]++
 		}
 	}
+}
+
+// cover remaps failed tip id to the first unused spare.
+func (a *Array) cover(id int) {
+	sp := a.spares[0]
+	a.spares = a.spares[1:]
+	a.remap[id], a.owner[sp] = int32(sp), int32(id)
 }
 
 // MediaDefect records a grown media defect under one tip (§6.1.1). Unlike
@@ -202,8 +215,10 @@ func (a *Array) Defects() int { return a.defects }
 
 // RemappedTo returns the spare standing in for tip id, and whether one is.
 func (a *Array) RemappedTo(id int) (int, bool) {
-	sp, ok := a.remap[id]
-	return sp, ok
+	if id < 0 || id >= a.cfg.Tips || a.remap[id] < 0 {
+		return 0, false
+	}
+	return int(a.remap[id]), true
 }
 
 // TipDegraded reports whether tip id is a failed data tip currently
@@ -214,7 +229,7 @@ func (a *Array) TipDegraded(id int) bool {
 	if id < 0 || id >= a.cfg.Tips || !a.failed[id] {
 		return false
 	}
-	if _, ok := a.remap[id]; ok {
+	if a.remap[id] >= 0 {
 		return false
 	}
 	return a.stripeOf(id) >= 0
@@ -300,18 +315,27 @@ func LossProbability(cfg Config, k, trials int, rng *rand.Rand) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	perm := make([]int, cfg.Tips)
+	// The failed tips are rng.Perm(cfg.Tips)[:k], built on k slots.
+	// Perm's inside-out shuffle touches only slots ≤ i at step i, so its
+	// first k steps build the prefix alone; a later step i draws j and
+	// moves i into slot j, which reaches the prefix only when j < k.
+	// Every draw is still made, so the random stream, and so every
+	// estimate, stays the same. A spare slot past the prefix takes the
+	// later steps' moves that miss it, so that step needs no branch.
+	n := min(k, cfg.Tips)
+	perm := make([]int, n+1)
 	losses := 0
 	for t := 0; t < trials; t++ {
 		a.reset()
-		// rng.Perm(cfg.Tips)'s draws, into the reused buffer: the random
-		// stream, and so every estimate, stays the same.
-		for i := range perm {
+		for i := range n {
 			j := rng.Intn(i + 1)
 			perm[i] = perm[j]
 			perm[j] = i
 		}
-		for _, id := range perm[:min(k, len(perm))] {
+		for i := n; i < cfg.Tips; i++ {
+			perm[min(rng.Intn(i+1), n)] = i
+		}
+		for _, id := range perm[:n] {
 			a.fail(id)
 		}
 		if a.DataLoss() {

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -376,8 +375,10 @@ func TestSeekErrorPenalties(t *testing.T) {
 }
 
 // lossProbabilityReference is LossProbability as first written: a fresh
-// NewArray and a fresh rng.Perm for every trial. The reusing version
-// must draw the same stream and return the same estimates.
+// NewArray and a fresh full rng.Perm for every trial. The version that
+// reuses its array and builds only the permutation's first k slots must
+// draw the same stream and return the same estimates, for k from 0 past
+// the tip count.
 func lossProbabilityReference(t *testing.T, cfg Config, k, trials int, rng *rand.Rand) float64 {
 	t.Helper()
 	losses := 0
@@ -411,7 +412,7 @@ func TestLossProbabilityMatchesFreshPerTrialReference(t *testing.T) {
 		// One rng per side threaded through the grid, as the artifact
 		// does, so a drift in any cell shows in every later one.
 		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		for _, k := range []int{0, 1, 50, 800} {
+		for _, k := range []int{0, 1, 50, 800, 6400 - 1, 6400, 6400 + 5} {
 			for _, cfg := range configs {
 				p, err := LossProbability(cfg, k, trials, got)
 				if err != nil {
@@ -434,12 +435,12 @@ type arrayState struct {
 	spares, failed, degraded, unremapped, defects, stripes int
 	loss                                                   bool
 	spareIDs                                               []int
-	remap                                                  map[int]int
+	remap, owner                                           []int32
 }
 
 func stateOf(a *Array) arrayState {
 	return arrayState{a.SparesLeft(), a.FailedTips(), a.DegradedStripes(), a.UnremappedFailures(),
-		a.Defects(), len(a.failedAt), a.DataLoss(), slices.Clone(a.spares), maps.Clone(a.remap)}
+		a.Defects(), len(a.failedAt), a.DataLoss(), slices.Clone(a.spares), slices.Clone(a.remap), slices.Clone(a.owner)}
 }
 
 func TestArrayResetMatchesNewArray(t *testing.T) {

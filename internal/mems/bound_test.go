@@ -53,8 +53,9 @@ func keyedBound(d core.Device, req *core.Request, now float64) float64 {
 	return lb.LowerBound(&k, now)
 }
 
-// checkBound fails t unless d's lower bound for req at now is at most
-// its estimate, bit for bit, with no tolerance.
+// checkBound fails t unless d's floor for req's key cylinder is at most
+// its lower bound for req at now, and that at most its estimate, bit
+// for bit, with no tolerance.
 func checkBound(t *testing.T, label string, d core.Device, req *core.Request, now float64) (lb, est float64) {
 	t.Helper()
 	lb = keyedBound(d, req, now)
@@ -63,7 +64,29 @@ func checkBound(t *testing.T, label string, d core.Device, req *core.Request, no
 		t.Fatalf("%s: bound %v > estimate %v for [%d,+%d) at %v (excess %.3g)",
 			label, lb, est, req.LBN, req.Blocks, now, lb-est)
 	}
+	lbr := d.(core.LowerBounder)
+	if k := lbr.BoundKey(req); !(lbr.Floor(k.Cyl, now) <= lb) {
+		t.Fatalf("%s: floor %v of cylinder %d > bound %v for [%d,+%d) at %v",
+			label, lbr.Floor(k.Cyl, now), k.Cyl, lb, req.LBN, req.Blocks, now)
+	}
 	return lb, est
+}
+
+// checkFloorMonotone fails t unless lb's floor never decreases from its
+// key cylinder outward, on either side, over all cylinders cylinders.
+func checkFloorMonotone(t *testing.T, label string, lb core.LowerBounder, cylinders int, now float64) {
+	t.Helper()
+	home := lb.KeyCyl()
+	for _, step := range []int32{-1, 1} {
+		prev := lb.Floor(home, now)
+		for c := home + step; c >= 0 && int(c) < cylinders; c += step {
+			f := lb.Floor(c, now)
+			if !(f >= prev) {
+				t.Fatalf("%s: floor %v at cylinder %d below %v one step nearer cylinder %d", label, f, c, prev, home)
+			}
+			prev = f
+		}
+	}
 }
 
 // TestAccessLowerBound drives a bare device, a ManagedDevice over a
@@ -71,8 +94,10 @@ func checkBound(t *testing.T, label string, d core.Device, req *core.Request, no
 // 1200 sectors, many crossing track and cylinder boundaries — returning
 // to the off-grid states (the park position after Reset, and a
 // SetState at rest between row boundaries) every 400 requests. Before
-// each access every bound must be at most its estimate; power.Managed is
-// checked both with a restart pending and without. A single-segment
+// each access every bound must be at most its estimate, and the floor
+// of its key cylinder at most the bound; power.Managed is checked both
+// with a restart pending and without. Every 100 requests each stack's
+// floors must not decrease outward from its key cylinder. A single-segment
 // request on the current cylinder from a row boundary pays exactly the
 // Y seek the bound reads from the table, so there the bound must equal
 // the estimate. A key may not depend on the sled, so every key must
@@ -96,6 +121,12 @@ func TestAccessLowerBound(t *testing.T) {
 				d.SetState(cyl, yB, 0)
 			}
 			label := fmt.Sprintf("%s req %d", name, k)
+			if k%100 == 0 {
+				checkFloorMonotone(t, label+" device", d, g.Cylinders, now)
+				checkFloorMonotone(t, label+" managed", md, g.Cylinders, now)
+				checkFloorMonotone(t, label+" power, idle", pm, g.Cylinders, now+100)
+				checkFloorMonotone(t, label+" power, busy", pm, g.Cylinders, now)
+			}
 			if got, want := d.BoundKey(req), parked.BoundKey(req); got != want {
 				t.Fatalf("%s: key %+v from cylinder %d, %+v from the park position", label, got, d.st.cyl, want)
 			}
@@ -127,7 +158,9 @@ func TestAccessLowerBound(t *testing.T) {
 // a fuzzed state — on the grid, reached through a warm-up access, or
 // forced off it with SetState — for a fuzzed request, keyed while the
 // device was still parked, as a queued request is keyed before the sled
-// moves.
+// moves. It checks the floor contract from the same state: the floor of
+// the request's key cylinder is at most its bound, and floors never
+// decrease from the sled's cylinder outward.
 func FuzzAccessLowerBound(f *testing.F) {
 	cfgs := boundConfigs()
 	names := make([]string, 0, len(cfgs))
@@ -163,8 +196,14 @@ func FuzzAccessLowerBound(f *testing.F) {
 			}
 			d.SetState(int(cyl%uint32(g.Cylinders)), math.Mod(math.Abs(yB), float64(g.BitsY)), int(vdir%2))
 		}
-		if lb, est := d.LowerBound(&k, 0), d.EstimateAccess(req, 0); !(lb <= est) {
-			t.Fatalf("%s: bound %v > estimate %v (excess %.3g)", names[int(cfg)%len(names)], lb, est, lb-est)
+		name := names[int(cfg)%len(names)]
+		lb, est := d.LowerBound(&k, 0), d.EstimateAccess(req, 0)
+		if !(lb <= est) {
+			t.Fatalf("%s: bound %v > estimate %v (excess %.3g)", name, lb, est, lb-est)
 		}
+		if fl := d.Floor(k.Cyl, 0); !(fl <= lb) {
+			t.Fatalf("%s: floor %v of cylinder %d > bound %v", name, fl, k.Cyl, lb)
+		}
+		checkFloorMonotone(t, name, d, g.Cylinders, 0)
 	})
 }

@@ -313,6 +313,31 @@ func (d *Device) LowerBound(k *core.BoundKey, _ float64) float64 {
 	return max(tx, ty) + k.Fixed + g.Overhead
 }
 
+// KeyCyl implements core.LowerBounder: keys name their first segment's
+// cylinder, so the sled's cylinder is the key cylinder it is on.
+func (d *Device) KeyCyl() int32 { return int32(d.st.cyl) }
+
+// Floor implements core.LowerBounder: (tx + one row's transfer) +
+// overhead, with tx LowerBound's X bound for cylinder c, written as the
+// same expression so it has the same bits. Every key's Fixed is at
+// least one row of transfer (its first segment reads at least one
+// row), max(tx, ty) ≥ tx, and float addition is monotone, so the floor
+// is at most LowerBound for every key on cylinder c, bit for bit. tx
+// grows with |XPos(c) − XPos(sled)|, and subtraction, the square root
+// and the scaling by positive constants are all monotone, so the floor
+// never decreases away from the sled on either side. (LowerBound keeps
+// its own copy of the expression: calling a shared helper, even an
+// inlined one, made it measurably slower on shallow queues.)
+func (d *Device) Floor(c int32, _ float64) float64 {
+	g := d.geo
+	tx := 0.0
+	if cyl := int(c); cyl != d.st.cyl {
+		dx := math.Abs(g.XPos(cyl) - g.XPos(d.st.cyl))
+		tx = 2*math.Sqrt(dx/((1+g.SpringFactor)*g.SledAccel))*1e3*(1-1e-9) + g.SettleMs
+	}
+	return (tx + g.RowTimeMs) + g.Overhead
+}
+
 // ErrorPenalty implements core.RecoveryModel with the §6.1.3 MEMS
 // model: recovering from a transient positioning error costs one or two
 // Y turnarounds (u < 0.5 selects one, the expected case) plus a short

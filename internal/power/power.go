@@ -261,6 +261,28 @@ func (m *Managed) LowerBound(k *core.BoundKey, now float64) float64 {
 	return penalty
 }
 
+// KeyCyl implements core.LowerBounder by delegation; over a device with
+// no bound every key is the zero key, at cylinder 0.
+func (m *Managed) KeyCyl() int32 {
+	if lb, ok := m.inner.(core.LowerBounder); ok {
+		return lb.KeyCyl()
+	}
+	return 0
+}
+
+// Floor implements core.LowerBounder: the restart penalty plus the
+// wrapped device's floor at the restart-shifted start time, as
+// LowerBound adds it, so the sum stays at or below every bound of the
+// cylinder. The penalty does not depend on c, so the floor keeps the
+// wrapped device's monotonicity.
+func (m *Managed) Floor(c int32, now float64) float64 {
+	penalty := m.restartPenalty(now)
+	if lb, ok := m.inner.(core.LowerBounder); ok {
+		return penalty + lb.Floor(c, now+penalty)
+	}
+	return penalty
+}
+
 // EstimateBreakdown implements core.BreakdownEstimator: the wrapped
 // device's estimated decomposition at the restart-shifted start time,
 // with any restart penalty charged to Overhead — the same convention as

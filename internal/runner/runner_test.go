@@ -321,8 +321,8 @@ func TestCustomEngineRunsAreProbed(t *testing.T) {
 	if !reflect.DeepEqual(lp.labels, want) {
 		t.Errorf("labels = %v, want %v", lp.labels, want)
 	}
-	if res := j.Value().(sim.Result); res.Phases != pc.Stats() || pc.Stats().Requests != 3 {
-		t.Errorf("job's own collector lost: phases %p, requests %d", res.Phases, pc.Stats().Requests)
+	if res := j.Value().(sim.Result); res.Phases == nil || res.Phases.Requests != 3 || pc.Stats().Requests != 3 {
+		t.Errorf("job's own collector lost: phases %+v, requests %d", res.Phases, pc.Stats().Requests)
 	}
 }
 

@@ -20,7 +20,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"memsim/internal/core"
 )
@@ -221,15 +220,24 @@ type SPTF struct {
 	// take swap-removes a key with its request, so each queued request
 	// is keyed once however many dispatches it waits through.
 	keys []core.BoundKey
-	// cands holds each pending request's band and bound during Next,
-	// reused across calls.
+	// cands holds the candidates of the current dispatch, reused across
+	// calls.
 	cands []candidate
+	// walkAt is the queue depth at which a dispatch starts walking the
+	// queue outward from the device's position (see walk); 0 never
+	// walks. Only a single-band SPTF whose bound is the device's own
+	// LowerBound may walk: the device's Floor bounds nothing else.
+	walkAt int
+	// idx buckets the keyed requests by key cylinder while the queue is
+	// deep.
+	idx cylIndex
 }
 
-// candidate is one pending request's band and cost lower bound.
+// candidate is one pending request's queue index, band and cost lower
+// bound.
 type candidate struct {
-	band  int
-	bound float64
+	i, band int32
+	bound   float64
 }
 
 // NewSPTF returns an empty SPTF queue scoring by full estimated service
@@ -237,6 +245,7 @@ type candidate struct {
 func NewSPTF() *SPTF {
 	s := NewCostSPTF("SPTF", core.AccessCost)
 	s.bound = core.AccessCostBound
+	s.walkAt = walkDepth
 	return s
 }
 
@@ -267,31 +276,45 @@ func (s *SPTF) Name() string { return s.name }
 func (s *SPTF) Reset() {
 	s.queue.Reset()
 	s.keys = s.keys[:0]
+	s.idx.drop()
 }
 
 // take swap-removes the i'th pending request and, when the queue is
-// keyed, its bound key.
+// keyed, its bound key and its place in the cylinder index. The index
+// is dropped once the queue is down to half the depth that built it.
 func (s *SPTF) take(i int) *core.Request {
 	if last := len(s.keys) - 1; last == len(s.q)-1 {
+		if s.idx.on {
+			s.idx.remove(i, last, s.keys)
+		}
 		s.keys[i] = s.keys[last]
 		s.keys = s.keys[:last]
 	}
-	return s.queue.take(i)
+	r := s.queue.take(i)
+	if s.idx.on && len(s.q) < s.walkAt/2 {
+		s.idx.drop()
+	}
+	return r
 }
 
 // Next implements core.Scheduler: the pending request with the
 // lexicographically least (band, cost, queue index). A lone pending
-// request is that request, so it is returned unpriced. Otherwise a
-// first pass records every candidate's band and cost bound and fully
-// prices the seed, the least (band, bound, index). A second pass in
-// queue order prices only the candidates that could still beat the
-// best so far: a worse band, a bound above the best cost, or a bound
-// equal to it at a later index cannot win, because cost ≥ bound.
-// Without a bound model, or on a device that cannot bound its
-// estimates, every candidate's bound is −Inf (not 0, which derived cost
-// models can go below), so every candidate in the most urgent band is
-// priced. The pick is the same
-// either way; no sort is needed, so a dispatch stays O(n).
+// request is that request, so it is returned unpriced. Otherwise the
+// seed, the candidate with the least (band, bound, index), is priced in
+// full, and pick prices in queue order only the candidates that could
+// still beat the best so far: a worse band, a bound above the best
+// cost, or a bound equal to it at a later index cannot win, because
+// cost ≥ bound. Without a bound model, or on a device that cannot bound
+// its estimates, every candidate's bound is −Inf (not 0, which derived
+// cost models can go below), so every candidate in the most urgent band
+// is priced.
+//
+// A shallow queue finds the seed and the candidates by bounding every
+// request; a deep one walks outward from the device's position
+// and bounds only the requests on cylinders whose floor could still
+// hold a winner (walk). Both hand pick the same seed and the same
+// candidates in the same order, so they price the same requests and
+// make the same pick.
 //
 // The keys are the device's, so a scheduler must serve one device
 // between Resets.
@@ -307,16 +330,28 @@ func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 		lb, _ = d.(core.LowerBounder)
 	}
 	if lb != nil {
-		for _, r := range s.q[len(s.keys):] {
+		keyed := len(s.keys)
+		for _, r := range s.q[keyed:] {
 			s.keys = append(s.keys, lb.BoundKey(r))
 		}
+		if !s.idx.on && s.walkAt > 0 && len(s.q) >= s.walkAt {
+			s.idx.on, keyed = true, 0
+		}
+		if s.idx.on {
+			for i := keyed; i < len(s.keys); i++ {
+				s.idx.insert(i, s.keys[i].Cyl)
+			}
+			return s.take(s.walk(d, lb, now))
+		}
 	}
+	// The linear scan: every candidate's band and bound (−Inf with no
+	// lb), the seed the least (band, bound, index).
 	s.cands = s.cands[:0]
 	seed := 0
 	for i, r := range s.q {
-		c := candidate{bound: math.Inf(-1)}
+		c := candidate{i: int32(i), bound: math.Inf(-1)}
 		if s.band != nil {
-			c.band = s.band(r, now)
+			c.band = int32(s.band(r, now))
 		}
 		if lb != nil {
 			c.bound = s.bound(lb, &s.keys[i], r, now)
@@ -326,35 +361,23 @@ func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 			seed = i
 		}
 	}
-	best, bestBand, bestT := seed, s.cands[seed].band, s.cost(d, s.q[seed], now)
-	for i, c := range s.cands {
-		if i == seed || c.band > bestBand || c.bound > bestT || c.bound == bestT && i > best {
+	return s.take(s.pick(d, now, s.cands[seed], s.cost(d, s.q[seed], now), s.cands))
+}
+
+// pick finishes a dispatch from the seed, whose full cost is bestT: in
+// queue order it prices each candidate that could still beat the best
+// so far and returns the winner's queue index. cands must hold, in
+// ascending queue index, every candidate whose band is the seed's and
+// whose bound is at most bestT; others are skipped.
+func (s *SPTF) pick(d core.Device, now float64, seed candidate, bestT float64, cands []candidate) int {
+	best := seed.i
+	for _, c := range cands {
+		if c.i == seed.i || c.band > seed.band || c.bound > bestT || c.bound == bestT && c.i > best {
 			continue
 		}
-		if t := s.cost(d, s.q[i], now); t < bestT || t == bestT && i < best {
-			best, bestT = i, t
+		if t := s.cost(d, s.q[c.i], now); t < bestT || t == bestT && c.i < best {
+			best, bestT = c.i, t
 		}
 	}
-	return s.take(best)
-}
-
-// Drain removes and returns all pending requests in dispatch order —
-// the order the scheduler would actually service them, which is what
-// determinism tests need to observe. Callers that only care about
-// queue contents regardless of policy should use DrainSorted.
-func Drain(s core.Scheduler, d core.Device, now float64) []*core.Request {
-	var out []*core.Request
-	for s.Len() > 0 {
-		out = append(out, s.Next(d, now))
-	}
-	return out
-}
-
-// DrainSorted removes all pending requests and returns them in
-// ascending LBN order, independent of scheduling policy; tests use it
-// to inspect queue contents.
-func DrainSorted(s core.Scheduler, d core.Device, now float64) []*core.Request {
-	out := Drain(s, d, now)
-	sort.Slice(out, func(i, j int) bool { return out[i].LBN < out[j].LBN })
-	return out
+	return int(best)
 }

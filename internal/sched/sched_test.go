@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -263,6 +264,27 @@ func TestReset(t *testing.T) {
 			t.Errorf("%s: Next after Reset = %v", s.Name(), r)
 		}
 	}
+}
+
+// Drain removes and returns all pending requests in dispatch order —
+// the order the scheduler would actually service them, which is what
+// determinism tests need to observe. Callers that only care about
+// queue contents regardless of policy should use DrainSorted.
+func Drain(s core.Scheduler, d core.Device, now float64) []*core.Request {
+	var out []*core.Request
+	for s.Len() > 0 {
+		out = append(out, s.Next(d, now))
+	}
+	return out
+}
+
+// DrainSorted removes all pending requests and returns them in
+// ascending LBN order, independent of scheduling policy; tests use it
+// to inspect queue contents.
+func DrainSorted(s core.Scheduler, d core.Device, now float64) []*core.Request {
+	out := Drain(s, d, now)
+	sort.Slice(out, func(i, j int) bool { return out[i].LBN < out[j].LBN })
+	return out
 }
 
 func TestDrainReturnsDispatchOrder(t *testing.T) {

@@ -163,7 +163,10 @@ func (e *engine) finalize() {
 		e.src.simMs += e.res.Elapsed
 	}
 	if e.phases != nil {
-		e.res.Phases = e.phases.Stats()
+		// A copy: the collector's next run resets it, and must leave this
+		// Result as it is.
+		ps := *e.phases.Stats()
+		e.res.Phases = &ps
 	}
 	if e.inj != nil && e.inj.Array() != nil && e.inj.Array().DataLoss() {
 		e.res.DataLoss = true

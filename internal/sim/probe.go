@@ -239,8 +239,9 @@ func (s *PhaseStats) add(bd core.Breakdown) {
 
 // PhaseCollector is a Probe that aggregates PhaseStats over a run's
 // measured completions. Attach it via Options.Probe (alone or inside a
-// MultiProbe) and the run's Result.Phases points at its statistics
-// (the first collector's, if there are several).
+// MultiProbe) and the run's Result.Phases holds a copy of its
+// statistics at the end of the run (the first collector's, if there
+// are several), which later runs on the collector leave alone.
 type PhaseCollector struct {
 	ps PhaseStats
 }

@@ -386,8 +386,8 @@ func TestResolveProbeTree(t *testing.T) {
 			if c.phases == nil && res.Phases != nil {
 				t.Error("Result.Phases set without a collector in Options.Probe")
 			}
-			if c.phases != nil && res.Phases != c.phases.Stats() {
-				t.Error("Result.Phases is not the first collector's stats")
+			if c.phases != nil && (res.Phases == c.phases.Stats() || !reflect.DeepEqual(*res.Phases, *c.phases.Stats())) {
+				t.Error("Result.Phases is not a copy of the first collector's stats")
 			}
 			if got := res.Members[0].Phases != nil; got != (c.phases != nil) {
 				t.Errorf("per-member phases allocated = %v, want %v", got, c.phases != nil)
@@ -626,5 +626,22 @@ func TestRunMultiProgress(t *testing.T) {
 	}
 	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
 		t.Errorf("progress fired at %v, want [1000 2000]", at)
+	}
+}
+
+// TestResultPhasesSurviveCollectorReuse runs 10 requests, then 3, with
+// one PhaseCollector: the first run's Result.Phases is its own copy, so
+// the second run, which resets the collector, leaves it at 10.
+func TestResultPhasesSurviveCollectorReuse(t *testing.T) {
+	pc := NewPhaseCollector()
+	run := func(n int) Result {
+		src := workload.NewFromSlice(mkReqs(make([]float64, n)))
+		return Run(nil, &fixedDevice{svc: 1}, sched.NewFCFS(), src, Options{Probe: pc})
+	}
+	first := run(10)
+	second := run(3)
+	if first.Phases.Requests != 10 || second.Phases.Requests != 3 {
+		t.Errorf("phases of the 10- and 3-request runs hold %d and %d requests",
+			first.Phases.Requests, second.Phases.Requests)
 	}
 }
