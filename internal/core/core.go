@@ -45,6 +45,10 @@ type Request struct {
 	// for class-aware scheduling and per-class accounting. The zero value
 	// is ClassForeground, so untagged requests behave exactly as before.
 	Class Class
+	// Ref is simulator-owned; leave zero. RunVolume keeps there the index
+	// of the member operation a queued request realizes. It sits in the
+	// padding after Class, so the struct does not grow.
+	Ref int32
 
 	// Start is the time service began (set by the simulator).
 	Start float64

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestOpString(t *testing.T) {
@@ -11,6 +12,19 @@ func TestOpString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Op(9).String(), "Op(") {
 		t.Error("unknown Op should format numerically")
+	}
+}
+
+func TestRequestSize(t *testing.T) {
+	// Every simulated request is one Request, so its size is the
+	// simulator's allocation per request: 168 B on a 64-bit platform,
+	// which the allocator rounds to its 176 B class. Ref lives in the
+	// padding after Class and must not grow it.
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Request{}); got != 168 {
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 168", got)
 	}
 }
 

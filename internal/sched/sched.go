@@ -12,7 +12,8 @@
 //
 // Every policy embeds one pending-request core (Add, Len, Reset and a
 // swap-remove) and supplies its own Next; SPTF also keeps each queued
-// request's bound key beside it. The extensions are SPTF with a
+// request's bound key beside it, and FCFS serves from a head index
+// rather than by swap-remove. The extensions are SPTF with a
 // different cost model (SettleAware, ASPTF) or with class bands
 // (Priority), never a new queue type.
 package sched
@@ -92,7 +93,18 @@ func (q *queue) take(i int) *core.Request {
 
 // FCFS services requests strictly in arrival order. It is the reference
 // point that saturates first in Figs. 5 and 6.
-type FCFS struct{ queue }
+//
+// The pending requests are q[head:]; q[:head] is the dead prefix of
+// served slots, each set to nil so the backing array pins no served
+// request. A dispatch only advances head, and an Add that finds the
+// array full compacts it instead of growing it when the dead prefix is
+// at least a quarter of it. So every request is copied O(1) times
+// amortized at any depth, and the array grows only when at least three
+// quarters of it is pending.
+type FCFS struct {
+	queue
+	head int
+}
 
 // NewFCFS returns an empty FCFS queue.
 func NewFCFS() *FCFS { return &FCFS{} }
@@ -100,30 +112,54 @@ func NewFCFS() *FCFS { return &FCFS{} }
 // Name implements core.Scheduler.
 func (f *FCFS) Name() string { return "FCFS" }
 
+// Add implements core.Scheduler.
+func (f *FCFS) Add(r *core.Request) {
+	if len(f.q) == cap(f.q) && 4*f.head >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, r)
+}
+
+// Len implements core.Scheduler.
+func (f *FCFS) Len() int { return len(f.q) - f.head }
+
+// Reset implements core.Scheduler.
+func (f *FCFS) Reset() {
+	f.queue.Reset()
+	f.head = 0
+}
+
 // Next implements core.Scheduler.
 func (f *FCFS) Next(core.Device, float64) *core.Request {
-	if len(f.q) == 0 {
+	if f.Len() == 0 {
 		return nil
 	}
-	r := f.q[0]
-	// Shift rather than re-slice so the backing array does not pin every
-	// serviced request.
-	copy(f.q, f.q[1:])
-	f.q[len(f.q)-1] = nil
-	f.q = f.q[:len(f.q)-1]
+	r := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
 	return r
 }
 
 // Requeue implements core.Requeuer: a request retried after a failed
 // service visit goes back to the head of the queue, ahead of fresh
-// arrivals — it already waited its turn once. The position-aware
-// schedulers (SSTF_LBN, C-LOOK, SPTF) need no such method: they rescan
-// the whole queue at every dispatch, so a retried request competes on
-// position like any other and plain Add suffices.
+// arrivals — it already waited its turn once. After a Next it takes
+// back the slot that Next freed, in O(1); only when an Add has
+// compacted the array since then does it shift the queue, once per
+// compaction. The position-aware schedulers
+// (SSTF_LBN, C-LOOK, SPTF) need no such method: they rescan the whole
+// queue at every dispatch, so a retried request competes on position
+// like any other and plain Add suffices.
 func (f *FCFS) Requeue(r *core.Request) {
-	f.q = append(f.q, nil)
-	copy(f.q[1:], f.q)
-	f.q[0] = r
+	if f.head == 0 {
+		f.q = append(f.q, nil)
+		copy(f.q[1:], f.q)
+		f.q[0] = r
+		return
+	}
+	f.head--
+	f.q[f.head] = r
 }
 
 // SSTF schedules the pending request whose starting LBN is closest to the

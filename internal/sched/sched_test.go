@@ -79,6 +79,75 @@ func TestFCFSRequeueGoesToFront(t *testing.T) {
 	var _ core.Requeuer = s
 }
 
+// TestFCFSMatchesSliceModel drives FCFS and a plain-slice FIFO through
+// random Add/Next/Requeue/Reset sequences: every dispatch must match,
+// and the backing array must hold exactly the pending requests, with
+// no serviced request pinned in a dead slot.
+func TestFCFSMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		s := NewFCFS()
+		var model, serviced []*core.Request
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 9:
+				r := req(int64(step))
+				s.Add(r)
+				model = append(model, r)
+			case op < 16:
+				got := s.Next(nil, 0)
+				if len(model) == 0 {
+					if got != nil {
+						t.Fatalf("trial %d step %d: Next on empty = %v", trial, step, got)
+					}
+					continue
+				}
+				if got != model[0] {
+					t.Fatalf("trial %d step %d: Next = %v, want %v", trial, step, got, model[0])
+				}
+				serviced = append(serviced, got)
+				model = model[1:]
+			case op < 19:
+				// Usually the request just dispatched, sometimes an
+				// older one, so both the O(1) and the shifting path run.
+				if len(serviced) == 0 {
+					continue
+				}
+				i := len(serviced) - 1
+				if rng.Intn(4) == 0 {
+					i = rng.Intn(len(serviced))
+				}
+				r := serviced[i]
+				serviced = append(serviced[:i], serviced[i+1:]...)
+				s.Requeue(r)
+				model = append([]*core.Request{r}, model...)
+			default:
+				s.Reset()
+				serviced = append(serviced, model...)
+				model = nil
+			}
+			if s.Len() != len(model) {
+				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, step, s.Len(), len(model))
+			}
+			pending := make(map[*core.Request]bool, len(model))
+			for _, r := range model {
+				pending[r] = true
+			}
+			for i, r := range s.q[:cap(s.q)] {
+				if r != nil && !pending[r] {
+					t.Fatalf("trial %d step %d: slot %d of the backing array pins serviced request %v",
+						trial, step, i, r)
+				}
+			}
+			for i, r := range s.q[s.head:] {
+				if r != model[i] {
+					t.Fatalf("trial %d step %d: pending[%d] = %v, want %v", trial, step, i, r, model[i])
+				}
+			}
+		}
+	}
+}
+
 func TestFCFSEmpty(t *testing.T) {
 	for _, s := range []core.Scheduler{NewFCFS(), NewSSTF(), NewCLOOK(), NewSPTF(), NewSettleAware(), NewPriority()} {
 		if r := s.Next(nil, 0); r != nil {

@@ -246,7 +246,10 @@ func openRunEvents() []ProbeEvent {
 // request count tenfold, which also changes the subbench name so
 // cross-scale numbers are never compared). At 1M requests the
 // collector's distributions cross exactLimit about halfway through and
-// finish in the sketch; the -short rows stay exact.
+// finish in the sketch; the -short rows stay exact. The two
+// fcfs-saturated rows run FCFS past saturation, where the queue grows
+// to tens of thousands, so per-dispatch bookkeeping that grows with
+// depth shows; their size is fixed at satRequests under -short too.
 func BenchmarkEngineMillion(b *testing.B) {
 	n := 1000000
 	if testing.Short() {
@@ -298,6 +301,42 @@ func BenchmarkEngineMillion(b *testing.B) {
 			}
 		}
 	})
+	b.Run(fmtScale("open-fcfs-saturated", satRequests), func(b *testing.B) {
+		d := mems.MustDevice(mems.DefaultConfig())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Run(nil, d, sched.NewFCFS(), saturatedSource(d),
+				Options{Warmup: satRequests / 100, Probe: NewPhaseCollector()})
+		}
+	})
+	b.Run(fmtScale("volume-fcfs-saturated", satRequests), func(b *testing.B) {
+		// A one-member stripe whose strip is the whole device: the same
+		// queueing system as the open row, through the volume path.
+		d := mems.MustDevice(mems.DefaultConfig())
+		v, err := array.NewVolume(array.VolumeConfig{Level: array.VolStripe, Members: 1,
+			StripeUnit: d.Capacity(), PerMember: d.Capacity()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := VolumeSpec{Volume: v, Devices: []core.Device{d}, Scheds: []core.Scheduler{sched.NewFCFS()}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := RunVolume(nil, spec, saturatedSource(d),
+				Options{Warmup: satRequests / 100, Probe: NewPhaseCollector()}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// satRequests is the size of the fcfs-saturated rows.
+const satRequests = 200_000
+
+// saturatedSource is the fcfs-saturated rows' arrival stream: random
+// 4 KB-mean requests over d at 1500 req/s, past the MEMS G1 device's
+// FCFS saturation rate (fig6), so the queue grows for the whole run.
+func saturatedSource(d core.Device) workload.Source {
+	return workload.DefaultRandom(1500, d.SectorSize(), d.Capacity(), satRequests, 7)
 }
 
 // The shape of memsperf's volume-rebuild workload: a 4+1

@@ -8,9 +8,11 @@
 //     issue chain with per-request think-time draws (runClosed), or an
 //     eager arrival chain (chainArrivals, used by multi and volume);
 //   - a service target: a single device+scheduler, or a memberSet of
-//     per-device queues addressed by a Router or an array.Volume plan;
+//     per-device scheduler queues addressed by a Router or an
+//     array.Volume plan;
 //   - a shared completion path (complete): warmup gating, failed-request
-//     exclusion, probe emission.
+//     exclusion, fault-outcome tallies, probe emission; each regime's
+//     own accounting follows the call.
 //
 // Every service visit in every regime flows through serveVisit, so
 // fault injection — transient retries, requeues, lost-sector reads, ECC
@@ -282,20 +284,18 @@ func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now f
 
 // complete is the shared completion path: every top-level request in
 // every regime finishes here. It advances the completion count, fires
-// the EventComplete probe, optionally tallies the fault
-// outcome (tally — single and multi regimes with an injector;
-// RunVolume keeps its own richer tallies), and folds the
-// request into the measured statistics when it is past warmup and not
-// failed. qlen < 0 skips the queue-length statistics (closed regime).
-// onDone, when non-nil, runs last with the measured flag for
-// regime-specific accounting.
-func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc float64, tally bool, onDone func(measured bool)) {
+// the EventComplete probe, tallies the fault outcome when the run has
+// an injector (classify), and folds the request into the measured
+// statistics when it is past warmup and not failed. qlen < 0 skips the
+// queue-length statistics (closed regime). It reports whether the
+// request was measured, for the regime's own accounting after it.
+func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc float64) (measured bool) {
 	e.completed++
-	measured := e.completed > e.opts.Warmup && !r.Failed
+	measured = e.completed > e.opts.Warmup && !r.Failed
 	if e.p != nil {
 		e.p.Observe(ProbeEvent{Kind: EventComplete, Time: now, Dev: dev, Req: r, Measured: measured})
 	}
-	if tally && e.inj != nil {
+	if e.inj != nil {
 		classify(r, &e.res)
 	}
 	if measured {
@@ -309,9 +309,7 @@ func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc
 			}
 		}
 	}
-	if onDone != nil {
-		onDone(measured)
-	}
+	return measured
 }
 
 // chainArrivals schedules src's stream as a linked chain of arrival
@@ -431,7 +429,7 @@ func (o *openRun) finish() {
 		}
 	} else {
 		o.r.Finish = o.done
-		e.complete(o.done, o.r, 0, o.qlen, o.r.ResponseTime(), o.r.ServiceTime(), true, nil)
+		e.complete(o.done, o.r, 0, o.qlen, o.r.ResponseTime(), o.r.ServiceTime())
 	}
 	o.pump()
 }
@@ -514,7 +512,7 @@ func (c *closedRun) issue() {
 func (c *closedRun) finish() {
 	e, r := c.e, c.r
 	r.Finish = c.t
-	e.complete(c.t, r, 0, -1, c.total, c.total, true, nil)
+	e.complete(c.t, r, 0, -1, c.total, c.total)
 	if next := c.src.Next(); next != nil {
 		c.r = next
 		e.q.Schedule(e.q.Now()+c.delay(), c.issueFn)
@@ -525,12 +523,12 @@ func (c *closedRun) finish() {
 
 // memberSet is the multi-queue service target shared by the routed
 // (RunMulti) and redundant-volume (RunVolume) regimes: one scheduler
-// queue per member device, per-member busy latches, and per-member
-// result attribution.
+// queue per member device and per-member result attribution. Each
+// regime keeps its members' in-flight slots; a member is busy exactly
+// while its slot holds a request.
 type memberSet struct {
 	devs   []core.Device
 	scheds []core.Scheduler
-	busy   []bool
 
 	members []MemberResult
 	// phases holds per-member phase aggregates when Options.Probe
@@ -548,7 +546,6 @@ func newMemberSet(devs []core.Device, scheds []core.Scheduler, e *engine) *membe
 	ms := &memberSet{
 		devs:    devs,
 		scheds:  scheds,
-		busy:    make([]bool, len(devs)),
 		members: make([]MemberResult, len(devs)),
 	}
 	if e.phases != nil {

@@ -59,17 +59,17 @@ func RunMulti(ctx *Context, devs []core.Device, scheds []core.Scheduler, route R
 // visit path (injector included), and completed per volume-level
 // request through the shared completion path.
 //
-// Each member has at most one service in flight (ms.busy), so the
-// completion event's parameters live in a per-member slot and the
-// completion/tally callbacks are allocated once per member at setup
-// instead of once per dispatch (the engine's allocation diet).
+// Each member has at most one service in flight, so the completion
+// event's parameters live in a per-member slot, which holds a request
+// exactly while the member is busy, and the completion callback is
+// allocated once per member at setup instead of once per dispatch (the
+// engine's allocation diet).
 func (e *engine) runMulti(ms *memberSet, route Router, src workload.Source) {
 	m := &multiRun{e: e, ms: ms, route: route, per: make([]memberDispatch, len(ms.devs))}
 	for i := range m.per {
 		md := &m.per[i]
 		md.m, md.i = m, i
 		md.doneFn = md.finish
-		md.onDone = md.tally
 	}
 	e.chainArrivals(src, m.deliver)
 }
@@ -82,8 +82,8 @@ type multiRun struct {
 	per   []memberDispatch
 }
 
-// memberDispatch holds one member's in-flight completion state and its
-// two reusable callbacks.
+// memberDispatch holds one member's in-flight completion state (r is
+// nil while the member is idle) and its reusable completion callback.
 type memberDispatch struct {
 	m *multiRun
 	i int
@@ -94,7 +94,6 @@ type memberDispatch struct {
 	again bool
 
 	doneFn func()
-	onDone func(measured bool)
 }
 
 func (m *multiRun) deliver(r *core.Request) {
@@ -123,8 +122,8 @@ func (m *multiRun) deliver(r *core.Request) {
 }
 
 func (m *multiRun) dispatch(i int) {
-	e, ms := m.e, m.ms
-	if ms.busy[i] {
+	e, ms, md := m.e, m.ms, &m.per[i]
+	if md.r != nil {
 		return
 	}
 	now := e.q.Now()
@@ -133,7 +132,6 @@ func (m *multiRun) dispatch(i int) {
 	if r == nil {
 		return
 	}
-	ms.busy[i] = true
 	if r.Requeues == 0 {
 		r.Start = now
 	}
@@ -145,33 +143,28 @@ func (m *multiRun) dispatch(i int) {
 	r.Finish = done
 	e.res.Busy += svc
 	ms.members[i].Busy += svc
-	md := &m.per[i]
 	md.r, md.qlen, md.done, md.again = r, qlen, done, again
 	e.q.Schedule(done, md.doneFn)
 }
 
 func (md *memberDispatch) finish() {
-	m, i := md.m, md.i
+	m, i, r := md.m, md.i, md.r
 	e, ms := m.e, m.ms
-	ms.busy[i] = false
+	md.r = nil
 	if md.again {
-		requeue(ms.scheds[i], md.r)
+		requeue(ms.scheds[i], r)
 		if e.p != nil {
-			e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: md.done, Dev: i, Req: md.r,
+			e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: md.done, Dev: i, Req: r,
 				Queue: ms.scheds[i].Len()})
 		}
 	} else {
-		e.complete(md.done, md.r, i, md.qlen, md.r.ResponseTime(), md.r.ServiceTime(), true, md.onDone)
+		measured := e.complete(md.done, r, i, md.qlen, r.ResponseTime(), r.ServiceTime())
+		ms.members[i].Requests++
+		if ms.phases != nil && measured {
+			ms.phases[i].add(r.Phases)
+		}
 	}
 	m.dispatch(i)
-}
-
-func (md *memberDispatch) tally(measured bool) {
-	ms, i := md.m.ms, md.i
-	ms.members[i].Requests++
-	if ms.phases != nil && measured {
-		ms.phases[i].add(md.r.Phases)
-	}
 }
 
 // ConcatRouter routes by address concatenation: device i holds the LBN

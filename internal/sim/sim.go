@@ -111,12 +111,15 @@ type Options struct {
 	// statistics, hiding cold-start transients.
 	Warmup int
 	// Injector, when non-nil, drives deterministic fault injection through
-	// the run (Run and RunClosed): transient positioning errors recovered
+	// the run, in every regime: transient positioning errors recovered
 	// by bounded device-level retry at the §6.1.3 penalty, scheduled tip
 	// failures evolving the redundancy array mid-run, and
-	// ECC-reconstruction surcharges on degraded-stripe reads. The injector
-	// is Reset alongside the device and scheduler. A zero-rate, event-free
-	// injector reproduces the no-injector run byte for byte.
+	// ECC-reconstruction surcharges on degraded-stripe reads. RunMulti and
+	// RunVolume apply them to every member visit, and RunVolume takes its
+	// whole-device failures from the injector's device-event schedule.
+	// The injector is Reset alongside the device and scheduler. A
+	// zero-rate, event-free injector reproduces the no-injector run byte
+	// for byte.
 	Injector *fault.Injector
 	// Probe, when non-nil, observes typed request-lifecycle events
 	// (arrive, dispatch, per-phase service, retry/requeue, complete)

@@ -149,14 +149,25 @@ type volReq struct {
 // device's scheduler queues and serves, and the intent it realizes.
 // memberReqs are pooled per run like volReqs: one goes back to the free
 // list when its fork-join leg completes, so a probe sees the same
-// request pointer again for a later operation.
+// request pointer again for a later operation. Its request's Ref is the
+// op's index in the run's op registry (opSlot).
 type memberReq struct {
 	req core.Request
 	vr  *volReq
 }
 
+// opSlot is one member op's registry entry: the op, and the device
+// whose scheduler holds it, or -1 while none does. A scheduler's pick is
+// taken only through its entry, so a request the scheduler was never
+// given, or one it already returned, fails loudly.
+type opSlot struct {
+	m   *memberReq
+	dev int
+}
+
 // volInflight is one member's in-flight service-completion state,
-// consumed by the member's reusable completion callback.
+// consumed by the member's reusable completion callback; m is nil while
+// the member is idle.
 type volInflight struct {
 	m     *memberReq
 	done  float64
@@ -247,13 +258,12 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, frac float64, adaptive bool) func() {
 	var vstats VolumeStats
 	// freeVR and freeMR are the run's free lists of volume intents and
-	// member ops. queued[dev] holds the member ops waiting in device
-	// dev's scheduler: a dispatch finds the scheduler's pick there by
-	// pointer, a scan no longer than the scheduler's own.
+	// member ops; ops registers every member op the run made, at the
+	// index its request carries in Ref.
 	var (
 		freeVR []*volReq
 		freeMR []*memberReq
-		queued = make([][]*memberReq, len(ms.devs))
+		ops    []opSlot
 	)
 	newVR := func(r *core.Request) *volReq {
 		var vr *volReq
@@ -265,19 +275,14 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		*vr = volReq{r: r, plan: array.Plan{Phases: vr.plan.Phases[:0]}, epoch: v.Epoch()}
 		return vr
 	}
-	// take removes the scheduler's pick mr from device dev's queued ops.
+	// take returns the member op behind device dev's scheduler pick mr
+	// and marks it as no longer queued.
 	take := func(dev int, mr *core.Request) *memberReq {
-		q := queued[dev]
-		for j, m := range q {
-			if &m.req == mr {
-				last := len(q) - 1
-				q[j] = q[last]
-				q[last] = nil
-				queued[dev] = q[:last]
-				return m
-			}
+		if id := int(mr.Ref); id >= 0 && id < len(ops) && &ops[id].m.req == mr && ops[id].dev == dev {
+			ops[id].dev = -1
+			return ops[id].m
 		}
-		panic(fmt.Sprintf("sim: device %d scheduler dispatched a request it was never given", dev))
+		panic(fmt.Sprintf("sim: device %d scheduler dispatched a request not queued on it", dev))
 	}
 	// degradedSince and failStart track the open degraded window and
 	// the active failure for MTTR accounting; -1 when closed.
@@ -324,11 +329,13 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			m, freeMR = freeMR[n-1], freeMR[:n-1]
 		} else {
 			m = new(memberReq)
+			m.req.Ref = int32(len(ops))
+			ops = append(ops, opSlot{m: m})
 		}
 		m.req = core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
-			Class: memberClass(vr)}
+			Class: memberClass(vr), Ref: m.req.Ref}
 		m.vr = vr
-		queued[dev] = append(queued[dev], m)
+		ops[m.req.Ref].dev = dev
 		ms.scheds[dev].Add(&m.req)
 		if e.p != nil {
 			e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: &m.req,
@@ -359,26 +366,25 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		}
 	}
 
-	// onDone folds the completing volume request (curVR, set by
-	// finishReq) into the volume tallies. complete invokes it
-	// synchronously, so one shared closure replaces a fresh one per
-	// completion.
-	var curVR *volReq
-	onDone := func(measured bool) {
-		vr := curVR
+	// finishReq completes a foreground request. complete's fault tally
+	// counts a failed request in FailedRequests and a reconstructed read
+	// (Degraded) in DegradedReads; retries land on the member ops, so the
+	// request's own Retries stays 0 and it never counts as Recovered.
+	finishReq := func(vr *volReq, now float64) {
 		r := vr.r
-		// The volume keeps its own fault tallies (classify would
-		// double-count): a failed foreground request is a lost
-		// request at volume scope whatever first broke it.
+		r.Finish = now
+		r.Degraded = vr.degradedRead
+		r.Class = memberClass(vr)
+		measured := e.complete(now, r, 0, vr.qlen, r.ResponseTime(), r.ServiceTime())
+		// A failed foreground request is a lost request at volume scope,
+		// whatever first broke it.
 		if r.Failed {
-			e.res.FailedRequests++
 			vstats.LostRequests++
 			if r.Op == core.Read {
 				e.res.LostReads++
 			}
 		}
 		if vr.degradedRead {
-			e.res.DegradedReads++
 			vstats.DegradedReads++
 		}
 		if vr.degradedWrite {
@@ -395,15 +401,6 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			}
 			vstats.ClassResponse[r.Class].Add(r.ResponseTime())
 		}
-	}
-
-	finishReq := func(vr *volReq, now float64) {
-		r := vr.r
-		r.Finish = now
-		r.Degraded = vr.degradedRead
-		r.Class = memberClass(vr)
-		curVR = vr
-		e.complete(now, r, 0, vr.qlen, r.ResponseTime(), r.ServiceTime(), false, onDone)
 	}
 
 	chunkDone := func(vr *volReq, now float64) {
@@ -459,9 +456,8 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	}
 
 	// finish closes a volume intent, whose member ops have all
-	// completed, and returns it to the free list: complete runs onDone
-	// synchronously, so nothing holds vr once finishReq or chunkDone
-	// returns.
+	// completed, and returns it to the free list: nothing holds vr once
+	// finishReq or chunkDone returns.
 	finish := func(vr *volReq, now float64) {
 		if vr.rebuild {
 			chunkDone(vr, now)
@@ -506,7 +502,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	}
 
 	dispatch = func(i int) {
-		if ms.busy[i] {
+		if inflight[i].m != nil {
 			return
 		}
 		now := e.q.Now()
@@ -515,7 +511,6 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		if mr == nil {
 			return
 		}
-		ms.busy[i] = true
 		m := take(i, mr)
 		vr := m.vr
 		if !vr.started {
@@ -551,12 +546,12 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		doneFns[i] = func() {
 			fl := &inflight[i]
 			m, vr := fl.m, fl.m.vr
-			ms.busy[i] = false
+			fl.m = nil
 			if fl.again {
 				// The visit exhausted its retries with requeue budget
 				// left: the member op goes back to its own queue and the
 				// fork-join leg stays outstanding.
-				queued[i] = append(queued[i], m)
+				ops[m.req.Ref].dev = i
 				requeue(ms.scheds[i], &m.req)
 				if e.p != nil {
 					e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: fl.done, Dev: i, Req: &m.req,

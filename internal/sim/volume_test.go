@@ -707,8 +707,9 @@ func TestRunVolumeOneMemberMatchesRun(t *testing.T) {
 	// A one-member stripe volume whose strip is the whole device never
 	// splits a request, so it is the same queueing system as Run on that
 	// device: every statistic must agree bit for bit. Recovered is not
-	// compared: RunVolume keeps its own fault tallies and never counts
-	// it.
+	// compared: retries land on RunVolume's member ops, never on the
+	// volume request whose outcome complete tallies, so RunVolume never
+	// counts it.
 	dev := mems.MustDevice(mems.DefaultConfig())
 	capacity := dev.Capacity()
 	reqs := func() workload.Source {
@@ -884,5 +885,59 @@ func TestRunVolumeAllocsPerRequest(t *testing.T) {
 		if perReq := allocs / n; perReq > budget {
 			t.Errorf("fail=%v: %.3f allocations per request, budget %g", fail, perReq, budget)
 		}
+	}
+}
+
+// rogueSched is an FCFS scheduler double that breaks its contract on
+// one dispatch: with copyPick it returns a copy of its pick, a request
+// it was never given that carries the real op's Ref; otherwise it
+// returns its previous pick again, an op it already dispatched.
+type rogueSched struct {
+	*sched.FCFS
+	at, n    int
+	copyPick bool
+	last     *core.Request
+}
+
+func (s *rogueSched) Next(d core.Device, now float64) *core.Request {
+	r := s.FCFS.Next(d, now)
+	if s.n++; s.n == s.at {
+		if s.copyPick {
+			c := *r
+			return &c
+		}
+		return s.last
+	}
+	s.last = r
+	return r
+}
+
+func TestRunVolumePanicsOnForeignPick(t *testing.T) {
+	// A pick that does not lead back to an op queued on its device is a
+	// scheduler bug; RunVolume must stop loudly, naming the device,
+	// rather than serve a request it cannot account for. Mirror writes
+	// put one op on each member; member 1's scheduler misbehaves.
+	for _, tc := range []struct {
+		name string
+		s    *rogueSched
+	}{
+		// The first dispatch returns a copy of the queued op's request.
+		{"never given", &rogueSched{FCFS: sched.NewFCFS(), at: 1, copyPick: true}},
+		// The first op has completed and gone back to the pool when
+		// the empty queue's second Next returns it again.
+		{"already dispatched", &rogueSched{FCFS: sched.NewFCFS(), at: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := volFixtures(t, mirrorVolCfg(), 1)
+			spec.Scheds[1] = tc.s
+			src := workload.NewFromSlice(volReqs([]float64{0, 10}, core.Write, []int64{0, 8}))
+			const want = "sim: device 1 scheduler dispatched a request not queued on it"
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("panic = %q, want %q", got, want)
+				}
+			}()
+			RunVolume(nil, spec, src, Options{})
+		})
 	}
 }
