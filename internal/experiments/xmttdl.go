@@ -153,6 +153,9 @@ func mttdlPlan(p Params) *Plan {
 					out.trials = 0
 					return out
 				}
+				// One sampler, reseeded per trial: Seed resets its whole
+				// source, so each trial draws what a fresh sampler would.
+				s := fault.NewLifetimeSampler(mttfMs, 0)
 				for i := st.Trial; i < trials; i++ {
 					if i&1023 == 0 && job.Ctx().Err() != nil {
 						// Cancelled mid-chain: persist the completed trials so
@@ -166,7 +169,7 @@ func mttdlPlan(p Params) *Plan {
 					// The trial label omits the device, so MEMS and disk
 					// draw identical lifetimes and differ only in window.
 					seed := runner.DeriveSeed(p.Seed, fmt.Sprintf("mttdl %s trial %d", lv.name, i))
-					s := fault.NewLifetimeSampler(mttfMs, seed)
+					s.Seed(seed)
 					t, lost := fault.TimeToDataLoss(s, lv.cfg.Members, windowMs, mttdlMaxCycles)
 					st.SumMs += t
 					if !lost {

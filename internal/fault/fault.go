@@ -7,7 +7,9 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Config describes the redundancy structure of a tip array.
@@ -300,6 +302,43 @@ func (a *Array) ConvertDataToSpares() int {
 	return added
 }
 
+// fastmodTips is the largest draw bound the shared fastmod table
+// covers: the paper's 6400 tips, rounded up to a power of two.
+const fastmodTips = 1 << 13
+
+// sharedFastmod is fastmodTable(fastmodTips), built on first use and then
+// read, never written, for the life of the process.
+var sharedFastmod = sync.OnceValue(func() []uint64 { return fastmodTable(fastmodTips) })
+
+// fastmodTable returns m with m[n] = ⌊(2⁶⁴−1)/n⌋ + 1 = ⌈2⁶⁴/n⌉ (mod 2⁶⁴)
+// for n in [1, max]: Lemire's constant, for which hi(lo(m[n]·v)·n) is
+// v mod n exactly for every 32-bit v (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", 2019). m[1] wraps to 0, which gives
+// v mod 1 = 0; m[0] is unused.
+func fastmodTable(max int) []uint64 {
+	m := make([]uint64, max+1)
+	for n := 1; n <= max; n++ {
+		m[n] = ^uint64(0)/uint64(n) + 1
+	}
+	return m
+}
+
+// intn returns rng.Intn(n) for 1 ≤ n < len(m), m a fastmodTable, value
+// for value and draw for draw, without Int31n's two divisions. Int31n
+// draws v = Int31() until v ≤ 2³¹−1 − 2³¹ mod n and returns v mod n
+// (for a power of two, one draw masked, the same value). Since
+// 2³¹ mod n < n, only v ≥ 2³¹−n can be rejected, so the threshold is
+// computed only there, and m[n] takes the modulus.
+func intn(rng *rand.Rand, m []uint64, n int) int {
+	d := uint64(n)
+	v := uint64(rng.Int63() >> 32)
+	for v >= 1<<31-d && v > 1<<31-1-(1<<31)%d {
+		v = uint64(rng.Int63() >> 32)
+	}
+	j, _ := bits.Mul64(m[d]*v, d)
+	return int(j)
+}
+
 // LossProbability estimates, by Monte Carlo over trials with rng, the
 // probability that k uniformly-random tip failures cause data loss under
 // cfg. It is the quantitative form of §6.1's claim that striping + spares
@@ -322,18 +361,31 @@ func LossProbability(cfg Config, k, trials int, rng *rand.Rand) (float64, error)
 	// Every draw is still made, so the random stream, and so every
 	// estimate, stays the same. A spare slot past the prefix takes the
 	// later steps' moves that miss it, so that step needs no branch.
+	// Each step's draw is rng.Intn(i+1), taken by intn.
 	n := min(k, cfg.Tips)
+	m := sharedFastmod()
+	if cfg.Tips >= len(m) {
+		m = fastmodTable(cfg.Tips)
+	}
 	perm := make([]int, n+1)
 	losses := 0
 	for t := 0; t < trials; t++ {
 		a.reset()
 		for i := range n {
-			j := rng.Intn(i + 1)
+			j := intn(rng, m, i+1)
 			perm[i] = perm[j]
 			perm[j] = i
 		}
 		for i := n; i < cfg.Tips; i++ {
-			perm[min(rng.Intn(i+1), n)] = i
+			// intn(rng, m, i+1), written out: it is too large to be
+			// inlined, and calling it took a quarter of the run time.
+			d := uint64(i + 1)
+			v := uint64(rng.Int63() >> 32)
+			for v >= 1<<31-d && v > 1<<31-1-(1<<31)%d {
+				v = uint64(rng.Int63() >> 32)
+			}
+			j, _ := bits.Mul64(m[d]*v, d)
+			perm[min(int(j), n)] = i
 		}
 		for _, id := range perm[:n] {
 			a.fail(id)

@@ -406,6 +406,8 @@ func TestLossProbabilityMatchesFreshPerTrialReference(t *testing.T) {
 		{Tips: 6400, DataTips: 64, ECCTips: 1, SpareTips: 30},
 		{Tips: 6400, DataTips: 64, ECCTips: 2, SpareTips: 130},
 		{Tips: 6400, DataTips: 64, ECCTips: 2, SpareTips: 394},
+		// More tips than the shared fastmod table covers.
+		{Tips: 8576, DataTips: 64, ECCTips: 0, SpareTips: 0},
 	}
 	const trials = 40
 	for seed := int64(1); seed <= 3; seed++ {
@@ -427,6 +429,81 @@ func TestLossProbabilityMatchesFreshPerTrialReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stubSource is a rand.Source returning vals in turn, then 0, counting
+// its calls.
+type stubSource struct {
+	vals  []int64
+	calls int
+}
+
+func (s *stubSource) Int63() int64 {
+	s.calls++
+	if len(s.vals) == 0 {
+		return 0
+	}
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v
+}
+
+func (s *stubSource) Seed(int64) {}
+
+// TestIntnExact checks intn against rand.Intn value for value and draw
+// for draw: for every n the shared table covers, on one seeded stream
+// per side over many rounds, and at Int31n's rejection edge, where a
+// stub source makes the first draw v = 2³¹−n−1, 2³¹−n or the largest
+// accepted value ±1 and the second an accepted one.
+func TestIntnExact(t *testing.T) {
+	m := sharedFastmod()
+	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for round := 0; round < 16; round++ {
+		for n := 1; n < len(m); n++ {
+			if g, w := intn(got, m, n), want.Intn(n); g != w {
+				t.Fatalf("round %d n=%d: intn %d, Intn %d", round, n, g, w)
+			}
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("next draw %d, Intn's stream %d: the draws differ in number", g, w)
+	}
+	for n := 1; n < len(m); n++ {
+		accept := int64(1<<31 - 1 - (1<<31)%n)
+		for _, v := range []int64{1<<31 - int64(n) - 1, 1<<31 - int64(n), accept - 1, accept, accept + 1} {
+			if v < 0 || v >= 1<<31 {
+				continue
+			}
+			// The low 32 bits are noise Int31 shifts away.
+			vals := []int64{v<<32 | 0x5bd1e995, 12345<<32 | 1}
+			gs, ws := &stubSource{vals: vals}, &stubSource{vals: vals}
+			g, w := intn(rand.New(gs), m, n), rand.New(ws).Intn(n)
+			if g != w || gs.calls != ws.calls {
+				t.Fatalf("n=%d v=%d: intn %d in %d draws, Intn %d in %d", n, v, g, gs.calls, w, ws.calls)
+			}
+		}
+	}
+}
+
+// FuzzIntnExact is TestIntnExact's stream check at a fuzzed seed and
+// bound.
+func FuzzIntnExact(f *testing.F) {
+	f.Add(int64(1), uint16(6400))
+	f.Add(int64(-7), uint16(1))
+	f.Add(int64(42), uint16(4095))
+	m := sharedFastmod()
+	f.Fuzz(func(t *testing.T, seed int64, bound uint16) {
+		n := int(bound)%(len(m)-1) + 1
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			if g, w := intn(got, m, n), want.Intn(n); g != w {
+				t.Fatalf("seed %d n=%d draw %d: intn %d, Intn %d", seed, n, i, g, w)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d n=%d: next draw %d, Intn's stream %d", seed, n, g, w)
+		}
+	})
 }
 
 // arrayState is everything Array reports about itself, plus the spare

@@ -100,6 +100,10 @@ func NewLifetimeSampler(mttfMs float64, seed int64) *LifetimeSampler {
 	return &LifetimeSampler{mttfMs: mttfMs, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Seed restarts the sampler on the stream NewLifetimeSampler(mttf, seed)
+// draws, without allocating another source.
+func (s *LifetimeSampler) Seed(seed int64) { s.rng.Seed(seed) }
+
 // Draw returns one device's lifetime in ms.
 func (s *LifetimeSampler) Draw() float64 { return s.rng.ExpFloat64() * s.mttfMs }
 

@@ -130,6 +130,14 @@ func TestLifetimeSamplerDeterministic(t *testing.T) {
 			t.Fatal("same seed diverged")
 		}
 	}
+	// Seed restarts the stream a fresh sampler draws, mid-stream too.
+	a.Seed(9)
+	e := NewLifetimeSampler(100, 9)
+	for i := 0; i < 100; i++ {
+		if a.Draw() != e.Draw() {
+			t.Fatal("reseeded sampler diverged from a fresh one")
+		}
+	}
 	// FirstOf scales a single draw by the population.
 	c, d := NewLifetimeSampler(100, 9), NewLifetimeSampler(100, 9)
 	if got, want := c.FirstOf(4), d.Draw()/4; got != want {

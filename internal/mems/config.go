@@ -202,11 +202,7 @@ func (g *Geometry) StreamBandwidth() float64 {
 
 // Sled returns the physics model for either sled axis.
 func (g *Geometry) Sled() *physics.Sled {
-	return &physics.Sled{
-		Accel:        g.SledAccel,
-		SpringFactor: g.SpringFactor,
-		HalfRange:    g.HalfRange,
-	}
+	return physics.NewSled(g.SledAccel, g.SpringFactor, g.HalfRange)
 }
 
 // XPos returns the sled X displacement in meters when cylinder cyl is

@@ -8,7 +8,7 @@
 //	ẍ = u·a − ω²·x,   u ∈ {−1, +1}
 //
 // where a is the actuator acceleration and the linear spring term reaches
-// SpringFactor·a at ±HalfRange (so ω² = SpringFactor·a/HalfRange). Seeks
+// springFactor·a at ±halfRange (so ω² = springFactor·a/halfRange). Seeks
 // are time-optimal bang-bang maneuvers: full acceleration toward the
 // target followed by full deceleration. Because each control phase is a
 // constant-force harmonic oscillator, the state traces a circle in
@@ -27,30 +27,44 @@ import (
 
 // Sled describes the mechanical parameters of a media sled axis. The same
 // parameters are used for the X (cross-track) and Y (along-track) axes.
+// A Sled is immutable; NewSled builds one.
 type Sled struct {
-	// Accel is the acceleration applied by the actuators, m/s²
+	// accel is the acceleration applied by the actuators, m/s²
 	// (803.6 m/s² in the paper's Table 1).
-	Accel float64
+	accel float64
 
-	// SpringFactor is the fraction of Accel exerted by the spring
-	// suspension at full displacement (±HalfRange). The paper uses 75%.
+	// springFactor is the fraction of accel exerted by the spring
+	// suspension at full displacement (±halfRange). The paper uses 75%.
 	// Zero disables the spring term.
-	SpringFactor float64
+	springFactor float64
 
-	// HalfRange is the maximum sled displacement from center, in meters.
+	// halfRange is the maximum sled displacement from center, in meters.
 	// The paper's 100 µm total mobility gives 50 µm.
-	HalfRange float64
+	halfRange float64
+
+	// w is the oscillator's angular frequency ω and k its equilibrium
+	// offset a/ω², the constants of every seek solve; both are zero
+	// without a spring.
+	w, k float64
+}
+
+// NewSled returns the sled with actuator acceleration accel (m/s²), a
+// spring pulling springFactor·accel at full displacement (zero for no
+// spring) and travel ±halfRange (m). It derives ω and a/ω² once, with
+// the expressions each solve used to evaluate, so plans keep their bits.
+func NewSled(accel, springFactor, halfRange float64) *Sled {
+	s := &Sled{accel: accel, springFactor: springFactor, halfRange: halfRange}
+	if springFactor != 0 {
+		s.w = math.Sqrt(springFactor * accel / halfRange)
+		s.k = accel / (s.w * s.w)
+	}
+	return s
 }
 
 // Omega returns the angular frequency ω of the constant-force oscillator
 // induced by the spring, in rad/s. It is zero when the sled has no spring
 // term.
-func (s *Sled) Omega() float64 {
-	if s.SpringFactor == 0 {
-		return 0
-	}
-	return math.Sqrt(s.SpringFactor * s.Accel / s.HalfRange)
-}
+func (s *Sled) Omega() float64 { return s.w }
 
 // Plan is a two-phase bang-bang control plan: apply control U1 (±1) for T1
 // seconds, then U2 for T2 seconds.
@@ -90,6 +104,20 @@ func hypot(p, q float64) float64 {
 	return math.Hypot(p, q)
 }
 
+// atan2 is math.Atan2(y, x), answering its y = ±0 case in place, as the
+// library does after its NaN test: ±0 for x ≥ +0, else ±π, with y's
+// sign. Every rest endpoint (q = 0) and tangent switch point (ws = 0)
+// takes it.
+func atan2(y, x float64) float64 {
+	if y == 0 && x == x {
+		if x >= 0 && !math.Signbit(x) {
+			return y
+		}
+		return math.Copysign(math.Pi, y)
+	}
+	return math.Atan2(y, x)
+}
+
 // negAtan2 returns math.Atan2(−y, x) given th = math.Atan2(y, x). Go's
 // atan2 is odd in y — atan is odd and its ±π quadrant fix is
 // sign-symmetric — so the result is −th bit for bit, except when y/x
@@ -105,24 +133,24 @@ func negAtan2(th, y, x float64) float64 {
 // SeekPlan computes the time-optimal two-phase bang-bang plan moving the
 // sled from state (x0, v0) to state (x1, v1). The boolean result reports
 // whether a two-phase plan exists; for the parameter ranges of MEMS-based
-// storage devices (HalfRange·SpringFactor < equilibrium offset) it always
-// does, but callers must handle false (SeekTime falls back to a composed
-// maneuver through an intermediate rest state).
+// storage devices (springFactor < 1, so the travel lies inside the
+// equilibrium offsets ±a/ω²) it always does, but callers must handle
+// false (SeekTime falls back to a composed maneuver through an
+// intermediate rest state).
 func (s *Sled) SeekPlan(x0, v0, x1, v1 float64) (Plan, bool) {
 	if x0 == x1 && v0 == v1 {
 		return Plan{U1: 1, U2: -1}, true
 	}
-	w := s.Omega()
-	if w == 0 {
+	if s.w == 0 {
 		return s.seekPlanNoSpring(x0, v0, x1, v1)
 	}
-	return s.seekPlanSpring(w, x0, v0, x1, v1)
+	return s.seekPlanSpring(x0, v0, x1, v1)
 }
 
 // seekPlanNoSpring solves the classical double-integrator minimum-time
 // problem (ẍ = ±a).
 func (s *Sled) seekPlanNoSpring(x0, v0, x1, v1 float64) (Plan, bool) {
-	a := s.Accel
+	a := s.accel
 	best := Plan{}
 	found := false
 	// Strategy +a then −a: peak velocity vs ≥ max(v0, v1).
@@ -152,70 +180,99 @@ func (s *Sled) seekPlanNoSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 }
 
 // seekPlanSpring solves the minimum-time problem for the constant-force
-// harmonic oscillator of angular frequency w by intersecting the
-// phase-space circles of the two control phases.
+// harmonic oscillator by intersecting the phase-space circles of the two
+// control phases: the strategy that first applies +a and the one that
+// first applies −a, each solved by strategy.
+//
+// A rest-to-rest move (v0 = v1 = +0, every X seek) solves only the
+// strategy that first accelerates toward the target when both ends lie
+// strictly inside the offsets ±k and δ = |x1 − x0| ≥ k/4096. For
+// x1 > x0 (the other case mirrors) the skipped strategy's circles lie
+// about −k and +k with radii p = k + x0 and q = k − x1, so they miss by
+// δ, and their squared half-chord is
+//
+//	ws2 = −δ(4k − δ)(δ + 2p)(δ + 2q)/(16k²),
+//
+// whose last two factors multiply to 4kδ − δ² + 4pq ≥ δ(4k − δ). So
+// for δ ≤ k, ws2 ≤ −(9/16)δ², which δ ≥ k/4096 puts below −3.3e-8·k²,
+// and for δ > k, ws2 ≤ −k²/4.
+// The rejection threshold −1e-9·r1², with r1 = p < 2k, lies above
+// −4e-9·k², and rounding moves ws2's few terms by about 1e-15·k², so
+// that strategy would always exit at its ws2 test and the plan is the
+// same bit for bit. Any other state solves both strategies.
+func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
+	k := s.k
+	if math.Float64bits(v0)|math.Float64bits(v1) == 0 &&
+		math.Abs(x0) < k && math.Abs(x1) < k && math.Abs(x1-x0)*4096 >= k {
+		u := 1
+		if x1 < x0 {
+			u = -1
+		}
+		return s.strategy(u, x0, 0, x1, 0, Plan{}, false)
+	}
+	q0, q1 := v0/s.w, v1/s.w
+	best, found := s.strategy(1, x0, q0, x1, q1, Plan{}, false)
+	return s.strategy(-1, x0, q0, x1, q1, best, found)
+}
+
+// strategy solves the strategy that applies control u for the first
+// phase and −u for the second, from (x0, q0) to (x1, q1) in (x, v/ω)
+// coordinates, and returns the faster of its plans and best (when
+// found), best on a tie; it returns best and found unchanged when its
+// circles do not meet.
 //
 // Each distinct term is evaluated once, by identities that are exact in
 // IEEE arithmetic, so the plan is bit-identical to evaluating every term
 // per branch: the equilibrium offsets ±a/ω² differ only in sign (IEEE
 // division is sign-symmetric); the two intersections (xs, ±ws) share
-// their angles up to sign (negAtan2); hypot and angleCW skip library
-// calls whose result is known. For a rest-to-rest move the strategy
-// that first accelerates away from the target never reaches it — its
-// circles do not meet, and it exits at the ws2 test — so such a solve
-// evaluates two atan2 of a nonzero ordinate.
-func (s *Sled) seekPlanSpring(w, x0, v0, x1, v1 float64) (Plan, bool) {
-	k := s.Accel / (w * w)
-	q0, q1 := v0/w, v1/w
-	best := Plan{}
-	found := false
-	for _, u1 := range [2]int{1, -1} {
-		// Circle 1 carries the start state, circle 2 the target state,
-		// both in (x, v/ω) coordinates where motion is clockwise at ω.
-		c1 := float64(u1) * k
-		c2 := -c1
-		r1 := hypot(x0-c1, q0)
-		r2 := hypot(x1-c2, q1)
-		// Intersection abscissa from subtracting the circle equations.
-		denom := 2 * (c2 - c1)
-		xs := (r1*r1 - r2*r2 - c1*c1 + c2*c2) / denom
-		ws2 := r1*r1 - (xs-c1)*(xs-c1)
-		if ws2 < 0 {
-			if ws2 > -1e-9*r1*r1 {
-				ws2 = 0 // tangent circles within floating-point noise
-			} else {
-				continue // this strategy cannot reach the target
-			}
+// their angles up to sign (negAtan2); hypot, atan2 and angleCW skip
+// library calls whose result is known.
+func (s *Sled) strategy(u int, x0, q0, x1, q1 float64, best Plan, found bool) (Plan, bool) {
+	w := s.w
+	// Circle 1 carries the start state, circle 2 the target state, both
+	// in (x, v/ω) coordinates where motion is clockwise at ω.
+	c1 := float64(u) * s.k
+	c2 := -c1
+	r1 := hypot(x0-c1, q0)
+	r2 := hypot(x1-c2, q1)
+	// Intersection abscissa from subtracting the circle equations.
+	denom := 2 * (c2 - c1)
+	xs := (r1*r1 - r2*r2 - c1*c1 + c2*c2) / denom
+	ws2 := r1*r1 - (xs-c1)*(xs-c1)
+	if ws2 < 0 {
+		if ws2 > -1e-9*r1*r1 {
+			ws2 = 0 // tangent circles within floating-point noise
+		} else {
+			return best, found // this strategy cannot reach the target
 		}
-		ws := math.Sqrt(ws2)
-		th0 := math.Atan2(q0, x0-c1)
-		tht := math.Atan2(q1, x1-c2)
-		thS1 := math.Atan2(ws, xs-c1)
-		thS2 := math.Atan2(ws, xs-c2)
-		for i := 0; i < 2; i++ {
-			if i == 1 {
-				if ws == 0 {
-					break // ±0 are the same intersection
-				}
-				thS1 = negAtan2(thS1, ws, xs-c1)
-				thS2 = negAtan2(thS2, ws, xs-c2)
+	}
+	ws := math.Sqrt(ws2)
+	th0 := atan2(q0, x0-c1)
+	tht := atan2(q1, x1-c2)
+	thS1 := atan2(ws, xs-c1)
+	thS2 := atan2(ws, xs-c2)
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			if ws == 0 {
+				break // ±0 are the same intersection
 			}
-			t1 := angleCW(th0, thS1) / w
-			t2 := angleCW(thS2, tht) / w
-			// Snap near-full-circle phases caused by floating-point
-			// noise when the start or target coincides with the switch
-			// point.
-			if twoPi-t1*w < 1e-9 {
-				t1 = 0
-			}
-			if twoPi-t2*w < 1e-9 {
-				t2 = 0
-			}
-			p := Plan{U1: u1, T1: t1, U2: -u1, T2: t2}
-			if !found || p.Total() < best.Total() {
-				best = p
-				found = true
-			}
+			thS1 = negAtan2(thS1, ws, xs-c1)
+			thS2 = negAtan2(thS2, ws, xs-c2)
+		}
+		t1 := angleCW(th0, thS1) / w
+		t2 := angleCW(thS2, tht) / w
+		// Snap near-full-circle phases caused by floating-point noise
+		// when the start or target coincides with the switch point.
+		if twoPi-t1*w < 1e-9 {
+			t1 = 0
+		}
+		if twoPi-t2*w < 1e-9 {
+			t2 = 0
+		}
+		p := Plan{U1: u, T1: t1, U2: -u, T2: t2}
+		if !found || p.Total() < best.Total() {
+			best = p
+			found = true
 		}
 	}
 	return best, found
@@ -251,8 +308,8 @@ func (s *Sled) TurnaroundTime(y, v float64) float64 {
 // SeekPlan; it is exported so device models and tests can reconstruct
 // trajectories.
 func (s *Sled) Evolve(x, v float64, u int, t float64) (x2, v2 float64) {
-	w := s.Omega()
-	ua := float64(u) * s.Accel
+	w := s.w
+	ua := float64(u) * s.accel
 	if w == 0 {
 		return x + v*t + 0.5*ua*t*t, v + ua*t
 	}
@@ -280,10 +337,10 @@ func (s *Sled) Integrate(x, v float64, p Plan, dt float64) (x2, v2 float64) {
 
 func (s *Sled) integratePhase(x, v float64, u int, t, dt float64) (float64, float64) {
 	w2 := 0.0
-	if s.SpringFactor != 0 {
-		w2 = s.SpringFactor * s.Accel / s.HalfRange
+	if s.springFactor != 0 {
+		w2 = s.springFactor * s.accel / s.halfRange
 	}
-	acc := func(x, v float64) float64 { return float64(u)*s.Accel - w2*x }
+	acc := func(x, v float64) float64 { return float64(u)*s.accel - w2*x }
 	for t > 0 {
 		h := dt
 		if h > t {

@@ -11,11 +11,11 @@ import (
 // paperSled returns a sled with the default parameters of Table 1 of the
 // paper: 803.6 m/s² acceleration, 75% spring factor, ±50 µm travel.
 func paperSled() *Sled {
-	return &Sled{Accel: 803.6, SpringFactor: 0.75, HalfRange: 50e-6}
+	return NewSled(803.6, 0.75, 50e-6)
 }
 
 func noSpringSled() *Sled {
-	return &Sled{Accel: 803.6, SpringFactor: 0, HalfRange: 50e-6}
+	return NewSled(803.6, 0, 50e-6)
 }
 
 const accessSpeed = 0.028 // m/s, 700 Kbit/s at 40 nm per bit
@@ -43,7 +43,7 @@ func TestNoSpringRestToRest(t *testing.T) {
 	// Without a spring, a rest-to-rest seek of distance d takes 2·sqrt(d/a).
 	s := noSpringSled()
 	for _, d := range []float64{1e-6, 10e-6, 50e-6, 100e-6} {
-		want := 2 * math.Sqrt(d/s.Accel)
+		want := 2 * math.Sqrt(d/s.accel)
 		if got := s.SeekTime(0, 0, d, 0); math.Abs(got-want) > 1e-12 {
 			t.Errorf("d=%g: seek=%g, want %g", d, got, want)
 		}
@@ -57,7 +57,7 @@ func TestNoSpringRestToRest(t *testing.T) {
 func TestNoSpringTurnaround(t *testing.T) {
 	// Without a spring, reversing velocity v takes exactly 2v/a anywhere.
 	s := noSpringSled()
-	want := 2 * accessSpeed / s.Accel
+	want := 2 * accessSpeed / s.accel
 	for _, y := range []float64{-50e-6, 0, 30e-6} {
 		if got := s.TurnaroundTime(y, accessSpeed); math.Abs(got-want) > 1e-12 {
 			t.Errorf("turnaround at y=%g: %g, want %g", y, got, want)
@@ -71,7 +71,7 @@ func TestSpringTurnaroundAtCenter(t *testing.T) {
 	// ≈ 0.0697 ms — the paper's "0.063 ms average" regime (Table 2 note).
 	s := paperSled()
 	got := s.TurnaroundTime(0, accessSpeed)
-	want := 2 * accessSpeed / s.Accel
+	want := 2 * accessSpeed / s.accel
 	if math.Abs(got-want) > want*0.01 {
 		t.Errorf("center turnaround = %g s, want ≈ %g s", got, want)
 	}
@@ -83,7 +83,7 @@ func TestSpringTurnaroundAsymmetry(t *testing.T) {
 	// outward motion (spring assists both phases) must beat reversing
 	// inward motion (spring opposes), and the center case sits between.
 	s := paperSled()
-	edge := s.HalfRange
+	edge := s.halfRange
 	assisted := s.TurnaroundTime(edge, accessSpeed) // moving outward, turn back
 	opposed := s.TurnaroundTime(edge, -accessSpeed) // moving inward, turn out
 	center := s.TurnaroundTime(0, accessSpeed)
@@ -107,7 +107,7 @@ func TestSpringEdgeSeeksSlower(t *testing.T) {
 	s := paperSled()
 	d := 8e-6 // an 8 µm hop
 	center := s.SeekTime(-d/2, 0, d/2, 0)
-	edgeOut := s.SeekTime(s.HalfRange-d, 0, s.HalfRange, 0)
+	edgeOut := s.SeekTime(s.halfRange-d, 0, s.halfRange, 0)
 	if edgeOut <= center {
 		t.Errorf("edge seek (%g) should be slower than center seek (%g)", edgeOut, center)
 	}
@@ -119,9 +119,9 @@ func TestFullStrokeSeekTime(t *testing.T) {
 	// springless 2·sqrt(d/a) time, and in the ballpark derived in
 	// DESIGN.md (≈ 0.55 ms vs 0.71 ms).
 	s := paperSled()
-	d := 2 * s.HalfRange
-	withSpring := s.SeekTime(-s.HalfRange, 0, s.HalfRange, 0)
-	noSpring := 2 * math.Sqrt(d/s.Accel)
+	d := 2 * s.halfRange
+	withSpring := s.SeekTime(-s.halfRange, 0, s.halfRange, 0)
+	noSpring := 2 * math.Sqrt(d/s.accel)
 	if withSpring >= noSpring {
 		t.Errorf("spring-assisted full stroke %g should beat %g", withSpring, noSpring)
 	}
@@ -136,8 +136,8 @@ func TestPlanReachesTargetClosedForm(t *testing.T) {
 	s := paperSled()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
-		x0 := (rng.Float64()*2 - 1) * s.HalfRange
-		x1 := (rng.Float64()*2 - 1) * s.HalfRange
+		x0 := (rng.Float64()*2 - 1) * s.halfRange
+		x1 := (rng.Float64()*2 - 1) * s.halfRange
 		v0 := (rng.Float64()*2 - 1) * 5 * accessSpeed
 		v1 := (rng.Float64()*2 - 1) * 5 * accessSpeed
 		p, ok := s.SeekPlan(x0, v0, x1, v1)
@@ -158,8 +158,8 @@ func TestPlanReachesTargetRK4(t *testing.T) {
 	for _, s := range []*Sled{paperSled(), noSpringSled()} {
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
-			x0 := (rng.Float64()*2 - 1) * s.HalfRange
-			x1 := (rng.Float64()*2 - 1) * s.HalfRange
+			x0 := (rng.Float64()*2 - 1) * s.halfRange
+			x1 := (rng.Float64()*2 - 1) * s.halfRange
 			v0 := (rng.Float64()*2 - 1) * 3 * accessSpeed
 			v1 := (rng.Float64()*2 - 1) * 3 * accessSpeed
 			p, ok := s.SeekPlan(x0, v0, x1, v1)
@@ -178,8 +178,8 @@ func TestPlanReachesTargetRK4(t *testing.T) {
 func TestSeekTimeNonNegativeAndSymmetric(t *testing.T) {
 	s := paperSled()
 	f := func(a, b int16) bool {
-		x0 := float64(a) / math.MaxInt16 * s.HalfRange
-		x1 := float64(b) / math.MaxInt16 * s.HalfRange
+		x0 := float64(a) / math.MaxInt16 * s.halfRange
+		x1 := float64(b) / math.MaxInt16 * s.halfRange
 		t1 := s.SeekTime(x0, 0, x1, 0)
 		t2 := s.SeekTime(-x0, 0, -x1, 0) // mirror symmetry of the spring
 		t3 := s.SeekTime(x1, 0, x0, 0)   // reversal symmetry at rest
@@ -194,7 +194,7 @@ func TestSeekTimeMonotonicInDistanceFromCenter(t *testing.T) {
 	// From rest at center, seeking farther should never be faster.
 	s := paperSled()
 	prev := 0.0
-	for d := 0.0; d <= s.HalfRange; d += s.HalfRange / 200 {
+	for d := 0.0; d <= s.halfRange; d += s.halfRange / 200 {
 		cur := s.SeekTime(0, 0, d, 0)
 		if cur+1e-12 < prev {
 			t.Fatalf("seek time decreased: d=%g t=%g prev=%g", d, cur, prev)
@@ -207,7 +207,7 @@ func TestEvolveMatchesIntegrate(t *testing.T) {
 	s := paperSled()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
-		x := (rng.Float64()*2 - 1) * s.HalfRange
+		x := (rng.Float64()*2 - 1) * s.halfRange
 		v := (rng.Float64()*2 - 1) * 0.1
 		u := 1
 		if rng.Intn(2) == 0 {
@@ -248,7 +248,7 @@ func BenchmarkSeekSolverClosedForm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 1024)
 	for i := range xs {
-		xs[i] = (rng.Float64()*2 - 1) * s.HalfRange
+		xs[i] = (rng.Float64()*2 - 1) * s.halfRange
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -291,17 +291,25 @@ func BenchmarkSeekSolverRK4Reference(b *testing.B) {
 
 // seekPlanRef and seekPlanSpringRef are the solver as it was before
 // seekPlanSpring evaluated each distinct term once: every branch
-// recomputes ω, the equilibrium offsets, both hypotenuses and all four
-// atan2, and angleCWRef always calls math.Mod. They are the oracle the
+// recomputes ω (omegaRef, from the sled's parameters), the equilibrium
+// offsets, both hypotenuses and all four atan2, solves both strategies,
+// and angleCWRef always calls math.Mod. They are the oracle the
 // rewritten solver must match bit for bit.
 func (s *Sled) seekPlanRef(x0, v0, x1, v1 float64) (Plan, bool) {
 	if x0 == x1 && v0 == v1 {
 		return Plan{U1: 1, U2: -1}, true
 	}
-	if s.Omega() == 0 {
+	if s.omegaRef() == 0 {
 		return s.seekPlanNoSpring(x0, v0, x1, v1)
 	}
 	return s.seekPlanSpringRef(x0, v0, x1, v1)
+}
+
+func (s *Sled) omegaRef() float64 {
+	if s.springFactor == 0 {
+		return 0
+	}
+	return math.Sqrt(s.springFactor * s.accel / s.halfRange)
 }
 
 func angleCWRef(from, to float64) float64 {
@@ -313,8 +321,8 @@ func angleCWRef(from, to float64) float64 {
 }
 
 func (s *Sled) seekPlanSpringRef(x0, v0, x1, v1 float64) (Plan, bool) {
-	w := s.Omega()
-	a := s.Accel
+	w := s.omegaRef()
+	a := s.accel
 	best := Plan{}
 	found := false
 	for _, u1 := range []int{1, -1} {
@@ -402,7 +410,7 @@ var sledAxes = []sledAxis{
 }
 
 func (a sledAxis) sled(spring float64) *Sled {
-	return &Sled{Accel: a.accel, SpringFactor: spring, HalfRange: float64(a.bits) * a.bitWidth / 2}
+	return NewSled(a.accel, spring, float64(a.bits)*a.bitWidth/2)
 }
 
 // xPos is the sled's X displacement with cylinder c under the tips;
@@ -413,9 +421,10 @@ func (a sledAxis) yPos(b float64) float64 { return (b - float64(a.bits)/2) * a.b
 // TestSeekPlanMatchesReference compares the solver with the reference
 // bit for bit over the states the device model solves, for gen1 at
 // spring 0, 0.25, 0.75 and 0.9 and gen2 and gen3 at 0.75:
-//   - rest-to-rest cylinder pairs: every pair of gen1 at spring 0 and
-//     0.75; pairs within 64 cylinders plus every 37th beyond for the
-//     others, and for all under -short or the race detector;
+//   - rest-to-rest cylinder pairs: every pair at spring 0.75 and of
+//     gen1 at spring 0; pairs within 64 cylinders plus every 37th
+//     beyond for gen1 at 0.25 and 0.9, and for all under -short or the
+//     race detector;
 //   - every row-boundary Y state of the device's seek table, leaving
 //     and arriving at ±access speed;
 //   - random moving states, v = 0 included.
@@ -430,7 +439,7 @@ func TestSeekPlanMatchesReference(t *testing.T) {
 			s := ax.sled(spring)
 			name := ax.name + "/spring=" + strconv.FormatFloat(spring, 'g', -1, 64)
 			xName, yName, mName := name+" X", name+" Y", name+" moving"
-			full := ax.name == "gen1" && (spring == 0 || spring == 0.75) && !testing.Short() && !raceBuild
+			full := (spring == 0 || spring == 0.75) && !testing.Short() && !raceBuild
 			for i := 0; i < ax.bits; i++ {
 				if full {
 					for j := 0; j < ax.bits; j++ {
@@ -461,8 +470,8 @@ func TestSeekPlanMatchesReference(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(19))
 			for k := 0; k < 20000; k++ {
-				x0 := (rng.Float64()*2 - 1) * s.HalfRange
-				x1 := (rng.Float64()*2 - 1) * s.HalfRange
+				x0 := (rng.Float64()*2 - 1) * s.halfRange
+				x1 := (rng.Float64()*2 - 1) * s.halfRange
 				v0 := (rng.Float64()*2 - 1) * 5 * v
 				v1 := (rng.Float64()*2 - 1) * 5 * v
 				switch k % 4 {
@@ -472,6 +481,26 @@ func TestSeekPlanMatchesReference(t *testing.T) {
 					v1 = 0
 				}
 				checkPlan(t, mName, s, x0, v0, x1, v1)
+			}
+		}
+	}
+}
+
+// TestRestSkipEdges compares rest-to-rest plans with the reference
+// where seekPlanSpring's single-strategy condition is tightest, which no
+// cylinder pair reaches: ends just inside ±k, and gaps of k/4096 and
+// one ulp either side, on sleds up to spring 0.999999 (travel ≈ ±k).
+func TestRestSkipEdges(t *testing.T) {
+	for _, spring := range []float64{0.25, 0.75, 0.9, 0.999999} {
+		s := NewSled(803.6, spring, 50e-6)
+		k, gap := s.k, s.k/4096
+		edge := math.Nextafter(k, 0)
+		for _, x0 := range []float64{-edge, -s.halfRange, -gap, 0, gap / 2, s.halfRange - gap, edge - gap} {
+			for _, d := range []float64{math.Nextafter(gap, 0), gap, math.Nextafter(gap, k), 2 * gap, k, 1.5 * k} {
+				for _, x1 := range []float64{x0 + d, x0 - d} {
+					checkPlan(t, "rest edge", s, x0, 0, x1, 0)
+					checkPlan(t, "rest edge", s, -x0, 0, -x1, 0)
+				}
 			}
 		}
 	}
@@ -541,16 +570,18 @@ func FuzzSeekPlan(f *testing.F) {
 	f.Add(uint8(2), 10e-6, accessSpeed, 10e-6, -accessSpeed)
 	f.Add(uint8(1), 49e-6, -accessSpeed, -3.6e-6, accessSpeed)
 	f.Add(uint8(0), 0.0, 0.0, 1e-6, 0.0)
-	springs := []float64{0, 0.25, 0.75, 0.9}
+	var sleds []*Sled
+	for _, spring := range []float64{0, 0.25, 0.75, 0.9} {
+		sleds = append(sleds, NewSled(803.6, spring, 50e-6))
+	}
 	f.Fuzz(func(t *testing.T, spring uint8, x0, v0, x1, v1 float64) {
 		for _, v := range []float64{x0, v0, x1, v1} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip()
 			}
 		}
-		s := paperSled()
-		s.SpringFactor = springs[int(spring)%len(springs)]
-		travel := 2 * s.HalfRange
+		s := sleds[int(spring)%len(sleds)]
+		travel := 2 * s.halfRange
 		checkPlan(t, "fuzz", s, math.Remainder(x0, travel), math.Remainder(v0, 1),
 			math.Remainder(x1, travel), math.Remainder(v1, 1))
 	})
