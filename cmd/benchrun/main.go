@@ -18,7 +18,9 @@
 // stats backends
 // (./internal/stats Dist/Sketch/Sample benches), the fault layer's
 // artifact kernels (./internal/fault: the remap artifact's slip-remap
-// scan and the fault artifact's loss Monte Carlo), and the
+// scan and the fault artifact's loss Monte Carlo), the workload layer
+// (./internal/workload BenchmarkSourceNext: one Random.Next, with its
+// allocations per request), and the
 // million-request end-to-end runs in the open, closed, multi and volume
 // regimes (BenchmarkEngineMillion, whose volume row is a failing and
 // rebuilding parity volume under transient faults; -quick
@@ -112,6 +114,7 @@ func main() {
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},
 		{pkg: "./internal/fault", pattern: "^(BenchmarkSlipRemapScan|BenchmarkLossProbability)$", benchtime: bt},
+		{pkg: "./internal/workload", pattern: "^BenchmarkSourceNext$", benchtime: bt},
 	}
 
 	doc := benchrec.File{GoVersion: runtime.Version(), Quick: *quick}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -25,6 +26,45 @@ func TestRequestSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Request{}); got != 168 {
 		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 168", got)
+	}
+}
+
+func TestSlabIsWholePages(t *testing.T) {
+	// A full slab is one large allocation, which the allocator rounds up
+	// to whole 8 KiB pages: SlabLen requests must fill them exactly, or
+	// the rounding costs every slab the bytes the size class did.
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	const page = 8192
+	if bytes := SlabLen * unsafe.Sizeof(Request{}); bytes%page != 0 {
+		t.Errorf("a slab of %d requests is %d B, %d B past a whole number of pages", SlabLen, bytes, bytes%page)
+	}
+}
+
+func TestNewRequestsSlabs(t *testing.T) {
+	// NewRequests carves its requests from one slab per SlabLen: a
+	// slab's requests sit next to each other in memory, and the list
+	// costs one allocation per slab besides its pointer slice.
+	size := unsafe.Sizeof(Request{})
+	runtime.GC() // start the mark workers outside the counted runs
+	for _, n := range []int{1, SlabLen - 1, SlabLen, SlabLen + 1, 3*SlabLen + 5} {
+		reqs := NewRequests(n)
+		if len(reqs) != n {
+			t.Fatalf("n=%d: %d requests", n, len(reqs))
+		}
+		for i, r := range reqs {
+			if *r != (Request{}) {
+				t.Fatalf("n=%d: request %d not zeroed", n, i)
+			}
+			if i%SlabLen != 0 && uintptr(unsafe.Pointer(r)) != uintptr(unsafe.Pointer(reqs[i-1]))+size {
+				t.Fatalf("n=%d: request %d does not follow request %d in its slab", n, i, i-1)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() { NewRequests(n) })
+		if want := 1 + (n+SlabLen-1)/SlabLen; allocs != float64(want) {
+			t.Errorf("n=%d: %g allocations, want %d", n, allocs, want)
+		}
 	}
 }
 

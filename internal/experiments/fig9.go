@@ -19,16 +19,13 @@ func subregionRequests(g *mems.Geometry, n, xBand, yBand, count int, seed int64)
 	rng := rand.New(rand.NewSource(seed))
 	cLo, cHi := xBand*g.Cylinders/n, (xBand+1)*g.Cylinders/n
 	rLo, rHi := yBand*g.RowsPerTrack/n, (yBand+1)*g.RowsPerTrack/n
-	reqs := make([]*core.Request, count)
-	for i := range reqs {
+	reqs := core.NewRequests(count)
+	for _, r := range reqs {
 		cyl := cLo + rng.Intn(cHi-cLo)
 		track := rng.Intn(g.TracksPerCylinder)
 		row := rLo + rng.Intn(rHi-rLo)
-		reqs[i] = &core.Request{
-			Op:     core.Read,
-			LBN:    g.LBN(cyl, track, row, 0),
-			Blocks: 8, // 4 KB spans a single row pass
-		}
+		r.Op, r.LBN = core.Read, g.LBN(cyl, track, row, 0)
+		r.Blocks = 8 // 4 KB spans a single row pass
 	}
 	return reqs
 }

@@ -55,13 +55,13 @@ func cachePlan(p Params) *Plan {
 					d = c
 				}
 				rng := rand.New(rand.NewSource(p.Seed))
-				reqs := make([]*core.Request, n)
-				for i := range reqs {
+				reqs := core.NewRequests(n)
+				for i, r := range reqs {
 					lbn := int64(i * v.blocks)
 					if !v.seq {
 						lbn = rng.Int63n(d.Capacity() - int64(v.blocks))
 					}
-					reqs[i] = &core.Request{Op: core.Read, LBN: lbn, Blocks: v.blocks}
+					r.Op, r.LBN, r.Blocks = core.Read, lbn, v.blocks
 				}
 				mean := closedMean(job.SimContext(), d, reqs)
 				bw := float64(v.blocks) * 512 / (mean / 1000) / 1e6

@@ -41,9 +41,9 @@ func generationsPlan(p Params) *Plan {
 				}
 				g := d.Geometry()
 				rng := rand.New(rand.NewSource(p.Seed))
-				reqs := make([]*core.Request, trials)
-				for i := range reqs {
-					reqs[i] = &core.Request{Op: core.Read, LBN: rng.Int63n(g.TotalSectors - 8), Blocks: 8}
+				reqs := core.NewRequests(trials)
+				for _, r := range reqs {
+					r.Op, r.LBN, r.Blocks = core.Read, rng.Int63n(g.TotalSectors-8), 8
 				}
 				return []string{gen.name,
 					fmt.Sprintf("%.2f", float64(g.CapacityBytes())/1e9),

@@ -176,10 +176,10 @@ func raidRebuildScan(ctx *sim.Context, v *array.Volume, devs []core.Device) floa
 		if s == v.Failed() {
 			continue
 		}
-		var scan []*core.Request
-		for lbn := int64(0); lbn < per; lbn += sim.DefaultRebuildChunk {
-			n := min(sim.DefaultRebuildChunk, per-lbn)
-			scan = append(scan, &core.Request{Op: core.Read, LBN: lbn, Blocks: int(n)})
+		scan := core.NewRequests(int((per + sim.DefaultRebuildChunk - 1) / sim.DefaultRebuildChunk))
+		for i, r := range scan {
+			lbn := int64(i) * sim.DefaultRebuildChunk
+			r.Op, r.LBN, r.Blocks = core.Read, lbn, int(min(sim.DefaultRebuildChunk, per-lbn))
 		}
 		if res := sim.RunClosed(ctx, devs[v.DeviceOf(s)], workload.NewFromSlice(scan), sim.Options{}); res.Elapsed > worst {
 			worst = res.Elapsed

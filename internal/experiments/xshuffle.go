@@ -104,9 +104,11 @@ func shuffleWorkload(extents int64, extentBlocks int64, count, drift int, seed i
 func shuffleStatic(ctx *sim.Context, p Params, count, drift int) float64 {
 	d := newMEMS(1)
 	ext := int64(d.Geometry().SectorsPerCylinder)
-	reqs := make([]*core.Request, 0, count)
+	reqs, i := core.NewRequests(count), 0
 	shuffleWorkload(d.Capacity()/ext, ext, count, drift, p.Seed, func(lbn int64) {
-		reqs = append(reqs, &core.Request{Op: core.Read, LBN: lbn, Blocks: 8})
+		r := reqs[i]
+		r.Op, r.LBN, r.Blocks = core.Read, lbn, 8
+		i++
 	})
 	return closedMean(ctx, d, reqs)
 }
@@ -141,6 +143,7 @@ type reshuffleSource struct {
 	i          int
 	perBlockMs float64
 	think, mig float64
+	slab       core.Slab
 }
 
 // Next implements workload.Source.
@@ -153,10 +156,11 @@ func (s *reshuffleSource) Next() *core.Request {
 	if s.i == len(s.lbns) {
 		return nil
 	}
-	lbn := s.lbns[s.i]
+	r := s.slab.New(len(s.lbns) - s.i)
+	r.Op, r.LBN, r.Blocks = core.Read, s.lbns[s.i], 8
 	s.i++
-	s.aop.Record(lbn, 8)
-	return &core.Request{Op: core.Read, LBN: lbn, Blocks: 8}
+	s.aop.Record(r.LBN, 8)
+	return r
 }
 
 // ThinkMs implements workload.Thinker: the migration charged ahead of

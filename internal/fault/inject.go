@@ -80,10 +80,11 @@ type InjectorConfig struct {
 	// Events is the tip-failure / media-defect schedule. Events fire in
 	// AtMs order as the simulation clock passes them.
 	Events []TipEvent
-	// SectorTips maps a logical sector to the probe tips it is striped
-	// over (e.g. mems.Geometry.TipsForSector). Nil disables degraded-read
-	// detection — appropriate for disks, which have no tip array.
-	SectorTips func(lbn int64) []int
+	// SectorTips maps a logical sector to the contiguous range of probe
+	// tips [first, first+n) it is striped over (e.g.
+	// mems.Geometry.TipsForSector). Nil disables degraded-read detection
+	// — appropriate for disks, which have no tip array.
+	SectorTips func(lbn int64) (first, n int)
 
 	// DeviceEvents is the whole-device failure schedule for redundant
 	// volume runs (sim.RunVolume). Events fire in AtMs order as the
@@ -289,7 +290,8 @@ func (in *Injector) DegradedBlocks(lbn int64, blocks int) int {
 	}
 	n := 0
 	for b := 0; b < blocks; b++ {
-		for _, tip := range in.cfg.SectorTips(lbn + int64(b)) {
+		first, k := in.cfg.SectorTips(lbn + int64(b))
+		for tip := first; tip < first+k; tip++ {
 			if in.arr.TipDegraded(tip) {
 				n++
 				break
@@ -311,7 +313,8 @@ func (in *Injector) LostBlocks(lbn int64, blocks int) int {
 	}
 	n := 0
 	for b := 0; b < blocks; b++ {
-		for _, tip := range in.cfg.SectorTips(lbn + int64(b)) {
+		first, k := in.cfg.SectorTips(lbn + int64(b))
+		for tip := first; tip < first+k; tip++ {
 			if in.arr.TipLost(tip) {
 				n++
 				break

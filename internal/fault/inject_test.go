@@ -85,7 +85,7 @@ func TestInjectorAdvanceFiresInOrder(t *testing.T) {
 			{AtMs: 10, Tip: 5, Defect: true},
 			{AtMs: 20, Tip: 3},
 		},
-		SectorTips: func(int64) []int { return []int{3} },
+		SectorTips: func(int64) (int, int) { return 3, 1 },
 	}
 	in, err := NewInjector(cfg)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestInjectorSparesAbsorbFailuresBeforeDegrading(t *testing.T) {
 	in, err := NewInjector(InjectorConfig{
 		Array:      &withSpares,
 		Events:     []TipEvent{{AtMs: 1, Tip: 0}},
-		SectorTips: func(int64) []int { return []int{0} },
+		SectorTips: func(int64) (int, int) { return 0, 1 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestInjectorResetRestoresEverything(t *testing.T) {
 		Seed:          99,
 		Array:         &injArray,
 		Events:        []TipEvent{{AtMs: 1, Tip: 4}},
-		SectorTips:    func(int64) []int { return []int{4} },
+		SectorTips:    func(int64) (int, int) { return 4, 1 },
 	}
 	in, err := NewInjector(cfg)
 	if err != nil {
@@ -251,11 +251,11 @@ func TestInjectorLostBlocksAfterECCExhausted(t *testing.T) {
 			{AtMs: 2, Tip: 1},
 			{AtMs: 3, Tip: 2},
 		},
-		SectorTips: func(lbn int64) []int {
+		SectorTips: func(lbn int64) (int, int) {
 			if lbn < 8 {
-				return []int{0}
+				return 0, 1
 			}
-			return []int{40} // healthy tip
+			return 40, 1 // healthy tip
 		},
 	})
 	if err != nil {

@@ -232,19 +232,16 @@ func (g *Geometry) LBN(cyl, track, row, slot int) int64 {
 }
 
 // TipsForSector returns the probe tips that service logical sector lbn:
-// the StripeTips consecutive tips of the sector's track group selected
-// by its slot within the row. This is the bridge between the timing
-// geometry and the redundancy structure in internal/fault — a failed tip
-// affects exactly the sectors this function maps it to, and a spare tip
-// substitutes at the same positions.
-func (g *Geometry) TipsForSector(lbn int64) []int {
+// the n = StripeTips consecutive tips [first, first+n) of the sector's
+// track group selected by its slot within the row. This is the bridge
+// between the timing geometry and the redundancy structure in
+// internal/fault — a failed tip affects exactly the sectors this
+// function maps it to, and a spare tip substitutes at the same
+// positions. The range is returned as two ints, not a slice, so the
+// fault injector's per-sector scans allocate nothing.
+func (g *Geometry) TipsForSector(lbn int64) (first, n int) {
 	_, track, _, slot := g.Decompose(lbn)
-	base := track*g.ActiveTips + slot*g.StripeTips
-	tips := make([]int, g.StripeTips)
-	for i := range tips {
-		tips[i] = base + i
-	}
-	return tips
+	return track*g.ActiveTips + slot*g.StripeTips, g.StripeTips
 }
 
 // Decompose inverts LBN. It panics when lbn is outside the device.

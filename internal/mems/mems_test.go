@@ -462,33 +462,29 @@ func TestMustDevicePanicsOnBadConfig(t *testing.T) {
 func TestTipsForSector(t *testing.T) {
 	g, _ := NewGeometry(DefaultConfig())
 	// Sector 0: track 0, slot 0 → tips 0..63.
-	tips := g.TipsForSector(0)
-	if len(tips) != 64 || tips[0] != 0 || tips[63] != 63 {
-		t.Fatalf("sector 0 tips = %v…%v (%d)", tips[0], tips[len(tips)-1], len(tips))
+	first, n := g.TipsForSector(0)
+	if n != 64 || first != 0 {
+		t.Fatalf("sector 0 tips = [%d, %d)", first, first+n)
 	}
 	// Next sector in the same row: the adjacent 64-tip group.
-	tips = g.TipsForSector(1)
-	if tips[0] != 64 {
-		t.Errorf("sector 1 starts at tip %d, want 64", tips[0])
+	if first, _ = g.TipsForSector(1); first != 64 {
+		t.Errorf("sector 1 starts at tip %d, want 64", first)
 	}
 	// A sector on track 2 uses the third active-tip group.
 	lbn := g.LBN(5, 2, 3, 4)
-	tips = g.TipsForSector(lbn)
 	want := 2*g.ActiveTips + 4*g.StripeTips
-	if tips[0] != want {
-		t.Errorf("track-2 sector starts at tip %d, want %d", tips[0], want)
+	if first, _ = g.TipsForSector(lbn); first != want {
+		t.Errorf("track-2 sector starts at tip %d, want %d", first, want)
 	}
 	// All tips within the device, and same row position ⇒ same tips
 	// regardless of cylinder and row (only track and slot matter).
-	a := g.TipsForSector(g.LBN(0, 1, 0, 7))
-	b := g.TipsForSector(g.LBN(999, 1, 20, 7))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("tips should depend only on track and slot")
-		}
-		if a[i] < 0 || a[i] >= g.Tips {
-			t.Fatalf("tip %d out of range", a[i])
-		}
+	a, na := g.TipsForSector(g.LBN(0, 1, 0, 7))
+	b, nb := g.TipsForSector(g.LBN(999, 1, 20, 7))
+	if a != b || na != nb {
+		t.Fatal("tips should depend only on track and slot")
+	}
+	if a < 0 || a+na > g.Tips {
+		t.Fatalf("tips [%d, %d) out of range", a, a+na)
 	}
 }
 
@@ -498,7 +494,8 @@ func TestTipsForSectorCoverRowDisjointly(t *testing.T) {
 	g, _ := NewGeometry(DefaultConfig())
 	seen := map[int]bool{}
 	for slot := 0; slot < g.SectorsPerRow; slot++ {
-		for _, tip := range g.TipsForSector(g.LBN(0, 0, 0, slot)) {
+		first, n := g.TipsForSector(g.LBN(0, 0, 0, slot))
+		for tip := first; tip < first+n; tip++ {
 			if seen[tip] {
 				t.Fatalf("tip %d serves two sectors of one row", tip)
 			}

@@ -161,7 +161,7 @@ func TestDegradedReadsPayECCSurcharge(t *testing.T) {
 	cfg := fault.InjectorConfig{
 		Array:          &arr,
 		Events:         []fault.TipEvent{{AtMs: 0, Tip: 7}},
-		SectorTips:     func(int64) []int { return []int{7} },
+		SectorTips:     func(int64) (int, int) { return 7, 1 },
 		ECCSurchargeMs: 0.25,
 	}
 	src := workload.NewFromSlice(mkReqs(make([]float64, 40))) // 1-block reads
@@ -256,11 +256,11 @@ func TestDataLossSurfacesAndRefusesService(t *testing.T) {
 			{AtMs: 0, Tip: 2},
 		},
 		// Low LBNs live on a dead tip; high LBNs on a healthy one.
-		SectorTips: func(lbn int64) []int {
+		SectorTips: func(lbn int64) (int, int) {
 			if lbn < 50 {
-				return []int{0}
+				return 0, 1
 			}
-			return []int{40}
+			return 40, 1
 		},
 	}
 	var reqs []*core.Request

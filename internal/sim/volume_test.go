@@ -862,14 +862,17 @@ func TestRunVolumeRecyclesMemberOpsOnlyAfterTheirLeg(t *testing.T) {
 }
 
 func TestRunVolumeAllocsPerRequest(t *testing.T) {
-	// Volume intents and member ops are pooled and plans reuse their
-	// storage, so a volume run allocates about one object per request:
-	// the source's own request. The budget leaves room for run set-up
-	// and the growth of the exact response samples.
+	// Volume intents and member ops are pooled, plans reuse their
+	// storage, the source carves its requests from slabs and the exact
+	// response samples fill blocks, so a volume run allocates per run,
+	// not per request: 179 objects for 20k requests healthy (0.009 per
+	// request) and 405 with a failure, rebuild and retries (0.020), most
+	// of them pools growing to the run's peak concurrency. The budget is
+	// the larger measured value plus half.
 	if raceBuild {
 		t.Skip("allocation budgets are checked in the normal build; this run is slow under -race")
 	}
-	const n, budget = 20000, 1.5
+	const n, budget = 20000, 0.03
 	for _, fail := range []bool{false, true} {
 		spec, opts := volumeRebuildFixture(t, n, fail)
 		var res Result

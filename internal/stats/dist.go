@@ -42,9 +42,7 @@ const exactLimit = 1 << 19
 // the retained observations in and releasing them.
 func (d *Dist) useSketch() {
 	d.sk = &Sketch{}
-	for _, x := range d.s.xs {
-		d.sk.Add(x)
-	}
+	d.s.each(d.sk.Add)
 	d.s = Sample{}
 }
 

@@ -247,13 +247,13 @@ func TestSamplePercentileCache(t *testing.T) {
 	for _, x := range []float64{9, 1, 5, 3, 7} {
 		s.Add(x)
 	}
-	if s.sorted {
+	if s.sorted() {
 		t.Fatal("cache valid before any query")
 	}
 	if got := s.Percentile(50); got != 5 {
 		t.Fatalf("p50 = %g, want 5", got)
 	}
-	if !s.sorted {
+	if !s.sorted() {
 		t.Fatal("first query did not establish the cache")
 	}
 	// A second query must serve from the cached order.
@@ -261,13 +261,13 @@ func TestSamplePercentileCache(t *testing.T) {
 		t.Fatalf("cached p100 = %g, want 9", got)
 	}
 	s.Add(11)
-	if s.sorted {
+	if s.sorted() {
 		t.Fatal("Add did not invalidate the cache")
 	}
 	if got := s.Percentile(100); got != 11 {
 		t.Fatalf("post-invalidation p100 = %g, want 11", got)
 	}
-	if !s.sorted {
+	if !s.sorted() {
 		t.Fatal("re-query did not re-establish the cache")
 	}
 }

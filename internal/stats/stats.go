@@ -133,41 +133,106 @@ func (m *Meter) Snapshot() Welford {
 
 // Sample retains every observation so that exact order statistics can be
 // computed afterwards. The zero value is ready to use.
+//
+// Observations go into blocks rather than one slice re-copied as it
+// grows: a block, once full, is never copied again. Blocks double from
+// firstLen to blockLen floats and then stay at blockLen, so a small
+// Sample holds little more than its observations and a large one
+// allocates once per blockLen of them. The first Percentile joins the
+// blocks into one slice and sorts it; later Adds start new blocks,
+// which the next Percentile appends to the sorted slice and sorts
+// again. Every value sits in storage order — the sorted slice, then the
+// blocks in insertion order — exactly where a single appended slice
+// would hold it, so Mean sums, Percentile sorts and Dist's sketch fold
+// sees the same sequence either way.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs    []float64   // every observation up to the last Percentile, sorted
+	full  [][]float64 // filled blocks added since, in insertion order
+	nfull int         // observations in full
+	cur   []float64   // the block being filled
 }
+
+// Sample block sizes: the first block holds firstLen float64s (8 KiB),
+// each next one twice its predecessor, up to blockLen (64 KiB).
+const (
+	firstLen = 1024
+	blockLen = 8192
+)
 
 // Add appends one observation.
 func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
+	if len(s.cur) == cap(s.cur) {
+		s.grow()
+	}
+	s.cur = append(s.cur, x)
 }
 
+// grow retires the full block cur, if any, and starts the next one.
+func (s *Sample) grow() {
+	c := cap(s.cur)
+	if c > 0 {
+		if s.full == nil {
+			s.full = make([][]float64, 0, 8)
+		}
+		s.full = append(s.full, s.cur)
+		s.nfull += c
+	}
+	s.cur = make([]float64, 0, min(max(2*c, firstLen), blockLen))
+}
+
+// each calls f on every observation in storage order.
+func (s *Sample) each(f func(float64)) {
+	for _, x := range s.xs {
+		f(x)
+	}
+	for _, b := range s.full {
+		for _, x := range b {
+			f(x)
+		}
+	}
+	for _, x := range s.cur {
+		f(x)
+	}
+}
+
+// sorted reports whether xs holds every observation, sorted.
+func (s *Sample) sorted() bool { return len(s.full) == 0 && len(s.cur) == 0 }
+
 // N reports the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int { return len(s.xs) + s.nfull + len(s.cur) }
 
 // Mean returns the arithmetic mean, or 0 if empty.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	n := s.N()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
+	s.each(func(x float64) { sum += x })
+	return sum / float64(n)
+}
+
+// join gathers every observation into xs in storage order and sorts it.
+// A Sample that holds nothing but its first block sorts that block in
+// place instead of copying it.
+func (s *Sample) join() {
+	xs := s.cur
+	if len(s.xs) > 0 || len(s.full) > 0 {
+		xs = make([]float64, 0, s.N())
+		s.each(func(x float64) { xs = append(xs, x) })
 	}
-	return sum / float64(len(s.xs))
+	sort.Float64s(xs)
+	s.xs, s.full, s.nfull, s.cur = xs, nil, 0, nil
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between closest ranks. Returns 0 if empty.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	if !s.sorted() {
+		s.join()
 	}
 	if p <= 0 {
 		return s.xs[0]

@@ -64,7 +64,7 @@ func GenerateCello(cfg CelloConfig) *Trace {
 		panic(fmt.Sprintf("trace: invalid cello config %+v", cfg))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := &Trace{Name: "cello-synthetic"}
+	t := &Trace{Name: "cello-synthetic", Records: make([]Record, 0, cfg.Count)}
 
 	// Hot regions: small extents scattered over the device, with a skewed
 	// popularity (region 0 is the hottest — the file-system log/metadata).
@@ -187,7 +187,7 @@ func GenerateTPCC(cfg TPCCConfig) *Trace {
 		panic(fmt.Sprintf("trace: invalid tpcc config %+v", cfg))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := &Trace{Name: "tpcc-synthetic"}
+	t := &Trace{Name: "tpcc-synthetic", Records: make([]Record, 0, cfg.Count)}
 
 	pageBlocks := cfg.PageBytes / cfg.SectorSize
 	dbBlocks := cfg.DatabaseBytes / int64(cfg.SectorSize)

@@ -47,10 +47,13 @@ type Trace struct {
 }
 
 // Requests converts every record into a fresh request, in trace order.
+// The requests are carved from slabs (core.NewRequests), not allocated
+// one by one as Record.Request does.
 func (t *Trace) Requests() []*core.Request {
-	reqs := make([]*core.Request, len(t.Records))
+	reqs := core.NewRequests(len(t.Records))
 	for i, rec := range t.Records {
-		reqs[i] = rec.Request()
+		r := reqs[i]
+		r.Arrival, r.Op, r.LBN, r.Blocks = rec.TimeMs, rec.Op, rec.LBN, rec.Blocks
 	}
 	return reqs
 }

@@ -68,12 +68,15 @@ func (c *RandomConfig) Validate() error {
 	return nil
 }
 
-// Random is the paper's random workload generator.
+// Random is the paper's random workload generator. Its requests come
+// from a core.Slab, so a request stays allocated while any request of
+// its slab is in use.
 type Random struct {
 	cfg  RandomConfig
 	rng  *rand.Rand
 	now  float64 // ms
 	left int
+	slab core.Slab
 }
 
 // NewRandom builds a generator; it panics if cfg is invalid (configuration
@@ -119,14 +122,16 @@ func (w *Random) Next() *core.Request {
 	}
 	blocks := int(bytes)/w.cfg.SectorSize + 1
 	maxStart := w.cfg.Capacity - int64(blocks)
-	lbn := w.rng.Int63n(maxStart + 1)
-	return &core.Request{Arrival: w.now, Op: op, LBN: lbn, Blocks: blocks}
+	r := w.slab.New(w.left + 1)
+	r.Arrival, r.Op, r.LBN, r.Blocks = w.now, op, w.rng.Int63n(maxStart+1), blocks
+	return r
 }
 
 // Bipartite generates the closed workload of §5.3: a fraction of small
 // (4 KB) requests and the remainder large (400 KB), placed by a layout
 // policy. Arrival times are all zero — the experiment measures service
-// time back-to-back, not queueing.
+// time back-to-back, not queueing. Like Random's, its requests come from
+// a core.Slab.
 type Bipartite struct {
 	placer      layout.Placer
 	rng         *rand.Rand
@@ -134,6 +139,7 @@ type Bipartite struct {
 	smallBlocks int
 	largeBlocks int
 	left        int
+	slab        core.Slab
 }
 
 // BipartiteConfig parameterizes the §5.3 workload.
@@ -189,8 +195,9 @@ func (w *Bipartite) Next() *core.Request {
 	if w.rng.Float64() >= w.smallFrac {
 		class, blocks = layout.Large, w.largeBlocks
 	}
-	lbn := w.placer.Place(w.rng, class, blocks)
-	return &core.Request{Op: core.Read, LBN: lbn, Blocks: blocks}
+	r := w.slab.New(w.left + 1)
+	r.Op, r.LBN, r.Blocks = core.Read, w.placer.Place(w.rng, class, blocks), blocks
+	return r
 }
 
 // Thinker is implemented by sources that attach a think-time delay to
