@@ -13,18 +13,20 @@
 // BenchmarkMEMSLowerBound, the sled solver's
 // BenchmarkSeekSolverClosedForm/BenchmarkSeekSolverMovingY in
 // internal/physics, and the fault layer's BenchmarkSlipRemapScan/
-// BenchmarkLossProbability) are enforced;
-// everything present in both files is printed for the log. A gated
-// benchmark missing from either side is reported but not fatal, so a
-// quick (CI-sized) run — whose EngineMillion subbenches carry a
-// different n= scale — gates on the benches both profiles share
-// instead of comparing across scales.
+// BenchmarkLossProbability) are enforced; everything present in both
+// files is printed for the log. A gated benchmark missing from either
+// side is printed but not fatal; one the baseline lacks, such as a
+// newly added row, is marked "no baseline, not gated". So a quick
+// (CI-sized) run — whose EngineMillion subbenches carry a different n=
+// scale — gates on the benches both profiles share instead of
+// comparing across scales.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -78,38 +80,7 @@ func main() {
 			curDoc.Quick, baseDoc.Quick)
 	}
 
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var regressions, gated, compared int
-	fmt.Printf("%-68s %14s %14s %8s\n", "benchmark", "base ns/op", "cur ns/op", "Δ")
-	for _, k := range keys {
-		b := base[k]
-		c, ok := cur[k]
-		enforced := gateRe.MatchString(k)
-		if !ok {
-			if enforced {
-				fmt.Printf("%-68s %14.0f %14s %8s (gated bench missing from current run)\n",
-					k, b.NsPerOp, "—", "—")
-			}
-			continue
-		}
-		compared++
-		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
-		mark := " "
-		if enforced {
-			gated++
-			mark = "*"
-			if delta > *threshold {
-				regressions++
-				mark = "!"
-			}
-		}
-		fmt.Printf("%-68s %14.0f %14.0f %+7.1f%% %s\n", k, b.NsPerOp, c.NsPerOp, delta*100, mark)
-	}
+	compared, gated, regressions := compare(os.Stdout, base, cur, gateRe, *threshold)
 	fmt.Printf("\n%d compared, %d gated (threshold +%.0f%%), %d regressions\n",
 		compared, gated, *threshold*100, regressions)
 	if gated == 0 {
@@ -121,4 +92,55 @@ func main() {
 			regressions, *threshold*100)
 		os.Exit(1)
 	}
+}
+
+// compare prints one row per baseline benchmark found in cur, marking
+// gated rows "*" and gated regressions past threshold "!", then every
+// gated benchmark of cur that the baseline lacks, marked as not gated.
+// It returns how many rows it compared, how many of those were gated
+// and how many of those regressed.
+func compare(w io.Writer, base, cur map[string]benchrec.Result, gateRe *regexp.Regexp, threshold float64) (compared, gated, regressions int) {
+	keys := make([]string, 0, len(base))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	fmt.Fprintf(w, "%-68s %14s %14s %8s\n", "benchmark", "base ns/op", "cur ns/op", "Δ")
+	for _, k := range keys {
+		b := base[k]
+		c, ok := cur[k]
+		enforced := gateRe.MatchString(k)
+		if !ok {
+			if enforced {
+				fmt.Fprintf(w, "%-68s %14.0f %14s %8s (gated bench missing from current run)\n",
+					k, b.NsPerOp, "—", "—")
+			}
+			continue
+		}
+		compared++
+		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
+		mark := " "
+		if enforced {
+			gated++
+			mark = "*"
+			if delta > threshold {
+				regressions++
+				mark = "!"
+			}
+		}
+		fmt.Fprintf(w, "%-68s %14.0f %14.0f %+7.1f%% %s\n", k, b.NsPerOp, c.NsPerOp, delta*100, mark)
+	}
+
+	var fresh []string
+	for k := range cur {
+		if _, ok := base[k]; !ok && gateRe.MatchString(k) {
+			fresh = append(fresh, k)
+		}
+	}
+	sort.Strings(fresh)
+	for _, k := range fresh {
+		fmt.Fprintf(w, "%-68s %14s %14.0f %8s (no baseline, not gated)\n", k, "—", cur[k].NsPerOp, "—")
+	}
+	return compared, gated, regressions
 }

@@ -9,7 +9,8 @@
 //	go run ./cmd/benchrun -quick -out /tmp/cur.json   # CI-sized
 //
 // The suites cover the engine hot path (./internal/sim BenchmarkRun*,
-// BenchmarkPhaseCollector, BenchmarkJSONLObserve(Run), device Access,
+// BenchmarkPhaseCollector, BenchmarkJSONLObserve(Run), the trace's float
+// writer against strconv (BenchmarkJSONFloat), device Access,
 // SPTF-style EstimateAccess pricing and the MEMS lower bound), the sled
 // seek solver (./internal/physics: a rest-to-rest X seek and a moving Y
 // seek between row boundaries), the
@@ -22,7 +23,8 @@
 // (./internal/workload BenchmarkSourceNext: one Random.Next, with its
 // allocations per request), and the
 // million-request end-to-end runs in the open, closed, multi and volume
-// regimes (BenchmarkEngineMillion, whose volume row is a failing and
+// regimes (BenchmarkEngineMillion, whose open-jsonl row adds a JSONL
+// lifecycle trace to the open row and whose volume row is a failing and
 // rebuilding parity volume under transient faults; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
@@ -108,7 +110,7 @@ func main() {
 		schedBT = "50x"
 	}
 	suites := []suite{
-		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkJSONLObserveRun|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
+		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkJSONLObserveRun|BenchmarkJSONFloat|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
 		{pkg: "./internal/physics", pattern: "^(BenchmarkSeekSolverClosedForm|BenchmarkSeekSolverMovingY)$", benchtime: bt},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},

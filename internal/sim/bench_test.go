@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"testing"
 
 	"memsim/internal/array"
@@ -218,6 +220,66 @@ func BenchmarkJSONLObserveRun(b *testing.B) {
 	}
 }
 
+// BenchmarkJSONFloat times the trace's float writer alone, on the
+// distinct float fields of an open run's records (openRunEvents) in
+// stream order, which are the values the probe's float memo misses on.
+// The strconv row writes the same bytes the way encoding/json does
+// (strconvJSONFloat), as the reference.
+func BenchmarkJSONFloat(b *testing.B) {
+	var mix []float64
+	seen := map[uint64]bool{}
+	for _, ev := range openRunEvents() {
+		fs := []float64{ev.Time}
+		if ev.Req != nil {
+			fs = append(fs, ev.Req.Arrival)
+		}
+		switch ev.Kind {
+		case EventService:
+			bd := ev.Breakdown
+			fs = append(fs, bd.Seek, bd.Settle, bd.Turnaround, bd.Transfer, bd.Overhead, bd.Recovery, bd.ServiceMs)
+		case EventComplete:
+			fs = append(fs, ev.Req.ResponseTime(), ev.Req.Phases.ServiceMs)
+		}
+		for _, f := range fs {
+			if !seen[math.Float64bits(f)] {
+				seen[math.Float64bits(f)] = true
+				mix = append(mix, f)
+			}
+		}
+	}
+	for _, w := range []struct {
+		name  string
+		write func([]byte, float64) []byte
+	}{{"schubfach", appendJSONFloat}, {"strconv", strconvJSONFloat}} {
+		b.Run(w.name, func(b *testing.B) {
+			buf := make([]byte, 0, 32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = w.write(buf[:0], mix[i%len(mix)])
+			}
+		})
+	}
+}
+
+// strconvJSONFloat is encoding/json's own float64 encoding: strconv's
+// shortest 'f' form, or its 'e' form for 0 < |f| < 1e-6 and |f| ≥ 1e21
+// with a two-digit negative exponent trimmed (e-07 → e-7).
+func strconvJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
 // captureProbe keeps every event it observes, each with a copy of its
 // request as it stood when the event fired.
 type captureProbe struct{ events []ProbeEvent }
@@ -262,6 +324,23 @@ func BenchmarkEngineMillion(b *testing.B) {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
 			Run(nil, d, sched.NewSPTF(), src,
 				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
+		}
+	})
+	b.Run(fmtScale("open-jsonl", n), func(b *testing.B) {
+		// The open row observed as memsbench -trace observes it: a
+		// JSONL lifecycle trace beside the PhaseCollector, here written
+		// to io.Discard, so the row's excess over open is the trace's
+		// encoding and buffering.
+		d := mems.MustDevice(mems.DefaultConfig())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
+			jp := NewJSONLProbe(io.Discard)
+			Run(nil, d, sched.NewSPTF(), src,
+				Options{Warmup: n / 100, Probe: MultiProbe{NewPhaseCollector(), jp}})
+			if err := jp.Flush(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run(fmtScale("closed", n), func(b *testing.B) {

@@ -66,7 +66,7 @@ func floatMemoSlot(bits uint64) uint64 {
 type floatMemoEntry struct {
 	bits uint64
 	n    uint8
-	b    [31]byte // the longest shortest-form float64 is 24 bytes
+	b    [31]byte // the longest float64 encoding/json writes is 25 bytes
 }
 
 // NewJSONLProbe returns a probe writing JSONL records to w.
@@ -247,16 +247,14 @@ func appendInt(b []byte, key string, v int64) []byte {
 }
 
 // appendFloat appends key then f exactly as encoding/json formats a
-// float64: the shortest 'f' form, switching to 'e' for 0 < |f| < 1e-6
-// and |f| ≥ 1e21, with a two-digit negative exponent trimmed
-// (e-07 → e-7). A NaN or ±Inf latches encoding/json's error for that
-// value in p.err, which stops Observe writing the record.
+// float64 (appendJSONFloat). A NaN or ±Inf latches encoding/json's
+// error for that value in p.err, which stops Observe writing the record.
 //
 // The formatted bytes depend on f's bit pattern alone, so the memo keys
 // on math.Float64bits(f): a hit appends the very bytes an earlier miss
-// produced, the 'e' trim included, and +0 and −0 ("0" and "-0") stay
-// apart. A miss formats f and replaces whatever held its slot. Non-finite
-// values are never stored.
+// produced, and +0 and −0 ("0" and "-0") stay apart. A miss formats f
+// and replaces whatever held its slot. Non-finite values are never
+// stored.
 func (p *JSONLProbe) appendFloat(b []byte, key string, f float64) []byte {
 	b = append(b, key...)
 	bits := math.Float64bits(f)
@@ -271,17 +269,7 @@ func (p *JSONLProbe) appendFloat(b []byte, key string, f float64) []byte {
 		return b
 	}
 	start := len(b)
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
+	b = appendJSONFloat(b, f)
 	if s := b[start:]; len(s) <= len(e.b) {
 		e.bits, e.n = bits, uint8(copy(e.b[:], s))
 	}

@@ -156,6 +156,25 @@ type memberReq struct {
 	vr  *volReq
 }
 
+// poolBlock is how many volume intents or member ops one allocation
+// holds when a run's pool grows: a pool that grows to its run's peak
+// concurrency costs one allocation per poolBlock objects, not one each.
+const poolBlock = 64
+
+// carve returns the next object of *block, first refilling *block with
+// a fresh block of poolBlock when it is used up. An object's address
+// never changes, and its block stays live while any object carved from
+// it is; a run's pools keep every object they carved until the run
+// ends.
+func carve[T any](block *[]T) *T {
+	if len(*block) == 0 {
+		*block = make([]T, poolBlock)
+	}
+	p := &(*block)[0]
+	*block = (*block)[1:]
+	return p
+}
+
 // opSlot is one member op's registry entry: the op, and the device
 // whose scheduler holds it, or -1 while none does. A scheduler's pick is
 // taken only through its entry, so a request the scheduler was never
@@ -258,19 +277,22 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, frac float64, adaptive bool) func() {
 	var vstats VolumeStats
 	// freeVR and freeMR are the run's free lists of volume intents and
-	// member ops; ops registers every member op the run made, at the
-	// index its request carries in Ref.
+	// member ops, and blockVR and blockMR the unused rest of the blocks
+	// the pools grow from; ops registers every member op the run made,
+	// at the index its request carries in Ref.
 	var (
-		freeVR []*volReq
-		freeMR []*memberReq
-		ops    []opSlot
+		freeVR  []*volReq
+		freeMR  []*memberReq
+		blockVR []volReq
+		blockMR []memberReq
+		ops     []opSlot
 	)
 	newVR := func(r *core.Request) *volReq {
 		var vr *volReq
 		if n := len(freeVR); n > 0 {
 			vr, freeVR = freeVR[n-1], freeVR[:n-1]
 		} else {
-			vr = new(volReq)
+			vr = carve(&blockVR)
 		}
 		*vr = volReq{r: r, plan: array.Plan{Phases: vr.plan.Phases[:0]}, epoch: v.Epoch()}
 		return vr
@@ -328,7 +350,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		if n := len(freeMR); n > 0 {
 			m, freeMR = freeMR[n-1], freeMR[:n-1]
 		} else {
-			m = new(memberReq)
+			m = carve(&blockMR)
 			m.req.Ref = int32(len(ops))
 			ops = append(ops, opSlot{m: m})
 		}
