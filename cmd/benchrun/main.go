@@ -22,10 +22,11 @@
 // scan and the fault artifact's loss Monte Carlo), the workload layer
 // (./internal/workload BenchmarkSourceNext: one Random.Next, with its
 // allocations per request), and the
-// million-request end-to-end runs in the open, closed, multi and volume
+// million-request end-to-end runs in the open, closed and volume
 // regimes (BenchmarkEngineMillion, whose open-jsonl row adds a JSONL
-// lifecycle trace to the open row and whose volume row is a failing and
-// rebuilding parity volume under transient faults; -quick
+// lifecycle trace to the open row and whose volume row, the one
+// multi-device row, is a failing and rebuilding parity volume under
+// transient faults; -quick
 // drops them to 100k requests, which also changes the subbench name so
 // the gate never compares across scales). All suites run with
 // -benchmem, so every record carries ns/op, B/op and allocs/op, plus

@@ -223,9 +223,10 @@ func NewCostScheduler(name string, cost CostModel) Scheduler {
 	return sched.NewCostSPTF(name, cost)
 }
 
-// ─── Redundant volumes and failover (device-level §6.2, dynamic) ────────
+// ─── Volumes: striping, redundancy and failover (§6.2, dynamic) ─────────
 
-// VolumeLevel selects a redundant volume's geometry.
+// VolumeLevel selects a volume's geometry: a plain stripe (no
+// redundancy), a mirror, or rotated parity.
 type VolumeLevel = array.VolumeLevel
 
 // The supported volume levels.
@@ -265,10 +266,14 @@ type VolumeStats = sim.VolumeStats
 // MemberStats attributes a multi-device run's work to one member slot.
 type MemberStats = sim.MemberResult
 
-// SimulateVolume drives an open workload over a redundant volume,
-// surviving scheduled device failures via degraded-mode service,
-// hot-spare failover and throttled online rebuild. Failover metrics
-// land in SimResult.Volume.
+// SimulateVolume drives an open workload over a volume, one scheduler
+// queue per member device (event-driven). A VolumeStripe volume is the
+// plain multi-device case, like the paper's striped TPC-C testbed; with
+// StripeUnit equal to PerMember it concatenates its members. Redundant
+// volumes survive scheduled device failures via degraded-mode service,
+// hot-spare failover and throttled online rebuild. Per-member shares
+// land in SimResult.Members, failover metrics in SimResult.Volume.
+// Configuration errors are returned rather than panicking.
 func SimulateVolume(spec VolumeSpec, src WorkloadSource, opts SimOptions) (SimResult, error) {
 	return sim.RunVolume(nil, spec, src, opts)
 }

@@ -1,7 +1,8 @@
 // Package array implements inter-device redundancy (§6.2 of the
-// paper): striped, mirrored and rotated-parity volume geometries whose
-// member translation is Router-compatible, plus the failure / hot-spare
-// / online-rebuild state machine the simulator (sim.RunVolume) drives.
+// paper): striped, mirrored and rotated-parity volume geometries that
+// translate a volume request into strip-bounded member operations, plus
+// the failure / hot-spare / online-rebuild state machine the simulator
+// (sim.RunVolume) drives.
 // The paper's observation is that MEMS-based storage's near-zero
 // repositioning for read-modify-write sequences (Table 2) removes the
 // classic RAID-5 small-write penalty that motivated a decade of
@@ -139,8 +140,8 @@ type MemberOp struct {
 // (join) — the shape of a RAID-5 read-modify-write.
 //
 // PlanReadInto, PlanWriteInto and PlanRebuildChunkInto build into a
-// caller-owned Plan, reusing its phase storage; PlanRead, PlanWrite and
-// PlanRebuildChunk return a fresh Plan the caller owns outright.
+// caller-owned Plan, reusing its phase storage; PlanRead and PlanWrite
+// return a fresh Plan the caller owns outright.
 type Plan struct {
 	// Phases are the fork-join stages.
 	Phases [][]MemberOp
@@ -433,13 +434,6 @@ func (v *Volume) PlanWrite(lbn int64, blocks int) (Plan, bool) {
 		return Plan{}, false
 	}
 	return pl, true
-}
-
-// PlanRebuildChunk is PlanRebuildChunkInto on a fresh Plan.
-func (v *Volume) PlanRebuildChunk(chunk int) (Plan, int) {
-	var pl Plan
-	n := v.PlanRebuildChunkInto(&pl, chunk)
-	return pl, n
 }
 
 // PlanReadInto realizes a volume read under the current redundancy

@@ -107,6 +107,57 @@ func TestPlanReadCoversExtent(t *testing.T) {
 	}
 }
 
+func TestStripeMapsStripsRoundRobin(t *testing.T) {
+	// Strips rotate across the members row by row, and a request that
+	// crosses a strip splits at the boundary.
+	cases := []stripePlanCase{
+		{"strip 0", VolumeConfig{Level: VolStripe, Members: 4, StripeUnit: 8, PerMember: 64}, 0, 8,
+			[]MemberOp{{Slot: 0, LBN: 0, Blocks: 8}}},
+		{"strip 1", VolumeConfig{Level: VolStripe, Members: 4, StripeUnit: 8, PerMember: 64}, 8, 8,
+			[]MemberOp{{Slot: 1, LBN: 0, Blocks: 8}}},
+		{"strip 4, row 1", VolumeConfig{Level: VolStripe, Members: 4, StripeUnit: 8, PerMember: 64}, 32, 8,
+			[]MemberOp{{Slot: 0, LBN: 8, Blocks: 8}}},
+		{"strip-crossing", VolumeConfig{Level: VolStripe, Members: 4, StripeUnit: 8, PerMember: 64}, 6, 8,
+			[]MemberOp{{Slot: 0, LBN: 6, Blocks: 2}, {Slot: 1, LBN: 0, Blocks: 6}}},
+	}
+	checkStripePlans(t, cases)
+}
+
+func TestConcatMapsMembersInOrder(t *testing.T) {
+	// With the strip as large as a member, the stripe concatenates its
+	// members, and a request that crosses a member splits at the boundary.
+	cfg := VolumeConfig{Level: VolStripe, Members: 3, StripeUnit: 1000, PerMember: 1000}
+	checkStripePlans(t, []stripePlanCase{
+		{"concat", cfg, 2500, 8, []MemberOp{{Slot: 2, LBN: 500, Blocks: 8}}},
+		{"concat member-crossing", cfg, 995, 10,
+			[]MemberOp{{Slot: 0, LBN: 995, Blocks: 5}, {Slot: 1, LBN: 0, Blocks: 5}}},
+	})
+}
+
+// stripePlanCase is a read of [lbn, lbn+blocks) on a volume of cfg and the
+// single phase of member ops it must plan.
+type stripePlanCase struct {
+	name      string
+	cfg       VolumeConfig
+	lbn       int64
+	blocks    int
+	wantPhase []MemberOp
+}
+
+func checkStripePlans(t *testing.T, cases []stripePlanCase) {
+	t.Helper()
+	var pl Plan
+	for _, tc := range cases {
+		v := mustVolume(t, tc.cfg)
+		if !v.PlanReadInto(&pl, tc.lbn, tc.blocks) {
+			t.Fatalf("%s: read refused", tc.name)
+		}
+		if len(pl.Phases) != 1 || !reflect.DeepEqual(pl.Phases[0], tc.wantPhase) {
+			t.Errorf("%s: plan = %+v, want one phase %+v", tc.name, pl.Phases, tc.wantPhase)
+		}
+	}
+}
+
 func TestPlanRejectsOutOfRange(t *testing.T) {
 	v := mustVolume(t, parityCfg())
 	for _, r := range []struct {
@@ -348,8 +399,9 @@ func TestRebuildLifecycle(t *testing.T) {
 		t.Fatal("second concurrent rebuild")
 	}
 	total := 0
+	var pl Plan
 	for !v.RebuildDone() {
-		pl, n := v.PlanRebuildChunk(24)
+		n := v.PlanRebuildChunkInto(&pl, 24)
 		if n == 0 {
 			t.Fatal("rebuild stalled")
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"memsim/internal/array"
 	"memsim/internal/core"
 	"memsim/internal/mems"
 	"memsim/internal/runner"
@@ -15,10 +16,10 @@ func init() { register("striping", stripingPlan) }
 
 // stripingPlan declares the striping study (extension): the paper's TPC-C
 // testbed striped its database across two drives — the standard way to
-// scale a volume's throughput. The event-driven multi-queue simulator
-// drives the random workload over striped MEMS volumes of 1, 2 and 4
-// sleds under SPTF; each member runs its own queue, so the volume's
-// saturation rate scales with member count.
+// scale a volume's throughput. The random workload runs over striped MEMS
+// volumes (array.VolStripe, sim.RunVolume) of 1, 2 and 4 sleds under
+// SPTF; each member runs its own queue, so the volume's saturation rate
+// scales with member count.
 func stripingPlan(p Params) *Plan {
 	rates := []float64{1000, 2000, 4000, 6000, 8000}
 	counts := []int{1, 2, 4}
@@ -48,7 +49,7 @@ func stripingPlan(p Params) *Plan {
 			}
 			c := Table{
 				ID:      "striping-clamps",
-				Title:   "requests clamped to a strip boundary by the stripe router, same runs",
+				Title:   "requests clamped to a strip boundary before striping, same runs",
 				Columns: []string{"rate(req/s)", "1 sled", "2 sleds", "4 sleds"},
 			}
 			for ri, rate := range rates {
@@ -75,14 +76,67 @@ func stripingPlan(p Params) *Plan {
 // body.
 type stripedOutcome struct {
 	mean    float64 // mean response (ms), or −1 when hopelessly saturated
-	clamped int     // requests the stripe router clamped to a strip boundary
+	clamped int     // requests the source clamped to a strip boundary
+}
+
+// stripUnit is the striping study's strip: one MEMS cylinder.
+const stripUnit = 2700
+
+// stripClamp cuts each request that crosses a strip boundary at that
+// boundary and counts the cuts, so every request lands on one member as
+// one operation. The volume planner would instead split such a request
+// fork-join; the study keeps the clamp so its published numbers stay
+// put until it is re-pinned on the split.
+type stripClamp struct {
+	src     workload.Source
+	clamped int
+}
+
+// Next implements workload.Source.
+func (c *stripClamp) Next() *core.Request {
+	r := c.src.Next()
+	if r == nil {
+		return nil
+	}
+	if off := r.LBN % stripUnit; off+int64(r.Blocks) > stripUnit {
+		r.Blocks = int(stripUnit - off)
+		c.clamped++
+	}
+	return r
 }
 
 // stripedResponse simulates an n-sled volume at the given rate and
 // returns the mean response time — or −1 when the configuration is
 // hopelessly saturated (mean response above 1 s) — together with the
-// router's clamp count.
+// source's clamp count.
 func stripedResponse(job *runner.Job, n int, rate float64, p Params) stripedOutcome {
+	res, clamped := stripedRun(job.SimContext(), n, rate, p)
+	out := stripedOutcome{mean: res.Response.Mean(), clamped: clamped}
+	if out.mean > 1000 {
+		out.mean = -1
+	}
+	return out
+}
+
+// stripedConfig is the random workload one striping cell draws over an
+// n-member stripe of per sectors per member.
+func stripedConfig(n int, rate float64, p Params, sectorSize int, per int64) workload.RandomConfig {
+	return workload.RandomConfig{
+		Rate:         rate,
+		ReadFraction: 0.67,
+		MeanBytes:    4096,
+		MaxBytes:     64 * 1024,
+		SectorSize:   sectorSize,
+		Capacity:     per * int64(n),
+		Count:        p.Requests,
+		Seed:         p.Seed,
+	}
+}
+
+// stripedRun drives one striping cell: the clamped random workload over
+// an n-sled stripe volume with one SPTF queue per sled. It returns the
+// run's Result and the number of requests the source clamped.
+func stripedRun(ctx *sim.Context, n int, rate float64, p Params) (sim.Result, int) {
 	devs := make([]core.Device, n)
 	scheds := make([]core.Scheduler, n)
 	for i := range devs {
@@ -90,29 +144,17 @@ func stripedResponse(job *runner.Job, n int, rate float64, p Params) stripedOutc
 		scheds[i] = sched.NewSPTF()
 	}
 	per := devs[0].Capacity()
-	// Volume-level requests stay within one member strip: the stripe
-	// unit is one cylinder, and the generator caps request size below it.
-	unit := int64(2700)
-	cfg := workload.RandomConfig{
-		Rate:         rate,
-		ReadFraction: 0.67,
-		MeanBytes:    4096,
-		MaxBytes:     64 * 1024,
-		SectorSize:   devs[0].SectorSize(),
-		Capacity:     per * int64(n),
-		Count:        p.Requests,
-		Seed:         p.Seed,
-	}
-	src := workload.NewRandom(cfg)
-	res, err := sim.RunMulti(job.SimContext(), devs, scheds, sim.StripeRouter(unit, n), src,
-		sim.Options{Warmup: p.Warmup})
+	v, err := array.NewVolume(array.VolumeConfig{Level: array.VolStripe, Members: n,
+		StripeUnit: stripUnit, PerMember: per})
 	if err != nil {
 		// Recovered by the runner into a per-job error.
 		panic(err)
 	}
-	out := stripedOutcome{mean: res.Response.Mean(), clamped: res.ClampedRequests}
-	if out.mean > 1000 {
-		out.mean = -1
+	src := &stripClamp{src: workload.NewRandom(stripedConfig(n, rate, p, devs[0].SectorSize(), per))}
+	res, err := sim.RunVolume(ctx, sim.VolumeSpec{Volume: v, Devices: devs, Scheds: scheds}, src,
+		sim.Options{Warmup: p.Warmup})
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return res, src.clamped
 }

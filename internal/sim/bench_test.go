@@ -303,8 +303,8 @@ func openRunEvents() []ProbeEvent {
 }
 
 // BenchmarkEngineMillion is the harness's end-to-end scale probe: one
-// full high-volume run per iteration in each regime, with a
-// PhaseCollector attached (run with -benchtime=1x; -short drops the
+// full high-volume run per iteration in each regime (the volume row is
+// the multi-device one), with a PhaseCollector attached (run with -benchtime=1x; -short drops the
 // request count tenfold, which also changes the subbench name so
 // cross-scale numbers are never compared). At 1M requests the
 // collector's distributions cross exactLimit about halfway through and
@@ -350,24 +350,6 @@ func BenchmarkEngineMillion(b *testing.B) {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
 			RunClosed(nil, d, src,
 				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
-		}
-	})
-	b.Run(fmtScale("multi", n), func(b *testing.B) {
-		const members = 4
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			devs := make([]core.Device, members)
-			scheds := make([]core.Scheduler, members)
-			for j := range devs {
-				devs[j] = mems.MustDevice(mems.DefaultConfig())
-				scheds[j] = sched.NewSPTF()
-			}
-			perDev := devs[0].Capacity()
-			src := workload.DefaultRandom(1100, 512, perDev*members, n, 1)
-			if _, err := RunMulti(nil, devs, scheds, ConcatRouter(perDev), src,
-				Options{Warmup: n / 100, Probe: NewPhaseCollector()}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	b.Run(fmtScale("volume", n), func(b *testing.B) {

@@ -1,15 +1,14 @@
 // engine.go is the single discrete-event core behind every simulation
-// entry point. The four public regimes — Run (open arrivals), RunClosed
-// (back-to-back with optional think time), RunMulti (routed member set),
-// RunVolume (redundant fork-join volume) — are thin adapters that wire
-// three plug points into one engine:
+// entry point. The three public regimes — Run (open arrivals), RunClosed
+// (back-to-back with optional think time), RunVolume (fork-join volume
+// over member devices, striped, mirrored or parity-protected) — are thin
+// adapters that wire three plug points into one engine:
 //
 //   - an arrival process: a lazy open-arrival pump (runOpen), a closed
 //     issue chain with per-request think-time draws (runClosed), or an
-//     eager arrival chain (chainArrivals, used by multi and volume);
-//   - a service target: a single device+scheduler, or a memberSet of
-//     per-device scheduler queues addressed by a Router or an
-//     array.Volume plan;
+//     eager arrival chain (chainArrivals, used by the volume);
+//   - a service target: a single device+scheduler, or per-member
+//     scheduler queues addressed by an array.Volume plan;
 //   - a shared completion path (complete): warmup gating, failed-request
 //     exclusion, fault-outcome tallies, probe emission; each regime's
 //     own accounting follows the call.
@@ -17,7 +16,7 @@
 // Every service visit in every regime flows through serveVisit, so
 // fault injection — transient retries, requeues, lost-sector reads, ECC
 // surcharges — behaves identically whether the request is served by a
-// lone device, a striped member, or a volume fork-join leg.
+// lone device or a volume fork-join leg.
 //
 // Determinism contract: the engine schedules at most one pending
 // arrival per source (chained), one completion per busy device, and
@@ -49,7 +48,6 @@ type engine struct {
 	arrived   int
 	completed int
 	stopped   bool
-	runErr    error
 
 	// phases is the first PhaseCollector in Options.Probe: it feeds
 	// Result.Phases and gates per-member phase attribution. check is
@@ -82,7 +80,7 @@ func newEngine(ctx *Context, opts Options) *engine {
 
 // resolve walks the run-scoped probe tree once, descending MultiProbe
 // and WithRun wrappers: it resets every ProbeResetter and records the
-// first PhaseCollector for finalize and newMemberSet.
+// first PhaseCollector for finalize and RunVolume's per-member phases.
 func (e *engine) resolve(p Probe) {
 	switch pr := p.(type) {
 	case nil:
@@ -115,7 +113,7 @@ func composeProbes(a, b Probe) Probe {
 }
 
 // loop dispatches events until the queue drains or a regime stops the
-// run (cancellation, router error). With a cancellable Context the loop
+// run (cancellation). With a cancellable Context the loop
 // additionally polls the cancellation channel every cancelEvery events;
 // the common uncancellable case keeps the bare dispatch loop.
 func (e *engine) loop() {
@@ -193,7 +191,7 @@ func (e *engine) finalize() {
 // the visit's phase breakdown (zero unless a probe is attached), and
 // whether the request must go back to its scheduler for another visit.
 //
-// r is the request the device serves (a member op under multi/volume);
+// r is the request the device serves (a member op under RunVolume);
 // sink is the request whose Phases accumulate the breakdown (the
 // volume-level parent under RunVolume, r itself elsewhere); dev tags
 // probe events with the member index (0 for single-device regimes).
@@ -315,8 +313,8 @@ func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc
 // chainArrivals schedules src's stream as a linked chain of arrival
 // events: each event delivers one request and then schedules the next,
 // so simultaneous arrivals retain stream order and the heap holds at
-// most one pending arrival. Eager regimes (multi, volume) use this;
-// the open single-device regime ingests lazily in runOpen instead.
+// most one pending arrival. The volume regime uses this; the open
+// single-device regime ingests lazily in runOpen instead.
 //
 // The chain carries its state in a run-long struct with a single stored
 // fire func: because at most one arrival event is ever pending, each
@@ -517,49 +515,4 @@ func (c *closedRun) finish() {
 		c.r = next
 		e.q.Schedule(e.q.Now()+c.delay(), c.issueFn)
 	}
-}
-
-// ─── Member sets (RunMulti, RunVolume) ─────────────────────────────────
-
-// memberSet is the multi-queue service target shared by the routed
-// (RunMulti) and redundant-volume (RunVolume) regimes: one scheduler
-// queue per member device and per-member result attribution. Each
-// regime keeps its members' in-flight slots; a member is busy exactly
-// while its slot holds a request.
-type memberSet struct {
-	devs   []core.Device
-	scheds []core.Scheduler
-
-	members []MemberResult
-	// phases holds per-member phase aggregates when Options.Probe
-	// carries a PhaseCollector; nil otherwise.
-	phases []PhaseStats
-}
-
-// newMemberSet resets the member devices and schedulers and sizes the
-// attribution slices.
-func newMemberSet(devs []core.Device, scheds []core.Scheduler, e *engine) *memberSet {
-	for i := range devs {
-		devs[i].Reset()
-		scheds[i].Reset()
-	}
-	ms := &memberSet{
-		devs:    devs,
-		scheds:  scheds,
-		members: make([]MemberResult, len(devs)),
-	}
-	if e.phases != nil {
-		ms.phases = make([]PhaseStats, len(devs))
-	}
-	return ms
-}
-
-// attach publishes the per-member aggregates into res.
-func (ms *memberSet) attach(res *Result) {
-	for i := range ms.members {
-		if ms.phases != nil {
-			ms.members[i].Phases = &ms.phases[i]
-		}
-	}
-	res.Members = ms.members
 }

@@ -18,16 +18,16 @@ func alwaysFail(t *testing.T) *fault.Injector {
 	return mustInjector(t, fault.InjectorConfig{TransientRate: 0.999999, Seed: 5})
 }
 
-// TestRunMultiExcludesFailedRequests is the regression test for the
-// historical RunMulti accounting bug: failed requests were counted in
-// Result.Requests/Response and probed with Measured=true. Under the
-// shared completion path they must be excluded, exactly as in Run.
-func TestRunMultiExcludesFailedRequests(t *testing.T) {
-	devs, scheds := multiFixtures(2, 1)
+// TestStripeVolumeExcludesFailedRequests is the regression test for
+// the historical multi-device accounting bug: failed requests were
+// counted in Result.Requests/Response and probed with Measured=true.
+// Under the shared completion path they must be excluded, exactly as in
+// Run.
+func TestStripeVolumeExcludesFailedRequests(t *testing.T) {
+	spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1)
 	reqs := mkReqs([]float64{0, 1, 2, 3, 4, 5})
 	var probed []ProbeEvent
-	res := mustMulti(t, nil, devs, scheds, ConcatRouter(1<<29),
-		workload.NewFromSlice(reqs),
+	res := mustVolume(t, nil, spec, workload.NewFromSlice(reqs),
 		Options{Injector: alwaysFail(t), Probe: probeFunc(func(ev ProbeEvent) {
 			if ev.Kind == EventComplete {
 				probed = append(probed, ev)
@@ -55,11 +55,12 @@ func TestRunMultiExcludesFailedRequests(t *testing.T) {
 	}
 }
 
-// TestRunMultiInjectorRetriesAndRequeues exercises the injector's full
-// retry → requeue → fail ladder under RunMulti, which historically had
-// no fault path at all.
-func TestRunMultiInjectorRetriesAndRequeues(t *testing.T) {
-	devs, scheds := multiFixtures(2, 1)
+// TestStripeVolumeInjectorRetriesAndRequeues exercises the injector's
+// full retry → requeue → fail ladder on a stripe's member queues.
+// Recovered is not asserted: retries land on member ops, never on the
+// volume request whose outcome complete tallies.
+func TestStripeVolumeInjectorRetriesAndRequeues(t *testing.T) {
+	spec := volFixtures(t, stripeVolCfg(2, 1024, 1024), 1)
 	cfg := fault.DefaultInjectorConfig()
 	cfg.TransientRate = 0.35
 	cfg.Seed = 17
@@ -67,13 +68,9 @@ func TestRunMultiInjectorRetriesAndRequeues(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Arrival = float64(i)
 	}
-	res := mustMulti(t, nil, devs, scheds, StripeRouter(1024, 2),
-		workload.NewFromSlice(reqs), Options{Injector: mustInjector(t, cfg)})
+	res := mustVolume(t, nil, spec, workload.NewFromSlice(reqs), Options{Injector: mustInjector(t, cfg)})
 	if res.Retries == 0 {
 		t.Error("no retries charged at a 35% transient rate")
-	}
-	if res.Recovered == 0 {
-		t.Error("no requests recovered")
 	}
 	if res.Requeues == 0 {
 		t.Error("no requeues at a 35% transient rate (retry budget should overflow)")
@@ -84,17 +81,18 @@ func TestRunMultiInjectorRetriesAndRequeues(t *testing.T) {
 	if got := res.Requests + res.FailedRequests; got != len(reqs) {
 		t.Errorf("measured %d + failed %d != total %d", res.Requests, res.FailedRequests, len(reqs))
 	}
-	// Per-member attribution still covers every request.
-	if got := res.Members[0].Requests + res.Members[1].Requests; got != len(reqs) {
-		t.Errorf("member requests sum = %d, want %d", got, len(reqs))
+	// Per-member attribution covers every visit: one per request plus
+	// one per requeue.
+	if got, want := res.Members[0].Requests+res.Members[1].Requests, len(reqs)+res.Requeues; got != want {
+		t.Errorf("member requests sum = %d, want %d", got, want)
 	}
 }
 
-// TestRunMultiDeterministicUnderInjector: two identical injected multi
-// runs must agree exactly — the engine's determinism contract.
-func TestRunMultiDeterministicUnderInjector(t *testing.T) {
+// TestStripeVolumeDeterministicUnderInjector: two identical injected
+// stripe runs must agree exactly — the engine's determinism contract.
+func TestStripeVolumeDeterministicUnderInjector(t *testing.T) {
 	run := func() Result {
-		devs, scheds := multiFixtures(3, 2)
+		spec := volFixtures(t, stripeVolCfg(3, 100, 100), 2)
 		cfg := fault.DefaultInjectorConfig()
 		cfg.TransientRate = 0.2
 		cfg.Seed = 71
@@ -103,43 +101,10 @@ func TestRunMultiDeterministicUnderInjector(t *testing.T) {
 			reqs[i].Arrival = float64(i) / 2
 			reqs[i].LBN = int64(i%3) * 100
 		}
-		return mustMulti(t, nil, devs, scheds, ConcatRouter(100),
-			workload.NewFromSlice(reqs), Options{Injector: mustInjector(t, cfg)})
+		return mustVolume(t, nil, spec, workload.NewFromSlice(reqs), Options{Injector: mustInjector(t, cfg)})
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Errorf("injected multi runs diverged:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestRunMultiCountsClamps: requests spilling a member or strip
-// boundary are clamped by the router and must be counted.
-func TestRunMultiCountsClamps(t *testing.T) {
-	devs, scheds := multiFixtures(2, 1)
-	reqs := []*core.Request{
-		{Arrival: 0, Op: core.Read, LBN: 0, Blocks: 4},    // fits
-		{Arrival: 1, Op: core.Read, LBN: 98, Blocks: 8},   // spills dev 0 → clamped
-		{Arrival: 2, Op: core.Write, LBN: 150, Blocks: 4}, // fits on dev 1
-		{Arrival: 3, Op: core.Read, LBN: 196, Blocks: 8},  // spills dev 1 → clamped
-	}
-	res := mustMulti(t, nil, devs, scheds, ConcatRouter(100),
-		workload.NewFromSlice(reqs), Options{})
-	if res.ClampedRequests != 2 {
-		t.Errorf("clamped = %d, want 2", res.ClampedRequests)
-	}
-	if res.Requests != 4 {
-		t.Errorf("requests = %d, want 4 (clamped requests still complete)", res.Requests)
-	}
-
-	// The stripe router clamps at strip boundaries too.
-	devs2, scheds2 := multiFixtures(2, 1)
-	reqs2 := []*core.Request{
-		{Arrival: 0, Op: core.Read, LBN: 6, Blocks: 8}, // off 6 + 8 > unit 8
-		{Arrival: 1, Op: core.Read, LBN: 8, Blocks: 8}, // exactly one strip
-	}
-	res2 := mustMulti(t, nil, devs2, scheds2, StripeRouter(8, 2),
-		workload.NewFromSlice(reqs2), Options{})
-	if res2.ClampedRequests != 1 {
-		t.Errorf("stripe clamped = %d, want 1", res2.ClampedRequests)
+		t.Errorf("injected stripe runs diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }
 

@@ -1,5 +1,6 @@
 // equivalence_test.go is the engine refactor's golden contract: seeded
-// runs across every regime (open, closed, multi, volume), both device
+// runs across every regime (open, closed, volume: multi-device stripes
+// and redundant volumes), both device
 // models, FCFS and SPTF, with and without fault injection, fingerprinted
 // in full float precision (every Result field plus a hash of the JSONL
 // lifecycle trace) and compared byte-for-byte against goldens captured
@@ -244,8 +245,10 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		})
 	}
 
-	// ── Multi-device routed volumes ─────────────────────────────────
-	multi := func(devName string, n int, schedName string, route func(per int64) sim.Router, spill bool) func(opts sim.Options) (sim.Result, error) {
+	// ── Multi-device stripe volumes (no redundancy) ───────────────
+	// unit is the strip in sectors; 0 concatenates the members (one
+	// strip per member).
+	multi := func(devName string, n int, schedName string, unit int64, spill bool) func(opts sim.Options) (sim.Result, error) {
 		return func(opts sim.Options) (sim.Result, error) {
 			devs := make([]core.Device, n)
 			scheds := make([]core.Scheduler, n)
@@ -258,6 +261,14 @@ func equivalenceScenarios(t *testing.T) []scenario {
 				scheds[i] = newSched(t, schedName)
 			}
 			per := devs[0].Capacity()
+			if unit == 0 {
+				unit = per
+			}
+			v, err := array.NewVolume(array.VolumeConfig{Level: array.VolStripe, Members: n,
+				StripeUnit: unit, PerMember: per})
+			if err != nil {
+				t.Fatal(err)
+			}
 			rate := 1600.0
 			if devName == "disk" {
 				rate = 160
@@ -265,7 +276,7 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			meanBytes := 4096.0
 			if spill {
 				// Large requests that regularly spill a strip boundary,
-				// exercising the router clamp path (and its counter).
+				// exercising the planner's fork-join split.
 				meanBytes = 512 * 1024
 				rate /= 64
 			}
@@ -274,16 +285,14 @@ func equivalenceScenarios(t *testing.T) []scenario {
 				SectorSize: devs[0].SectorSize(), Capacity: per * int64(n),
 				Count: requests, Seed: seed,
 			}
-			return sim.RunMulti(nil, devs, scheds, route(per), workload.NewRandom(cfg), opts)
+			return sim.RunVolume(nil, sim.VolumeSpec{Volume: v, Devices: devs, Scheds: scheds},
+				workload.NewRandom(cfg), opts)
 		}
 	}
 	scns = append(scns,
-		scenario{name: "multi_mems_stripe_SPTF", run: multi("mems", 2, "SPTF",
-			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, false)},
-		scenario{name: "multi_mems_stripe_SPTF_spill", run: multi("mems", 2, "SPTF",
-			func(int64) sim.Router { return sim.StripeRouter(2700, 2) }, true)},
-		scenario{name: "multi_disk_concat_FCFS", run: multi("disk", 2, "FCFS",
-			func(per int64) sim.Router { return sim.ConcatRouter(per) }, false)},
+		scenario{name: "multi_mems_stripe_SPTF", run: multi("mems", 2, "SPTF", 2700, false)},
+		scenario{name: "multi_mems_stripe_SPTF_spill", run: multi("mems", 2, "SPTF", 2700, true)},
+		scenario{name: "multi_disk_concat_FCFS", run: multi("disk", 2, "FCFS", 0, false)},
 	)
 
 	// ── Redundant volumes (fork-join + failover + rebuild) ──────────

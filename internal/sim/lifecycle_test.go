@@ -116,10 +116,9 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	// Context.Check must be observation-only: a checked run's Result is
 	// identical to the unchecked run's, failed requests included.
 	mk := func(check bool) Result {
-		devs, scheds := multiFixtures(2, 1)
+		spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1)
 		src := workload.NewFromSlice(mkReqs([]float64{0, 1, 2, 3, 4, 5}))
-		return mustMulti(t, &Context{Check: check}, devs, scheds, ConcatRouter(1<<29), src,
-			Options{Injector: alwaysFail(t)})
+		return mustVolume(t, &Context{Check: check}, spec, src, Options{Injector: alwaysFail(t)})
 	}
 	plain := mk(false)
 	checked := mk(true)
@@ -155,9 +154,9 @@ func TestCheckPanicsOnBreakdownLeak(t *testing.T) {
 }
 
 func TestCheckCleanOverRealRegimes(t *testing.T) {
-	// A checked run over each healthy regime (single device, striped
-	// multi-device with transient faults, volume with failover and
-	// rebuild) must finish without a panic: the shipped simulator
+	// A checked run over each healthy regime (single device, a
+	// multi-device stripe with transient faults, a mirror with failover
+	// and rebuild) must finish without a panic: the shipped simulator
 	// satisfies its own invariants.
 	t.Run("single", func(t *testing.T) {
 		d := &fixedDevice{svc: 1}
@@ -168,11 +167,10 @@ func TestCheckCleanOverRealRegimes(t *testing.T) {
 		}
 	})
 	t.Run("multi-faults", func(t *testing.T) {
-		devs, scheds := multiFixtures(2, 1)
+		spec := volFixtures(t, stripeVolCfg(2, 8, 64), 1)
 		cfg := fault.InjectorConfig{TransientRate: 0.3, MaxRetries: 2, MaxRequeues: 1, Seed: 7}
 		src := workload.NewFromSlice(mkReqs(make([]float64, 40)))
-		mustMulti(t, &Context{Check: true}, devs, scheds, StripeRouter(8, 2), src,
-			Options{Injector: mustInjector(t, cfg)})
+		mustVolume(t, &Context{Check: true}, spec, src, Options{Injector: mustInjector(t, cfg)})
 	})
 	t.Run("volume-rebuild", func(t *testing.T) {
 		spec := volFixtures(t, mirrorVolCfg(), 1)

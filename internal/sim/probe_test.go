@@ -56,17 +56,13 @@ func TestNilProbeByteIdentical(t *testing.T) {
 		t.Errorf("probed closed run diverged:\n  plain:  %+v\n  probed: %+v", plain, probed)
 	}
 
-	multi := func(p Probe) Result {
-		devs, scheds := multiFixtures(2, 1.5)
+	stripe := func(p Probe) Result {
+		spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1.5)
 		src := workload.NewFromSlice(mkReqs(make([]float64, 200)))
-		res, err := RunMulti(nil, devs, scheds, ConcatRouter(1<<29), src, Options{Warmup: 20, Probe: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return mustVolume(t, nil, spec, src, Options{Warmup: 20, Probe: p})
 	}
-	if plain, probed := multi(nil), multi(&recordingProbe{}); !reflect.DeepEqual(plain, probed) {
-		t.Errorf("probed multi run diverged:\n  plain:  %+v\n  probed: %+v", plain, probed)
+	if plain, probed := stripe(nil), stripe(&recordingProbe{}); !reflect.DeepEqual(plain, probed) {
+		t.Errorf("probed stripe run diverged:\n  plain:  %+v\n  probed: %+v", plain, probed)
 	}
 
 	// Under fault injection too: retries and requeues ride the same path.
@@ -249,23 +245,15 @@ func TestPhaseCollectorInClosedAndMultiRuns(t *testing.T) {
 		t.Errorf("closed-run phase residue %g", r)
 	}
 
-	devs := []core.Device{
-		mems.MustDevice(mems.DefaultConfig()),
-		mems.MustDevice(mems.DefaultConfig()),
-	}
-	scheds := []core.Scheduler{sched.NewFCFS(), sched.NewFCFS()}
-	per := devs[0].Capacity()
-	gen := workload.DefaultRandom(1500, 512, 2*per, 1000, 43)
+	spec := memsStripe(t, 2, "FCFS")
+	gen := workload.DefaultRandom(1500, 512, spec.Volume.Capacity(), 1000, 43)
 	pc2 := NewPhaseCollector()
-	mres, err := RunMulti(nil, devs, scheds, ConcatRouter(per), gen, Options{Warmup: 50, Probe: pc2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mres := mustVolume(t, nil, spec, gen, Options{Warmup: 50, Probe: pc2})
 	if mres.Phases == nil || mres.Phases.Requests != mres.Requests {
-		t.Fatalf("multi run phases = %+v, requests %d", mres.Phases, mres.Requests)
+		t.Fatalf("stripe run phases = %+v, requests %d", mres.Phases, mres.Requests)
 	}
 	if r := math.Max(math.Abs(mres.Phases.Unattributed.Min()), math.Abs(mres.Phases.Unattributed.Max())); r > 1e-9 {
-		t.Errorf("multi-run phase residue %g", r)
+		t.Errorf("stripe-run phase residue %g", r)
 	}
 }
 
@@ -308,8 +296,8 @@ func TestMultiProbeFanOut(t *testing.T) {
 // TestResolveProbeTree covers the engine's one walk over Options.Probe:
 // what it resets, which collector surfaces as Result.Phases, and that
 // the shared Context.Probe stays outside the walk. Each row is
-// resolved by newEngine and then driven through a two-member RunMulti
-// (six requests, all measured).
+// resolved by newEngine and then driven through a two-member stripe
+// volume (six requests, all measured).
 func TestResolveProbeTree(t *testing.T) {
 	// seeded returns a collector holding one stale observation, so a
 	// reset shows as Requests dropping to zero.
@@ -380,9 +368,8 @@ func TestResolveProbeTree(t *testing.T) {
 					t.Errorf("collector kept %d stale requests through the walk", n)
 				}
 			}
-			devs, scheds := multiFixtures(2, 1)
-			res := mustMulti(t, c.ctx, devs, scheds, ConcatRouter(1<<29),
-				workload.NewFromSlice(mkReqs(make([]float64, 6))), opts)
+			spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1)
+			res := mustVolume(t, c.ctx, spec, workload.NewFromSlice(mkReqs(make([]float64, 6))), opts)
 			if c.phases == nil && res.Phases != nil {
 				t.Error("Result.Phases set without a collector in Options.Probe")
 			}
@@ -399,18 +386,14 @@ func TestResolveProbeTree(t *testing.T) {
 	}
 }
 
-func TestRunMultiProbeEvents(t *testing.T) {
-	devs, scheds := multiFixtures(2, 1)
+func TestStripeVolumeProbeEvents(t *testing.T) {
+	spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1)
 	rp := &recordingProbe{}
 	reqs := mkReqs(make([]float64, 40))
 	for i, r := range reqs {
 		r.LBN = int64(i%2) * 100
 	}
-	res, err := RunMulti(nil, devs, scheds, ConcatRouter(100), workload.NewFromSlice(reqs),
-		Options{Warmup: 10, Probe: rp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustVolume(t, nil, spec, workload.NewFromSlice(reqs), Options{Warmup: 10, Probe: rp})
 	if rp.count(EventArrive) != 40 || rp.count(EventDispatch) != 40 ||
 		rp.count(EventService) != 40 || rp.count(EventComplete) != 40 {
 		t.Errorf("event counts: arrive=%d dispatch=%d service=%d complete=%d, want 40 each",
@@ -614,16 +597,14 @@ func TestContextProgressReportsSimTime(t *testing.T) {
 	}
 }
 
-func TestRunMultiProgress(t *testing.T) {
-	// RunMulti's completions reach a ProgressProbe on Context.Probe as
-	// the single-device loops' do.
-	devs, scheds := multiFixtures(2, 1)
+func TestStripeVolumeProgress(t *testing.T) {
+	// A stripe volume's completions reach a ProgressProbe on
+	// Context.Probe as the single-device loops' do.
+	spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1)
 	src := workload.NewFromSlice(mkReqs(make([]float64, 2500)))
 	var at []int
 	var times []float64
-	if _, err := RunMulti(progressAt(&at, &times), devs, scheds, ConcatRouter(1<<29), src, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustVolume(t, progressAt(&at, &times), spec, src, Options{})
 	if len(at) != 2 || at[0] != 1000 || at[1] != 2000 {
 		t.Errorf("progress fired at %v, want [1000 2000]", at)
 	}

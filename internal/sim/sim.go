@@ -2,7 +2,9 @@
 // DiskSim (§3): an open-arrival, single-server queueing system in which
 // timestamped requests arrive from a workload source, wait in a scheduler
 // queue, and are serviced one at a time by a mechanically-detailed device
-// model.
+// model. RunClosed serves requests back to back, and RunVolume spreads an
+// open workload over per-member queues of an array.Volume (a plain
+// stripe, a concatenation, a mirror or rotated parity).
 //
 // The simulator is deterministic: identical sources, schedulers and
 // devices produce identical results.
@@ -19,7 +21,7 @@ import (
 )
 
 // Context carries run policy through the simulation entry points (Run,
-// RunClosed, RunMulti, RunVolume): how a run is stopped, watched,
+// RunClosed, RunVolume): how a run is stopped, watched,
 // checked and summarised. It separates *how a run is observed* from
 // Options, which describe *what is simulated*: the parallel experiment
 // runner hands every job one ready-made Context, and the interactive
@@ -114,9 +116,9 @@ type Options struct {
 	// the run, in every regime: transient positioning errors recovered
 	// by bounded device-level retry at the §6.1.3 penalty, scheduled tip
 	// failures evolving the redundancy array mid-run, and
-	// ECC-reconstruction surcharges on degraded-stripe reads. RunMulti and
-	// RunVolume apply them to every member visit, and RunVolume takes its
-	// whole-device failures from the injector's device-event schedule.
+	// ECC-reconstruction surcharges on degraded-stripe reads. RunVolume
+	// applies them to every member visit, and takes its whole-device
+	// failures from the injector's device-event schedule.
 	// The injector is Reset alongside the device and scheduler. A
 	// zero-rate, event-free injector reproduces the no-injector run byte
 	// for byte.
@@ -190,20 +192,18 @@ type Result struct {
 	// redundant volume suffered a second concurrent member failure.
 	DataLoss bool
 
-	// ClampedRequests counts volume-level requests whose block count a
-	// router had to clamp at a member or strip boundary (RunMulti):
-	// ConcatRouter and StripeRouter stay total by shrinking a spilling
-	// request to the boundary, and this counter makes that truncation
-	// visible instead of silent. Zero for single-device and RunVolume
-	// runs (the volume planner splits rather than clamps).
+	// ClampedRequests is always zero: no regime clamps a request (the
+	// volume planner splits a strip-crossing one). It stays only because
+	// the benchmark harness prints it, and goes with the striping
+	// experiment's own clamp when that harness is next changed.
 	ClampedRequests int
 
 	// Phases holds the per-phase service aggregates when Options.Probe
 	// contained a PhaseCollector; nil otherwise.
 	Phases *PhaseStats
 
-	// Members holds per-member-device aggregates for multi-queue runs
-	// (RunMulti, RunVolume); nil for single-device runs.
+	// Members holds per-member-device aggregates for RunVolume runs; nil
+	// for single-device runs.
 	Members []MemberResult
 	// Volume holds redundancy/failover aggregates for RunVolume runs;
 	// nil otherwise.
@@ -213,17 +213,15 @@ type Result struct {
 // MemberResult aggregates one member device's share of a multi-queue
 // run.
 type MemberResult struct {
-	// Requests counts the member-level operations the device served
-	// (whole volume requests for RunMulti; member ops — including
-	// rebuild traffic — for RunVolume). The entire run is covered,
-	// warmup included.
+	// Requests counts the member operations the device served, one per
+	// service visit, rebuild traffic included. The entire run is
+	// covered, warmup included.
 	Requests int
 	// Busy is the device's total busy time in ms.
 	Busy float64
 	// Phases holds the member's per-phase service aggregates when
-	// Options.Probe contained a PhaseCollector; nil otherwise. RunMulti
-	// folds one observation per measured completed request; RunVolume
-	// folds one per service visit (rebuild visits included).
+	// Options.Probe contained a PhaseCollector; nil otherwise. It folds
+	// one observation per service visit (rebuild visits included).
 	Phases *PhaseStats
 }
 

@@ -1,12 +1,15 @@
 // volume.go drives a redundant multi-queue volume (array.Volume)
 // through whole-device failure, degraded-mode service, and online
 // hot-spare rebuild — the array-scale counterpart of the §6 in-device
-// failure machinery. RunVolume is event-driven like RunMulti, but a
-// volume request fans out into fork-join phases of member operations
-// (mirror replica writes, parity read-modify-write, k-peer degraded
-// reconstruction), and a background rebuild process injects throttled
-// chunk scans into the same member queues, competing with foreground
-// traffic under the configured schedulers.
+// failure machinery. It is also the one multi-device path: a plain
+// stripe (array.VolStripe) spreads a workload over member queues with no
+// redundancy, and a stripe whose unit equals PerMember concatenates its
+// members. A volume request fans out into fork-join phases of member
+// operations (strip-split chunks, mirror replica writes, parity
+// read-modify-write, k-peer degraded reconstruction), and a background
+// rebuild process injects throttled chunk scans into the same member
+// queues, competing with foreground traffic under the configured
+// schedulers.
 package sim
 
 import (
@@ -260,22 +263,32 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 	}
 
 	v.Reset()
+	for i := range devs {
+		devs[i].Reset()
+		scheds[i].Reset()
+	}
 	e := newEngine(ctx, opts)
-	ms := newMemberSet(devs, scheds, e)
-	finish := e.runVolume(v, ms, src, chunk, frac, spec.AdaptiveRebuild)
+	finish := e.runVolume(spec, src, chunk, frac)
 	e.loop()
 	e.finalize()
 	finish()
-	ms.attach(&e.res)
 	return e.res, nil
 }
 
-// runVolume wires the eager arrival chain to a redundant fork-join
-// member set. It returns a closure the adapter must call after the
-// event loop drains, closing the still-open degraded window and
-// publishing the volume aggregates.
-func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, chunk int, frac float64, adaptive bool) func() {
+// runVolume wires the eager arrival chain to a fork-join volume over
+// one scheduler queue per member device. It returns a closure the
+// adapter must call after the event loop drains, closing the still-open
+// degraded window and publishing the volume and per-member aggregates.
+func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac float64) func() {
+	v, devs, scheds, adaptive := spec.Volume, spec.Devices, spec.Scheds, spec.AdaptiveRebuild
 	var vstats VolumeStats
+	// members attributes service to each device; memberPhases holds its
+	// phase aggregates when Options.Probe carries a PhaseCollector.
+	members := make([]MemberResult, len(devs))
+	var memberPhases []PhaseStats
+	if e.phases != nil {
+		memberPhases = make([]PhaseStats, len(devs))
+	}
 	// freeVR and freeMR are the run's free lists of volume intents and
 	// member ops, and blockVR and blockMR the unused rest of the blocks
 	// the pools grow from; ops registers every member op the run made,
@@ -325,8 +338,8 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		// callback — the allocation diet's replacement for a fresh closure
 		// per member dispatch.
 		startChunkFn func()
-		inflight     = make([]volInflight, len(ms.devs))
-		doneFns      = make([]func(), len(ms.devs))
+		inflight     = make([]volInflight, len(devs))
+		doneFns      = make([]func(), len(devs))
 	)
 
 	// memberClass tags a member op with its parent intent's scheduling
@@ -358,10 +371,10 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			Class: memberClass(vr), Ref: m.req.Ref}
 		m.vr = vr
 		ops[m.req.Ref].dev = dev
-		ms.scheds[dev].Add(&m.req)
+		scheds[dev].Add(&m.req)
 		if e.p != nil {
 			e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: &m.req,
-				Queue: ms.scheds[dev].Len()})
+				Queue: scheds[dev].Len()})
 		}
 		dispatch(dev)
 	}
@@ -457,8 +470,8 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		// backlog.
 		pace, fg := frac, 0
 		if adaptive {
-			for i := range ms.scheds {
-				fg += ms.scheds[i].Len()
+			for i := range scheds {
+				fg += scheds[i].Len()
 			}
 			pace = adaptivePace(fg)
 		}
@@ -528,8 +541,8 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			return
 		}
 		now := e.q.Now()
-		qlen := ms.scheds[i].Len()
-		mr := ms.scheds[i].Next(ms.devs[i], now)
+		qlen := scheds[i].Len()
+		mr := scheds[i].Next(devs[i], now)
 		if mr == nil {
 			return
 		}
@@ -548,16 +561,16 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 		// The shared visit path accumulates the member op's phase
 		// breakdown into the parent volume request and applies fault
 		// injection (transient retries, lost-sector reads, surcharges).
-		svc, bd, again := e.serveVisit(ms.devs[i], mr, vr.r, i, now)
+		svc, bd, again := e.serveVisit(devs[i], mr, vr.r, i, now)
 		mr.Start, mr.Finish = now, now+svc
-		ms.members[i].Requests++
-		ms.members[i].Busy += svc
+		members[i].Requests++
+		members[i].Busy += svc
 		e.res.Busy += svc
 		if vr.rebuild {
 			vstats.RebuildBusy += svc
 		}
-		if ms.phases != nil {
-			ms.phases[i].add(bd)
+		if memberPhases != nil {
+			memberPhases[i].add(bd)
 		}
 		fl := &inflight[i]
 		fl.m, fl.done, fl.again = m, now+svc, again
@@ -574,10 +587,10 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 				// left: the member op goes back to its own queue and the
 				// fork-join leg stays outstanding.
 				ops[m.req.Ref].dev = i
-				requeue(ms.scheds[i], &m.req)
+				requeue(scheds[i], &m.req)
 				if e.p != nil {
 					e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: fl.done, Dev: i, Req: &m.req,
-						Queue: ms.scheds[i].Len()})
+						Queue: scheds[i].Len()})
 				}
 			} else {
 				if m.req.Failed {
@@ -621,7 +634,7 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 	// an observer the same pointer arriving while still queued.
 	drainDead := func(devIdx, slot int, now float64) {
 		for {
-			mr := ms.scheds[devIdx].Next(ms.devs[devIdx], now)
+			mr := scheds[devIdx].Next(devs[devIdx], now)
 			if mr == nil {
 				return
 			}
@@ -719,5 +732,9 @@ func (e *engine) runVolume(v *array.Volume, ms *memberSet, src workload.Source, 
 			e.res.DataLoss = true
 		}
 		e.res.Volume = &vstats
+		for i := range memberPhases {
+			members[i].Phases = &memberPhases[i]
+		}
+		e.res.Members = members
 	}
 }

@@ -191,74 +191,6 @@ func TestRunVolumeDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunVolumeStripeMatchesRunMulti(t *testing.T) {
-	// A no-redundancy stripe volume is the same queueing system as
-	// RunMulti with a StripeRouter: single-strip requests must produce
-	// identical statistics.
-	const unit, n = 8, 3
-	mk := func() ([]core.Device, []core.Scheduler) {
-		devs := make([]core.Device, n)
-		scheds := make([]core.Scheduler, n)
-		for i := range devs {
-			devs[i] = mems.MustDevice(mems.DefaultConfig())
-			scheds[i] = sched.NewFCFS()
-		}
-		return devs, scheds
-	}
-	reqs := func() []*core.Request {
-		var out []*core.Request
-		for i := 0; i < 300; i++ {
-			op := core.Read
-			if i%3 == 0 {
-				op = core.Write
-			}
-			out = append(out, &core.Request{
-				Arrival: float64(i) * 2,
-				Op:      op,
-				LBN:     int64(i*37) % (unit * n * 100),
-				Blocks:  1,
-			})
-		}
-		return out
-	}
-
-	devs, scheds := mk()
-	multi, err := RunMulti(nil, devs, scheds, StripeRouter(unit, n),
-		workload.NewFromSlice(reqs()), Options{Warmup: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := array.VolumeConfig{Level: array.VolStripe, Members: n, StripeUnit: unit,
-		PerMember: unit * 100}
-	v, err := array.NewVolume(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vdevs, vscheds := mk()
-	vol, err := RunVolume(nil, VolumeSpec{Volume: v, Devices: vdevs, Scheds: vscheds},
-		workload.NewFromSlice(reqs()), Options{Warmup: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if vol.Requests != multi.Requests {
-		t.Fatalf("request counts differ: %d vs %d", vol.Requests, multi.Requests)
-	}
-	if math.Abs(vol.Response.Mean()-multi.Response.Mean()) > 1e-9 {
-		t.Errorf("response mean %.9f vs %.9f", vol.Response.Mean(), multi.Response.Mean())
-	}
-	if math.Abs(vol.Busy-multi.Busy) > 1e-9 {
-		t.Errorf("busy %.9f vs %.9f", vol.Busy, multi.Busy)
-	}
-	for i := range vol.Members {
-		if vol.Members[i].Requests != multi.Members[i].Requests {
-			t.Errorf("member %d requests %d vs %d", i,
-				vol.Members[i].Requests, multi.Members[i].Requests)
-		}
-	}
-}
-
 func TestRunVolumeMirrorFailover(t *testing.T) {
 	spec := volFixtures(t, mirrorVolCfg(), 1)
 	spec.RebuildChunk = 16

@@ -197,7 +197,9 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 }
 
-func TestFacadeSimulateMulti(t *testing.T) {
+func TestFacadeSimulateVolumeStripe(t *testing.T) {
+	// Two MEMS sleds concatenated (a stripe whose unit is the member),
+	// each with its own SPTF queue.
 	devs := make([]Device, 2)
 	scheds := make([]Scheduler, 2)
 	for i := range devs {
@@ -212,16 +214,20 @@ func TestFacadeSimulateMulti(t *testing.T) {
 		}
 	}
 	per := devs[0].Capacity()
-	src := NewRandomWorkload(1000, 512, 2*per, 800, 6)
-	res, err := SimulateMulti(devs, scheds, ConcatRouter(per), src, SimOptions{})
+	v, err := NewVolume(VolumeConfig{Level: VolumeStripe, Members: 2, StripeUnit: per, PerMember: per})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewRandomWorkload(1000, 512, v.Capacity(), 800, 6)
+	res, err := SimulateVolume(VolumeSpec{Volume: v, Devices: devs, Scheds: scheds}, src, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Requests != 800 {
 		t.Fatalf("completed %d", res.Requests)
 	}
-	if StripeRouter(8, 2) == nil {
-		t.Fatal("nil router")
+	if len(res.Members) != 2 || res.Members[0].Requests == 0 || res.Members[1].Requests == 0 {
+		t.Fatalf("member shares = %+v, want both sleds serving", res.Members)
 	}
 }
 
