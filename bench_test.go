@@ -150,17 +150,17 @@ func BenchmarkSPTFDispatchQueue64(b *testing.B) {
 }
 
 // estimateCounter counts the full estimates a scheduler asks for and
-// the bounds it evaluates (LowerBound and Floor calls). Embedding the
-// MEMS device keeps every optional interface it implements, the lower
-// bound that lets SPTF skip estimates included.
+// the bounds it evaluates (the keys LowerBounds bounds, and Floor
+// calls). Embedding the MEMS device keeps every optional interface it
+// implements, the lower bound that lets SPTF skip estimates included.
 type estimateCounter struct {
 	*MEMSDevice
 	estimates, bounds int
 }
 
-func (c *estimateCounter) LowerBound(k *core.BoundKey, now float64) float64 {
-	c.bounds++
-	return c.MEMSDevice.LowerBound(k, now)
+func (c *estimateCounter) LowerBounds(keys []core.BoundKey, now float64, out []float64) {
+	c.bounds += len(keys)
+	c.MEMSDevice.LowerBounds(keys, now, out)
 }
 
 func (c *estimateCounter) Floor(cyl int32, now float64) float64 {

@@ -113,7 +113,7 @@ func main() {
 	suites := []suite{
 		{pkg: "./internal/sim", pattern: "^(BenchmarkRunNilProbe|BenchmarkRunDiscard|BenchmarkRunPhaseStats|BenchmarkPhaseCollector|BenchmarkJSONLObserve|BenchmarkJSONLObserveRun|BenchmarkJSONFloat|BenchmarkMEMSAccess|BenchmarkDiskAccess|BenchmarkMEMSEstimate|BenchmarkMEMSLowerBound|BenchmarkDiskEstimate)$", benchtime: bt},
 		{pkg: "./internal/sim", pattern: "^BenchmarkEngineMillion$", benchtime: "1x", short: *quick},
-		{pkg: "./internal/physics", pattern: "^(BenchmarkSeekSolverClosedForm|BenchmarkSeekSolverMovingY)$", benchtime: bt},
+		{pkg: "./internal/physics", pattern: "^(BenchmarkSeekSolverClosedForm|BenchmarkSeekSolverRestToRest|BenchmarkSeekSolverMovingY)$", benchtime: bt},
 		{pkg: ".", pattern: "^BenchmarkSchedNext$", benchtime: schedBT},
 		{pkg: "./internal/stats", pattern: "^(BenchmarkDistAdd|BenchmarkSketchPercentile|BenchmarkSamplePercentileRepeated)$", benchtime: bt},
 		{pkg: "./internal/fault", pattern: "^(BenchmarkSlipRemapScan|BenchmarkLossProbability)$", benchtime: bt},

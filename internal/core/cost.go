@@ -79,41 +79,46 @@ type BoundKey struct {
 
 // LowerBounder is implemented by device models that can bound an
 // estimate from below far more cheaply than computing it, in two steps:
-// BoundKey once per request, LowerBound once per dispatch. A key may
-// depend only on the request's LBN and Blocks and on the device's
-// immutable configuration, never on its mechanical state or the time,
-// so a key computed while the request waits stays valid until it is
-// dispatched. LowerBound(BoundKey(req), now) must never exceed
-// EstimateAccess(req, now) — bit for bit, with no tolerance — and
-// no method may change device or request state. Cost-model
-// schedulers use the bound to skip candidates that cannot beat the best
-// estimate found so far, so a bound that is ever too high changes which
-// request they pick.
+// BoundKey once per request, LowerBounds once per dispatch for a whole
+// batch of keys. A key may depend only on the request's LBN and Blocks
+// and on the device's immutable configuration, never on its mechanical
+// state or the time, so a key computed while the request waits stays
+// valid until it is dispatched. LowerBounds(keys, now, out) writes to
+// out[i] (out is at least as long as keys) a bound that must never
+// exceed EstimateAccess(req, now) for the request keys[i] was made
+// from — bit for bit, with no tolerance — and the same value whatever
+// else the batch holds; no method may change device or request state.
+// Batching is what makes the bound cheap: everything that depends on
+// the device's state is loaded once per call, not once per key.
+// Cost-model schedulers use the bound to skip candidates that cannot
+// beat the best estimate found so far, so a bound that is ever too high
+// changes which request they pick.
 //
 // KeyCyl and Floor bound the bounds of a whole key cylinder, so a deep
 // queue can be scanned outward from the device's position and stop
 // early. Key cylinders are non-negative, and KeyCyl is the key cylinder
 // (BoundKey.Cyl) the device is positioned at. Floor(c, now) must not
-// exceed LowerBound(&k, now) for any key k with k.Cyl == c, bit for
-// bit, and must never decrease as c moves away from KeyCyl on either
-// side.
+// exceed the bound of any key k with k.Cyl == c, bit for bit, and must
+// never decrease as c moves away from KeyCyl on either side.
 type LowerBounder interface {
 	BoundKey(req *Request) BoundKey
-	LowerBound(k *BoundKey, now float64) float64
+	LowerBounds(keys []BoundKey, now float64, out []float64)
 	KeyCyl() int32
 	Floor(c int32, now float64) float64
 }
 
-// BoundModel is a lower bound on a CostModel, evaluated from the key lb
-// made for r: never above the cost model for the same device, request
-// and time, bit for bit. Schedulers call it only for devices that
-// implement LowerBounder; every other device's bound is −Inf.
-type BoundModel func(lb LowerBounder, k *BoundKey, r *Request, now float64) float64
+// BoundModel is a lower bound on a CostModel, evaluated for a batch:
+// it writes to out[i] the bound for q[i] from the key lb made for it,
+// keys[i], never above the cost model for the same device, request and
+// time, bit for bit. keys and q have the same length, and out is at
+// least as long. Schedulers call it only for devices that implement
+// LowerBounder; every other device's bound is −Inf.
+type BoundModel func(lb LowerBounder, keys []BoundKey, q []*Request, now float64, out []float64)
 
 // AccessCostBound is the BoundModel that pairs with AccessCost: the
-// device's own LowerBound.
-func AccessCostBound(lb LowerBounder, k *BoundKey, _ *Request, now float64) float64 {
-	return lb.LowerBound(k, now)
+// device's own LowerBounds.
+func AccessCostBound(lb LowerBounder, keys []BoundKey, _ []*Request, now float64, out []float64) {
+	lb.LowerBounds(keys, now, out)
 }
 
 // BreakdownEstimator is implemented by device models that can estimate

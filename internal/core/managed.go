@@ -95,15 +95,16 @@ func (m *ManagedDevice) BoundKey(req *Request) BoundKey {
 	return BoundKey{}
 }
 
-// LowerBound implements LowerBounder by delegation; the key already
-// holds the remapped position. Over an inner device with no bound it
-// returns 0, which bounds every estimate: service times are never
+// LowerBounds implements LowerBounder by delegation; the keys already
+// hold the remapped positions. Over an inner device with no bound every
+// bound is 0, which bounds every estimate: service times are never
 // negative.
-func (m *ManagedDevice) LowerBound(k *BoundKey, now float64) float64 {
+func (m *ManagedDevice) LowerBounds(keys []BoundKey, now float64, out []float64) {
 	if lb, ok := m.inner.(LowerBounder); ok {
-		return lb.LowerBound(k, now)
+		lb.LowerBounds(keys, now, out)
+		return
 	}
-	return 0
+	clear(out[:len(keys)])
 }
 
 // KeyCyl implements LowerBounder by delegation; over an inner device
@@ -115,7 +116,7 @@ func (m *ManagedDevice) KeyCyl() int32 {
 	return 0
 }
 
-// Floor implements LowerBounder by delegation, or 0 like LowerBound.
+// Floor implements LowerBounder by delegation, or 0 like LowerBounds.
 func (m *ManagedDevice) Floor(c int32, now float64) float64 {
 	if lb, ok := m.inner.(LowerBounder); ok {
 		return lb.Floor(c, now)

@@ -45,12 +45,18 @@ func (h halfSwap) Map(lbn int64) int64 {
 	return lbn - h.half
 }
 
+// boundOf is lb's bound for the one key k at now: a batch of one.
+func boundOf(lb core.LowerBounder, k core.BoundKey, now float64) float64 {
+	out := []float64{math.NaN()}
+	lb.LowerBounds([]core.BoundKey{k}, now, out)
+	return out[0]
+}
+
 // keyedBound is d's two-step lower bound for req at now: the key, then
 // the bound from it.
 func keyedBound(d core.Device, req *core.Request, now float64) float64 {
 	lb := d.(core.LowerBounder)
-	k := lb.BoundKey(req)
-	return lb.LowerBound(&k, now)
+	return boundOf(lb, lb.BoundKey(req), now)
 }
 
 // checkBound fails t unless d's floor for req's key cylinder is at most
@@ -154,13 +160,28 @@ func TestAccessLowerBound(t *testing.T) {
 	}
 }
 
+// boundStack is one device stack the batch fuzz bounds on: the stack,
+// the MEMS device at its bottom (whose state the fuzz sets) and the
+// times it is bounded at.
+type boundStack struct {
+	name string
+	dev  core.Device
+	mems *Device
+	nows []float64
+}
+
 // FuzzAccessLowerBound checks the keyed bound against the estimate from
 // a fuzzed state — on the grid, reached through a warm-up access, or
-// forced off it with SetState — for a fuzzed request, keyed while the
-// device was still parked, as a queued request is keyed before the sled
-// moves. It checks the floor contract from the same state: the floor of
-// the request's key cylinder is at most its bound, and floors never
-// decrease from the sled's cylinder outward.
+// forced off it with SetState — for a fuzzed request and a batch of up
+// to 64 more drawn from a fuzzed seed, all keyed while the device was
+// still parked, as queued requests are keyed before the sled moves. It
+// bounds the whole batch in one call on a bare device, a ManagedDevice
+// over a half-swap layout and a power.Managed (with a restart pending
+// and without), and checks each element bit for bit: it equals the
+// one-key call's bound, it is at most the estimate, and the floor of its
+// key cylinder is at most it. power.Managed's bounds must be the bare
+// device's from the same state plus the restart penalty. Floors must
+// never decrease from the sled's cylinder outward.
 func FuzzAccessLowerBound(f *testing.F) {
 	cfgs := boundConfigs()
 	names := make([]string, 0, len(cfgs))
@@ -168,42 +189,94 @@ func FuzzAccessLowerBound(f *testing.F) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	devs := make([]*Device, len(names))
+	stacks := make([][]boundStack, len(names))
 	for i, name := range names {
-		devs[i] = MustDevice(cfgs[name])
+		d, md, pd := MustDevice(cfgs[name]), MustDevice(cfgs[name]), MustDevice(cfgs[name])
+		stacks[i] = []boundStack{
+			{"device", d, d, []float64{0}},
+			{"managed", core.NewManagedDevice(md, halfSwap{d.geo.TotalSectors / 2}), md, []float64{0}},
+			{"power", power.NewManaged(pd, power.MEMSModel(), power.Policy{TimeoutMs: 5}), pd, []float64{0, 100}},
+		}
 	}
-	f.Add(uint8(0), true, int64(12345), uint32(0), 0.0, int8(0), int64(777), uint16(8))
-	f.Add(uint8(1), false, int64(0), uint32(1234), 1237.5, int8(1), int64(99999), uint16(1200))
-	f.Add(uint8(4), false, int64(0), uint32(0), 0.0, int8(-1), int64(1<<30), uint16(1))
-	f.Fuzz(func(t *testing.T, cfg uint8, warm bool, warmLBN int64, cyl uint32, yB float64, vdir int8, lbn int64, blocks uint16) {
-		d := devs[int(cfg)%len(devs)]
-		g := d.geo
-		d.Reset()
-		clampLBN := func(l int64, n int) int64 {
+	f.Add(uint8(0), true, int64(12345), uint32(0), 0.0, int8(0), int64(777), uint16(8), int64(1), uint8(0))
+	f.Add(uint8(1), false, int64(0), uint32(1234), 1237.5, int8(1), int64(99999), uint16(1200), int64(2), uint8(17))
+	f.Add(uint8(4), false, int64(0), uint32(0), 0.0, int8(-1), int64(1<<30), uint16(1), int64(3), uint8(63))
+	f.Add(uint8(7), true, int64(5), uint32(0), 0.0, int8(0), int64(3), uint16(40), int64(4), uint8(200))
+	f.Fuzz(func(t *testing.T, cfg uint8, warm bool, warmLBN int64, cyl uint32, yB float64, vdir int8, lbn int64, blocks uint16, batchSeed int64, batch uint8) {
+		name := names[int(cfg)%len(names)]
+		g := stacks[int(cfg)%len(names)][0].mems.geo
+		half := g.TotalSectors / 2
+		// clamp folds l into the device for an n-sector request, and
+		// moves one that would cross the half-swap layout's midpoint,
+		// which the layout splits, to start there.
+		clamp := func(l int64, n int) int64 {
 			if l < 0 {
 				l = -(l + 1)
 			}
-			return l % (g.TotalSectors - int64(n) + 1)
+			l %= g.TotalSectors - int64(n) + 1
+			if l < half && l+int64(n) > half {
+				l = half
+			}
+			return l
 		}
 		n := 1 + int(blocks)%1200
-		req := &core.Request{LBN: clampLBN(lbn, n), Blocks: n}
-		k := d.BoundKey(req)
-		if warm {
-			d.Access(&core.Request{LBN: clampLBN(warmLBN, 8), Blocks: 8}, 0)
-		} else {
-			if math.IsNaN(yB) || math.IsInf(yB, 0) {
-				yB = 0
+		reqs := []*core.Request{{LBN: clamp(lbn, n), Blocks: n}}
+		rng := rand.New(rand.NewSource(batchSeed))
+		for range int(batch) % 65 {
+			m := 1 + rng.Intn(1200)
+			if rng.Intn(2) == 0 {
+				m = 1 + rng.Intn(8)
 			}
-			d.SetState(int(cyl%uint32(g.Cylinders)), math.Mod(math.Abs(yB), float64(g.BitsY)), int(vdir%2))
+			reqs = append(reqs, &core.Request{LBN: clamp(rng.Int63n(g.TotalSectors), m), Blocks: m})
 		}
-		name := names[int(cfg)%len(names)]
-		lb, est := d.LowerBound(&k, 0), d.EstimateAccess(req, 0)
-		if !(lb <= est) {
-			t.Fatalf("%s: bound %v > estimate %v (excess %.3g)", name, lb, est, lb-est)
+		if math.IsNaN(yB) || math.IsInf(yB, 0) {
+			yB = 0
 		}
-		if fl := d.Floor(k.Cyl, 0); !(fl <= lb) {
-			t.Fatalf("%s: floor %v of cylinder %d > bound %v", name, fl, k.Cyl, lb)
+		var bare []float64
+		for _, st := range stacks[int(cfg)%len(names)] {
+			st.dev.Reset()
+			lb := st.dev.(core.LowerBounder)
+			keys := make([]core.BoundKey, len(reqs))
+			for i, r := range reqs {
+				keys[i] = lb.BoundKey(r)
+			}
+			if warm {
+				st.mems.Access(&core.Request{LBN: clamp(warmLBN, 8), Blocks: 8}, 0)
+			} else {
+				st.mems.SetState(int(cyl%uint32(g.Cylinders)), math.Mod(math.Abs(yB), float64(g.BitsY)), int(vdir%2))
+			}
+			for _, now := range st.nows {
+				label := fmt.Sprintf("%s %s at %v", name, st.name, now)
+				out := make([]float64, len(keys))
+				lb.LowerBounds(keys, now, out)
+				for i, k := range keys {
+					b := out[i]
+					if one := boundOf(lb, k, now); math.Float64bits(one) != math.Float64bits(b) {
+						t.Fatalf("%s: key %d of %d: batch bound %v, one-key bound %v", label, i, len(keys), b, one)
+					}
+					if est := st.dev.EstimateAccess(reqs[i], now); !(b <= est) {
+						t.Fatalf("%s: key %d: bound %v > estimate %v (excess %.3g)", label, i, b, est, b-est)
+					}
+					if fl := lb.Floor(k.Cyl, now); !(fl <= b) {
+						t.Fatalf("%s: key %d: floor %v of cylinder %d > bound %v", label, i, fl, k.Cyl, b)
+					}
+				}
+				switch st.name {
+				case "device":
+					bare = out
+				case "power":
+					pen := 0.0
+					if now > 5 {
+						pen = power.MEMSModel().RestartMs
+					}
+					for i := range out {
+						if want := pen + bare[i]; math.Float64bits(out[i]) != math.Float64bits(want) {
+							t.Fatalf("%s: key %d: bound %v, want restart %v + device bound %v", label, i, out[i], pen, bare[i])
+						}
+					}
+				}
+				checkFloorMonotone(t, label, lb, g.Cylinders, now)
+			}
 		}
-		checkFloorMonotone(t, name, d, g.Cylinders, 0)
 	})
 }

@@ -20,6 +20,7 @@ package mems
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"memsim/internal/physics"
 )
@@ -132,6 +133,38 @@ type Geometry struct {
 	SettleMs float64
 	// HalfRange is the sled travel from center to edge, meters.
 	HalfRange float64
+
+	// perCylinder, perTrack and perRow divide an LBN by
+	// SectorsPerCylinder, SectorsPerTrack and SectorsPerRow for
+	// Decompose.
+	perCylinder, perTrack, perRow divisor
+}
+
+// divisor divides by d. For 1 < d < 2³² it keeps Lemire's reciprocal
+// m = ⌊(2⁶⁴−1)/d⌋ + 1 = ⌈2⁶⁴/d⌉, with which the high word of m·n is
+// ⌊n/d⌋ exactly for every n < 2³² (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", 2019): one multiplication instead
+// of a 64-bit division. m is 0 for d = 1, where it would wrap, and for
+// d ≥ 2³²; those divisors, and n ≥ 2³², divide as written.
+type divisor struct {
+	d, m uint64
+}
+
+func newDivisor(d int) divisor {
+	v := divisor{d: uint64(d)}
+	if d > 1 && v.d < 1<<32 {
+		v.m = ^uint64(0)/v.d + 1
+	}
+	return v
+}
+
+// divmod returns n/d and n%d.
+func (v divisor) divmod(n uint64) (q, r uint64) {
+	if v.m == 0 || n >= 1<<32 {
+		return n / v.d, n % v.d
+	}
+	q, _ = bits.Mul64(v.m, n)
+	return q, n - q*v.d
 }
 
 // NewGeometry validates cfg and derives the device geometry.
@@ -179,6 +212,9 @@ func NewGeometry(cfg Config) (*Geometry, error) {
 	g.AccessSpeed = cfg.PerTipRate * cfg.BitWidth
 	g.SettleMs = cfg.SettleConstants / (2 * math.Pi * cfg.ResonantHz) * 1e3
 	g.HalfRange = float64(cfg.BitsX) * cfg.BitWidth / 2
+	g.perCylinder = newDivisor(g.SectorsPerCylinder)
+	g.perTrack = newDivisor(g.SectorsPerTrack)
+	g.perRow = newDivisor(g.SectorsPerRow)
 	return g, nil
 }
 
@@ -244,16 +280,14 @@ func (g *Geometry) TipsForSector(lbn int64) (first, n int) {
 	return track*g.ActiveTips + slot*g.StripeTips, g.StripeTips
 }
 
-// Decompose inverts LBN. It panics when lbn is outside the device.
+// Decompose inverts LBN, dividing through the geometry's precomputed
+// reciprocals. It panics when lbn is outside the device.
 func (g *Geometry) Decompose(lbn int64) (cyl, track, row, slot int) {
 	if lbn < 0 || lbn >= g.TotalSectors {
 		panic(fmt.Sprintf("mems: LBN %d outside device (capacity %d)", lbn, g.TotalSectors))
 	}
-	cyl = int(lbn / int64(g.SectorsPerCylinder))
-	rem := int(lbn % int64(g.SectorsPerCylinder))
-	track = rem / g.SectorsPerTrack
-	rem %= g.SectorsPerTrack
-	row = rem / g.SectorsPerRow
-	slot = rem % g.SectorsPerRow
-	return cyl, track, row, slot
+	c, rem := g.perCylinder.divmod(uint64(lbn))
+	t, rem := g.perTrack.divmod(rem)
+	r, s := g.perRow.divmod(rem)
+	return int(c), int(t), int(r), int(s)
 }

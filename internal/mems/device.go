@@ -263,7 +263,7 @@ func (g *Geometry) segment(lbn int64, remaining int) (cyl, row, rowHi, n int) {
 // access once and keeps what does not depend on the sled: the first
 // segment's cylinder, first row and end row boundary (rowHi+1), and the
 // per-segment transfer terms summed exactly as access sums them, in
-// the same order. The overhead stays out of Fixed: LowerBound adds it
+// the same order. The overhead stays out of Fixed: LowerBounds adds it
 // last, as access does, since folding it in first would re-associate
 // the sum and could lift the bound above the estimate by an ulp.
 func (d *Device) BoundKey(req *core.Request) core.BoundKey {
@@ -284,7 +284,7 @@ func (d *Device) BoundKey(req *core.Request) core.BoundKey {
 	return k
 }
 
-// LowerBound implements core.LowerBounder: the key's transfer and the
+// LowerBounds implements core.LowerBounder: each key's transfer and the
 // overhead, plus a bound on positioning — nothing for the later
 // segments, and max(X bound, Y bound) for the first.
 //
@@ -296,21 +296,37 @@ func (d *Device) BoundKey(req *core.Request) core.BoundKey {
 // bound is the exact Y seek from the row-boundary table, or 0 when the
 // sled is off the grid. Each term is ≤ its counterpart in access, the
 // sum (positioning + transfer) + overhead is taken in access's order,
-// and float addition is monotone, so the bound is ≤ EstimateAccess bit
+// and float addition is monotone, so each bound is ≤ EstimateAccess bit
 // for bit.
-func (d *Device) LowerBound(k *core.BoundKey, _ float64) float64 {
+//
+// What depends on the sled — its cylinder and X position, the
+// acceleration bound, the settle, the overhead and the Y table's row
+// for the sled's boundary and direction — is loaded once for the
+// batch; each key then evaluates the same expression it would alone,
+// so a bound has the same bits in any batch.
+func (d *Device) LowerBounds(keys []core.BoundKey, _ float64, out []float64) {
 	g := d.geo
-	tx := 0.0
-	if cyl := int(k.Cyl); cyl != d.st.cyl {
-		dx := math.Abs(g.XPos(cyl) - g.XPos(d.st.cyl))
-		tx = 2*math.Sqrt(dx/((1+g.SpringFactor)*g.SledAccel))*1e3*(1-1e-9) + g.SettleMs
-	}
-	ty := 0.0
+	sledCyl, xs := d.st.cyl, g.XPos(d.st.cyl)
+	acc := (1 + g.SpringFactor) * g.SledAccel
+	settle, overhead := g.SettleMs, g.Overhead
+	var yrow []float64
 	if d.st.yRow >= 0 {
-		tyF, tyR := d.ytab.seeks(d.st.yRow, d.st.vdir, int(k.Row), int(k.EndRow))
-		ty = min(tyF, tyR)
+		yrow = d.ytab.row(d.st.yRow, d.st.vdir)
 	}
-	return max(tx, ty) + k.Fixed + g.Overhead
+	out = out[:len(keys)]
+	for i := range keys {
+		k := &keys[i]
+		tx := 0.0
+		if cyl := int(k.Cyl); cyl != sledCyl {
+			dx := math.Abs(g.XPos(cyl) - xs)
+			tx = 2*math.Sqrt(dx/acc)*1e3*(1-1e-9) + settle
+		}
+		ty := 0.0
+		if yrow != nil {
+			ty = min(yrow[int(k.Row)*2+1], yrow[int(k.EndRow)*2])
+		}
+		out[i] = max(tx, ty) + k.Fixed + overhead
+	}
 }
 
 // KeyCyl implements core.LowerBounder: keys name their first segment's
@@ -318,16 +334,16 @@ func (d *Device) LowerBound(k *core.BoundKey, _ float64) float64 {
 func (d *Device) KeyCyl() int32 { return int32(d.st.cyl) }
 
 // Floor implements core.LowerBounder: (tx + one row's transfer) +
-// overhead, with tx LowerBound's X bound for cylinder c, written as the
+// overhead, with tx LowerBounds' X bound for cylinder c, written as the
 // same expression so it has the same bits. Every key's Fixed is at
 // least one row of transfer (its first segment reads at least one
 // row), max(tx, ty) ≥ tx, and float addition is monotone, so the floor
-// is at most LowerBound for every key on cylinder c, bit for bit. tx
+// is at most the bound of every key on cylinder c, bit for bit. tx
 // grows with |XPos(c) − XPos(sled)|, and subtraction, the square root
 // and the scaling by positive constants are all monotone, so the floor
-// never decreases away from the sled on either side. (LowerBound keeps
-// its own copy of the expression: calling a shared helper, even an
-// inlined one, made it measurably slower on shallow queues.)
+// never decreases away from the sled on either side. (LowerBounds keeps
+// its own copy of the expression, with the sled's terms hoisted out of
+// its loop.)
 func (d *Device) Floor(c int32, _ float64) float64 {
 	g := d.geo
 	tx := 0.0
@@ -420,6 +436,14 @@ type ySeekTable struct {
 func (t *ySeekTable) seeks(i, vdir, fwd, rev int) (tyF, tyR float64) {
 	base := (i*2 + (vdir+1)/2) * t.n * 2
 	return t.ms[base+fwd*2+1], t.ms[base+rev*2]
+}
+
+// row returns the seeks from boundary i moving in direction vdir, the
+// entries seeks reads: row[j*2+to] is the seek to boundary j arriving
+// −Y (to 0) or +Y (to 1).
+func (t *ySeekTable) row(i, vdir int) []float64 {
+	base := (i*2 + (vdir+1)/2) * t.n * 2
+	return t.ms[base : base+t.n*2]
 }
 
 // yMech is everything a ySeekTable's entries depend on: the sled and

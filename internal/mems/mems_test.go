@@ -145,6 +145,67 @@ func TestLBNDecomposeRoundTrip(t *testing.T) {
 	}
 }
 
+// decomposeByDivision is Decompose as plain integer division: the form
+// the reciprocals must match.
+func decomposeByDivision(g *Geometry, lbn int64) (cyl, track, row, slot int) {
+	rem := lbn % int64(g.SectorsPerCylinder)
+	return int(lbn / int64(g.SectorsPerCylinder)), int(rem) / g.SectorsPerTrack,
+		int(rem) % g.SectorsPerTrack / g.SectorsPerRow, int(rem) % g.SectorsPerTrack % g.SectorsPerRow
+}
+
+// checkDecompose fails t unless Decompose agrees with plain division at
+// lbn.
+func checkDecompose(t *testing.T, g *Geometry, lbn int64) {
+	c, tr, r, s := g.Decompose(lbn)
+	wc, wtr, wr, ws := decomposeByDivision(g, lbn)
+	if c != wc || tr != wtr || r != wr || s != ws {
+		t.Fatalf("Decompose(%d) = (%d,%d,%d,%d), division gives (%d,%d,%d,%d) (sectors per cylinder %d, track %d, row %d)",
+			lbn, c, tr, r, s, wc, wtr, wr, ws, g.SectorsPerCylinder, g.SectorsPerTrack, g.SectorsPerRow)
+	}
+}
+
+// TestDecomposeEveryG1LBN checks Decompose against plain division at
+// every LBN of the default device.
+func TestDecomposeEveryG1LBN(t *testing.T) {
+	g, _ := NewGeometry(DefaultConfig())
+	for lbn := range g.TotalSectors {
+		checkDecompose(t, g, lbn)
+	}
+}
+
+// FuzzDecompose checks Decompose against plain division on fuzzed valid
+// geometries: 1 to 40 sectors per row, 1 to 40 rows per track and 1 to
+// 8 tracks per cylinder, so every divisor can be 1, and up to 2²³
+// cylinders, so LBNs reach past 2³² and take the division fallback. It
+// also checks the reciprocal division itself for a fuzzed divisor and
+// dividend.
+func FuzzDecompose(f *testing.F) {
+	f.Add(uint8(19), uint8(26), uint8(4), uint32(2499), uint64(6749999), uint32(2700), uint64(1<<32-1))
+	f.Add(uint8(19), uint8(26), uint8(4), uint32(2499), uint64(2700+540+20), uint32(540), uint64(540*7))
+	f.Add(uint8(0), uint8(0), uint8(0), uint32(1<<23-1), uint64(1<<32+5), uint32(1), uint64(1<<32))
+	f.Add(uint8(39), uint8(39), uint8(7), uint32(400000), uint64(1<<32-1), uint32(1<<31+1), uint64(1<<33))
+	f.Add(uint8(0), uint8(5), uint8(3), uint32(7), uint64(3), uint32(1<<32-1), uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, perRow, rows, tracks uint8, bitsX uint32, lbn uint64, d uint32, n uint64) {
+		cfg := DefaultConfig()
+		stripe := cfg.SectorSize / cfg.DataBytes
+		cfg.ActiveTips = stripe * (1 + int(perRow)%40)
+		cfg.BitsY = (cfg.ServoBits + cfg.EncodedBits) * (1 + int(rows)%40)
+		cfg.SpareTips = 0
+		cfg.Tips = cfg.ActiveTips * (1 + int(tracks)%8)
+		cfg.BitsX = 1 + int(bitsX%(1<<23))
+		g, err := NewGeometry(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecompose(t, g, int64(lbn%uint64(g.TotalSectors)))
+
+		v := newDivisor(int(max(d, 1)))
+		if q, r := v.divmod(n); q != n/v.d || r != n%v.d {
+			t.Fatalf("%d divmod %d = (%d, %d), want (%d, %d)", n, v.d, q, r, n/v.d, n%v.d)
+		}
+	})
+}
+
 func TestLBNPanicsOutOfRange(t *testing.T) {
 	g, _ := NewGeometry(DefaultConfig())
 	for _, f := range []func(){

@@ -185,7 +185,8 @@ func (s *Sled) seekPlanNoSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 // first applies −a, each solved by strategy.
 //
 // A rest-to-rest move (v0 = v1 = +0, every X seek) solves only the
-// strategy that first accelerates toward the target when both ends lie
+// strategy that first accelerates toward the target, and only its
+// intersection the sled reaches first (restPlan), when both ends lie
 // strictly inside the offsets ±k and δ = |x1 − x0| ≥ k/4096. For
 // x1 > x0 (the other case mirrors) the skipped strategy's circles lie
 // about −k and +k with radii p = k + x0 and q = k − x1, so they miss by
@@ -208,11 +209,50 @@ func (s *Sled) seekPlanSpring(x0, v0, x1, v1 float64) (Plan, bool) {
 		if x1 < x0 {
 			u = -1
 		}
-		return s.strategy(u, x0, 0, x1, 0, Plan{}, false)
+		return s.restPlan(u, x0, x1), true
 	}
 	q0, q1 := v0/s.w, v1/s.w
 	best, found := s.strategy(1, x0, q0, x1, q1, Plan{}, false)
 	return s.strategy(-1, x0, q0, x1, q1, best, found)
+}
+
+// restPlan is strategy(u, x0, 0, x1, 0) under seekPlanSpring's
+// rest-to-rest conditions, solved at the one intersection that wins:
+// (xs, u·ws), the one the sled reaches first. Take u = +1, x0 < x1 (the
+// other case mirrors through x → −x). The circles lie about +k with
+// radius k − x0 and about −k with radius k + x1, so every point of the
+// first has x ≥ x0 and every point of the second x ≤ x1, and
+// x0 < xs < x1 inside (−k, k). By Heron's formula over the triangle of
+// the two centers and an intersection,
+//
+//	ws2 = (4k + δ)·δ·(2A + δ)(2B + δ)/(16k²),  A = k − x1, B = k + x0,
+//
+// and (2A + δ)(2B + δ) = 4AB + 4kδ − δ² ≥ δ(4k − δ), so
+// ws2 ≥ δ²(1 − δ²/16k²) > (3/4)δ² as δ < 2k: ws ≥ (√3/2)δ, far above
+// the tangent test. The start sits at angle π on the first circle and
+// the target at 0 on the second; motion is clockwise. With θ1 =
+// atan2(ws, xs − k) ∈ (π/2, π) and θ2 = atan2(ws, xs + k) ∈ (0, π/2),
+// the +ws plan takes (π − θ1)/ω then θ2/ω, under π/ω in all, while the
+// −ws plan takes (π + θ1)/ω then (2π − θ2)/ω, over 3π/(2ω) even if
+// either phase were snapped to 0. Neither is: π − θ1 and θ2 are both
+// atan of ws over at most 2k, at least atan(√3/16384) ≈ 1e-4, so no
+// phase comes within the 1e-9 snap of a full turn, and the +ws plan
+// wins strategy's comparison. For u = −1 the start sits at angle 0,
+// the reached intersection is (xs, −ws) and the angles are the same
+// ones negated; atan2(−ws, ·) is the value strategy's negAtan2 returns
+// there, the reference's own call. The terms evaluate as in strategy,
+// so the plan is the same bit for bit.
+func (s *Sled) restPlan(u int, x0, x1 float64) Plan {
+	c1 := float64(u) * s.k
+	c2 := -c1
+	r1 := math.Abs(x0 - c1)
+	r2 := math.Abs(x1 - c2)
+	denom := 2 * (c2 - c1)
+	xs := (r1*r1 - r2*r2 - c1*c1 + c2*c2) / denom
+	ys := float64(u) * math.Sqrt(r1*r1-(xs-c1)*(xs-c1))
+	t1 := angleCW(atan2(0, x0-c1), atan2(ys, xs-c1)) / s.w
+	t2 := angleCW(atan2(ys, xs-c2), atan2(0, x1-c2)) / s.w
+	return Plan{U1: u, T1: t1, U2: -u, T2: t2}
 }
 
 // strategy solves the strategy that applies control u for the first
@@ -325,37 +365,6 @@ func (s *Sled) Evolve(x, v float64, u int, t float64) (x2, v2 float64) {
 func (s *Sled) Apply(x, v float64, p Plan) (x2, v2 float64) {
 	x, v = s.Evolve(x, v, p.U1, p.T1)
 	return s.Evolve(x, v, p.U2, p.T2)
-}
-
-// Integrate is a reference RK4 integrator for the sled ODE under plan p,
-// stepping at dt. It exists to cross-validate the closed-form solution and
-// is not used on the simulation fast path.
-func (s *Sled) Integrate(x, v float64, p Plan, dt float64) (x2, v2 float64) {
-	x, v = s.integratePhase(x, v, p.U1, p.T1, dt)
-	return s.integratePhase(x, v, p.U2, p.T2, dt)
-}
-
-func (s *Sled) integratePhase(x, v float64, u int, t, dt float64) (float64, float64) {
-	w2 := 0.0
-	if s.springFactor != 0 {
-		w2 = s.springFactor * s.accel / s.halfRange
-	}
-	acc := func(x, v float64) float64 { return float64(u)*s.accel - w2*x }
-	for t > 0 {
-		h := dt
-		if h > t {
-			h = t
-		}
-		// Classical RK4 on the system (ẋ = v, v̇ = acc).
-		k1x, k1v := v, acc(x, v)
-		k2x, k2v := v+h/2*k1v, acc(x+h/2*k1x, v+h/2*k1v)
-		k3x, k3v := v+h/2*k2v, acc(x+h/2*k2x, v+h/2*k2v)
-		k4x, k4v := v+h*k3v, acc(x+h*k3x, v+h*k3v)
-		x += h / 6 * (k1x + 2*k2x + 2*k3x + k4x)
-		v += h / 6 * (k1v + 2*k2v + 2*k3v + k4v)
-		t -= h
-	}
-	return x, v
 }
 
 // String implements fmt.Stringer for diagnostics.

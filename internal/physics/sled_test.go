@@ -256,6 +256,41 @@ func BenchmarkSeekSolverClosedForm(b *testing.B) {
 	}
 }
 
+// BenchmarkSeekSolverRestToRest splits BenchmarkSeekSolverClosedForm's
+// rest-to-rest seeks by direction: the rightward row moves toward +x,
+// where the plan accelerates with u = +1 and takes the +ws
+// intersection, and the leftward row toward −x (u = −1, −ws). Each
+// seek spans at least k/4096, the fast path's least gap, as the X seeks
+// between distinct gen1 cylinders do.
+func BenchmarkSeekSolverRestToRest(b *testing.B) {
+	s := paperSled()
+	for _, dir := range []struct {
+		name string
+		sign float64
+	}{{"leftward", -1}, {"rightward", 1}} {
+		b.Run(dir.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			type seek struct{ x0, x1 float64 }
+			seeks := make([]seek, 1024)
+			for i := range seeks {
+				x0, x1 := (rng.Float64()*2-1)*s.halfRange, (rng.Float64()*2-1)*s.halfRange
+				for math.Abs(x1-x0)*4096 < s.k {
+					x1 = (rng.Float64()*2 - 1) * s.halfRange
+				}
+				if (x1-x0)*dir.sign < 0 {
+					x0, x1 = x1, x0
+				}
+				seeks[i] = seek{x0, x1}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sk := seeks[i%1024]
+				_ = s.SeekTime(sk.x0, 0, sk.x1, 0)
+			}
+		})
+	}
+}
+
 // BenchmarkSeekSolverMovingY prices the Y seeks an access solves off
 // the row-boundary table: from a gen1 row boundary moving at ±access
 // speed to another, arriving at ±access speed.
@@ -287,6 +322,37 @@ func BenchmarkSeekSolverRK4Reference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = s.Integrate(-40e-6, 0, p, 1e-7)
 	}
+}
+
+// Integrate is a reference RK4 integrator for the sled ODE under plan p,
+// stepping at dt. It cross-validates the closed-form solution; the
+// simulator never integrates.
+func (s *Sled) Integrate(x, v float64, p Plan, dt float64) (x2, v2 float64) {
+	x, v = s.integratePhase(x, v, p.U1, p.T1, dt)
+	return s.integratePhase(x, v, p.U2, p.T2, dt)
+}
+
+func (s *Sled) integratePhase(x, v float64, u int, t, dt float64) (float64, float64) {
+	w2 := 0.0
+	if s.springFactor != 0 {
+		w2 = s.springFactor * s.accel / s.halfRange
+	}
+	acc := func(x, v float64) float64 { return float64(u)*s.accel - w2*x }
+	for t > 0 {
+		h := dt
+		if h > t {
+			h = t
+		}
+		// Classical RK4 on the system (ẋ = v, v̇ = acc).
+		k1x, k1v := v, acc(x, v)
+		k2x, k2v := v+h/2*k1v, acc(x+h/2*k1x, v+h/2*k1v)
+		k3x, k3v := v+h/2*k2v, acc(x+h/2*k2x, v+h/2*k2v)
+		k4x, k4v := v+h*k3v, acc(x+h*k3x, v+h*k3v)
+		x += h / 6 * (k1x + 2*k2x + 2*k3x + k4x)
+		v += h / 6 * (k1v + 2*k2v + 2*k3v + k4v)
+		t -= h
+	}
+	return x, v
 }
 
 // seekPlanRef and seekPlanSpringRef are the solver as it was before

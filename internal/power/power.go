@@ -249,16 +249,25 @@ func (m *Managed) BoundKey(req *core.Request) core.BoundKey {
 	return core.BoundKey{}
 }
 
-// LowerBound implements core.LowerBounder: the restart penalty plus the
-// wrapped device's bound at the restart-shifted start time, mirroring
-// EstimateAccess term for term. Over a device with no bound the penalty
-// alone bounds the estimate.
-func (m *Managed) LowerBound(k *core.BoundKey, now float64) float64 {
+// LowerBounds implements core.LowerBounder: the restart penalty plus
+// the wrapped device's bound at the restart-shifted start time,
+// mirroring EstimateAccess term for term. The penalty depends only on
+// the time, so it is priced once for the batch. Over a device with no
+// bound the penalty alone bounds the estimate.
+func (m *Managed) LowerBounds(keys []core.BoundKey, now float64, out []float64) {
 	penalty := m.restartPenalty(now)
-	if lb, ok := m.inner.(core.LowerBounder); ok {
-		return penalty + lb.LowerBound(k, now+penalty)
+	out = out[:len(keys)]
+	lb, ok := m.inner.(core.LowerBounder)
+	if !ok {
+		for i := range out {
+			out[i] = penalty
+		}
+		return
 	}
-	return penalty
+	lb.LowerBounds(keys, now+penalty, out)
+	for i := range out {
+		out[i] = penalty + out[i]
+	}
 }
 
 // KeyCyl implements core.LowerBounder by delegation; over a device with
@@ -272,7 +281,7 @@ func (m *Managed) KeyCyl() int32 {
 
 // Floor implements core.LowerBounder: the restart penalty plus the
 // wrapped device's floor at the restart-shifted start time, as
-// LowerBound adds it, so the sum stays at or below every bound of the
+// LowerBounds adds it, so the sum stays at or below every bound of the
 // cylinder. The penalty does not depend on c, so the floor keeps the
 // wrapped device's monotonicity.
 func (m *Managed) Floor(c int32, now float64) float64 {

@@ -31,8 +31,11 @@ func NewASPTF(weight float64) *SPTF {
 	s := NewCostSPTF(fmt.Sprintf("ASPTF(%g)", weight), aged)
 	// The same discount applied to core.AccessCostBound bounds aged:
 	// float subtraction of the same amount is monotone.
-	s.bound = func(lb core.LowerBounder, k *core.BoundKey, r *core.Request, now float64) float64 {
-		return core.AccessCostBound(lb, k, r, now) - weight*(now-r.Arrival)
+	s.bound = func(lb core.LowerBounder, keys []core.BoundKey, q []*core.Request, now float64, out []float64) {
+		core.AccessCostBound(lb, keys, q, now, out)
+		for i, r := range q {
+			out[i] = out[i] - weight*(now-r.Arrival)
+		}
 	}
 	return s
 }

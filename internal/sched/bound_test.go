@@ -11,12 +11,12 @@ import (
 	"memsim/internal/power"
 )
 
-// countingDevice counts full estimates and bound evaluations (LowerBound
-// and Floor calls) and, when record is set, logs each estimated request
-// in call order by its extent and serial number (by value: a
-// ManagedDevice above it estimates a remapped copy). Embedding the MEMS
-// device keeps every optional interface it implements, its lower bound
-// included.
+// countingDevice counts full estimates and bound evaluations (the keys
+// LowerBounds bounds, and Floor calls) and, when record is set, logs
+// each estimated request in call order by its extent and serial number
+// (by value: a ManagedDevice above it estimates a remapped copy).
+// Embedding the MEMS device keeps every optional interface it
+// implements, its lower bound included.
 type countingDevice struct {
 	*mems.Device
 	estimates, bounds int
@@ -41,9 +41,9 @@ func (c *countingDevice) EstimateAccess(r *core.Request, now float64) float64 {
 	return c.Device.EstimateAccess(r, now)
 }
 
-func (c *countingDevice) LowerBound(k *core.BoundKey, now float64) float64 {
-	c.bounds++
-	return c.Device.LowerBound(k, now)
+func (c *countingDevice) LowerBounds(keys []core.BoundKey, now float64, out []float64) {
+	c.bounds += len(keys)
+	c.Device.LowerBounds(keys, now, out)
 }
 
 func (c *countingDevice) Floor(cyl int32, now float64) float64 {
@@ -94,8 +94,11 @@ var boundedPolicies = []struct {
 		s := NewCostSPTF("coarse", func(d core.Device, r *core.Request, now float64) float64 {
 			return math.Floor(4*core.AccessCost(d, r, now)) / 4
 		})
-		s.bound = func(lb core.LowerBounder, k *core.BoundKey, r *core.Request, now float64) float64 {
-			return math.Floor(4*core.AccessCostBound(lb, k, r, now)) / 4
+		s.bound = func(lb core.LowerBounder, keys []core.BoundKey, q []*core.Request, now float64, out []float64) {
+			core.AccessCostBound(lb, keys, q, now, out)
+			for i := range q {
+				out[i] = math.Floor(4*out[i]) / 4
+			}
 		}
 		return s
 	}, false},

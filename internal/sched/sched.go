@@ -21,6 +21,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"memsim/internal/core"
 )
@@ -256,13 +257,17 @@ type SPTF struct {
 	// take swap-removes a key with its request, so each queued request
 	// is keyed once however many dispatches it waits through.
 	keys []core.BoundKey
+	// bounds receives the bounds of one bound call: the whole queue's
+	// on the linear scan, one cylinder's on the walk. It is reused
+	// across calls.
+	bounds []float64
 	// cands holds the candidates of the current dispatch, reused across
 	// calls.
 	cands []candidate
 	// walkAt is the queue depth at which a dispatch starts walking the
 	// queue outward from the device's position (see walk); 0 never
 	// walks. Only a single-band SPTF whose bound is the device's own
-	// LowerBound may walk: the device's Floor bounds nothing else.
+	// LowerBounds may walk: the device's Floor bounds nothing else.
 	walkAt int
 	// idx buckets the keyed requests by key cylinder while the queue is
 	// deep.
@@ -346,9 +351,9 @@ func (s *SPTF) take(i int) *core.Request {
 // is priced.
 //
 // A shallow queue finds the seed and the candidates by bounding every
-// request; a deep one walks outward from the device's position
-// and bounds only the requests on cylinders whose floor could still
-// hold a winner (walk). Both hand pick the same seed and the same
+// request in one call; a deep one walks outward from the device's
+// position and bounds only the requests on cylinders whose floor could
+// still hold a winner (walk). Both hand pick the same seed and the same
 // candidates in the same order, so they price the same requests and
 // make the same pick.
 //
@@ -381,7 +386,12 @@ func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 		}
 	}
 	// The linear scan: every candidate's band and bound (−Inf with no
-	// lb), the seed the least (band, bound, index).
+	// lb, else the queue's bounds from one call), the seed the least
+	// (band, bound, index).
+	if lb != nil {
+		s.bounds = slices.Grow(s.bounds[:0], len(s.q))[:len(s.q)]
+		s.bound(lb, s.keys, s.q, now, s.bounds)
+	}
 	s.cands = s.cands[:0]
 	seed := 0
 	for i, r := range s.q {
@@ -390,7 +400,7 @@ func (s *SPTF) Next(d core.Device, now float64) *core.Request {
 			c.band = int32(s.band(r, now))
 		}
 		if lb != nil {
-			c.bound = s.bound(lb, &s.keys[i], r, now)
+			c.bound = s.bounds[i]
 		}
 		s.cands = append(s.cands, c)
 		if sc := s.cands[seed]; c.band < sc.band || c.band == sc.band && c.bound < sc.bound {

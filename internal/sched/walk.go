@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"memsim/internal/core"
 )
@@ -39,6 +40,12 @@ type cylIndex struct {
 	// without sorting.
 	seen  []uint64
 	bound []float64
+	// bucket, bucketKeys and bucketReqs gather one cylinder's queue
+	// indexes, keys and requests, so the walk bounds the cylinder in
+	// one call.
+	bucket     []int32
+	bucketKeys []core.BoundKey
+	bucketReqs []*core.Request
 }
 
 // insert files queue index i under cylinder c (non-negative).
@@ -164,8 +171,9 @@ func (f *frontier) at(c int32, lb core.LowerBounder, now float64) {
 
 // walk is Next's scan of a deep, indexed queue. It visits the occupied
 // key cylinders outward from the device's, the side with the lower
-// floor first; since floors never decrease outward, the least
-// unvisited floor bounds every unvisited request's bound. It walks
+// floor first, and bounds each visited cylinder's requests in one
+// call; since floors never decrease outward, the least unvisited floor
+// bounds every unvisited request's bound. It walks
 // until that floor is strictly above the least bound seen, so the least
 // (bound, index) seen is the seed the linear scan finds; it prices the
 // seed and walks on while the floor is at most that cost, so every
@@ -193,8 +201,16 @@ func (s *SPTF) walk(d core.Device, lb core.LowerBounder, now float64) int {
 			priced, limit = true, bestT
 			continue
 		}
+		x.bucket, x.bucketKeys, x.bucketReqs = x.bucket[:0], x.bucketKeys[:0], x.bucketReqs[:0]
 		for i := x.head[f.cyl]; i >= 0; i = x.next[i] {
-			c := candidate{i: i, bound: s.bound(lb, &s.keys[i], s.q[i], now)}
+			x.bucket = append(x.bucket, i)
+			x.bucketKeys = append(x.bucketKeys, s.keys[i])
+			x.bucketReqs = append(x.bucketReqs, s.q[i])
+		}
+		s.bounds = slices.Grow(s.bounds[:0], len(x.bucket))[:len(x.bucket)]
+		s.bound(lb, x.bucketKeys, x.bucketReqs, now, s.bounds)
+		for j, i := range x.bucket {
+			c := candidate{i: i, bound: s.bounds[j]}
 			x.seen[i>>6] |= 1 << (i & 63)
 			x.bound[i] = c.bound
 			if !priced && (seed.i < 0 || c.bound < seed.bound || c.bound == seed.bound && c.i < seed.i) {

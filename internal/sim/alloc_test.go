@@ -15,13 +15,14 @@ import (
 // distributions are the largest sample load a run takes on.
 //
 // The open and closed runs measure 83 allocations for 20k requests
-// (0.0042 per request). The volume run measures 394 (0.0197): RunVolume
+// (0.0042 per request). The volume run measures 357 (0.0179): RunVolume
 // keeps nine phase distributions for each of its five members as well
 // as the volume's nine, and each holds about 10k observations in four
 // blocks, while the intent and member-op pools grow to the run's peak
-// concurrency, in blocks of 64, and each pooled intent grows its own
-// plan storage. Both are per-run costs that do not grow with n, so the
-// volume budget is the measured value plus a fifth.
+// concurrency in blocks (of 8 to 64 intents, which carry their plan
+// storage, and of 64 member ops).
+// Both are per-run costs that do not grow with n, so the volume budget
+// is the measured value plus a fifth.
 func TestAllocationFloor(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation budgets are checked in the normal build; this run is slow under -race")
@@ -41,7 +42,7 @@ func TestAllocationFloor(t *testing.T) {
 	}{
 		{"open", 0.01, func() Result { return Run(nil, open, sptf, random(open), Options{Probe: pc}) }},
 		{"closed", 0.01, func() Result { return RunClosed(nil, closed, random(closed), Options{Probe: pc}) }},
-		{"volume", 0.024, func() Result {
+		{"volume", 0.0214, func() Result {
 			res, err := RunVolume(nil, spec, volumeRebuildSource(n), Options{Probe: pc})
 			if err != nil {
 				t.Fatal(err)
@@ -56,6 +57,8 @@ func TestAllocationFloor(t *testing.T) {
 		}
 		if perReq := allocs / n; perReq > tc.budget {
 			t.Errorf("%s: %.4f allocations per request (%.0f per run), budget %g", tc.name, perReq, allocs, tc.budget)
+		} else {
+			t.Logf("%s: %.4f allocations per request (%.0f per run)", tc.name, perReq, allocs)
 		}
 	}
 }

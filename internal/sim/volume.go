@@ -178,6 +178,29 @@ func carve[T any](block *[]T) *T {
 	return p
 }
 
+// vrBlock returns a block of volume intents to carve from, the next
+// after made intents were carved: it holds as many intents as were
+// carved before it, at least 8 and at most poolBlock, so a run whose
+// pool stays small carves little it never uses. Each intent's plan
+// holds storage for phases phases of ops member ops, so a plan within
+// those sizes fills storage carved with its intent rather than growing
+// its own: three allocations per block instead of two per intent.
+// array.Plan's phase reuses the storage past a plan's length, and a
+// plan that outgrows it grows as before.
+func vrBlock(made, phases, ops int) []volReq {
+	n := min(max(made, 8), poolBlock)
+	b := make([]volReq, n)
+	ph := make([][]array.MemberOp, n*phases)
+	st := make([]array.MemberOp, n*phases*ops)
+	for i := range ph {
+		ph[i] = st[i*ops : i*ops : (i+1)*ops]
+	}
+	for i := range b {
+		b[i].plan.Phases = ph[i*phases : i*phases : (i+1)*phases]
+	}
+	return b
+}
+
 // opSlot is one member op's registry entry: the op, and the device
 // whose scheduler holds it, or -1 while none does. A scheduler's pick is
 // taken only through its entry, so a request the scheduler was never
@@ -290,21 +313,39 @@ func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac
 		memberPhases = make([]PhaseStats, len(devs))
 	}
 	// freeVR and freeMR are the run's free lists of volume intents and
-	// member ops, and blockVR and blockMR the unused rest of the blocks
-	// the pools grow from; ops registers every member op the run made,
-	// at the index its request carries in Ref.
+	// member ops, blockVR and blockMR the unused rest of the blocks the
+	// pools grow from, and madeVR the intents the run's blocks held; ops
+	// registers every member op the run made, at the index its request
+	// carries in Ref.
 	var (
 		freeVR  []*volReq
 		freeMR  []*memberReq
 		blockVR []volReq
+		madeVR  int
 		blockMR []memberReq
 		ops     []opSlot
 	)
+	// The plan of a request within one chunk, or of a rebuild chunk,
+	// fits planPhases phases of planOps ops: one op on a stripe, which
+	// never rebuilds; two phases of up to one write per member on a
+	// mirror; two phases of a read-modify-write pair, or of a read from
+	// each surviving member, on a parity volume.
+	planPhases, planOps := 2, v.Config().Members
+	switch v.Config().Level {
+	case array.VolStripe:
+		planPhases, planOps = 1, 1
+	case array.VolParity:
+		planOps = max(2, planOps-1)
+	}
 	newVR := func(r *core.Request) *volReq {
 		var vr *volReq
 		if n := len(freeVR); n > 0 {
 			vr, freeVR = freeVR[n-1], freeVR[:n-1]
 		} else {
+			if len(blockVR) == 0 {
+				blockVR = vrBlock(madeVR, planPhases, planOps)
+				madeVR += len(blockVR)
+			}
 			vr = carve(&blockVR)
 		}
 		*vr = volReq{r: r, plan: array.Plan{Phases: vr.plan.Phases[:0]}, epoch: v.Epoch()}
