@@ -31,7 +31,11 @@ func (o Op) String() string {
 }
 
 // Request is one storage request. The simulator fills in the bookkeeping
-// fields (Start, Finish) as the request flows through the queue.
+// fields (Start, Finish) as the request flows through the queue. The
+// per-phase service sum across a request's visits is not kept here:
+// only a probed run needs it, so the simulator keeps it beside the
+// request in service and hands it to probes on the request's complete
+// event.
 type Request struct {
 	// Arrival is the simulated time (ms) the request entered the system.
 	Arrival float64
@@ -45,9 +49,17 @@ type Request struct {
 	// for class-aware scheduling and per-class accounting. The zero value
 	// is ClassForeground, so untagged requests behave exactly as before.
 	Class Class
+	// Degraded marks a read that touched a degraded stripe (a failed,
+	// unremapped tip, or a failed volume member) and paid reconstruction
+	// (set by the simulator).
+	Degraded bool
+	// Failed marks a request that exhausted every retry and requeue, or
+	// whose data was lost, and completed in error (set by the simulator).
+	Failed bool
 	// Ref is simulator-owned; leave zero. RunVolume keeps there the index
-	// of the member operation a queued request realizes. It sits in the
-	// padding after Class, so the struct does not grow.
+	// of the member operation a queued request realizes. Class, Degraded,
+	// Failed and Ref share one word, so a request is 80 B on a 64-bit
+	// platform.
 	Ref int32
 
 	// Start is the time service began (set by the simulator).
@@ -68,18 +80,6 @@ type Request struct {
 	// RecoveryMs is the total added recovery time in ms: retry penalties
 	// plus any ECC-reconstruction surcharge for degraded-stripe reads.
 	RecoveryMs float64
-	// Degraded marks a read that touched a degraded stripe (a failed,
-	// unremapped tip) and paid ECC reconstruction.
-	Degraded bool
-	// Failed marks a request that exhausted every retry and requeue and
-	// completed in error.
-	Failed bool
-
-	// Phases accumulates the per-phase service breakdown across the
-	// request's service visits (device time only; queue wait is not a
-	// phase). The simulator fills it only when the run carries a
-	// sim.Probe; without one it stays zero and the request is untouched.
-	Phases Breakdown
 }
 
 // ResponseTime returns queue time plus service time, the paper's primary

@@ -18,14 +18,14 @@ func TestOpString(t *testing.T) {
 
 func TestRequestSize(t *testing.T) {
 	// Every simulated request is one Request, so its size is the
-	// simulator's allocation per request: 168 B on a 64-bit platform,
-	// which the allocator rounds to its 176 B class. Ref lives in the
-	// padding after Class and must not grow it.
+	// simulator's allocation per request: 80 B on a 64-bit platform,
+	// one of the allocator's size classes. Degraded, Failed and Ref live
+	// in the padding after Class and must not grow it.
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Request{}); got != 168 {
-		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 168", got)
+	if got := unsafe.Sizeof(Request{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 80", got)
 	}
 }
 

@@ -1,12 +1,11 @@
 package core
 
-// SlabLen is the most requests one slab holds. At 168 B a request,
-// 1024 of them are 172 032 B: exactly 21 pages of 8 KiB, which the
-// allocator serves with nothing rounded up, so a request costs its own
-// 168 B where a lone allocation costs the 176 B size class. The size
-// was picked on the closed MEMS loop, where 1024-request slabs ran as
-// fast as 195-request (32 KiB) ones and 5% faster than 4096-request
-// ones (DESIGN §10).
+// SlabLen is the most requests one slab holds. At 80 B a request, 1024
+// of them are 81 920 B: exactly 10 pages of 8 KiB, which the allocator
+// serves with nothing rounded up, so a request costs its own 80 B. The
+// size was picked on the closed MEMS loop, where 1024-request slabs ran
+// as fast as 195-request (32 KiB) ones and 5% faster than 4096-request
+// ones (DESIGN §10), when a request was 168 B.
 const SlabLen = 1024
 
 // Slab carves requests out of shared allocations, so a request stream
@@ -17,7 +16,7 @@ const SlabLen = 1024
 //
 // A slab is one allocation: it stays live while any request carved
 // from it does. A caller that keeps one request of a stream keeps up to
-// SlabLen−1 of its neighbours' 168 B with it, at most 168 KiB per
+// SlabLen−1 of its neighbours' 80 B with it, at most 80 KiB per
 // retained request, and no more than the stream itself would have held
 // had it kept every request.
 //

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"memsim/internal/mems"
@@ -23,6 +24,12 @@ import (
 // storage, and of 64 member ops).
 // Both are per-run costs that do not grow with n, so the volume budget
 // is the measured value plus a fifth.
+//
+// Bytes per request are budgeted the same way, the measured value plus
+// a fifth, so a field that grows core.Request fails here. The open and
+// closed runs measure 165.5 B per request, the 80 B request and the
+// exact samples the run and its collector keep; the volume run measures
+// 407.2 B, which adds its members' phase samples.
 func TestAllocationFloor(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation budgets are checked in the normal build; this run is slow under -race")
@@ -36,13 +43,14 @@ func TestAllocationFloor(t *testing.T) {
 	spec, _ := volumeRebuildFixture(t, n, false)
 	pc := NewPhaseCollector()
 	for _, tc := range []struct {
-		name   string
-		budget float64
-		run    func() Result
+		name        string
+		budget      float64
+		bytesBudget float64
+		run         func() Result
 	}{
-		{"open", 0.01, func() Result { return Run(nil, open, sptf, random(open), Options{Probe: pc}) }},
-		{"closed", 0.01, func() Result { return RunClosed(nil, closed, random(closed), Options{Probe: pc}) }},
-		{"volume", 0.0214, func() Result {
+		{"open", 0.01, 199, func() Result { return Run(nil, open, sptf, random(open), Options{Probe: pc}) }},
+		{"closed", 0.01, 199, func() Result { return RunClosed(nil, closed, random(closed), Options{Probe: pc}) }},
+		{"volume", 0.0214, 489, func() Result {
 			res, err := RunVolume(nil, spec, volumeRebuildSource(n), Options{Probe: pc})
 			if err != nil {
 				t.Fatal(err)
@@ -60,5 +68,25 @@ func TestAllocationFloor(t *testing.T) {
 		} else {
 			t.Logf("%s: %.4f allocations per request (%.0f per run)", tc.name, perReq, allocs)
 		}
+		if perReq := bytesPerRun(2, func() { tc.run() }) / n; perReq > tc.bytesBudget {
+			t.Errorf("%s: %.1f B per request, budget %g", tc.name, perReq, tc.bytesBudget)
+		} else {
+			t.Logf("%s: %.1f B per request", tc.name, perReq)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, over runs calls after a warm-up call, with
+// GOMAXPROCS at 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -154,9 +154,8 @@ func BenchmarkRunPhaseStats(b *testing.B) { benchRun(b, NewPhaseCollector()) }
 // dominated by retained-sample growth, the sketch's by nothing (its
 // buckets saturate immediately).
 func BenchmarkPhaseCollector(b *testing.B) {
-	ev := ProbeEvent{Kind: EventComplete, Measured: true, Req: &core.Request{
-		Phases: core.Breakdown{Seek: 0.4, Settle: 0.2, Transfer: 0.1, ServiceMs: 0.7},
-	}}
+	ev := ProbeEvent{Kind: EventComplete, Measured: true, Req: &core.Request{},
+		Breakdown: core.Breakdown{Seek: 0.4, Settle: 0.2, Transfer: 0.1, ServiceMs: 0.7}}
 	b.Run("exact", func(b *testing.B) {
 		c := NewPhaseCollector()
 		b.ReportAllocs()
@@ -239,7 +238,7 @@ func BenchmarkJSONFloat(b *testing.B) {
 			bd := ev.Breakdown
 			fs = append(fs, bd.Seek, bd.Settle, bd.Turnaround, bd.Transfer, bd.Overhead, bd.Recovery, bd.ServiceMs)
 		case EventComplete:
-			fs = append(fs, ev.Req.ResponseTime(), ev.Req.Phases.ServiceMs)
+			fs = append(fs, ev.Req.ResponseTime(), ev.Breakdown.ServiceMs)
 		}
 		for _, f := range fs {
 			if !seen[math.Float64bits(f)] {
@@ -313,6 +312,10 @@ func openRunEvents() []ProbeEvent {
 // fcfs-saturated rows run FCFS past saturation, where the queue grows
 // to tens of thousands, so per-dispatch bookkeeping that grows with
 // depth shows; their size is fixed at satRequests under -short too.
+// The floor row is the engine alone: the open regime on a test device
+// whose Access is a constant, FCFS and no probe, so its B/op is almost
+// all request bytes and its ns/op is what every other row pays on top
+// of its device, scheduler and observers.
 func BenchmarkEngineMillion(b *testing.B) {
 	n := 1000000
 	if testing.Short() {
@@ -325,6 +328,14 @@ func BenchmarkEngineMillion(b *testing.B) {
 			src := workload.DefaultRandom(1100, 512, d.Capacity(), n, 1)
 			Run(nil, d, sched.NewSPTF(), src,
 				Options{Warmup: n / 100, Probe: NewPhaseCollector()})
+		}
+	})
+	b.Run(fmtScale("floor", n), func(b *testing.B) {
+		d := &fixedDevice{svc: 0.5}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := workload.DefaultRandom(1100, d.SectorSize(), d.Capacity(), n, 1)
+			Run(nil, d, sched.NewFCFS(), src, Options{Warmup: n / 100})
 		}
 	})
 	b.Run(fmtScale("open-jsonl", n), func(b *testing.B) {

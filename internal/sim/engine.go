@@ -192,16 +192,18 @@ func (e *engine) finalize() {
 // whether the request must go back to its scheduler for another visit.
 //
 // r is the request the device serves (a member op under RunVolume);
-// sink is the request whose Phases accumulate the breakdown (the
-// volume-level parent under RunVolume, r itself elsewhere); dev tags
-// probe events with the member index (0 for single-device regimes).
-func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now float64) (svc float64, bd core.Breakdown, again bool) {
+// sink is the running phase sum the breakdown accumulates into, kept by
+// the regime for the request that complete will report (the
+// volume-level parent under RunVolume, r itself elsewhere) and touched
+// only when a probe is attached; dev tags probe events with the member
+// index (0 for single-device regimes).
+func (e *engine) serveVisit(d core.Device, r *core.Request, sink *core.Breakdown, dev int, now float64) (svc float64, bd core.Breakdown, again bool) {
 	p := e.p
 	serviced := func() {
 		if p == nil {
 			return
 		}
-		sink.Phases.Accumulate(bd)
+		sink.Accumulate(bd)
 		p.Observe(ProbeEvent{Kind: EventService, Time: now + svc, Dev: dev, Req: r, Breakdown: bd})
 	}
 	inj := e.inj
@@ -282,16 +284,18 @@ func (e *engine) serveVisit(d core.Device, r, sink *core.Request, dev int, now f
 
 // complete is the shared completion path: every top-level request in
 // every regime finishes here. It advances the completion count, fires
-// the EventComplete probe, tallies the fault outcome when the run has
-// an injector (classify), and folds the request into the measured
-// statistics when it is past warmup and not failed. qlen < 0 skips the
-// queue-length statistics (closed regime). It reports whether the
-// request was measured, for the regime's own accounting after it.
-func (e *engine) complete(now float64, r *core.Request, dev, qlen int, resp, svc float64) (measured bool) {
+// the EventComplete probe with the request's phase sum across its
+// visits (sum, which serveVisit filled while a probe is attached),
+// tallies the fault outcome when the run has an injector (classify),
+// and folds the request into the measured statistics when it is past
+// warmup and not failed. qlen < 0 skips the queue-length statistics
+// (closed regime). It reports whether the request was measured, for
+// the regime's own accounting after it.
+func (e *engine) complete(now float64, r *core.Request, sum *core.Breakdown, dev, qlen int, resp, svc float64) (measured bool) {
 	e.completed++
 	measured = e.completed > e.opts.Warmup && !r.Failed
 	if e.p != nil {
-		e.p.Observe(ProbeEvent{Kind: EventComplete, Time: now, Dev: dev, Req: r, Measured: measured})
+		e.p.Observe(ProbeEvent{Kind: EventComplete, Time: now, Dev: dev, Req: r, Breakdown: *sum, Measured: measured})
 	}
 	if e.inj != nil {
 		classify(r, &e.res)
@@ -367,8 +371,8 @@ func (e *engine) runOpen(d core.Device, s core.Scheduler, src workload.Source) {
 // openRun is runOpen's run-long state. The regime alternates
 // dispatch→completion with at most one service in flight, so the
 // completion event's parameters (request, queue length, finish time,
-// requeue flag) live here and both callbacks are allocated once per run
-// instead of once per dispatch.
+// requeue flag, phase sum) live here and both callbacks are allocated
+// once per run instead of once per dispatch.
 type openRun struct {
 	e    *engine
 	d    core.Device
@@ -381,6 +385,12 @@ type openRun struct {
 	qlen  int
 	done  float64
 	again bool
+	// sum is the in-flight request's phase sum across its visits, filled
+	// only while a probe is attached. A requeued request parks its
+	// partial sum in parked until its next dispatch, so the table is
+	// touched once per failed visit, never on the common path.
+	sum    core.Breakdown
+	parked map[*core.Request]core.Breakdown
 
 	pumpFn, doneFn func()
 }
@@ -410,9 +420,14 @@ func (o *openRun) pump() {
 		r.Start = now
 	}
 	if e.p != nil {
+		o.sum = core.Breakdown{}
+		if r.Requeues > 0 {
+			o.sum = o.parked[r]
+			delete(o.parked, r)
+		}
 		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Req: r, Queue: qlen})
 	}
-	svc, _, again := e.serveVisit(o.d, r, r, 0, now)
+	svc, _, again := e.serveVisit(o.d, r, &o.sum, 0, now)
 	e.res.Busy += svc
 	o.r, o.qlen, o.done, o.again = r, qlen, now+svc, again
 	e.q.Schedule(o.done, o.doneFn)
@@ -423,11 +438,15 @@ func (o *openRun) finish() {
 	if o.again {
 		requeue(o.s, o.r)
 		if e.p != nil {
+			if o.parked == nil {
+				o.parked = make(map[*core.Request]core.Breakdown)
+			}
+			o.parked[o.r] = o.sum
 			e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: o.done, Req: o.r, Queue: o.s.Len()})
 		}
 	} else {
 		o.r.Finish = o.done
-		e.complete(o.done, o.r, 0, o.qlen, o.r.ResponseTime(), o.r.ServiceTime())
+		e.complete(o.done, o.r, &o.sum, 0, o.qlen, o.r.ResponseTime(), o.r.ServiceTime())
 	}
 	o.pump()
 }
@@ -463,9 +482,11 @@ type closedRun struct {
 	src   workload.Source
 	think workload.Thinker
 
-	// The request being issued or completed, and its visit totals.
+	// The request being issued or completed, its visit totals, and its
+	// phase sum across visits (filled only while a probe is attached).
 	r        *core.Request
 	t, total float64
+	sum      core.Breakdown
 
 	issueFn, doneFn func()
 }
@@ -484,6 +505,7 @@ func (c *closedRun) issue() {
 	r.Arrival = now
 	r.Start = now
 	if e.p != nil {
+		c.sum = core.Breakdown{}
 		// Closed regime: arrival and dispatch coincide; the "queue"
 		// is the request itself.
 		e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Req: r, Queue: 1})
@@ -492,7 +514,7 @@ func (c *closedRun) issue() {
 	t := now
 	total := 0.0
 	for {
-		svc, _, again := e.serveVisit(c.d, r, r, 0, t)
+		svc, _, again := e.serveVisit(c.d, r, &c.sum, 0, t)
 		t += svc
 		total += svc
 		e.res.Busy += svc
@@ -510,7 +532,7 @@ func (c *closedRun) issue() {
 func (c *closedRun) finish() {
 	e, r := c.e, c.r
 	r.Finish = c.t
-	e.complete(c.t, r, 0, -1, c.total, c.total)
+	e.complete(c.t, r, &c.sum, 0, -1, c.total, c.total)
 	if next := c.src.Next(); next != nil {
 		c.r = next
 		e.q.Schedule(e.q.Now()+c.delay(), c.issueFn)

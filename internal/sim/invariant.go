@@ -198,8 +198,9 @@ func (ip *invariantProbe) checkComplete(ev ProbeEvent) {
 	if r.Retries < 0 || r.Requeues < 0 {
 		ip.violate("request completed with negative retry/requeue counts %d/%d", r.Retries, r.Requeues)
 	}
-	for _, ph := range [...]float64{r.Phases.Seek, r.Phases.Settle, r.Phases.Turnaround,
-		r.Phases.Transfer, r.Phases.Overhead, r.Phases.Recovery, r.Phases.ServiceMs} {
+	sum := &ev.Breakdown
+	for _, ph := range [...]float64{sum.Seek, sum.Settle, sum.Turnaround,
+		sum.Transfer, sum.Overhead, sum.Recovery, sum.ServiceMs} {
 		if ph < -invariantTol {
 			ip.violate("request completed with negative accumulated phase time %g", ph)
 		}

@@ -204,7 +204,7 @@ func (p *JSONLProbe) encode(b []byte, ev *ProbeEvent) []byte {
 	case EventComplete:
 		r := ev.Req
 		b = p.appendFloat(b, `,"summary":{"response_ms":`, r.ResponseTime())
-		b = p.appendFloat(b, `,"service_ms":`, r.Phases.ServiceMs)
+		b = p.appendFloat(b, `,"service_ms":`, ev.Breakdown.ServiceMs)
 		b = strconv.AppendBool(append(b, `,"measured":`...), ev.Measured)
 		if r.Retries != 0 {
 			b = appendInt(b, `,"retries":`, int64(r.Retries))

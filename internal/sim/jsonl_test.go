@@ -87,7 +87,7 @@ func legacyLine(ev ProbeEvent) ([]byte, error) {
 	case EventComplete:
 		rec.Complete = &jsonlDone{
 			ResponseMs: ev.Req.ResponseTime(),
-			ServiceMs:  ev.Req.Phases.ServiceMs,
+			ServiceMs:  ev.Breakdown.ServiceMs,
 			Measured:   ev.Measured,
 			Retries:    ev.Req.Retries,
 			Requeues:   ev.Req.Requeues,
@@ -204,12 +204,15 @@ func FuzzJSONLRecord(f *testing.F) {
 			},
 		}
 		// A complete event always carries its request; both encoders
-		// dereference it.
+		// dereference it. Its Breakdown is the request's phase sum, whose
+		// service time draws on a field of its own.
+		if ev.Kind == EventComplete {
+			ev.Breakdown.ServiceMs = fl[11]
+		}
 		if hasReq || ev.Kind == EventComplete {
 			ev.Req = &core.Request{
 				Op: core.Op(op), LBN: lbn, Blocks: blocks,
 				Arrival: fl[1], Finish: fl[2],
-				Phases:  core.Breakdown{ServiceMs: fl[11]},
 				Retries: retries, Requeues: requeues,
 				Failed: flags&2 != 0, Degraded: flags&4 != 0,
 			}
@@ -258,16 +261,16 @@ func jsonlEvents() []ProbeEvent {
 	req := &core.Request{
 		Op: core.Read, LBN: 1234567, Blocks: 8, Arrival: 907.3329113,
 		Start: 911.07, Finish: 912.4410022, Retries: 1, Requeues: 1,
-		Phases: core.Breakdown{Seek: 0.4129, Settle: 0.215, Transfer: 0.128, Recovery: 0.6, ServiceMs: 1.3559},
 	}
 	bd := core.Breakdown{Seek: 0.4129, Settle: 0.215, Transfer: 0.128, Overhead: 1e-7, ServiceMs: 0.7559}
+	sum := core.Breakdown{Seek: 0.4129, Settle: 0.215, Transfer: 0.128, Recovery: 0.6, ServiceMs: 1.3559}
 	return []ProbeEvent{
 		{Kind: EventArrive, Time: req.Arrival, Run: "fig5/SPTF/rate=1100", Req: req, Queue: 3},
 		{Kind: EventDispatch, Time: 911.07, Run: "fig5/SPTF/rate=1100", Req: req, Queue: 3},
 		{Kind: EventService, Time: 911.8259, Run: "fig5/SPTF/rate=1100", Req: req, Breakdown: bd},
 		{Kind: EventRetry, Time: 911.8259, Run: "fig5/SPTF/rate=1100", Req: req, Breakdown: core.Breakdown{Recovery: 0.6}},
 		{Kind: EventRequeue, Time: 911.9, Run: "fig5/SPTF/rate=1100", Dev: 2, Req: req},
-		{Kind: EventComplete, Time: req.Finish, Run: "fig5/SPTF/rate=1100", Req: req, Measured: true},
+		{Kind: EventComplete, Time: req.Finish, Run: "fig5/SPTF/rate=1100", Req: req, Breakdown: sum, Measured: true},
 		{Kind: EventDeviceFail, Time: 500, Run: "fig5/SPTF/rate=1100", Dev: 1},
 	}
 }
@@ -392,7 +395,7 @@ func TestJSONLMaxRecordLen(t *testing.T) {
 			Kind: kind, Time: f, Dev: math.MinInt, Queue: math.MinInt, Pace: f,
 			Breakdown: core.Breakdown{Seek: f, Settle: f, Turnaround: f, Transfer: f, Overhead: f, Recovery: f, ServiceMs: f},
 			Req: &core.Request{Op: core.Op(math.MinInt), LBN: math.MinInt64, Blocks: math.MinInt, Arrival: f, Finish: -f,
-				Phases: core.Breakdown{ServiceMs: f}, Retries: math.MinInt, Requeues: math.MinInt, Failed: true, Degraded: true},
+				Retries: math.MinInt, Requeues: math.MinInt, Failed: true, Degraded: true},
 		}
 		checkLegacy(t, ev)
 		line, _ := legacyLine(ev)
@@ -537,8 +540,12 @@ func FuzzJSONLStream(f *testing.F) {
 					Seek: fl[4], Settle: fl[5], Turnaround: fl[6], Transfer: fl[7],
 					Overhead: fl[8], Recovery: fl[9], ServiceMs: fl[10],
 				},
-				Req: &core.Request{Op: core.Op(i % 3), LBN: int64(i), Blocks: 8, Arrival: fl[1], Finish: fl[2],
-					Phases: core.Breakdown{ServiceMs: fl[11]}},
+				Req: &core.Request{Op: core.Op(i % 3), LBN: int64(i), Blocks: 8, Arrival: fl[1], Finish: fl[2]},
+			}
+			if ev.Kind == EventComplete {
+				// A complete event's Breakdown is its request's phase sum,
+				// whose service time draws on a field of its own.
+				ev.Breakdown.ServiceMs = fl[11]
 			}
 			jp.Observe(ev)
 			if wantErr != nil {

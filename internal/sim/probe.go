@@ -95,7 +95,11 @@ type ProbeEvent struct {
 	Req *core.Request
 	// Breakdown carries the visit's phase decomposition for service
 	// events, and the single retry's penalty (in Recovery) for retry
-	// events.
+	// events. On complete events it is the request's phase sum, folded
+	// with Breakdown.Accumulate from a zero Breakdown in visit order:
+	// every service visit of the request, across requeues, and under
+	// RunVolume every visit of every member op the request forked. It is
+	// device time only; queue wait is not a phase.
 	Breakdown core.Breakdown
 	// Measured marks a complete event that lands in the measured window
 	// (past warmup, not failed).
@@ -254,7 +258,7 @@ func (c *PhaseCollector) Observe(ev ProbeEvent) {
 	if ev.Kind != EventComplete || !ev.Measured {
 		return
 	}
-	c.ps.add(ev.Req.Phases)
+	c.ps.add(ev.Breakdown)
 }
 
 // ResetProbe implements ProbeResetter.

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"memsim/internal/core"
 	"memsim/internal/fault"
+	"memsim/internal/mems"
 	"memsim/internal/sched"
 	"memsim/internal/workload"
 )
@@ -235,5 +237,117 @@ func TestVolumeClassAccounting(t *testing.T) {
 	}
 	if vs.ClassResponse[core.ClassRebuild].Mean() <= 0 {
 		t.Error("rebuild chunk latencies not folded into ClassResponse")
+	}
+}
+
+// phaseSumOracle rebuilds each request's phase sum from the run's own
+// service events: a zero Breakdown, folded with Accumulate over every
+// EventService of the request in the order they fire. A request is
+// keyed by its arrival time and LBN, which a volume member op shares
+// with its parent on a one-member whole-device stripe, so the oracle
+// holds the volume's complete events to its member visits too.
+type phaseSumOracle struct {
+	t       *testing.T
+	sums    map[phaseKey]core.Breakdown
+	visits  map[phaseKey]int
+	checked int
+	// requeued counts completions of requests served more than once,
+	// which only a requeue does: the path the oracle is for.
+	requeued int
+}
+
+type phaseKey struct {
+	arrival float64
+	lbn     int64
+}
+
+func newPhaseSumOracle(t *testing.T) *phaseSumOracle {
+	return &phaseSumOracle{t: t, sums: map[phaseKey]core.Breakdown{}, visits: map[phaseKey]int{}}
+}
+
+func (o *phaseSumOracle) Observe(ev ProbeEvent) {
+	if ev.Req == nil {
+		return
+	}
+	k := phaseKey{ev.Req.Arrival, ev.Req.LBN}
+	switch ev.Kind {
+	case EventService:
+		sum := o.sums[k]
+		sum.Accumulate(ev.Breakdown)
+		o.sums[k] = sum
+		o.visits[k]++
+	case EventComplete:
+		want := o.sums[k]
+		if !sameBreakdownBits(ev.Breakdown, want) {
+			o.t.Errorf("request at %g (LBN %d, %d requeues, %d visits): complete Breakdown %+v, want the in-order sum of its visits %+v",
+				ev.Req.Arrival, ev.Req.LBN, ev.Req.Requeues, o.visits[k], ev.Breakdown, want)
+		}
+		if o.visits[k] > 1 {
+			o.requeued++
+		}
+		o.checked++
+		delete(o.sums, k)
+		delete(o.visits, k)
+	}
+}
+
+// sameBreakdownBits reports whether a and b hold the same bits in every
+// field, so −0 differs from +0.
+func sameBreakdownBits(a, b core.Breakdown) bool {
+	af := [...]float64{a.Seek, a.Settle, a.Turnaround, a.Transfer, a.Overhead, a.Recovery, a.SeekX, a.SeekY, a.ServiceMs}
+	bf := [...]float64{b.Seek, b.Settle, b.Turnaround, b.Transfer, b.Overhead, b.Recovery, b.SeekX, b.SeekY, b.ServiceMs}
+	for i := range af {
+		if math.Float64bits(af[i]) != math.Float64bits(bf[i]) {
+			return false
+		}
+	}
+	return a.Segments == b.Segments
+}
+
+// TestRequeuePhaseSum holds each complete event's Breakdown, bit for
+// bit, to the in-order sum of its request's own service breakdowns, on
+// runs whose injector exhausts retry budgets so requests are served
+// again: Run requeues through the scheduler, where other requests are
+// served between a request's visits; RunClosed re-serves in place; and
+// RunVolume, on a one-member whole-device stripe, requeues member ops
+// in their member's queue.
+func TestRequeuePhaseSum(t *testing.T) {
+	const n = 600
+	cfg := fault.InjectorConfig{TransientRate: 0.3, MaxRetries: 1, MaxRequeues: 3, Seed: 5}
+	newDev := func() *mems.Device { return mems.MustDevice(mems.DefaultConfig()) }
+	random := func(d core.Device) workload.Source {
+		return workload.DefaultRandom(1500, d.SectorSize(), d.Capacity(), n, 3)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(o *phaseSumOracle) Result
+	}{
+		{"open", func(o *phaseSumOracle) Result {
+			d := newDev()
+			return Run(nil, d, sched.NewSPTF(), random(d), Options{Probe: o, Injector: mustInjector(t, cfg)})
+		}},
+		{"closed", func(o *phaseSumOracle) Result {
+			d := newDev()
+			return RunClosed(nil, d, random(d), Options{Probe: o, Injector: mustInjector(t, cfg)})
+		}},
+		{"volume", func(o *phaseSumOracle) Result {
+			spec := memsStripe(t, 1, "SPTF")
+			return mustVolume(t, nil, spec, random(spec.Devices[0]), Options{Probe: o, Injector: mustInjector(t, cfg)})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := newPhaseSumOracle(t)
+			res := tc.run(o)
+			if o.checked != n {
+				t.Errorf("checked %d complete events, want %d", o.checked, n)
+			}
+			if len(o.sums) != 0 {
+				t.Errorf("%d requests served but never completed", len(o.sums))
+			}
+			if res.Requeues == 0 || o.requeued == 0 {
+				t.Fatalf("%d requeues, %d requeued completions: the run never takes the requeue path", res.Requeues, o.requeued)
+			}
+			t.Logf("%d requeues, %d requeued completions checked", res.Requeues, o.requeued)
+		})
 	}
 }

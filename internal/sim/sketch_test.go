@@ -72,8 +72,8 @@ type serviceTwin struct {
 
 func (c *serviceTwin) Observe(ev ProbeEvent) {
 	if ev.Kind == EventComplete && ev.Measured {
-		c.s.Add(ev.Req.Phases.ServiceMs)
-		c.w.Add(ev.Req.Phases.ServiceMs)
+		c.s.Add(ev.Breakdown.ServiceMs)
+		c.w.Add(ev.Breakdown.ServiceMs)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestSketchOpenRun(t *testing.T) {
 // run starts it exact again rather than carrying the sketch over.
 func TestSketchCollectorReset(t *testing.T) {
 	pc := NewPhaseCollector()
-	ev := ProbeEvent{Kind: EventComplete, Measured: true,
-		Req: &core.Request{Phases: core.Breakdown{Seek: 0.3, Settle: 0.2, ServiceMs: 0.6}}}
+	ev := ProbeEvent{Kind: EventComplete, Measured: true, Req: &core.Request{},
+		Breakdown: core.Breakdown{Seek: 0.3, Settle: 0.2, ServiceMs: 0.6}}
 	for i := 0; i < exactLimit-1; i++ {
 		pc.Observe(ev)
 	}

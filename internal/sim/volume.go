@@ -136,6 +136,9 @@ type volReq struct {
 	// qlen is the largest scheduler queue length any member op saw at
 	// dispatch.
 	qlen int
+	// sum is the intent's phase sum across its member ops' visits,
+	// requeues included, filled only while a probe is attached.
+	sum core.Breakdown
 
 	rebuild     bool
 	chunkBlocks int
@@ -451,7 +454,7 @@ func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac
 		r.Finish = now
 		r.Degraded = vr.degradedRead
 		r.Class = memberClass(vr)
-		measured := e.complete(now, r, 0, vr.qlen, r.ResponseTime(), r.ServiceTime())
+		measured := e.complete(now, r, &vr.sum, 0, vr.qlen, r.ResponseTime(), r.ServiceTime())
 		// A failed foreground request is a lost request at volume scope,
 		// whatever first broke it.
 		if r.Failed {
@@ -600,9 +603,9 @@ func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac
 			e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: mr, Queue: qlen})
 		}
 		// The shared visit path accumulates the member op's phase
-		// breakdown into the parent volume request and applies fault
+		// breakdown into the parent intent's sum and applies fault
 		// injection (transient retries, lost-sector reads, surcharges).
-		svc, bd, again := e.serveVisit(devs[i], mr, vr.r, i, now)
+		svc, bd, again := e.serveVisit(devs[i], mr, &vr.sum, i, now)
 		mr.Start, mr.Finish = now, now+svc
 		members[i].Requests++
 		members[i].Busy += svc
