@@ -118,6 +118,9 @@ type scenario struct {
 	// inj builds a fresh injector per execution (injectors are stateful);
 	// nil runs without one.
 	inj func(t *testing.T) *fault.Injector
+	// reach, when set, checks that the bare run reached the path the
+	// scenario exists to pin.
+	reach func(sim.Result) error
 }
 
 func newMEMS(t *testing.T) *mems.Device {
@@ -296,20 +299,26 @@ func equivalenceScenarios(t *testing.T) []scenario {
 	)
 
 	// ── Redundant volumes (fork-join + failover + rebuild) ──────────
-	volume := func(level array.VolumeLevel, members, spares int, fail, adaptive bool) scenario {
-		name := "volume_mirror"
-		if level == array.VolParity {
-			name = "volume_parity"
-		}
-		if fail {
-			name += "_fail"
-		}
-		if adaptive {
-			name += "_adaptive"
-		}
+	// vol is one redundant-volume scenario: its geometry, member
+	// queues, pacing and fault schedule.
+	type vol struct {
+		name            string
+		level           array.VolumeLevel
+		members, spares int
+		sched           string
+		adaptive        bool
+		// kills are the scheduled whole-device failures; transient and
+		// maxRetries, when transient > 0, add transient positioning
+		// errors with that inline retry budget (one requeue).
+		kills      []fault.DeviceEvent
+		transient  float64
+		maxRetries int
+		reach      func(sim.Result) error
+	}
+	volume := func(vc vol) scenario {
 		run := func(opts sim.Options) (sim.Result, error) {
 			cfg := array.VolumeConfig{
-				Level: level, Members: members, Spares: spares,
+				Level: vc.level, Members: vc.members, Spares: vc.spares,
 				StripeUnit: 540, PerMember: 54000,
 			}
 			v, err := array.NewVolume(cfg)
@@ -321,7 +330,7 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			scheds := make([]core.Scheduler, n)
 			for i := range devs {
 				devs[i] = newMEMS(t)
-				scheds[i] = sched.NewSPTF()
+				scheds[i] = newSched(t, vc.sched)
 			}
 			src := workload.NewRandom(workload.RandomConfig{
 				Rate: 900, ReadFraction: 0.67, MeanBytes: 4096, MaxBytes: 16 * 1024,
@@ -330,16 +339,18 @@ func equivalenceScenarios(t *testing.T) []scenario {
 			})
 			return sim.RunVolume(nil, sim.VolumeSpec{
 				Volume: v, Devices: devs, Scheds: scheds,
-				RebuildChunk: 2700, RebuildFrac: 0.5, AdaptiveRebuild: adaptive,
+				RebuildChunk: 2700, RebuildFrac: 0.5, AdaptiveRebuild: vc.adaptive,
 			}, src, opts)
 		}
-		scn := scenario{name: name, run: run}
-		if fail {
+		scn := scenario{name: vc.name, run: run, reach: vc.reach}
+		if len(vc.kills) > 0 || vc.transient > 0 {
 			scn.inj = func(t *testing.T) *fault.Injector {
-				inj, err := fault.NewInjector(fault.InjectorConfig{
-					Seed:         41,
-					DeviceEvents: []fault.DeviceEvent{{AtMs: 80, Dev: 1}},
-				})
+				cfg := fault.InjectorConfig{Seed: 41, DeviceEvents: vc.kills}
+				if vc.transient > 0 {
+					cfg.TransientRate, cfg.MaxRetries, cfg.MaxRequeues = vc.transient, vc.maxRetries, 1
+					cfg.FallbackPenaltyMs = 1
+				}
+				inj, err := fault.NewInjector(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,14 +359,42 @@ func equivalenceScenarios(t *testing.T) []scenario {
 		}
 		return scn
 	}
+	kill := []fault.DeviceEvent{{AtMs: 80, Dev: 1}}
 	scns = append(scns,
-		volume(array.VolMirror, 2, 1, false, false),
-		volume(array.VolMirror, 2, 1, true, false),
-		volume(array.VolParity, 3, 1, true, false),
+		volume(vol{name: "volume_mirror", level: array.VolMirror, members: 2, spares: 1, sched: "SPTF"}),
+		volume(vol{name: "volume_mirror_fail", level: array.VolMirror, members: 2, spares: 1, sched: "SPTF",
+			kills: kill}),
+		volume(vol{name: "volume_parity_fail", level: array.VolParity, members: 3, spares: 1, sched: "SPTF",
+			kills: kill}),
 		// Queue-aware pacing under the same failure: pins the adaptive
 		// pacing's trajectory (pace changes shift chunk timing and the
 		// trace) without touching the fixed-pacing goldens above.
-		volume(array.VolParity, 3, 1, true, true),
+		volume(vol{name: "volume_parity_fail_adaptive", level: array.VolParity, members: 3, spares: 1,
+			sched: "SPTF", adaptive: true, kills: kill}),
+		// Transient errors on FCFS member queues around the kill, with
+		// no inline retry: a member op that errs goes back to its own
+		// queue through core.Requeuer, and fails its parent on a second
+		// error.
+		volume(vol{name: "volume_parity_fail_transient", level: array.VolParity, members: 3, spares: 1,
+			sched: "FCFS", kills: kill, transient: 0.05, maxRetries: 0,
+			reach: func(res sim.Result) error {
+				if res.Requeues == 0 {
+					return fmt.Errorf("no requeues: the requeue path is not reached")
+				}
+				return nil
+			}}),
+		// The surviving mirror member dies mid-rebuild: the dead queue's
+		// drain fails parents whose data is gone, stale plans re-resolve
+		// onto the half-rebuilt spare, and the volume loses data.
+		volume(vol{name: "volume_mirror_second_fail", level: array.VolMirror, members: 2, spares: 1,
+			sched: "SPTF", kills: []fault.DeviceEvent{{AtMs: 80, Dev: 1}, {AtMs: 175, Dev: 0}},
+			reach: func(res sim.Result) error {
+				if !res.DataLoss || res.Volume.LostRequests == 0 || res.FailedRequests == 0 {
+					return fmt.Errorf("dataloss %v, lost %d, failed %d: the second failure lost nothing",
+						res.DataLoss, res.Volume.LostRequests, res.FailedRequests)
+				}
+				return nil
+			}}),
 	)
 
 	_ = warmup
@@ -381,6 +420,11 @@ func TestEquivalence(t *testing.T) {
 					opts.Probe = sim.MultiProbe{sim.NewPhaseCollector(), jp}
 				}
 				res, err := scn.run(opts)
+				if !probed && scn.reach != nil && err == nil {
+					if rerr := scn.reach(res); rerr != nil {
+						t.Error(rerr)
+					}
+				}
 				if jp != nil {
 					if ferr := jp.Flush(); ferr != nil {
 						t.Fatal(ferr)
