@@ -2,11 +2,12 @@
 // entry point. The three public regimes — Run (open arrivals), RunClosed
 // (back-to-back with optional think time), RunVolume (fork-join volume
 // over member devices, striped, mirrored or parity-protected) — are thin
-// adapters that wire three plug points into one engine:
+// adapters that wire three plug points into one engine, each through
+// one run-long state type (openRun, closedRun, volumeRun in volume.go):
 //
-//   - an arrival process: a lazy open-arrival pump (runOpen), a closed
-//     issue chain with per-request think-time draws (runClosed), or an
-//     eager arrival chain (chainArrivals, used by the volume);
+//   - an arrival process: a lazy open-arrival pump, a closed issue
+//     chain with per-request think-time draws, or the volume's arrival
+//     chain, in which each arrival event schedules the next;
 //   - a service target: a single device+scheduler, or per-member
 //     scheduler queues addressed by an array.Volume plan;
 //   - a shared completion path (complete): warmup gating, failed-request
@@ -312,45 +313,6 @@ func (e *engine) complete(now float64, r *core.Request, sum *core.Breakdown, dev
 		}
 	}
 	return measured
-}
-
-// chainArrivals schedules src's stream as a linked chain of arrival
-// events: each event delivers one request and then schedules the next,
-// so simultaneous arrivals retain stream order and the heap holds at
-// most one pending arrival. The volume regime uses this; the open
-// single-device regime ingests lazily in runOpen instead.
-//
-// The chain carries its state in a run-long struct with a single stored
-// fire func: because at most one arrival event is ever pending, each
-// link can reuse the same func value instead of allocating a fresh
-// closure per request (the engine's allocation diet).
-func (e *engine) chainArrivals(src workload.Source, deliver func(*core.Request)) {
-	c := &arrivalChain{e: e, src: src, deliver: deliver}
-	c.fireFn = c.fire
-	if first := src.Next(); first != nil {
-		c.next = first
-		e.q.Schedule(first.Arrival, c.fireFn)
-	}
-}
-
-// arrivalChain is chainArrivals' run-long state: the pending request and
-// the one reusable arrival callback.
-type arrivalChain struct {
-	e       *engine
-	src     workload.Source
-	deliver func(*core.Request)
-	next    *core.Request
-	fireFn  func()
-}
-
-func (c *arrivalChain) fire() {
-	r := c.next
-	c.e.arrived++
-	c.deliver(r)
-	if nx := c.src.Next(); nx != nil {
-		c.next = nx
-		c.e.q.Schedule(nx.Arrival, c.fireFn)
-	}
 }
 
 // ─── Open single-device regime (Run) ───────────────────────────────────

@@ -9,7 +9,8 @@
 // read-modify-write, k-peer degraded reconstruction), and a background
 // rebuild process injects throttled chunk scans into the same member
 // queues, competing with foreground traffic under the configured
-// schedulers.
+// schedulers. A run's state is one volumeRun, with one volMember record
+// per device.
 package sim
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"memsim/internal/array"
 	"memsim/internal/core"
+	"memsim/internal/fault"
 	"memsim/internal/stats"
 	"memsim/internal/workload"
 )
@@ -140,10 +142,8 @@ type volReq struct {
 	// requeues included, filled only while a probe is attached.
 	sum core.Breakdown
 
-	rebuild     bool
-	chunkBlocks int
-	chunkStart  float64
-	// chunkReq is r for a rebuild chunk, which has no source request.
+	// chunkReq is r for a rebuild chunk, which has no source request:
+	// its Arrival is the chunk's start and its Blocks the chunk's size.
 	chunkReq core.Request
 
 	degradedRead  bool
@@ -151,15 +151,34 @@ type volReq struct {
 	spareRead     bool
 }
 
+// isRebuild reports whether vr is a background rebuild chunk.
+func (vr *volReq) isRebuild() bool { return vr.r == &vr.chunkReq }
+
+// class is the scheduling class vr's member ops are queued under, after
+// any degraded-mode re-resolution, so class-aware member schedulers see
+// rebuild chunks and degraded reconstruction reads for what they are.
+func (vr *volReq) class() core.Class {
+	switch {
+	case vr.isRebuild():
+		return core.ClassRebuild
+	case vr.degradedRead:
+		return core.ClassDegradedRead
+	default:
+		return core.ClassForeground
+	}
+}
+
 // memberReq is one member operation of a volume intent: the request its
-// device's scheduler queues and serves, and the intent it realizes.
-// memberReqs are pooled per run like volReqs: one goes back to the free
-// list when its fork-join leg completes, so a probe sees the same
-// request pointer again for a later operation. Its request's Ref is the
-// op's index in the run's op registry (opSlot).
+// device's scheduler queues and serves, the intent it realizes, and the
+// device whose scheduler holds it (-1 while none does). memberReqs are
+// pooled per run like volReqs: one goes back to the free list when its
+// fork-join leg completes, so a probe sees the same request pointer
+// again for a later operation. Its request's Ref is the op's index in
+// the run's op registry (volumeRun.ops).
 type memberReq struct {
 	req core.Request
 	vr  *volReq
+	dev int
 }
 
 // poolBlock is how many volume intents or member ops one allocation
@@ -185,12 +204,24 @@ func carve[T any](block *[]T) *T {
 // after made intents were carved: it holds as many intents as were
 // carved before it, at least 8 and at most poolBlock, so a run whose
 // pool stays small carves little it never uses. Each intent's plan
-// holds storage for phases phases of ops member ops, so a plan within
-// those sizes fills storage carved with its intent rather than growing
-// its own: three allocations per block instead of two per intent.
-// array.Plan's phase reuses the storage past a plan's length, and a
-// plan that outgrows it grows as before.
-func vrBlock(made, phases, ops int) []volReq {
+// holds storage for the plan of a request within one chunk, or of a
+// rebuild chunk, on a cfg volume, so such a plan fills storage carved
+// with its intent rather than growing its own: three allocations per
+// block instead of two per intent. array.Plan's phase reuses the
+// storage past a plan's length, and a plan that outgrows it grows as
+// before.
+func vrBlock(made int, cfg array.VolumeConfig) []volReq {
+	// Two phases of up to one write per member on a mirror; two phases
+	// of a read-modify-write pair, or of a read from each surviving
+	// member, on a parity volume; one op on a stripe, which never
+	// rebuilds.
+	phases, ops := 2, cfg.Members
+	switch cfg.Level {
+	case array.VolStripe:
+		phases, ops = 1, 1
+	case array.VolParity:
+		ops = max(2, ops-1)
+	}
 	n := min(max(made, 8), poolBlock)
 	b := make([]volReq, n)
 	ph := make([][]array.MemberOp, n*phases)
@@ -202,24 +233,6 @@ func vrBlock(made, phases, ops int) []volReq {
 		b[i].plan.Phases = ph[i*phases : i*phases : (i+1)*phases]
 	}
 	return b
-}
-
-// opSlot is one member op's registry entry: the op, and the device
-// whose scheduler holds it, or -1 while none does. A scheduler's pick is
-// taken only through its entry, so a request the scheduler was never
-// given, or one it already returned, fails loudly.
-type opSlot struct {
-	m   *memberReq
-	dev int
-}
-
-// volInflight is one member's in-flight service-completion state,
-// consumed by the member's reusable completion callback; m is nil while
-// the member is idle.
-type volInflight struct {
-	m     *memberReq
-	done  float64
-	again bool
 }
 
 // RunVolume drives an open-arrival workload over a redundant volume.
@@ -294,491 +307,511 @@ func RunVolume(ctx *Context, spec VolumeSpec, src workload.Source, opts Options)
 		scheds[i].Reset()
 	}
 	e := newEngine(ctx, opts)
-	finish := e.runVolume(spec, src, chunk, frac)
+	r := e.runVolume(spec, src, chunk, frac)
 	e.loop()
 	e.finalize()
-	finish()
+	r.publish()
 	return e.res, nil
 }
 
-// runVolume wires the eager arrival chain to a fork-join volume over
-// one scheduler queue per member device. It returns a closure the
-// adapter must call after the event loop drains, closing the still-open
-// degraded window and publishing the volume and per-member aggregates.
-func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac float64) func() {
-	v, devs, scheds, adaptive := spec.Volume, spec.Devices, spec.Scheds, spec.AdaptiveRebuild
-	var vstats VolumeStats
-	// members attributes service to each device; memberPhases holds its
-	// phase aggregates when Options.Probe carries a PhaseCollector.
-	members := make([]MemberResult, len(devs))
-	var memberPhases []PhaseStats
+// volMember is one physical device of a volume run: its device and
+// scheduler queue, the member op in service (nil while idle) with the
+// completion state its reusable callback consumes, and the service it
+// has done (res.Phases is set while a PhaseCollector is attached).
+type volMember struct {
+	dev    core.Device
+	sched  core.Scheduler
+	m      *memberReq
+	done   float64
+	again  bool
+	doneFn func()
+	res    MemberResult
+}
+
+// volumeRun is RunVolume's run-long state, built like openRun: one
+// record per member device, the intent and member-op pools, the
+// failover bookkeeping, and the arrival chain, in which each arrival
+// schedules the next, so simultaneous arrivals keep stream order. Every
+// callback is made once per run.
+type volumeRun struct {
+	e        *engine
+	v        *array.Volume
+	src      workload.Source
+	members  []volMember
+	chunk    int
+	frac     float64
+	adaptive bool
+	stats    *VolumeStats // apart from the run, so a Result keeps no pool alive
+
+	// next is the pending arrival, and fails the device failures yet to
+	// fire: all are scheduled upfront, in order, so they fire in order.
+	next  *core.Request
+	fails []fault.DeviceEvent
+
+	// The free lists of intents and member ops, the unused rest of the
+	// blocks they grow from, and the intents carved so far; ops registers
+	// every member op the run made, at the index its request's Ref holds.
+	freeVR  []*volReq
+	freeMR  []*memberReq
+	blockVR []volReq
+	madeVR  int
+	blockMR []memberReq
+	ops     []*memberReq
+
+	// degradedSince is when the open degraded window, and the failure
+	// it answers, began; -1 when closed. lastPace is the previous
+	// duty-cycle decision; -1 marks a rebuild's first decision, which
+	// sets the baseline without emitting a pace-change event.
+	degradedSince float64
+	lastPace      float64
+
+	arriveFn, failFn, chunkFn func()
+}
+
+// runVolume wires the arrival chain to a fork-join volume over one
+// scheduler queue per member device. The adapter calls the returned
+// run's publish after the event loop drains.
+func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac float64) *volumeRun {
+	r := &volumeRun{e: e, v: spec.Volume, src: src, chunk: chunk, frac: frac, adaptive: spec.AdaptiveRebuild,
+		members: make([]volMember, len(spec.Devices)), stats: &VolumeStats{}, degradedSince: -1, lastPace: -1}
+	var phases []PhaseStats
 	if e.phases != nil {
-		memberPhases = make([]PhaseStats, len(devs))
+		phases = make([]PhaseStats, len(r.members))
 	}
-	// freeVR and freeMR are the run's free lists of volume intents and
-	// member ops, blockVR and blockMR the unused rest of the blocks the
-	// pools grow from, and madeVR the intents the run's blocks held; ops
-	// registers every member op the run made, at the index its request
-	// carries in Ref.
-	var (
-		freeVR  []*volReq
-		freeMR  []*memberReq
-		blockVR []volReq
-		madeVR  int
-		blockMR []memberReq
-		ops     []opSlot
-	)
-	// The plan of a request within one chunk, or of a rebuild chunk,
-	// fits planPhases phases of planOps ops: one op on a stripe, which
-	// never rebuilds; two phases of up to one write per member on a
-	// mirror; two phases of a read-modify-write pair, or of a read from
-	// each surviving member, on a parity volume.
-	planPhases, planOps := 2, v.Config().Members
-	switch v.Config().Level {
-	case array.VolStripe:
-		planPhases, planOps = 1, 1
-	case array.VolParity:
-		planOps = max(2, planOps-1)
-	}
-	newVR := func(r *core.Request) *volReq {
-		var vr *volReq
-		if n := len(freeVR); n > 0 {
-			vr, freeVR = freeVR[n-1], freeVR[:n-1]
-		} else {
-			if len(blockVR) == 0 {
-				blockVR = vrBlock(madeVR, planPhases, planOps)
-				madeVR += len(blockVR)
-			}
-			vr = carve(&blockVR)
+	for i := range r.members {
+		mb := &r.members[i]
+		mb.dev, mb.sched = spec.Devices[i], spec.Scheds[i]
+		mb.doneFn = func() { r.memberDone(i) }
+		if phases != nil {
+			mb.res.Phases = &phases[i]
 		}
-		*vr = volReq{r: r, plan: array.Plan{Phases: vr.plan.Phases[:0]}, epoch: v.Epoch()}
-		return vr
 	}
-	// take returns the member op behind device dev's scheduler pick mr
-	// and marks it as no longer queued.
-	take := func(dev int, mr *core.Request) *memberReq {
-		if id := int(mr.Ref); id >= 0 && id < len(ops) && &ops[id].m.req == mr && ops[id].dev == dev {
-			ops[id].dev = -1
-			return ops[id].m
+	r.arriveFn, r.failFn, r.chunkFn = r.arrive, r.fail, r.startChunk
+	// Scheduled device failures are enqueued before the arrival chain,
+	// so a failure coinciding with an arrival fires first (stable FIFO
+	// ties).
+	if e.inj != nil {
+		r.fails = e.inj.DeviceEvents()
+		for _, ev := range r.fails {
+			e.q.Schedule(ev.AtMs, r.failFn)
 		}
-		panic(fmt.Sprintf("sim: device %d scheduler dispatched a request not queued on it", dev))
 	}
-	// degradedSince and failStart track the open degraded window and
-	// the active failure for MTTR accounting; -1 when closed.
-	degradedSince := -1.0
-	failStart := -1.0
-	// lastPace is the previous duty-cycle decision; -1 marks the
-	// first decision of a rebuild, which establishes the baseline without
-	// emitting a pace-change event.
-	lastPace := -1.0
+	if r.next = src.Next(); r.next != nil {
+		e.q.Schedule(r.next.Arrival, r.arriveFn)
+	}
+	return r
+}
 
-	var (
-		dispatch   func(i int)
-		issue      func(vr *volReq, now float64)
-		startChunk func(now float64)
-		// startChunkFn is the reusable "resume the rebuild" event callback
-		// (at most one pending), and inflight/doneFns carry each member's
-		// in-flight completion state and its one reusable completion
-		// callback — the allocation diet's replacement for a fresh closure
-		// per member dispatch.
-		startChunkFn func()
-		inflight     = make([]volInflight, len(devs))
-		doneFns      = make([]func(), len(devs))
-	)
-
-	// memberClass tags a member op with its parent intent's scheduling
-	// class at enqueue time, after any degraded-mode re-resolution, so
-	// class-aware member schedulers see rebuild chunks and degraded
-	// reconstruction reads for what they are.
-	memberClass := func(vr *volReq) core.Class {
-		switch {
-		case vr.rebuild:
-			return core.ClassRebuild
-		case vr.degradedRead:
-			return core.ClassDegradedRead
-		default:
-			return core.ClassForeground
-		}
+// publish closes the still-open degraded window and publishes the
+// volume and per-member aggregates.
+func (r *volumeRun) publish() {
+	e := r.e
+	if r.degradedSince >= 0 {
+		r.stats.DegradedMs += e.res.Elapsed - r.degradedSince
 	}
-
-	enqueue := func(vr *volReq, op array.MemberOp, now float64) {
-		dev := v.DeviceOf(op.Slot)
-		var m *memberReq
-		if n := len(freeMR); n > 0 {
-			m, freeMR = freeMR[n-1], freeMR[:n-1]
-		} else {
-			m = carve(&blockMR)
-			m.req.Ref = int32(len(ops))
-			ops = append(ops, opSlot{m: m})
-		}
-		m.req = core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
-			Class: memberClass(vr), Ref: m.req.Ref}
-		m.vr = vr
-		ops[m.req.Ref].dev = dev
-		scheds[dev].Add(&m.req)
-		if e.p != nil {
-			e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: &m.req,
-				Queue: scheds[dev].Len()})
-		}
-		dispatch(dev)
+	if r.v.Lost() {
+		e.res.DataLoss = true
 	}
-
-	// remap re-resolves the remaining phases of a stale plan against the
-	// current redundancy state (after a failure or completed rebuild);
-	// it may mark the parent request failed when its data is gone.
-	remap := func(vr *volReq) {
-		vr.epoch = v.Epoch()
-		phases := vr.plan.Phases
-		for pi := vr.phase; pi < len(phases); pi++ {
-			var resolved []array.MemberOp
-			for _, op := range phases[pi] {
-				repl, recon, ok := v.ReplaceDeadOp(op)
-				if !ok {
-					vr.r.Failed = true
-				}
-				if recon && !vr.rebuild && vr.r.Op == core.Read {
-					vr.degradedRead = true
-				}
-				resolved = append(resolved, repl...)
-			}
-			phases[pi] = resolved
-		}
+	e.res.Volume = r.stats
+	e.res.Members = make([]MemberResult, len(r.members))
+	for i := range r.members {
+		e.res.Members[i] = r.members[i].res
 	}
+}
 
-	// finishReq completes a foreground request. complete's fault tally
-	// counts a failed request in FailedRequests and a reconstructed read
-	// (Degraded) in DegradedReads; retries land on the member ops, so the
-	// request's own Retries stays 0 and it never counts as Recovered.
-	finishReq := func(vr *volReq, now float64) {
-		r := vr.r
-		r.Finish = now
-		r.Degraded = vr.degradedRead
-		r.Class = memberClass(vr)
-		measured := e.complete(now, r, &vr.sum, 0, vr.qlen, r.ResponseTime(), r.ServiceTime())
-		// A failed foreground request is a lost request at volume scope,
-		// whatever first broke it.
-		if r.Failed {
-			vstats.LostRequests++
-			if r.Op == core.Read {
-				e.res.LostReads++
-			}
+// arrive plans the pending foreground request under the current
+// redundancy state, forks its first phase, and chains the next arrival.
+func (r *volumeRun) arrive() {
+	e, v, req := r.e, r.v, r.next
+	e.arrived++
+	now := e.q.Now()
+	vr := r.newVR(req)
+	var ok bool
+	if req.Op == core.Read {
+		ok = v.PlanReadInto(&vr.plan, req.LBN, req.Blocks)
+	} else {
+		ok = v.PlanWriteInto(&vr.plan, req.LBN, req.Blocks)
+	}
+	if !ok {
+		// The addressed data is lost: fail without touching a device
+		// rather than silently serving stale sectors.
+		req.Failed = true
+		req.Start = now
+		vr.started = true
+	} else if req.Op == core.Read {
+		vr.degradedRead = vr.plan.Reconstructed
+		vr.spareRead = vr.plan.SpareRead
+	} else {
+		vr.degradedWrite = vr.plan.DegradedWrite
+	}
+	r.issue(vr, now)
+	if r.next = r.src.Next(); r.next != nil {
+		e.q.Schedule(r.next.Arrival, r.arriveFn)
+	}
+}
+
+// newVR takes a volume intent for req from the pool.
+func (r *volumeRun) newVR(req *core.Request) *volReq {
+	var vr *volReq
+	if n := len(r.freeVR); n > 0 {
+		vr, r.freeVR = r.freeVR[n-1], r.freeVR[:n-1]
+	} else {
+		if len(r.blockVR) == 0 {
+			r.blockVR = vrBlock(r.madeVR, r.v.Config())
+			r.madeVR += len(r.blockVR)
 		}
-		if vr.degradedRead {
-			vstats.DegradedReads++
+		vr = carve(&r.blockVR)
+	}
+	*vr = volReq{r: req, plan: array.Plan{Phases: vr.plan.Phases[:0]}, epoch: r.v.Epoch()}
+	return vr
+}
+
+// issue advances a volume intent to its next non-empty phase and forks
+// that phase's member operations into the queues, or retires the
+// intent when it has failed or has no phase left.
+func (r *volumeRun) issue(vr *volReq, now float64) {
+	for {
+		if vr.epoch != r.v.Epoch() {
+			r.remap(vr)
 		}
-		if vr.degradedWrite {
-			vstats.DegradedWrites++
-		}
-		if vr.spareRead {
-			vstats.SpareReads++
-		}
-		if measured {
-			if v.Degraded() || v.Lost() {
-				vstats.Degraded.Add(r.ResponseTime())
+		if vr.r.Failed || vr.phase >= len(vr.plan.Phases) {
+			// The intent is done: nothing holds vr once finishReq or
+			// chunkDone returns, so it goes back to the free list.
+			if vr.isRebuild() {
+				r.chunkDone(vr, now)
 			} else {
-				vstats.Healthy.Add(r.ResponseTime())
+				r.finishReq(vr, now)
 			}
-			vstats.ClassResponse[r.Class].Add(r.ResponseTime())
-		}
-	}
-
-	chunkDone := func(vr *volReq, now float64) {
-		if v.Lost() || !v.Rebuilding() {
-			return // a second failure killed the rebuild mid-chunk
-		}
-		if vr.r.Failed {
-			// A fault-injected member op exhausted its budgets mid-chunk:
-			// the rebuild cursor did not advance, so re-scan the same
-			// chunk rather than silently abandoning the rebuild.
-			e.q.Schedule(now, startChunkFn)
+			vr.r = nil
+			r.freeVR = append(r.freeVR, vr)
 			return
 		}
-		vstats.RebuildChunks++
-		vstats.ClassResponse[core.ClassRebuild].Add(now - vr.chunkStart)
-		v.Advance(vr.chunkBlocks)
-		if v.RebuildDone() {
-			slot := v.Failed()
-			v.FinishRebuild()
-			vstats.RebuildsDone++
-			vstats.RebuildMs += now - failStart
-			vstats.DegradedMs += now - degradedSince
-			degradedSince, failStart = -1, -1
-			if e.p != nil {
-				e.p.Observe(ProbeEvent{Kind: EventRebuildDone, Time: now, Dev: slot})
-			}
-			return
+		ops := vr.plan.Phases[vr.phase]
+		if len(ops) == 0 {
+			vr.phase++
+			continue
 		}
-		// Throttle: idle after the chunk so rebuild I/O occupies ~pace of
-		// the rebuilder's timeline. At this instant every rebuild member
-		// op has completed, so the summed queue depth is pure foreground
-		// backlog.
-		pace, fg := frac, 0
-		if adaptive {
-			for i := range scheds {
-				fg += scheds[i].Len()
-			}
-			pace = adaptivePace(fg)
+		vr.outstanding = len(ops)
+		for _, op := range ops {
+			r.enqueue(vr, op, now)
 		}
-		if lastPace >= 0 && pace != lastPace {
-			vstats.PaceChanges++
-			if e.p != nil {
-				e.p.Observe(ProbeEvent{Kind: EventRebuildPace, Time: now, Dev: v.Failed(),
-					Queue: fg, Pace: pace})
-			}
-		}
-		lastPace = pace
-		gap := 0.0
-		if pace < 1 {
-			gap = (now - vr.chunkStart) * (1 - pace) / pace
-		}
-		e.q.Schedule(now+gap, startChunkFn)
+		return
 	}
+}
 
-	// finish closes a volume intent, whose member ops have all
-	// completed, and returns it to the free list: nothing holds vr once
-	// finishReq or chunkDone returns.
-	finish := func(vr *volReq, now float64) {
-		if vr.rebuild {
-			chunkDone(vr, now)
+// enqueue queues one member op of vr on the device behind op's slot and
+// tries to dispatch it.
+func (r *volumeRun) enqueue(vr *volReq, op array.MemberOp, now float64) {
+	e := r.e
+	dev := r.v.DeviceOf(op.Slot)
+	var m *memberReq
+	if n := len(r.freeMR); n > 0 {
+		m, r.freeMR = r.freeMR[n-1], r.freeMR[:n-1]
+	} else {
+		m = carve(&r.blockMR)
+		m.req.Ref = int32(len(r.ops))
+		r.ops = append(r.ops, m)
+	}
+	m.req = core.Request{Arrival: vr.r.Arrival, Op: op.Op, LBN: op.LBN, Blocks: op.Blocks,
+		Class: vr.class(), Ref: m.req.Ref}
+	m.vr, m.dev = vr, dev
+	s := r.members[dev].sched
+	s.Add(&m.req)
+	if e.p != nil {
+		e.p.Observe(ProbeEvent{Kind: EventArrive, Time: now, Dev: dev, Req: &m.req, Queue: s.Len()})
+	}
+	r.dispatch(dev)
+}
+
+// take returns the member op behind device dev's scheduler pick mr and
+// marks it as no longer queued. A scheduler's pick is taken only through
+// the op registry, so a request the scheduler was never given, or one
+// it already returned, fails loudly.
+func (r *volumeRun) take(dev int, mr *core.Request) *memberReq {
+	if id := int(mr.Ref); id >= 0 && id < len(r.ops) {
+		if m := r.ops[id]; &m.req == mr && m.dev == dev {
+			m.dev = -1
+			return m
+		}
+	}
+	panic(fmt.Sprintf("sim: device %d scheduler dispatched a request not queued on it", dev))
+}
+
+// dispatch starts device i's next member op if the device is idle.
+func (r *volumeRun) dispatch(i int) {
+	e, mb := r.e, &r.members[i]
+	if mb.m != nil {
+		return
+	}
+	now := e.q.Now()
+	qlen := mb.sched.Len()
+	mr := mb.sched.Next(mb.dev, now)
+	if mr == nil {
+		return
+	}
+	m := r.take(i, mr)
+	vr := m.vr
+	if !vr.started {
+		vr.started = true
+		vr.r.Start = now
+	}
+	if qlen > vr.qlen {
+		vr.qlen = qlen
+	}
+	if e.p != nil {
+		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: mr, Queue: qlen})
+	}
+	// The shared visit path accumulates the member op's phase breakdown
+	// into the parent intent's sum and applies fault injection
+	// (transient retries, lost-sector reads, surcharges).
+	svc, bd, again := e.serveVisit(mb.dev, mr, &vr.sum, i, now)
+	mr.Start, mr.Finish = now, now+svc
+	mb.res.Requests++
+	mb.res.Busy += svc
+	e.res.Busy += svc
+	if vr.isRebuild() {
+		r.stats.RebuildBusy += svc
+	}
+	if mb.res.Phases != nil {
+		mb.res.Phases.add(bd)
+	}
+	mb.m, mb.done, mb.again = m, now+svc, again
+	e.q.Schedule(mb.done, mb.doneFn)
+}
+
+// memberDone completes device i's visit in service: the member op goes
+// back to its queue for another visit, or its fork-join leg is done.
+// Either way the device then takes its next op.
+func (r *volumeRun) memberDone(i int) {
+	e, mb := r.e, &r.members[i]
+	m, vr := mb.m, mb.m.vr
+	mb.m = nil
+	if mb.again {
+		// The visit exhausted its retries with requeue budget left: the
+		// member op goes back to its own queue and the fork-join leg
+		// stays outstanding.
+		m.dev = i
+		requeue(mb.sched, &m.req)
+		if e.p != nil {
+			e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: mb.done, Dev: i, Req: &m.req,
+				Queue: mb.sched.Len()})
+		}
+	} else {
+		if m.req.Failed {
+			// The member op exhausted every budget (or addressed lost
+			// sectors): its parent volume request fails.
+			vr.r.Failed = true
+		}
+		// The leg is done: the op is free for the next enqueue.
+		m.vr = nil
+		r.freeMR = append(r.freeMR, m)
+		if vr.outstanding--; vr.outstanding == 0 {
+			vr.phase++
+			r.issue(vr, e.q.Now())
+		}
+	}
+	r.dispatch(i)
+}
+
+// finishReq completes a foreground request. complete's fault tally
+// counts a failed request in FailedRequests and a reconstructed read
+// (Degraded) in DegradedReads; retries land on the member ops, so the
+// request's own Retries stays 0 and it never counts as Recovered.
+func (r *volumeRun) finishReq(vr *volReq, now float64) {
+	e, vs, req := r.e, r.stats, vr.r
+	req.Finish = now
+	req.Degraded = vr.degradedRead
+	req.Class = vr.class()
+	measured := e.complete(now, req, &vr.sum, 0, vr.qlen, req.ResponseTime(), req.ServiceTime())
+	// A failed foreground request is a lost request at volume scope,
+	// whatever first broke it.
+	if req.Failed {
+		vs.LostRequests++
+		if req.Op == core.Read {
+			e.res.LostReads++
+		}
+	}
+	if vr.degradedRead {
+		vs.DegradedReads++
+	}
+	if vr.degradedWrite {
+		vs.DegradedWrites++
+	}
+	if vr.spareRead {
+		vs.SpareReads++
+	}
+	if measured {
+		if r.v.Degraded() || r.v.Lost() {
+			vs.Degraded.Add(req.ResponseTime())
 		} else {
-			finishReq(vr, now)
+			vs.Healthy.Add(req.ResponseTime())
 		}
-		vr.r = nil
-		freeVR = append(freeVR, vr)
+		vs.ClassResponse[req.Class].Add(req.ResponseTime())
 	}
+}
 
-	// issue advances a volume intent to its next non-empty phase and
-	// forks that phase's member operations into the queues.
-	issue = func(vr *volReq, now float64) {
-		for {
-			if vr.epoch != v.Epoch() {
-				remap(vr)
-			}
-			if vr.r.Failed || vr.phase >= len(vr.plan.Phases) {
-				finish(vr, now)
-				return
-			}
-			ops := vr.plan.Phases[vr.phase]
-			if len(ops) == 0 {
-				vr.phase++
-				continue
-			}
-			vr.outstanding = len(ops)
-			for _, op := range ops {
-				enqueue(vr, op, now)
-			}
-			return
+// startChunk issues the rebuild's next chunk scan.
+func (r *volumeRun) startChunk() {
+	v := r.v
+	if v.Lost() || !v.Rebuilding() {
+		return
+	}
+	vr := r.newVR(nil)
+	blocks := v.PlanRebuildChunkInto(&vr.plan, r.chunk)
+	if blocks == 0 {
+		r.freeVR = append(r.freeVR, vr)
+		return
+	}
+	now := r.e.q.Now()
+	vr.chunkReq = core.Request{Arrival: now, Op: core.Read, LBN: -1, Blocks: blocks, Class: core.ClassRebuild}
+	vr.r = &vr.chunkReq
+	r.issue(vr, now)
+}
+
+// chunkDone advances the rebuild past a completed chunk and schedules
+// the next after the pacing gap, or closes the rebuild.
+func (r *volumeRun) chunkDone(vr *volReq, now float64) {
+	e, v, vs := r.e, r.v, r.stats
+	if v.Lost() || !v.Rebuilding() {
+		return // a second failure killed the rebuild mid-chunk
+	}
+	if vr.r.Failed {
+		// A fault-injected member op exhausted its budgets mid-chunk:
+		// the rebuild cursor did not advance, so re-scan the same chunk
+		// rather than silently abandoning the rebuild.
+		e.q.Schedule(now, r.chunkFn)
+		return
+	}
+	start := vr.chunkReq.Arrival
+	vs.RebuildChunks++
+	vs.ClassResponse[core.ClassRebuild].Add(now - start)
+	v.Advance(vr.chunkReq.Blocks)
+	if v.RebuildDone() {
+		slot := v.Failed()
+		v.FinishRebuild()
+		vs.RebuildsDone++
+		vs.RebuildMs += now - r.degradedSince
+		vs.DegradedMs += now - r.degradedSince
+		r.degradedSince = -1
+		if e.p != nil {
+			e.p.Observe(ProbeEvent{Kind: EventRebuildDone, Time: now, Dev: slot})
+		}
+		return
+	}
+	// Throttle: idle after the chunk so rebuild I/O occupies ~pace of
+	// the rebuilder's timeline. At this instant every rebuild member op
+	// has completed, so the summed queue depth is pure foreground
+	// backlog.
+	pace, fg := r.frac, 0
+	if r.adaptive {
+		for i := range r.members {
+			fg += r.members[i].sched.Len()
+		}
+		pace = adaptivePace(fg)
+	}
+	if r.lastPace >= 0 && pace != r.lastPace {
+		vs.PaceChanges++
+		if e.p != nil {
+			e.p.Observe(ProbeEvent{Kind: EventRebuildPace, Time: now, Dev: v.Failed(),
+				Queue: fg, Pace: pace})
 		}
 	}
-
-	opDone := func(vr *volReq, now float64) {
-		vr.outstanding--
-		if vr.outstanding > 0 {
-			return
-		}
-		vr.phase++
-		issue(vr, now)
+	r.lastPace = pace
+	gap := 0.0
+	if pace < 1 {
+		gap = (now - start) * (1 - pace) / pace
 	}
+	e.q.Schedule(now+gap, r.chunkFn)
+}
 
-	dispatch = func(i int) {
-		if inflight[i].m != nil {
-			return
+// fail fires the next scheduled device failure.
+func (r *volumeRun) fail() {
+	e, v := r.e, r.v
+	slot := r.fails[0].Dev
+	r.fails = r.fails[1:]
+	if v.Lost() || slot == v.Failed() {
+		return
+	}
+	now := e.q.Now()
+	deadDev := v.SlotDevice(slot)
+	first := !v.Degraded()
+	if err := v.Fail(slot); err != nil {
+		return // unreachable: slots were validated upfront
+	}
+	r.stats.DeviceFailures++
+	if first {
+		r.degradedSince = now
+	}
+	if e.p != nil {
+		e.p.Observe(ProbeEvent{Kind: EventDeviceFail, Time: now, Dev: slot})
+	}
+	if v.Lost() {
+		e.res.DataLoss = true
+	}
+	r.drainDead(deadDev, slot, now)
+	if first && !v.Lost() && v.BeginRebuild() {
+		r.stats.RebuildsStarted++
+		r.lastPace = -1 // each rebuild re-baselines the pace
+		if e.p != nil {
+			e.p.Observe(ProbeEvent{Kind: EventRebuildStart, Time: now, Dev: slot})
 		}
-		now := e.q.Now()
-		qlen := scheds[i].Len()
-		mr := scheds[i].Next(devs[i], now)
+		r.startChunk()
+	}
+}
+
+// drainDead empties a dead device's queue, re-resolving each queued
+// member operation against the post-failure state (peer
+// reconstruction, spare redirection, or dropped redundancy writes); an
+// op whose data is unreachable fails its parent request. The op in
+// service, if any, completes normally — it was already on the bus when
+// the device died. A drained op is not recycled: it left its queue
+// without a probe event, so reusing its request would show an observer
+// the same pointer arriving while still queued.
+func (r *volumeRun) drainDead(dev, slot int, now float64) {
+	mb := &r.members[dev]
+	for {
+		mr := mb.sched.Next(mb.dev, now)
 		if mr == nil {
 			return
 		}
-		m := take(i, mr)
-		vr := m.vr
-		if !vr.started {
-			vr.started = true
-			vr.r.Start = now
+		vr := r.take(dev, mr).vr
+		repl := r.resolveDead(vr, array.MemberOp{Slot: slot, Op: mr.Op, LBN: mr.LBN, Blocks: mr.Blocks})
+		vr.outstanding += len(repl) - 1
+		for _, op := range repl {
+			r.enqueue(vr, op, now)
 		}
-		if qlen > vr.qlen {
-			vr.qlen = qlen
+		if vr.outstanding == 0 {
+			vr.phase++
+			r.issue(vr, now)
 		}
-		if e.p != nil {
-			e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: mr, Queue: qlen})
-		}
-		// The shared visit path accumulates the member op's phase
-		// breakdown into the parent intent's sum and applies fault
-		// injection (transient retries, lost-sector reads, surcharges).
-		svc, bd, again := e.serveVisit(devs[i], mr, &vr.sum, i, now)
-		mr.Start, mr.Finish = now, now+svc
-		members[i].Requests++
-		members[i].Busy += svc
-		e.res.Busy += svc
-		if vr.rebuild {
-			vstats.RebuildBusy += svc
-		}
-		if memberPhases != nil {
-			memberPhases[i].add(bd)
-		}
-		fl := &inflight[i]
-		fl.m, fl.done, fl.again = m, now+svc, again
-		e.q.Schedule(now+svc, doneFns[i])
 	}
+}
 
-	for i := range doneFns {
-		doneFns[i] = func() {
-			fl := &inflight[i]
-			m, vr := fl.m, fl.m.vr
-			fl.m = nil
-			if fl.again {
-				// The visit exhausted its retries with requeue budget
-				// left: the member op goes back to its own queue and the
-				// fork-join leg stays outstanding.
-				ops[m.req.Ref].dev = i
-				requeue(scheds[i], &m.req)
-				if e.p != nil {
-					e.p.Observe(ProbeEvent{Kind: EventRequeue, Time: fl.done, Dev: i, Req: &m.req,
-						Queue: scheds[i].Len()})
-				}
-			} else {
-				if m.req.Failed {
-					// The member op exhausted every budget (or addressed
-					// lost sectors): its parent volume request fails.
-					vr.r.Failed = true
-				}
-				// The leg is done: the op is free for the next enqueue.
-				m.vr = nil
-				freeMR = append(freeMR, m)
-				opDone(vr, e.q.Now())
-			}
-			dispatch(i)
+// remap re-resolves the remaining phases of a stale plan against the
+// current redundancy state (after a failure or completed rebuild).
+func (r *volumeRun) remap(vr *volReq) {
+	vr.epoch = r.v.Epoch()
+	phases := vr.plan.Phases
+	for pi := vr.phase; pi < len(phases); pi++ {
+		var resolved []array.MemberOp
+		for _, op := range phases[pi] {
+			resolved = append(resolved, r.resolveDead(vr, op)...)
 		}
+		phases[pi] = resolved
 	}
+}
 
-	startChunk = func(now float64) {
-		if v.Lost() || !v.Rebuilding() {
-			return
-		}
-		vr := newVR(nil)
-		blocks := v.PlanRebuildChunkInto(&vr.plan, chunk)
-		if blocks == 0 {
-			freeVR = append(freeVR, vr)
-			return
-		}
-		vr.chunkReq = core.Request{Arrival: now, Op: core.Read, LBN: -1, Blocks: blocks, Class: core.ClassRebuild}
-		vr.r = &vr.chunkReq
-		vr.rebuild, vr.chunkBlocks, vr.chunkStart = true, blocks, now
-		issue(vr, now)
+// resolveDead re-resolves one member op of vr against the current
+// redundancy state: the ops that replace it, none when its data is
+// unreachable, which fails vr. A foreground read that must be
+// reconstructed from peers becomes a degraded read.
+func (r *volumeRun) resolveDead(vr *volReq, op array.MemberOp) []array.MemberOp {
+	repl, recon, ok := r.v.ReplaceDeadOp(op)
+	if !ok {
+		vr.r.Failed = true
 	}
-	startChunkFn = func() { startChunk(e.q.Now()) }
-
-	// drainDead empties a dead device's queue, re-resolving each queued
-	// member operation against the post-failure state (peer
-	// reconstruction, spare redirection, or dropped redundancy writes);
-	// an op whose data is unreachable fails its parent request. The op
-	// in service, if any, completes normally — it was already on the
-	// bus when the device died. A drained op is not recycled: it left
-	// its queue without a probe event, so reusing its request would show
-	// an observer the same pointer arriving while still queued.
-	drainDead := func(devIdx, slot int, now float64) {
-		for {
-			mr := scheds[devIdx].Next(devs[devIdx], now)
-			if mr == nil {
-				return
-			}
-			vr := take(devIdx, mr).vr
-			repl, recon, ok := v.ReplaceDeadOp(array.MemberOp{
-				Slot: slot, Op: mr.Op, LBN: mr.LBN, Blocks: mr.Blocks})
-			if !ok {
-				vr.r.Failed = true
-			}
-			if recon && !vr.rebuild && vr.r.Op == core.Read {
-				vr.degradedRead = true
-			}
-			vr.outstanding += len(repl) - 1
-			for _, rop := range repl {
-				enqueue(vr, rop, now)
-			}
-			if vr.outstanding == 0 {
-				vr.phase++
-				issue(vr, now)
-			}
-		}
+	if recon && !vr.isRebuild() && vr.r.Op == core.Read {
+		vr.degradedRead = true
 	}
-
-	failSlot := func(slot int, now float64) {
-		if v.Lost() || slot == v.Failed() {
-			return
-		}
-		deadDev := v.SlotDevice(slot)
-		first := !v.Degraded()
-		if err := v.Fail(slot); err != nil {
-			return // unreachable: slots were validated upfront
-		}
-		vstats.DeviceFailures++
-		if first {
-			degradedSince, failStart = now, now
-		}
-		if e.p != nil {
-			e.p.Observe(ProbeEvent{Kind: EventDeviceFail, Time: now, Dev: slot})
-		}
-		if v.Lost() {
-			e.res.DataLoss = true
-		}
-		drainDead(deadDev, slot, now)
-		if first && !v.Lost() && v.BeginRebuild() {
-			vstats.RebuildsStarted++
-			lastPace = -1 // each rebuild re-baselines the pace
-			if e.p != nil {
-				e.p.Observe(ProbeEvent{Kind: EventRebuildStart, Time: now, Dev: slot})
-			}
-			startChunk(now)
-		}
-	}
-
-	// Scheduled device failures fire from the injector's device-event
-	// schedule; they are enqueued before the arrival chain so a failure
-	// coinciding with an arrival fires first (stable FIFO ties).
-	if e.inj != nil {
-		for _, ev := range e.inj.DeviceEvents() {
-			e.q.Schedule(ev.AtMs, func() { failSlot(ev.Dev, e.q.Now()) })
-		}
-	}
-	// Arrival chain: plan each foreground request under the current
-	// redundancy state and fork its first phase.
-	e.chainArrivals(src, func(r *core.Request) {
-		now := e.q.Now()
-		vr := newVR(r)
-		var ok bool
-		if r.Op == core.Read {
-			ok = v.PlanReadInto(&vr.plan, r.LBN, r.Blocks)
-		} else {
-			ok = v.PlanWriteInto(&vr.plan, r.LBN, r.Blocks)
-		}
-		if !ok {
-			// The addressed data is lost: fail without touching a device
-			// rather than silently serving stale sectors.
-			r.Failed = true
-			r.Start = now
-			vr.started = true
-		} else {
-			if r.Op == core.Read {
-				vr.degradedRead = vr.plan.Reconstructed
-				vr.spareRead = vr.plan.SpareRead
-			} else {
-				vr.degradedWrite = vr.plan.DegradedWrite
-			}
-		}
-		issue(vr, now)
-	})
-
-	return func() {
-		if degradedSince >= 0 {
-			vstats.DegradedMs += e.res.Elapsed - degradedSince
-		}
-		if v.Lost() {
-			e.res.DataLoss = true
-		}
-		e.res.Volume = &vstats
-		for i := range memberPhases {
-			members[i].Phases = &memberPhases[i]
-		}
-		e.res.Members = members
-	}
+	return repl
 }
