@@ -85,7 +85,10 @@ type ProbeEvent struct {
 	// Run labels the simulation run (the job label when driven by the
 	// experiment runner; empty otherwise).
 	Run string
-	// Dev is the device index for multi-device runs, 0 otherwise.
+	// Dev is the device index for multi-device runs, 0 otherwise. On a
+	// RunVolume complete event it is the device whose member op completed
+	// last for the request, 0 if none did (a request refused at planning);
+	// on its failover events it is the member slot.
 	Dev int
 	// Queue is the pending-queue length including this request, valid
 	// for arrive and dispatch events.

@@ -151,16 +151,22 @@ func TestStripeVolumeIdlePeriods(t *testing.T) {
 
 func TestStripeVolumeCompleteEvents(t *testing.T) {
 	// A probe observing EventComplete hears every completion, warmup
-	// included.
+	// included, each naming the member that served it.
 	spec := volFixtures(t, stripeVolCfg(2, 100, 100), 1)
 	seen := 0
 	complete := probeFunc(func(ev ProbeEvent) {
 		if ev.Kind == EventComplete {
 			seen++
+			if want := int(ev.Req.LBN / 100); ev.Dev != want {
+				t.Errorf("complete of LBN %d: Dev %d, want member %d", ev.Req.LBN, ev.Dev, want)
+			}
 		}
 	})
-	mustVolume(t, nil, spec, workload.NewFromSlice(mkReqs(make([]float64, 12))),
-		Options{Warmup: 5, Probe: complete})
+	reqs := mkReqs(make([]float64, 12))
+	for i, r := range reqs {
+		r.LBN = int64(i%2) * 100 // alternate the two members
+	}
+	mustVolume(t, nil, spec, workload.NewFromSlice(reqs), Options{Warmup: 5, Probe: complete})
 	if seen != 12 {
 		t.Errorf("complete events fired %d times, want 12", seen)
 	}

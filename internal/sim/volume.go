@@ -136,8 +136,8 @@ type volReq struct {
 	// started latches the first member-op dispatch (r.Start).
 	started bool
 	// qlen is the largest scheduler queue length any member op saw at
-	// dispatch.
-	qlen int
+	// dispatch, and dev the device of its latest member-op completion.
+	qlen, dev int
 	// sum is the intent's phase sum across its member ops' visits,
 	// requeues included, filled only while a probe is attached.
 	sum core.Breakdown
@@ -251,7 +251,7 @@ func vrBlock(made int, cfg array.VolumeConfig) []volReq {
 // Member-level operations emit arrive/dispatch/service probe events
 // (Dev = physical device index) on run-owned requests that are reused
 // once their fork-join leg completes; volume-level requests emit complete
-// events; failover emits EventDeviceFail/EventRebuildStart/
+// events (Dev = the device whose member op completed last); failover emits EventDeviceFail/EventRebuildStart/
 // EventRebuildDone (Dev = member slot, Req = nil). Response statistics
 // are per volume-level request; rebuild traffic is excluded from them
 // but reported in Result.Volume.
@@ -603,7 +603,7 @@ func (r *volumeRun) memberDone(i int) {
 			vr.r.Failed = true
 		}
 		// The leg is done: the op is free for the next enqueue.
-		m.vr = nil
+		m.vr, vr.dev = nil, i
 		r.freeMR = append(r.freeMR, m)
 		if vr.outstanding--; vr.outstanding == 0 {
 			vr.phase++
@@ -622,7 +622,7 @@ func (r *volumeRun) finishReq(vr *volReq, now float64) {
 	req.Finish = now
 	req.Degraded = vr.degradedRead
 	req.Class = vr.class()
-	measured := e.complete(now, req, &vr.sum, 0, vr.qlen, req.ResponseTime(), req.ServiceTime())
+	measured := e.complete(now, req, &vr.sum, vr.dev, vr.qlen, req.ResponseTime(), req.ServiceTime())
 	// A failed foreground request is a lost request at volume scope,
 	// whatever first broke it.
 	if req.Failed {
