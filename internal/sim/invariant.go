@@ -162,9 +162,10 @@ func (ip *invariantProbe) checkBreakdown(ev ProbeEvent) {
 		}
 	}
 	// Reconciliation only applies to decomposing devices: a device that
-	// reports no breakdown leaves the whole visit unattributed
-	// (PhaseSum = 0), which is valid, just uninformative.
-	if ev.Kind == EventService && bd.PhaseSum() > 0 {
+	// reports no breakdown leaves its access unattributed (no mechanical
+	// phase), which is valid, just uninformative, even when retries add
+	// their attributed recovery penalties on top.
+	if ev.Kind == EventService && bd.Positioning()+bd.Transfer+bd.Overhead > 0 {
 		if resid := math.Abs(bd.Unattributed()); resid > invariantTol*(1+math.Abs(bd.ServiceMs)) {
 			ip.violate("service breakdown does not reconcile: |%g| unattributed of %g ms service", bd.Unattributed(), bd.ServiceMs)
 		}

@@ -132,12 +132,18 @@ func TestInvariantProbeViolations(t *testing.T) {
 }
 
 func TestInvariantProbeNonDecomposingDeviceOK(t *testing.T) {
-	// A device that reports no breakdown (PhaseSum 0) leaves the visit
-	// unattributed; that is valid, not a reconciliation failure.
+	// A device that reports no breakdown leaves its access unattributed;
+	// that is valid, not a reconciliation failure, also when a retry's
+	// recovery penalty is attributed on top of it.
 	err := feed(ProbeEvent{Kind: EventService, Time: 3,
 		Breakdown: core.Breakdown{ServiceMs: 3}})
 	if err != nil {
 		t.Fatalf("total-only breakdown flagged: %v", err)
+	}
+	err = feed(ProbeEvent{Kind: EventService, Time: 4.5,
+		Breakdown: core.Breakdown{Recovery: 1, ServiceMs: 1.5}})
+	if err != nil {
+		t.Fatalf("total-only breakdown with a retry penalty flagged: %v", err)
 	}
 }
 

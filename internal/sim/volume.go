@@ -96,9 +96,10 @@ type VolumeStats struct {
 	// PaceChanges counts rebuild-pace changes made mid-rebuild (0 under
 	// the fixed RebuildFrac pacing, which never varies).
 	PaceChanges int
-	// LostRequests counts foreground requests that completed in error
-	// because their data was unreachable (lost volume or mid-flight
-	// second failure).
+	// LostRequests counts foreground requests that completed in error:
+	// their data was unreachable (lost volume or mid-flight second
+	// failure), or a member op exhausted its fault budgets or addressed
+	// lost sectors.
 	LostRequests int
 	// Healthy and Degraded split measured foreground response times
 	// (ms) by the volume's redundancy state at completion, so the
@@ -149,6 +150,8 @@ type volReq struct {
 	degradedRead  bool
 	degradedWrite bool
 	spareRead     bool
+	// lost marks an intent whose data the volume could not reach.
+	lost bool
 }
 
 // isRebuild reports whether vr is a background rebuild chunk.
@@ -435,7 +438,7 @@ func (r *volumeRun) arrive() {
 	if !ok {
 		// The addressed data is lost: fail without touching a device
 		// rather than silently serving stale sectors.
-		req.Failed = true
+		req.Failed, vr.lost = true, true
 		req.Start = now
 		vr.started = true
 	} else if req.Op == core.Read {
@@ -624,12 +627,14 @@ func (r *volumeRun) finishReq(vr *volReq, now float64) {
 	req.Class = vr.class()
 	measured := e.complete(now, req, &vr.sum, vr.dev, vr.qlen, req.ResponseTime(), req.ServiceTime())
 	// A failed foreground request is a lost request at volume scope,
-	// whatever first broke it.
+	// whatever first broke it. A read is a lost read only when the
+	// volume could not reach its data; a member op that addressed lost
+	// sectors counted itself in serveVisit, as Run's request does.
 	if req.Failed {
 		vs.LostRequests++
-		if req.Op == core.Read {
-			e.res.LostReads++
-		}
+	}
+	if vr.lost && req.Op == core.Read {
+		e.res.LostReads++
 	}
 	if vr.degradedRead {
 		vs.DegradedReads++
@@ -808,7 +813,7 @@ func (r *volumeRun) remap(vr *volReq) {
 func (r *volumeRun) resolveDead(vr *volReq, op array.MemberOp) []array.MemberOp {
 	repl, recon, ok := r.v.ReplaceDeadOp(op)
 	if !ok {
-		vr.r.Failed = true
+		vr.r.Failed, vr.lost = true, true
 	}
 	if recon && !vr.isRebuild() && vr.r.Op == core.Read {
 		vr.degradedRead = true

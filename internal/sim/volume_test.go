@@ -638,7 +638,8 @@ func TestAdaptiveRebuildPace(t *testing.T) {
 func TestRunVolumeOneMemberMatchesRun(t *testing.T) {
 	// A one-member stripe volume whose strip is the whole device never
 	// splits a request, so it is the same queueing system as Run on that
-	// device: every statistic must agree bit for bit. Recovered is not
+	// device: every statistic must agree bit for bit, also when requests
+	// fail with no retry or requeue budget left. Recovered is not
 	// compared: retries land on RunVolume's member ops, never on the
 	// volume request whose outcome complete tallies, so RunVolume never
 	// counts it.
@@ -648,13 +649,24 @@ func TestRunVolumeOneMemberMatchesRun(t *testing.T) {
 		return workload.DefaultRandom(1500, dev.SectorSize(), capacity, 3000, 7)
 	}
 	for _, policy := range []string{"FCFS", "SPTF"} {
-		for _, rate := range []float64{0, 0.02} {
-			t.Run(fmt.Sprintf("%s/transient=%g", policy, rate), func(t *testing.T) {
+		for _, tc := range []struct {
+			rate     float64
+			noBudget bool
+		}{{0, false}, {0.02, false}, {0.02, true}} {
+			rate := tc.rate
+			name := fmt.Sprintf("%s/transient=%g", policy, rate)
+			if tc.noBudget {
+				name += "/no-budget"
+			}
+			t.Run(name, func(t *testing.T) {
 				opts := func() Options {
 					o := Options{Warmup: 100}
 					if rate > 0 {
 						cfg := fault.DefaultInjectorConfig()
 						cfg.TransientRate, cfg.Seed = rate, 3
+						if tc.noBudget {
+							cfg.MaxRetries, cfg.MaxRequeues = 0, 0
+						}
 						o.Injector = mustInjector(t, cfg)
 					}
 					return o
@@ -680,8 +692,11 @@ func TestRunVolumeOneMemberMatchesRun(t *testing.T) {
 				if run.MaxQueue < 2 {
 					t.Fatal("no request ever queued; the scheduler half exercises nothing")
 				}
-				if rate > 0 && run.Retries == 0 {
+				if rate > 0 && !tc.noBudget && run.Retries == 0 {
 					t.Fatal("injector produced no retries; the fault half exercises nothing")
+				}
+				if tc.noBudget && run.FailedRequests == 0 {
+					t.Fatal("no request failed; the no-budget half exercises nothing")
 				}
 				for _, f := range []struct {
 					name     string
