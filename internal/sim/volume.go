@@ -172,12 +172,11 @@ func (vr *volReq) class() core.Class {
 }
 
 // memberReq is one member operation of a volume intent: the request its
-// device's scheduler queues and serves, the intent it realizes, and the
-// device whose scheduler holds it (-1 while none does). memberReqs are
-// pooled per run like volReqs: one goes back to the free list when its
-// fork-join leg completes, so a probe sees the same request pointer
-// again for a later operation. Its request's Ref is the op's index in
-// the run's op registry (volumeRun.ops).
+// device's scheduler queues and serves (Ref is the op's index in
+// volumeRun.ops), the intent it realizes, and the device whose queue
+// holds it (-1 while none does). memberReqs are pooled like volReqs:
+// one goes back to the free list when its fork-join leg completes, so a
+// probe sees the same request pointer again for a later operation.
 type memberReq struct {
 	req core.Request
 	vr  *volReq
@@ -208,16 +207,13 @@ func carve[T any](block *[]T) *T {
 // carved before it, at least 8 and at most poolBlock, so a run whose
 // pool stays small carves little it never uses. Each intent's plan
 // holds storage for the plan of a request within one chunk, or of a
-// rebuild chunk, on a cfg volume, so such a plan fills storage carved
-// with its intent rather than growing its own: three allocations per
-// block instead of two per intent. array.Plan's phase reuses the
-// storage past a plan's length, and a plan that outgrows it grows as
-// before.
+// rebuild chunk, on a cfg volume: two phases of up to one write per
+// member on a mirror, or of a read-modify-write pair or a read from
+// each survivor on a parity volume, and one op on a stripe. Such a plan
+// fills storage carved with its intent (three allocations per block,
+// not two per intent); array.Plan's phase reuses the storage past a
+// plan's length, and a plan that outgrows it grows as before.
 func vrBlock(made int, cfg array.VolumeConfig) []volReq {
-	// Two phases of up to one write per member on a mirror; two phases
-	// of a read-modify-write pair, or of a read from each surviving
-	// member, on a parity volume; one op on a stripe, which never
-	// rebuilds.
 	phases, ops := 2, cfg.Members
 	switch cfg.Level {
 	case array.VolStripe:
@@ -531,11 +527,9 @@ func (r *volumeRun) enqueue(vr *volReq, op array.MemberOp, now float64) {
 // the op registry, so a request the scheduler was never given, or one
 // it already returned, fails loudly.
 func (r *volumeRun) take(dev int, mr *core.Request) *memberReq {
-	if id := int(mr.Ref); id >= 0 && id < len(r.ops) {
-		if m := r.ops[id]; &m.req == mr && m.dev == dev {
-			m.dev = -1
-			return m
-		}
+	if id := int(mr.Ref); id >= 0 && id < len(r.ops) && &r.ops[id].req == mr && r.ops[id].dev == dev {
+		r.ops[id].dev = -1
+		return r.ops[id]
 	}
 	panic(fmt.Sprintf("sim: device %d scheduler dispatched a request not queued on it", dev))
 }
@@ -558,9 +552,7 @@ func (r *volumeRun) dispatch(i int) {
 		vr.started = true
 		vr.r.Start = now
 	}
-	if qlen > vr.qlen {
-		vr.qlen = qlen
-	}
+	vr.qlen = max(vr.qlen, qlen)
 	if e.p != nil {
 		e.p.Observe(ProbeEvent{Kind: EventDispatch, Time: now, Dev: i, Req: mr, Queue: qlen})
 	}
@@ -722,11 +714,7 @@ func (r *volumeRun) chunkDone(vr *volReq, now float64) {
 		}
 	}
 	r.lastPace = pace
-	gap := 0.0
-	if pace < 1 {
-		gap = (now - start) * (1 - pace) / pace
-	}
-	e.q.Schedule(now+gap, r.chunkFn)
+	e.q.Schedule(now+(now-start)*(1-pace)/pace, r.chunkFn)
 }
 
 // fail fires the next scheduled device failure.
