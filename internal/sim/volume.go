@@ -134,8 +134,6 @@ type volReq struct {
 	// under; a mismatch at issue time forces re-resolution of the
 	// remaining phases against the new state.
 	epoch int
-	// started latches the first member-op dispatch (r.Start).
-	started bool
 	// qlen is the largest scheduler queue length any member op saw at
 	// dispatch, and dev the device of its latest member-op completion.
 	qlen, dev int
@@ -147,11 +145,12 @@ type volReq struct {
 	// its Arrival is the chunk's start and its Blocks the chunk's size.
 	chunkReq core.Request
 
+	// started latches the first member-op dispatch (r.Start), and lost
+	// marks an intent whose data the volume could not reach.
+	started, lost bool
 	degradedRead  bool
 	degradedWrite bool
 	spareRead     bool
-	// lost marks an intent whose data the volume could not reach.
-	lost bool
 }
 
 // isRebuild reports whether vr is a background rebuild chunk.
