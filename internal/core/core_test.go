@@ -68,6 +68,39 @@ func TestNewRequestsSlabs(t *testing.T) {
 	}
 }
 
+func TestSlabPutReuses(t *testing.T) {
+	// New hands back the request put back last, zeroed, before it
+	// carves anything; Put keeps up to slabPut requests, and neither
+	// allocates once the first slab is carved.
+	var s Slab
+	reqs := make([]*Request, slabPut+1)
+	for i := range reqs {
+		reqs[i] = s.New(len(reqs) - i)
+		reqs[i].LBN, reqs[i].Failed, reqs[i].Retries = int64(i), true, 1
+	}
+	for _, r := range reqs {
+		s.Put(r)
+	}
+	// The last request did not fit the list: the first New after the
+	// puts returns the last one kept, and the list ends with the first.
+	for i := slabPut - 1; i >= 0; i-- {
+		r := s.New(1)
+		if r != reqs[i] {
+			t.Fatalf("New returned %p, want put-back request %d (%p)", r, i, reqs[i])
+		}
+		if *r != (Request{}) {
+			t.Fatalf("reused request %d not zeroed: %+v", i, *r)
+		}
+	}
+	if r := s.New(1); r == reqs[slabPut] || r == reqs[0] {
+		t.Error("New reused a request past the list's capacity or twice")
+	}
+	r := s.New(1)
+	if n := testing.AllocsPerRun(100, func() { s.Put(r); r = s.New(1) }); n != 0 {
+		t.Errorf("Put and New of a put-back request: %g allocations, want 0", n)
+	}
+}
+
 func TestRequestTimes(t *testing.T) {
 	r := &Request{Arrival: 10, Start: 15, Finish: 18}
 	if r.ResponseTime() != 8 {

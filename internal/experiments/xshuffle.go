@@ -166,3 +166,6 @@ func (s *reshuffleSource) Next() *core.Request {
 // ThinkMs implements workload.Thinker: the migration charged ahead of
 // the read Next just returned.
 func (s *reshuffleSource) ThinkMs() float64 { return s.think }
+
+// Recycle implements workload.Recycler.
+func (s *reshuffleSource) Recycle(r *core.Request) { s.slab.Put(r) }

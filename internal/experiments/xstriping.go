@@ -88,9 +88,13 @@ const stripUnit = 2700
 // fork-join; the study keeps the clamp so its published numbers stay
 // put until it is re-pinned on the split.
 type stripClamp struct {
-	src     workload.Source
+	src     *workload.Random
 	clamped int
 }
+
+// Recycle implements workload.Recycler, handing r back to the wrapped
+// stream.
+func (c *stripClamp) Recycle(r *core.Request) { c.src.Recycle(r) }
 
 // Next implements workload.Source.
 func (c *stripClamp) Next() *core.Request {

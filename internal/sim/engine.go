@@ -12,7 +12,8 @@
 //     scheduler queues addressed by an array.Volume plan;
 //   - a shared completion path (complete): warmup gating, failed-request
 //     exclusion, fault-outcome tallies, probe emission; each regime's
-//     own accounting follows the call.
+//     own accounting follows the call, and then the request goes back
+//     to its source when the source is a workload.Recycler.
 //
 // Every service visit in every regime flows through serveVisit, so
 // fault injection — transient retries, requeues, lost-sector reads, ECC
@@ -324,7 +325,8 @@ func (e *engine) complete(now float64, r *core.Request, sum *core.Breakdown, dev
 // engine alternates dispatch→completion events, pumps the queue after
 // each, and sleeps until the next arrival when idle.
 func (e *engine) runOpen(d core.Device, s core.Scheduler, src workload.Source) {
-	o := &openRun{e: e, d: d, s: s, src: src, next: src.Next()}
+	rec, _ := src.(workload.Recycler)
+	o := &openRun{e: e, d: d, s: s, src: src, rec: rec, next: src.Next()}
 	o.pumpFn = o.pump
 	o.doneFn = o.finish
 	e.q.Schedule(0, o.pumpFn)
@@ -334,12 +336,14 @@ func (e *engine) runOpen(d core.Device, s core.Scheduler, src workload.Source) {
 // dispatch→completion with at most one service in flight, so the
 // completion event's parameters (request, queue length, finish time,
 // requeue flag, phase sum) live here and both callbacks are allocated
-// once per run instead of once per dispatch.
+// once per run instead of once per dispatch. A request that completes
+// goes back to a recycling source; one that requeues stays the run's.
 type openRun struct {
 	e    *engine
 	d    core.Device
 	s    core.Scheduler
 	src  workload.Source
+	rec  workload.Recycler // src, when it takes finished requests back
 	next *core.Request
 
 	// In-flight dispatch, consumed by finish.
@@ -409,6 +413,9 @@ func (o *openRun) finish() {
 	} else {
 		o.r.Finish = o.done
 		e.complete(o.done, o.r, &o.sum, 0, o.qlen, o.r.ResponseTime(), o.r.ServiceTime())
+		if o.rec != nil {
+			o.rec.Recycle(o.r)
+		}
 	}
 	o.pump()
 }
@@ -425,7 +432,8 @@ func (o *openRun) finish() {
 // requeue budget in place.
 func (e *engine) runClosed(d core.Device, src workload.Source) {
 	think, _ := src.(workload.Thinker)
-	c := &closedRun{e: e, d: d, src: src, think: think}
+	rec, _ := src.(workload.Recycler)
+	c := &closedRun{e: e, d: d, src: src, think: think, rec: rec}
 	c.issueFn = c.issue
 	c.doneFn = c.finish
 	if first := src.Next(); first != nil {
@@ -437,12 +445,15 @@ func (e *engine) runClosed(d core.Device, src workload.Source) {
 // closedRun is runClosed's run-long state: exactly one request is in
 // play at a time (issue→completion→next issue), so the pending request
 // and its accumulated times live here and the two callbacks are
-// allocated once per run instead of twice per request.
+// allocated once per run instead of twice per request. The completed
+// request goes back to a recycling source before the next is drawn, so
+// such a source hands the same request out again.
 type closedRun struct {
 	e     *engine
 	d     core.Device
 	src   workload.Source
 	think workload.Thinker
+	rec   workload.Recycler // src, when it takes finished requests back
 
 	// The request being issued or completed, its visit totals, and its
 	// phase sum across visits (filled only while a probe is attached).
@@ -495,6 +506,9 @@ func (c *closedRun) finish() {
 	e, r := c.e, c.r
 	r.Finish = c.t
 	e.complete(c.t, r, &c.sum, 0, -1, c.total, c.total)
+	if c.rec != nil {
+		c.rec.Recycle(r)
+	}
 	if next := c.src.Next(); next != nil {
 		c.r = next
 		e.q.Schedule(e.q.Now()+c.delay(), c.issueFn)

@@ -17,7 +17,8 @@ import (
 var fuzzPolicies = []string{"FCFS", "SPTF", "Priority"}
 
 // FuzzEngine runs a random small simulation under the invariant probe
-// (Context.Check): a regime (open, closed or volume) on constant-cost
+// (Context.Check), drawing its requests from a recycling source that a
+// recycleChecker watches: a regime (open, closed or volume) on constant-cost
 // or MEMS G1 devices; for a volume, its level, members, spares and
 // strip and up to two device failures; a transient error rate in
 // [0, 0.1) with its retry and requeue budgets; and an FCFS, SPTF or
@@ -84,9 +85,13 @@ func FuzzEngine(f *testing.F) {
 			kills = append(kills, fault.DeviceEvent{AtMs: float64(k % 256), Dev: int(k>>8) % cfg.Members})
 		}
 		rate := 200 + 10*float64(load)
-		source := func(capacity int64) workload.Source {
-			return workload.NewRandom(workload.RandomConfig{Rate: rate, ReadFraction: 0.67,
-				MeanBytes: 4096, MaxBytes: 16 * 1024, SectorSize: 512, Capacity: capacity, Count: n, Seed: seed})
+		// Each run draws from a recycling source under a recycleChecker,
+		// which it reports on once the run drains.
+		source := func(capacity int64, regime string) (*recycleChecker, *Context) {
+			c := newRecycleChecker(workload.NewRandom(workload.RandomConfig{Rate: rate, ReadFraction: 0.67,
+				MeanBytes: 4096, MaxBytes: 16 * 1024, SectorSize: 512, Capacity: capacity, Count: n, Seed: seed}), regime)
+			t.Cleanup(func() { c.verify(t) })
+			return c, &Context{Check: true, Probe: c}
 		}
 		opts := func(devEvents []fault.DeviceEvent) Options {
 			o := Options{Warmup: 10}
@@ -111,7 +116,8 @@ func FuzzEngine(f *testing.F) {
 				spec.Devices = append(spec.Devices, newDev())
 				spec.Scheds = append(spec.Scheds, newSched())
 			}
-			res, err := RunVolume(&Context{Check: true}, spec, source(cfg.Capacity()), opts(devEvents))
+			src, ctx := source(cfg.Capacity(), "volume")
+			res, err := RunVolume(ctx, spec, src, opts(devEvents))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,10 +127,12 @@ func FuzzEngine(f *testing.F) {
 			switch regime % 3 {
 			case 0:
 				d := newDev()
-				return Run(&Context{Check: true}, d, newSched(), source(d.Capacity()), opts(nil))
+				src, ctx := source(d.Capacity(), "open")
+				return Run(ctx, d, newSched(), src, opts(nil))
 			case 1:
 				d := newDev()
-				return RunClosed(&Context{Check: true}, d, source(d.Capacity()), opts(nil))
+				src, ctx := source(d.Capacity(), "closed")
+				return RunClosed(ctx, d, src, opts(nil))
 			default:
 				return volume(cfg, kills)
 			}

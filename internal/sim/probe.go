@@ -74,8 +74,10 @@ func (k EventKind) String() string {
 
 // ProbeEvent is one typed lifecycle observation. The Req pointer is the
 // live simulation request: probes may read it but must not mutate it.
-// Under RunVolume a member op's request is reused for a later member op
-// once its fork-join leg completes, so a probe copies anything it keeps
+// Requests are reused. Under RunVolume a member op's request serves a
+// later member op once its fork-join leg completes, and a request from
+// a workload.Recycler goes back to its source once its complete event
+// returns, to be handed out again. So a probe copies anything it keeps
 // past Observe rather than the pointer.
 type ProbeEvent struct {
 	// Kind is the lifecycle stage.
@@ -94,7 +96,7 @@ type ProbeEvent struct {
 	// for arrive and dispatch events.
 	Queue int
 	// Req is the request the event concerns; see the type's comment for
-	// how long a member op's request stays that op's.
+	// how long it stays that request.
 	Req *core.Request
 	// Breakdown carries the visit's phase decomposition for service
 	// events, and the single retry's penalty (in Recovery) for retry

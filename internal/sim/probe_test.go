@@ -16,14 +16,23 @@ import (
 	"memsim/internal/workload"
 )
 
-// recordingProbe keeps every observed event for assertion.
+// recordingProbe keeps every observed event for assertion, each with a
+// copy of its request as it stood when the event fired: a recycling
+// source reuses the request itself once the run completes it.
 type recordingProbe struct {
 	events []ProbeEvent
 	resets int
 }
 
-func (r *recordingProbe) Observe(ev ProbeEvent) { r.events = append(r.events, ev) }
-func (r *recordingProbe) ResetProbe()           { r.events = nil; r.resets++ }
+func (r *recordingProbe) Observe(ev ProbeEvent) {
+	if ev.Req != nil {
+		req := *ev.Req
+		ev.Req = &req
+	}
+	r.events = append(r.events, ev)
+}
+
+func (r *recordingProbe) ResetProbe() { r.events = nil; r.resets++ }
 
 func (r *recordingProbe) count(k EventKind) int {
 	n := 0

@@ -8,6 +8,12 @@
 //
 // The simulator is deterministic: identical sources, schedulers and
 // devices produce identical results.
+//
+// Every entry point hands each finished request back to a source that
+// implements workload.Recycler, after the request's complete event and
+// accounting, so a run's requests are bounded by its concurrency; read
+// results from the Result or a probe, not from the requests. Other
+// sources keep their requests as the run left them.
 package sim
 
 import (

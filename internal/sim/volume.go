@@ -335,6 +335,7 @@ type volumeRun struct {
 	e        *engine
 	v        *array.Volume
 	src      workload.Source
+	rec      workload.Recycler // src, when it takes finished requests back
 	members  []volMember
 	chunk    int
 	frac     float64
@@ -370,7 +371,8 @@ type volumeRun struct {
 // scheduler queue per member device. The adapter calls the returned
 // run's publish after the event loop drains.
 func (e *engine) runVolume(spec VolumeSpec, src workload.Source, chunk int, frac float64) *volumeRun {
-	r := &volumeRun{e: e, v: spec.Volume, src: src, chunk: chunk, frac: frac, adaptive: spec.AdaptiveRebuild,
+	rec, _ := src.(workload.Recycler)
+	r := &volumeRun{e: e, v: spec.Volume, src: src, rec: rec, chunk: chunk, frac: frac, adaptive: spec.AdaptiveRebuild,
 		members: make([]volMember, len(spec.Devices)), stats: &VolumeStats{}, degradedSince: -1, lastPace: -1}
 	var phases []PhaseStats
 	if e.phases != nil {
@@ -474,11 +476,16 @@ func (r *volumeRun) issue(vr *volReq, now float64) {
 		}
 		if vr.r.Failed || vr.phase >= len(vr.plan.Phases) {
 			// The intent is done: nothing holds vr once finishReq or
-			// chunkDone returns, so it goes back to the free list.
+			// chunkDone returns, so it goes back to the free list, and a
+			// foreground request to its source. A rebuild chunk's request
+			// is the intent's own.
 			if vr.isRebuild() {
 				r.chunkDone(vr, now)
 			} else {
 				r.finishReq(vr, now)
+				if r.rec != nil {
+					r.rec.Recycle(vr.r)
+				}
 			}
 			vr.r = nil
 			r.freeVR = append(r.freeVR, vr)

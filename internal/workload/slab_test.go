@@ -102,6 +102,44 @@ func TestSlabStreamsMatchReference(t *testing.T) {
 	}
 }
 
+// TestRecycledStreamsMatchReference draws Random and Bipartite with
+// every request handed back before the next draw, as a closed run does:
+// the stream is the same request for request, and it is one request
+// reused throughout.
+func TestRecycledStreamsMatchReference(t *testing.T) {
+	const n = 3000
+	cfg := RandomConfig{Rate: 900, ReadFraction: 0.67, MeanBytes: 4096,
+		SectorSize: 512, Capacity: 1 << 22, Count: n, Seed: 2}
+	bcfg := DefaultBipartite(2)
+	bcfg.Count = n
+	pl := func() layout.Placer { return layout.NewOrganPipe(1<<22, bcfg.SmallFraction) }
+	for _, tc := range []struct {
+		name string
+		src  interface {
+			Source
+			Recycler
+		}
+		want []core.Request
+	}{
+		{"random", NewRandom(cfg), refRandom(cfg)},
+		{"bipartite", NewBipartite(bcfg, pl()), refBipartite(bcfg, pl())},
+	} {
+		seen := map[*core.Request]bool{}
+		for i, want := range tc.want {
+			r := tc.src.Next()
+			if r == nil || *r != want {
+				t.Fatalf("%s: request %d = %+v, want %+v", tc.name, i, r, want)
+			}
+			seen[r] = true
+			r.Start, r.Finish, r.Failed = 1, 2, true // as a run leaves it
+			tc.src.Recycle(r)
+		}
+		if tc.src.Next() != nil || len(seen) != 1 {
+			t.Errorf("%s: %d distinct requests, or the stream runs long", tc.name, len(seen))
+		}
+	}
+}
+
 // TestRandomAllocatesPerSlab counts the heap allocations of a drained
 // stream beyond its construction: exactly one per slab of
 // core.SlabLen requests.

@@ -18,9 +18,25 @@ import (
 )
 
 // Source produces a stream of requests with non-decreasing Arrival times.
-// Next returns nil when the stream is exhausted.
+// Next returns nil when the stream is exhausted. A source that is also a
+// Recycler gets each request back once a run has finished with it, and
+// may return it again from a later Next.
 type Source interface {
 	Next() *core.Request
+}
+
+// Recycler is implemented by sources that reuse the requests they hand
+// out. The simulator calls Recycle once per top-level request, after
+// the request's complete event has been observed and counted; from then
+// on the request is the source's again, and a later Next may return it
+// refilled. So a request from a recycling source belongs to the run
+// until its complete event returns: a probe copies what it keeps past
+// that event, and a caller reads results from the run's Result or a
+// probe, not from the requests. Sources that do not implement Recycler
+// keep their requests as handed out: FromSlice callers can still read
+// Start and Finish from their own slice after a run.
+type Recycler interface {
+	Recycle(*core.Request)
 }
 
 // RandomConfig parameterizes the paper's random workload.
@@ -69,8 +85,8 @@ func (c *RandomConfig) Validate() error {
 }
 
 // Random is the paper's random workload generator. Its requests come
-// from a core.Slab, so a request stays allocated while any request of
-// its slab is in use.
+// from a core.Slab, which takes back the requests a run recycles, so a
+// run keeps only as many as it has in flight.
 type Random struct {
 	cfg  RandomConfig
 	rng  *rand.Rand
@@ -127,11 +143,14 @@ func (w *Random) Next() *core.Request {
 	return r
 }
 
+// Recycle implements Recycler.
+func (w *Random) Recycle(r *core.Request) { w.slab.Put(r) }
+
 // Bipartite generates the closed workload of §5.3: a fraction of small
 // (4 KB) requests and the remainder large (400 KB), placed by a layout
 // policy. Arrival times are all zero — the experiment measures service
 // time back-to-back, not queueing. Like Random's, its requests come from
-// a core.Slab.
+// a core.Slab that takes back the requests a run recycles.
 type Bipartite struct {
 	placer      layout.Placer
 	rng         *rand.Rand
@@ -200,6 +219,9 @@ func (w *Bipartite) Next() *core.Request {
 	return r
 }
 
+// Recycle implements Recycler.
+func (w *Bipartite) Recycle(r *core.Request) { w.slab.Put(r) }
+
 // Thinker is implemented by sources that attach a think-time delay to
 // each request. The closed-loop simulator (sim.RunClosed) consults it:
 // after a completion, the next request issues only once the most
@@ -231,6 +253,7 @@ func ExpThink(meanMs float64) ThinkDist {
 // ThinkTime.
 type ThinkSource struct {
 	src  Source
+	rc   Recycler // src, when it recycles
 	dist ThinkDist
 	rng  *rand.Rand
 	last float64
@@ -242,7 +265,8 @@ type ThinkSource struct {
 // wrapper — only issue timing changes, and only in regimes that consult
 // Thinker). A nil dist draws zero think time.
 func ThinkTime(src Source, dist ThinkDist, seed int64) *ThinkSource {
-	return &ThinkSource{src: src, dist: dist, rng: rand.New(rand.NewSource(seed))}
+	rc, _ := src.(Recycler)
+	return &ThinkSource{src: src, rc: rc, dist: dist, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Next implements Source, drawing the think time that precedes the
@@ -262,6 +286,14 @@ func (t *ThinkSource) Next() *core.Request {
 
 // ThinkMs implements Thinker.
 func (t *ThinkSource) ThinkMs() float64 { return t.last }
+
+// Recycle implements Recycler, handing r back to the wrapped source
+// when it recycles.
+func (t *ThinkSource) Recycle(r *core.Request) {
+	if t.rc != nil {
+		t.rc.Recycle(r)
+	}
+}
 
 // Slice drains a source into a slice; tests and experiments use it when
 // they need the whole stream at once.

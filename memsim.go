@@ -116,7 +116,10 @@ func AllSchedulerNames() []string { return sched.AllNames() }
 
 // ─── Workloads and traces ───────────────────────────────────────────────
 
-// WorkloadSource produces a stream of timestamped requests.
+// WorkloadSource produces a stream of timestamped requests. The
+// generated workloads (NewRandomWorkload, NewBipartiteWorkload) reuse
+// each request once a run has completed it, so a probe copies what it
+// keeps past a request's complete event.
 type WorkloadSource = workload.Source
 
 // RandomWorkloadConfig parameterizes the paper's synthetic random
