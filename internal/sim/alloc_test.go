@@ -11,28 +11,35 @@ import (
 
 // TestAllocationFloor holds each regime near zero heap allocations per
 // request. Requests come from slabs of 1024, and the engine hands each
-// finished one back to its source for reuse; exact samples fill blocks
-// of up to 8192 floats. So what is left is per slab, per block and per
-// run. Each probed run carries a PhaseCollector, whose exact phase
-// distributions are the largest sample load a run takes on.
+// finished one back to its source for reuse; a phase distribution that
+// takes at most eight distinct values counts them in a table inside the
+// Dist, and the others fill exact sample blocks of up to 8192 floats.
+// So what is left is per slab, per block and per run. Each probed run
+// carries a PhaseCollector, whose phase distributions are the largest
+// sample load a run takes on. On the MEMS model six of its nine take
+// one to seven values; only seek, positioning and service keep a float
+// per request.
 //
-// The open and closed runs measure 66 and 64 allocations for 20k
-// requests (0.0033 per request). The volume run measures 312 (0.0156):
-// RunVolume keeps nine phase distributions for each of its five members
-// as well as the volume's nine, and each holds about 10k observations in
-// four blocks, while the intent and member-op pools grow to the run's
-// peak concurrency in blocks (of 8 to 64 intents, which carry their plan
-// storage, and of 64 member ops). Both are per-run costs that do not
-// grow with n, so the volume budget is the measured value plus a fifth.
+// The open and closed runs measure 28 allocations for 20k requests
+// (0.0014 per request). The volume run measures 162 (0.0081): RunVolume
+// keeps nine phase distributions for each of its five members as well
+// as the volume's nine, and the three continuous ones of each, with the
+// volume's response distributions, hold up to 20k observations in up
+// to five blocks, while the intent and member-op pools grow to the
+// run's peak concurrency in blocks (of 8 to 64 intents, which carry
+// their plan storage, and of 64 member ops). All of these are per-run
+// costs that do not grow with n, so each budget is the measured value
+// plus a fifth.
 //
-// Bytes per request are budgeted the same way, the measured value plus
-// a fifth, so a request that is no longer reused, or a field that grows
-// core.Request, fails here. The open and closed runs measure 89.4 B per
-// request, almost all of it the exact samples the run and its collector
-// keep; the volume run measures 331.0 B, which adds its members' phase
-// samples. A closed run with no probe keeps one request in play and no
-// samples: over 200k requests it measures 9 allocations and 0.44 B per
-// request, its first slab and its Result.
+// Bytes per request are budgeted the same way, so a request that is no
+// longer reused, a field that grows core.Request, or a few-valued phase
+// that keeps a float per observation again fails here. The open and
+// closed runs measure 32.9 B per request, almost all of it the blocks
+// of the three continuous phase distributions; the volume run measures
+// 136.5 B, which adds its members' and its response distributions. A
+// closed run with no probe keeps one request in play and no samples:
+// over 200k requests it measures 9 allocations and 0.44 B per request,
+// its first slab and its Result.
 func TestAllocationFloor(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation budgets are checked in the normal build; this run is slow under -race")
@@ -52,9 +59,9 @@ func TestAllocationFloor(t *testing.T) {
 		bytesBudget float64
 		run         func() Result
 	}{
-		{"open", n, 0.01, 107, func() Result { return Run(nil, open, sptf, random(open, n), Options{Probe: pc}) }},
-		{"closed", n, 0.01, 107, func() Result { return RunClosed(nil, closed, random(closed, n), Options{Probe: pc}) }},
-		{"volume", n, 0.0187, 397, func() Result {
+		{"open", n, 0.00168, 39.5, func() Result { return Run(nil, open, sptf, random(open, n), Options{Probe: pc}) }},
+		{"closed", n, 0.00168, 39.5, func() Result { return RunClosed(nil, closed, random(closed, n), Options{Probe: pc}) }},
+		{"volume", n, 0.00972, 164, func() Result {
 			res, err := RunVolume(nil, spec, volumeRebuildSource(n), Options{Probe: pc})
 			if err != nil {
 				t.Fatal(err)

@@ -100,8 +100,10 @@ func TestSketchOpenRun(t *testing.T) {
 			t.Fatalf("a phase distribution of %d observations is not sketched", dist.N())
 		}
 	}
-	if w := ps.Service.Welford(); w != twin.w {
-		t.Errorf("service moments diverged from the exact twin: %+v vs %+v", w, twin.w)
+	if sv := &ps.Service; sv.N() != twin.w.N() || sv.Mean() != twin.w.Mean() || sv.StdDev() != twin.w.StdDev() ||
+		sv.Min() != twin.w.Min() || sv.Max() != twin.w.Max() {
+		t.Errorf("service moments diverged from the exact twin: n=%d mean=%g sd=%g vs %+v",
+			sv.N(), sv.Mean(), sv.StdDev(), twin.w)
 	}
 	for _, p := range []float64{50, 95, 99} {
 		relErrOK(t, "service percentile", ps.Service.Percentile(p), twin.s.Percentile(p))

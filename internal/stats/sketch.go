@@ -131,15 +131,6 @@ func (s *sketchStore) add(key int, n int64) {
 	s.buckets[key-s.minKey] += n
 }
 
-// merge folds other into s, bucket by bucket.
-func (s *sketchStore) merge(other *sketchStore) {
-	for i, c := range other.buckets {
-		if c > 0 {
-			s.add(other.minKey+i, c)
-		}
-	}
-}
-
 // Add folds one observation into the sketch.
 func (s *Sketch) Add(x float64) {
 	if s.count == 0 {
@@ -246,37 +237,11 @@ func (s *Sketch) rankValue(rank int64) (float64, bool) {
 	return 0, false
 }
 
-// Median returns the 50th percentile estimate.
-func (s *Sketch) Median() float64 { return s.Percentile(50) }
-
 // P95 returns the 95th percentile estimate.
 func (s *Sketch) P95() float64 { return s.Percentile(95) }
 
 // P99 returns the 99th percentile estimate.
 func (s *Sketch) P99() float64 { return s.Percentile(99) }
-
-// Merge folds the contents of other into s, as if every observation
-// added to other had been added to s.
-func (s *Sketch) Merge(other *Sketch) {
-	if other.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		s.min, s.max = other.min, other.max
-	} else {
-		if other.min < s.min {
-			s.min = other.min
-		}
-		if other.max > s.max {
-			s.max = other.max
-		}
-	}
-	s.count += other.count
-	s.sum += other.sum
-	s.zero += other.zero
-	s.pos.merge(&other.pos)
-	s.neg.merge(&other.neg)
-}
 
 // Buckets reports the number of allocated buckets across both stores —
 // the sketch's memory footprint in units of int64, bounded by

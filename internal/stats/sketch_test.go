@@ -85,7 +85,7 @@ func TestSketchDistModes(t *testing.T) {
 	sameMoments := func(when string) {
 		t.Helper()
 		if d.N() != w.N() || d.Mean() != w.Mean() || d.StdDev() != w.StdDev() ||
-			d.Min() != w.Min() || d.Max() != w.Max() || d.Welford() != w {
+			d.Min() != w.Min() || d.Max() != w.Max() || d.w != w {
 			t.Fatalf("%s: moments diverged from the exact twin", when)
 		}
 	}
@@ -191,33 +191,6 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSketchMerge asserts Merge is equivalent to interleaved Adds.
-func TestSketchMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var a, b, all Sketch
-	for i := 0; i < 10000; i++ {
-		x := rng.ExpFloat64() * 3
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merged extremes diverged")
-	}
-	for _, p := range []float64{50, 95, 99} {
-		if got, want := a.Percentile(p), all.Percentile(p); relErr(got, want) > 1e-12 {
-			t.Errorf("p%g: merged %g vs combined %g", p, got, want)
-		}
-	}
-}
-
 // TestSketchBucketCap forces the collapse path with an absurd dynamic
 // range and asserts the memory cap holds, no observation is lost, and
 // upper quantiles keep their guarantee (the collapse is bottom-biased).
@@ -288,26 +261,35 @@ func BenchmarkSamplePercentileRepeated(b *testing.B) {
 	}
 }
 
-// BenchmarkDistAdd compares the exact and sketched Add paths — the
-// per-observation cost every measured completion pays. The exact row
-// starts a fresh Dist before each would migrate.
+// BenchmarkDistAdd compares the Add paths — the per-observation cost
+// every measured completion pays: const (one value) and few (seven, the
+// MEMS transfer phase's count) stay in the table, exact takes
+// continuous values and spills at once, sketch is past the limit. The
+// table and exact rows start a fresh Dist before each would migrate.
 func BenchmarkDistAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 8192)
+	few := make([]float64, len(xs))
 	for i := range xs {
 		xs[i] = rng.ExpFloat64() * 10
+		few[i] = float64(1+rng.Intn(7)) * 0.0625
 	}
-	b.Run("exact", func(b *testing.B) {
-		var d Dist
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%(exactLimit-1) == 0 {
-				d = Dist{} // stay below the migration
+	below := func(name string, xs []float64) {
+		b.Run(name, func(b *testing.B) {
+			var d Dist
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%(exactLimit-1) == 0 {
+					d = Dist{} // stay below the migration
+				}
+				d.Add(xs[i%len(xs)])
 			}
-			d.Add(xs[i%len(xs)])
-		}
-	})
+		})
+	}
+	below("const", []float64{0.25})
+	below("few", few)
+	below("exact", xs)
 	b.Run("sketch", func(b *testing.B) {
 		var d Dist
 		d.useSketch()

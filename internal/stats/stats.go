@@ -62,15 +62,6 @@ func (w Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by n-1),
-// or 0 when fewer than two observations have been added.
-func (w Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (w Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
@@ -83,29 +74,6 @@ func (w Welford) SquaredCV() float64 {
 		return 0
 	}
 	return w.Variance() / (w.mean * w.mean)
-}
-
-// Merge folds the contents of other into w, as if every observation added
-// to other had been added to w. (Chan et al.'s parallel variance update.)
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	delta := other.mean - w.mean
-	w.m2 += other.m2 + delta*delta*float64(w.n)*float64(other.n)/float64(n)
-	w.mean += delta * float64(other.n) / float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	w.n = n
 }
 
 // Meter is a Welford accumulator safe for concurrent use. The parallel
@@ -234,21 +202,26 @@ func (s *Sample) Percentile(p float64) float64 {
 	if !s.sorted() {
 		s.join()
 	}
+	return interpolate(p, len(s.xs), func(i int) float64 { return s.xs[i] })
+}
+
+// interpolate returns the p-th percentile of n > 0 sorted observations,
+// at(i) being the i-th smallest: linear interpolation between the
+// closest ranks. Sample and Dist's table both answer through it, so
+// they return the same bits for the same observations.
+func interpolate(p float64, n int, at func(int) float64) float64 {
 	if p <= 0 {
-		return s.xs[0]
+		return at(0)
 	}
 	if p >= 100 {
-		return s.xs[len(s.xs)-1]
+		return at(n - 1)
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.xs[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }

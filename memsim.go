@@ -239,8 +239,9 @@ type MultiProbe = sim.MultiProbe
 func WithRun(p Probe, run string) Probe { return sim.WithRun(p, run) }
 
 // PhaseDist is a streaming distribution used for per-phase aggregates:
-// Welford moments, plus exact percentiles from retained samples up to
-// 524 288 observations and a bounded quantile sketch (±1%) past that.
+// Welford moments, plus exact percentiles up to 524 288 observations
+// (from counts while it has seen at most eight distinct values, from
+// retained samples after) and a bounded quantile sketch (±1%) past that.
 type PhaseDist = stats.Dist
 
 // PhaseStats aggregates per-request phase observations over a run's
